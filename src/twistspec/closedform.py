@@ -34,6 +34,12 @@ first tangential (dipole) mode of the larger component - whose eigenvalue
 is exactly the window edge (j_{b+1,1}/max(L,R))^2 - drops below the
 two-signed pair value.  Solutions therefore carry a `single_signed`
 diagnostic instead of failing; scans stay inside the window by default.
+
+The weighted mean integrals inside D are exact: from
+(e^{-t^2} H_{nu-1})' = -e^{-t^2} H_nu on the Gaussian side and from
+int_0^X r^{b+1} J_b(f r) dr = X^{b+1} J_{b+1}(f X)/f (DLMF 10.22.1) on the
+power side, so D costs four scalar special-function calls.  Only the
+normalization, computed once per solve, uses quadrature.
 """
 
 from __future__ import annotations
@@ -99,13 +105,22 @@ def dirichlet_halfspace_gauss(L: float, nu_max: float = NU_MAX_DEFAULT) -> float
     """First Dirichlet eigenvalue of the Gaussian half-space at offset L.
 
     2 nu* with nu* the smallest positive root of nu -> H_nu(L); increasing
-    in L with value 2 at L = 0.
+    in L with value 2 at L = 0, so the scan starts at nu = 1.  Offsets at or
+    beyond specfun.HERMITE_SWITCH_T are rejected: there H_nu comes from the
+    large-t expansion, which is not valid near its zeros.
     """
     if L < 0:
         raise DomainError(f"dirichlet_halfspace_gauss: need L >= 0, got {L:g}")
+    t_switch = specfun.HERMITE_SWITCH_T
+    if L >= t_switch:
+        raise DomainError(
+            f"dirichlet_halfspace_gauss: offset L={L:g} is at or beyond the "
+            f"Hermite switch point t={t_switch:g} (component mass "
+            f"{measures.k_gauss(t_switch):.2g}); the large-t expansion of H_nu "
+            f"is not valid at its zeros")
     f = lambda nu: specfun.hermite_value(nu, L)  # noqa: E731
     step = 0.05
-    lo = 1e-6
+    lo = 1.0
     f_lo = f(lo)
     nu = lo
     while nu < nu_max:
@@ -150,27 +165,21 @@ def _fixed_gl_grid(a: float, b: float,
     return out_n, out_w
 
 
-def _gauss_pair_integrals(nu: float, a: float,
-                          want_square: bool = False) -> tuple[float, float]:
-    """(int_a^inf (H_nu - H_nu(a)) d gamma_1, same with the square)."""
-    T = numerics.gauss_tail_cut(a).cut
-    ts, ws = _fixed_gl_grid(a, T, seam=specfun.HERMITE_SWITCH_T)
-    ha = specfun.hermite_value(nu, a)
-    diff = specfun.hermite_value(nu, ts) - ha
-    gw = ws * measures.gauss_weight_1d(ts)
-    lin = float(np.dot(gw, diff))
-    sq = float(np.dot(gw, diff * diff)) if want_square else 0.0
-    return lin, sq
-
-
-def _gauss_mean_integral(nu: float, a: float) -> float:
-    """int_a^inf (H_nu(t) - H_nu(a)) d gamma_1."""
-    return _gauss_pair_integrals(nu, a)[0]
+def _gauss_mean(nu: float, a: float, h_a: float) -> float:
+    """int_a^inf (H_nu(t) - H_nu(a)) d gamma_1, with h_a = H_nu(a):
+    e^{-a^2} H_{nu-1}(a) / sqrt(pi) - H_nu(a) erfc(a) / 2."""
+    return (math.exp(-a * a) / specfun.SQRT_PI
+            * specfun.hermite_value(nu - 1.0, a)
+            - 0.5 * math.erfc(a) * h_a)
 
 
 def _gauss_square_integral(nu: float, a: float) -> float:
-    """int_a^inf (H_nu(t) - H_nu(a))^2 d gamma_1."""
-    return _gauss_pair_integrals(nu, a, want_square=True)[1]
+    """int_a^inf (H_nu(t) - H_nu(a))^2 d gamma_1, by quadrature."""
+    T = numerics.gauss_tail_cut(a).cut
+    ts, ws = _fixed_gl_grid(a, T, seam=specfun.HERMITE_SWITCH_T)
+    diff = specfun.hermite_value(nu, ts) - specfun.hermite_value(nu, a)
+    gw = ws * measures.gauss_weight_1d(ts)
+    return float(np.dot(gw, diff * diff))
 
 
 def _find_first_root(D, lo: float, hi: float, what: str):
@@ -205,11 +214,9 @@ def twisted_pair_gauss(config: PairConfig) -> TwistedSolution:
         return sol
 
     def D(nu: float) -> float:
-        mL = _gauss_mean_integral(nu, L)
-        mR = -_gauss_mean_integral(nu, R)
         hL = specfun.hermite_value(nu, L)
         hR = specfun.hermite_value(nu, R)
-        return mL * hR - mR * hL
+        return _gauss_mean(nu, L, hL) * hR + _gauss_mean(nu, R, hR) * hL
 
     nu_hat = _find_first_root(D, bracket[0] / 2.0, bracket[1] / 2.0, "gaussian")
     hL = specfun.hermite_value(nu_hat, L)
@@ -243,8 +250,7 @@ def _assemble_gauss_solution(config, nu, A, B, bracket) -> TwistedSolution:
     dH = lambda t: 2.0 * nu * specfun.hermite_value(nu - 1.0, t)  # noqa: E731
     du_left = abs(A * dH(L))
     du_right = abs(B * dH(R))
-    mean_res = abs(A * _gauss_mean_integral(nu, L)
-                   - B * _gauss_mean_integral(nu, R))
+    mean_res = abs(A * _gauss_mean(nu, L, hL) - B * _gauss_mean(nu, R, hR))
     match_res = abs(A * hL + B * hR)
 
     def u_left(x: float) -> float:
@@ -290,31 +296,43 @@ def dirichlet_halfball_power(measure: MeasureSpec, R: float) -> float:
     if R <= 0:
         raise DomainError(f"dirichlet_halfball_power: need R > 0, got {R:g}")
     b = _profile_order(measure)
-    j1 = specfun.bessel_first_zero(b, "of_J")
-    return (j1 / R) ** 2
+    return (_first_bessel_zero(b) / R) ** 2
 
 
-def _g_profile(order: float, freq: float, r) -> np.ndarray:
-    """g(r) = r^{-order} J_order(freq r), entire in r."""
-    rs = np.asarray(r, dtype=float)
-    return (freq / 2.0) ** order * specfun.bessel_j_scaled_vec(order, freq * rs)
+@lru_cache(maxsize=64)
+def _first_bessel_zero(order: float) -> float:
+    """j_{order,1}, scanned once per profile order."""
+    return specfun.bessel_first_zero(order, "of_J")
+
+
+def _g_profile(order: float, freq: float,
+               r: float | np.ndarray) -> float | np.ndarray:
+    """g(r) = r^{-order} J_order(freq r), entire in r; float or array r."""
+    return (freq / 2.0) ** order * specfun.bessel_j_scaled_vec(order, freq * r)
 
 
 def _g_deriv(order: float, freq: float, r: float) -> float:
     """g'(r) = -freq * r * (freq/2)^{order+1} * jscaled(order+1, freq r)."""
-    return -freq * r * (freq / 2.0) ** (order + 1.0) * float(
-        specfun.bessel_j_scaled_vec(order + 1.0, np.asarray([freq * r]))[0])
+    return (-freq * r * (freq / 2.0) ** (order + 1.0)
+            * specfun.bessel_j_scaled_vec(order + 1.0, freq * r))
 
 
-def _power_integrals(measure: MeasureSpec, order: float, freq: float,
-                     X: float) -> tuple[float, float]:
-    """(int_0^X (g - g(X)) r^{n+k-1} dr, same with the square)."""
-    ex = measure.radial_exponent
-    gX = float(_g_profile(order, freq, X))
+def _power_mean(order: float, freq: float, X: float, g_X: float) -> float:
+    """int_0^X (g - g(X)) r^{2 order + 1} dr, with g_X = g(X):
+    X^{2b+2} [(f/2)^{b+1} Jhat_{b+1}(fX) / f - g(X) / (2b+2)], b = order,
+    f = freq, Jhat = bessel_j_scaled_vec; 2b+2 = n+k."""
+    p = 2.0 * order + 2.0
+    j_next = specfun.bessel_j_scaled_vec(order + 1.0, freq * X)
+    return X ** p * ((freq / 2.0) ** (order + 1.0) * j_next / freq - g_X / p)
+
+
+def _power_square_integral(measure: MeasureSpec, order: float, freq: float,
+                           X: float) -> float:
+    """int_0^X (g - g(X))^2 r^{n+k-1} dr, by quadrature."""
     rs, ws = _fixed_gl_grid(0.0, X)
-    diff = _g_profile(order, freq, rs) - gX
-    w = ws * rs ** ex
-    return float(np.dot(w, diff)), float(np.dot(w, diff * diff))
+    diff = _g_profile(order, freq, rs) - _g_profile(order, freq, X)
+    w = ws * rs ** measure.radial_exponent
+    return float(np.dot(w, diff * diff))
 
 
 def twisted_pair_power(config: PairConfig) -> TwistedSolution:
@@ -324,14 +342,14 @@ def twisted_pair_power(config: PairConfig) -> TwistedSolution:
     measure = config.measure
     b = _profile_order(measure)
     L, R = config.left_param, config.right_param
-    j1 = specfun.bessel_first_zero(b, "of_J")
+    j1 = _first_bessel_zero(b)
     lamD_L = (j1 / L) ** 2
     lamD_R = (j1 / R) ** 2
     bracket = (min(lamD_L, lamD_R), max(lamD_L, lamD_R))
 
     if config.is_symmetric:
         freq = j1 / L
-        _, sq = _power_integrals(measure, b, freq, L)
+        sq = _power_square_integral(measure, b, freq, L)
         amp = 1.0 / math.sqrt(2.0 * measure.angular_constant * sq)
         sol = _assemble_power_solution(config, b, freq, amp, amp, bracket)
         sol.nonlocal_c = 0.0  # antisymmetric eigenfunction, exactly
@@ -341,53 +359,47 @@ def twisted_pair_power(config: PairConfig) -> TwistedSolution:
     f_hi = math.sqrt(bracket[1])
 
     def D(freq: float) -> float:
-        nL, _ = _power_integrals_lin_only(measure, b, freq, L)
-        nR_neg, _ = _power_integrals_lin_only(measure, b, freq, R)
-        pL = float(_g_profile(b, freq, L))
-        pR = float(_g_profile(b, freq, R))
-        return nL * pR - (-nR_neg) * pL
+        pL = _g_profile(b, freq, L)
+        pR = _g_profile(b, freq, R)
+        return (_power_mean(b, freq, L, pL) * pR
+                + _power_mean(b, freq, R, pR) * pL)
 
     f_hat = _find_first_root(D, f_lo, f_hi, "power")
-    pL = float(_g_profile(b, f_hat, L))
-    pR = float(_g_profile(b, f_hat, R))
+    pL = _g_profile(b, f_hat, L)
+    pR = _g_profile(b, f_hat, R)
     A, B = pR, -pL
-    _, sL = _power_integrals(measure, b, f_hat, L)
-    _, sR = _power_integrals(measure, b, f_hat, R)
+    sL = _power_square_integral(measure, b, f_hat, L)
+    sR = _power_square_integral(measure, b, f_hat, R)
     scale = 1.0 / math.sqrt(measure.angular_constant * (A * A * sL + B * B * sR))
-    interior = float(_g_profile(b, f_hat, 0.5 * L)) - pL
+    interior = _g_profile(b, f_hat, 0.5 * L) - pL
     if A * interior < 0:
         scale = -scale
     return _assemble_power_solution(config, b, f_hat, A * scale, B * scale,
                                     bracket)
 
 
-def _power_integrals_lin_only(measure, order, freq, X):
-    lin, _ = _power_integrals(measure, order, freq, X)
-    return lin, None
-
-
 def _assemble_power_solution(config, order, freq, A, B, bracket):
     measure = config.measure
     L, R = config.left_param, config.right_param
-    pL = float(_g_profile(order, freq, L))
-    pR = float(_g_profile(order, freq, R))
+    pL = _g_profile(order, freq, L)
+    pR = _g_profile(order, freq, R)
     c = -A * freq * freq * pL
     du_left = abs(A * _g_deriv(order, freq, L))
     du_right = abs(B * _g_deriv(order, freq, R))
-    nL, _ = _power_integrals_lin_only(measure, order, freq, L)
-    nR, _ = _power_integrals_lin_only(measure, order, freq, R)
-    mean_res = measure.angular_constant * abs(A * nL - B * nR)
+    mean_res = measure.angular_constant * abs(
+        A * _power_mean(order, freq, L, pL)
+        - B * _power_mean(order, freq, R, pR))
     match_res = abs(A * pL + B * pR)
 
     def u_left(r: float) -> float:
         if not 0.0 <= r <= L + 1e-12:
             raise DomainError(f"left component lives on 0 <= r <= {L:g}")
-        return A * (float(_g_profile(order, freq, r)) - pL)
+        return A * (_g_profile(order, freq, r) - pL)
 
     def u_right(r: float) -> float:
         if not 0.0 <= r <= R + 1e-12:
             raise DomainError(f"right component lives on 0 <= r <= {R:g}")
-        return B * (pR - float(_g_profile(order, freq, r)))
+        return B * (pR - _g_profile(order, freq, r))
 
     rl = np.linspace(0.0, L, 66)[:-1]
     rr = np.linspace(0.0, R, 66)[:-1]
@@ -450,8 +462,8 @@ def phi_alpha(order: float, s: float) -> float:
     """
     if s < 0:
         raise DomainError("phi_alpha: need s >= 0")
-    num = float(specfun.bessel_j_scaled_vec(order + 1.0, np.asarray([s]))[0])
-    den = float(specfun.bessel_j_scaled_vec(order, np.asarray([s]))[0])
+    num = specfun.bessel_j_scaled_vec(order + 1.0, s)
+    den = specfun.bessel_j_scaled_vec(order, s)
     if den == 0.0 or abs(den) < 1e-300:
         raise DomainError(f"phi_alpha: J_order vanishes at s={s:g}")
     return -(s / 2.0) * num / den

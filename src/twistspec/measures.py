@@ -22,7 +22,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc, erfcinv
 
-from . import numerics, specfun
 from .errors import DomainError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -58,19 +57,12 @@ def gauss_weight_1d(x) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _angular_constant(n: int, k: float) -> float:
-    """Integral of x_n^k over the upper unit hemisphere of S^{n-1}.
-
-    Computed by quadrature over the polar angle:
-    |S^{n-2}| * int_0^{pi/2} cos^k(th) sin^{n-2}(th) dth, with the n = 1
-    hemisphere being the single point {1}.
+    """Integral of x_n^k over the upper unit hemisphere of S^{n-1}:
+    pi^{(n-1)/2} Gamma((k+1)/2) / Gamma((n+k)/2), which is 1 for the n = 1
+    hemisphere, the single point {1}.
     """
-    if n == 1:
-        return 1.0
-    sphere = 2.0 * math.pi ** ((n - 1) / 2.0) / specfun.gamma((n - 1) / 2.0)
-    integ = numerics.integrate(
-        lambda th: np.cos(th) ** k * np.sin(th) ** (n - 2),
-        0.0, math.pi / 2.0, tol=1e-13, vectorized=True)
-    return sphere * integ.value
+    return (math.pi ** ((n - 1) / 2.0) * math.gamma((k + 1.0) / 2.0)
+            / math.gamma((n + k) / 2.0))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,11 @@ evaluator switches to the algebraic large-argument expansion
 with (a)_m the rising factorial.  The expansion is valid only on the +t
 branch: for non-integer nu, H_nu(-t) grows like exp(t^2) and is evaluated by
 the series, which is then free of cancellation.
+
+Every evaluator has an array kernel (`*_vec`) and a plain-float twin
+(`*_scalar`) with the same constants, iteration budget, convergence test
+and errors; the public functions take the plain-float path for a scalar
+argument, which avoids numpy overhead on one-element arrays.
 """
 
 from __future__ import annotations
@@ -59,6 +64,10 @@ INTEGER_NU_TOL = 1e-9
 
 KUMMER_MAX_TERMS = 500
 BESSEL_MAX_TERMS = 400
+# A compensated series stops once its last term is below SERIES_RTOL times
+# the running sum (SERIES_FLOOR keeps the test finite at a zero sum).
+SERIES_RTOL = 1e-17
+SERIES_FLOOR = 1e-300
 # Beyond this argument the ascending Bessel series loses more than ~1e-11
 # relative to cancellation; the solvers never need r that large.
 BESSEL_SERIES_RMAX = 16.0
@@ -127,7 +136,7 @@ def _kummer_vec(a: float, b: float, z: np.ndarray) -> np.ndarray:
         comp = (t - total) - y
         total = t
         if m >= budget and np.all(
-                np.abs(term) <= 1e-17 * (np.abs(total) + 1e-300)):
+                np.abs(term) <= SERIES_RTOL * (np.abs(total) + SERIES_FLOOR)):
             return total
     raise AccuracyError(
         f"kummer_m: series did not converge within {KUMMER_MAX_TERMS} terms "
@@ -161,11 +170,39 @@ def _kummer_pair_vec(a1: float, b1: float, a2: float, b2: float,
         s2 = t
         if m >= budget and np.all(
                 np.abs(t1) + np.abs(t2)
-                <= 1e-17 * (np.abs(s1) + np.abs(s2) + 1e-300)):
+                <= SERIES_RTOL * (np.abs(s1) + np.abs(s2) + SERIES_FLOOR)):
             return s1, s2
-    raise AccuracyError(
+    raise _kummer_pair_failure(float(np.max(np.abs(z))))
+
+
+def _kummer_pair_scalar(a1: float, b1: float, a2: float, b2: float,
+                        z: float) -> tuple[float, float]:
+    """Plain-float twin of _kummer_pair_vec."""
+    t1 = t2 = s1 = s2 = 1.0
+    c1 = c2 = 0.0
+    budget = _iteration_budget(abs(z))
+    for m in range(KUMMER_MAX_TERMS):
+        zm = z / (m + 1.0)
+        t1 = t1 * ((a1 + m) / (b1 + m)) * zm
+        t2 = t2 * ((a2 + m) / (b2 + m)) * zm
+        y = t1 - c1
+        t = s1 + y
+        c1 = (t - s1) - y
+        s1 = t
+        y = t2 - c2
+        t = s2 + y
+        c2 = (t - s2) - y
+        s2 = t
+        if m >= budget and (abs(t1) + abs(t2)
+                            <= SERIES_RTOL * (abs(s1) + abs(s2) + SERIES_FLOOR)):
+            return s1, s2
+    raise _kummer_pair_failure(abs(z))
+
+
+def _kummer_pair_failure(zmax: float) -> AccuracyError:
+    return AccuracyError(
         f"hermite kummer pair did not converge within {KUMMER_MAX_TERMS} "
-        f"terms (max |z| = {np.max(np.abs(z)):g})")
+        f"terms (max |z| = {zmax:g})")
 
 
 def kummer_m(a: float, b: float, z: float) -> float:
@@ -193,20 +230,49 @@ def _hermite_poly_vec(n: int, t: np.ndarray) -> np.ndarray:
     return h
 
 
-def _hermite_series_vec(nu: float, t: np.ndarray) -> np.ndarray:
-    """Gamma-coefficient Kummer combination; |t| <= switch or t < 0."""
-    t = np.asarray(t, dtype=float)
-    z = t * t
-    phi1, phi2 = _kummer_pair_vec(-nu / 2.0, 0.5, (1.0 - nu) / 2.0, 1.5, z)
+def _hermite_poly_scalar(n: int, t: float) -> float:
+    """Plain-float twin of _hermite_poly_vec."""
+    h_prev = 1.0
+    if n == 0:
+        return h_prev
+    h = 2.0 * t
+    for m in range(1, n):
+        h, h_prev = 2.0 * t * h - 2.0 * m * h_prev, h
+    return h
+
+
+def _hermite_series_coeffs(nu: float) -> tuple[float, float]:
+    """Gamma coefficients of the two Kummer series in H_nu."""
     two_nu = 2.0 ** nu
     # Gamma poles at positive integers are handled upstream by the
     # polynomial dispatch; near-integers give a large Gamma and a vanishing
     # coefficient, which is the correct continuous limit.
     ga = gamma((1.0 - nu) / 2.0)
     gb = gamma(-nu / 2.0)
-    coeff_a = two_nu * SQRT_PI / ga
-    coeff_b = -2.0 * two_nu * SQRT_PI / gb
+    return two_nu * SQRT_PI / ga, -2.0 * two_nu * SQRT_PI / gb
+
+
+def _hermite_series_vec(nu: float, t: np.ndarray) -> np.ndarray:
+    """Gamma-coefficient Kummer combination; |t| <= switch or t < 0."""
+    t = np.asarray(t, dtype=float)
+    z = t * t
+    phi1, phi2 = _kummer_pair_vec(-nu / 2.0, 0.5, (1.0 - nu) / 2.0, 1.5, z)
+    coeff_a, coeff_b = _hermite_series_coeffs(nu)
     return coeff_a * phi1 + coeff_b * t * phi2
+
+
+def _hermite_series_scalar(nu: float, t: float) -> float:
+    """Plain-float twin of _hermite_series_vec."""
+    z = t * t
+    phi1, phi2 = _kummer_pair_scalar(-nu / 2.0, 0.5, (1.0 - nu) / 2.0, 1.5, z)
+    coeff_a, coeff_b = _hermite_series_coeffs(nu)
+    return coeff_a * phi1 + coeff_b * t * phi2
+
+
+def _hermite_asympt_coeffs(nu: float) -> list[float]:
+    """Coefficients of the large-t expansion, highest order first."""
+    return [(-1.0) ** k * _poch_rising(-nu, 2 * k) / math.factorial(k)
+            for k in range(HERMITE_ASYMPT_TERMS, 0, -1)]
 
 
 def _hermite_asympt_vec(nu: float, t: np.ndarray) -> np.ndarray:
@@ -214,10 +280,19 @@ def _hermite_asympt_vec(nu: float, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     inv = 1.0 / (2.0 * t) ** 2
     acc = np.zeros_like(t)
-    for k in range(HERMITE_ASYMPT_TERMS, 0, -1):
-        ck = (-1.0) ** k * _poch_rising(-nu, 2 * k) / math.factorial(k)
+    for ck in _hermite_asympt_coeffs(nu):
         acc = (acc + ck) * inv
     return (2.0 * t) ** nu * (1.0 + acc)
+
+
+def _hermite_asympt_scalar(nu: float, t: float) -> float:
+    """Plain-float twin of _hermite_asympt_vec."""
+    two_t = 2.0 * t
+    inv = 1.0 / (two_t * two_t)
+    acc = 0.0
+    for ck in _hermite_asympt_coeffs(nu):
+        acc = (acc + ck) * inv
+    return two_t ** nu * (1.0 + acc)
 
 
 def _is_nonneg_int(nu: float) -> bool:
@@ -238,21 +313,31 @@ def _hermite_vec(nu: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, big
 
 
-def hermite_value(nu: float, t) -> np.ndarray:
-    """H_nu evaluated on a scalar or array argument (values only)."""
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    vals, _ = _hermite_vec(nu, arr)
-    return vals if np.ndim(t) else float(vals[0])
+def _hermite_scalar(nu: float, t: float) -> tuple[float, bool]:
+    """Plain-float twin of _hermite_vec: (value, asymptotic branch used)."""
+    if _is_nonneg_int(nu):
+        return _hermite_poly_scalar(int(round(nu)), t), False
+    if t >= HERMITE_SWITCH_T:
+        return _hermite_asympt_scalar(nu, t), True
+    return _hermite_series_scalar(nu, t), False
+
+
+def hermite_value(nu: float, t: float | np.ndarray) -> float | np.ndarray:
+    """H_nu evaluated on a scalar (plain float out) or array argument."""
+    if np.ndim(t) == 0:
+        return _hermite_scalar(nu, float(t))[0]
+    vals, _ = _hermite_vec(nu, np.asarray(t, dtype=float))
+    return vals
 
 
 def hermite_h(nu: float, t: float) -> HermiteEval:
     """Hermite function of real degree nu at t."""
     if not (math.isfinite(nu) and math.isfinite(t)):
         raise DomainError("hermite_h: non-finite input")
-    vals, big = _hermite_vec(nu, np.asarray([t], dtype=float))
+    value, big = _hermite_scalar(nu, float(t))
     return HermiteEval(
-        degree=nu, argument=t, value=float(vals[0]),
-        method_used="asymptotic" if bool(big[0]) else "series",
+        degree=nu, argument=t, value=value,
+        method_used="asymptotic" if big else "series",
     )
 
 
@@ -319,16 +404,17 @@ def turan_gap(nu: float, t: float) -> float:
 # Bessel functions of the first kind, real order > -1, ascending series.
 # ----------------------------------------------------------------------
 
-def bessel_j_scaled_vec(order: float, z: np.ndarray) -> np.ndarray:
-    """(z/2)^{-order} J_order(z): entire in z, finite and 1/Gamma(order+1) at 0."""
+def bessel_j_scaled_vec(order: float,
+                        z: float | np.ndarray) -> float | np.ndarray:
+    """(z/2)^{-order} J_order(z): entire in z, finite and 1/Gamma(order+1) at 0.
+
+    Scalar z gives a plain float, array z an array."""
     if order <= -1.0:
         raise DomainError(f"bessel order must be > -1, got {order:g}")
+    if np.ndim(z) == 0:
+        return _bessel_scaled_scalar(order, float(z))
     z = np.asarray(z, dtype=float)
-    if np.any(np.abs(z) > BESSEL_SERIES_RMAX):
-        raise AccuracyError(
-            f"bessel series ceiling exceeded: |z| up to {np.max(np.abs(z)):g} "
-            f"> {BESSEL_SERIES_RMAX:g}"
-        )
+    _check_bessel_ceiling(float(np.max(np.abs(z), initial=0.0)))
     q = -(z * z) / 4.0
     term = np.full_like(z, 1.0 / gamma(order + 1.0))
     total = term.copy()
@@ -339,21 +425,52 @@ def bessel_j_scaled_vec(order: float, z: np.ndarray) -> np.ndarray:
         t = total + y
         comp = (t - total) - y
         total = t
-        if m >= 2 and np.all(np.abs(term) <= 1e-17 * (np.abs(total) + 1e-300)):
+        if m >= 2 and np.all(
+                np.abs(term) <= SERIES_RTOL * (np.abs(total) + SERIES_FLOOR)):
             return total
-    raise AccuracyError("bessel series did not converge", estimate=float(np.max(np.abs(term))))
+    raise _bessel_failure(float(np.max(np.abs(term))))
 
 
-def bessel_j_value(order: float, r) -> np.ndarray:
-    """J_order(r) for scalar or array r >= 0 (values only)."""
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(arr < 0):
+def _bessel_scaled_scalar(order: float, z: float) -> float:
+    """Plain-float twin of the array loop in bessel_j_scaled_vec."""
+    _check_bessel_ceiling(abs(z))
+    q = -(z * z) / 4.0
+    term = total = 1.0 / gamma(order + 1.0)
+    comp = 0.0
+    for m in range(BESSEL_MAX_TERMS):
+        term = term * q / ((m + 1.0) * (m + 1.0 + order))
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if m >= 2 and abs(term) <= SERIES_RTOL * (abs(total) + SERIES_FLOOR):
+            return total
+    raise _bessel_failure(abs(term))
+
+
+def _check_bessel_ceiling(zmax: float) -> None:
+    if zmax > BESSEL_SERIES_RMAX:
+        raise AccuracyError(
+            f"bessel series ceiling exceeded: |z| up to {zmax:g} "
+            f"> {BESSEL_SERIES_RMAX:g}"
+        )
+
+
+def _bessel_failure(estimate: float) -> AccuracyError:
+    return AccuracyError("bessel series did not converge", estimate=estimate)
+
+
+def bessel_j_value(order: float,
+                   r: float | np.ndarray) -> float | np.ndarray:
+    """J_order(r) for scalar (plain float out) or array r >= 0."""
+    scalar = np.ndim(r) == 0
+    r = float(r) if scalar else np.asarray(r, dtype=float)
+    r_min = r if scalar else float(np.min(r, initial=math.inf))
+    if r_min < 0:
         raise DomainError("bessel_j: r must be >= 0")
-    if order < 0 and np.any(arr == 0.0):
+    if order < 0 and r_min == 0.0:
         raise DomainError("bessel_j: r=0 diverges for negative order")
-    scaled = bessel_j_scaled_vec(order, arr)
-    vals = scaled * (arr / 2.0) ** order
-    return vals if np.ndim(r) else float(vals[0])
+    return bessel_j_scaled_vec(order, r) * (r / 2.0) ** order
 
 
 def bessel_j(order: float, r: float) -> BesselEval:

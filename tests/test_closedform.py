@@ -35,6 +35,68 @@ class TestDirichletGauss:
         with pytest.raises(DomainError):
             closedform.dirichlet_halfspace_gauss(-0.5)
 
+    @pytest.mark.parametrize("L", [5.0, 5.5])
+    def test_offset_beyond_hermite_switch_rejected(self, L):
+        # the large-t expansion of H_nu is not valid at its zeros
+        with pytest.raises(DomainError, match="switch point t=5 .*7.7e-13"):
+            closedform.dirichlet_halfspace_gauss(L)
+
+    def test_offset_just_below_switch(self):
+        assert closedform.dirichlet_halfspace_gauss(4.9) == pytest.approx(
+            34.31965943626952, rel=1e-10)
+
+
+def _gauss_mean_by_quadrature(nu, a):
+    from twistspec.numerics import gauss_tail_cut, integrate
+    h_a = specfun.hermite_value(nu, a)
+    return integrate(
+        lambda t: (specfun.hermite_value(nu, t) - h_a)
+        * measures.gauss_weight_1d(t),
+        a, math.inf, tol=1e-13, tail=gauss_tail_cut(a), vectorized=True).value
+
+
+def _power_mean_by_quadrature(order, freq, X):
+    from twistspec.numerics import integrate
+    g_X = closedform._g_profile(order, freq, X)
+    scale = X ** (2 * order + 2) * abs(closedform._g_profile(order, freq, 0.0))
+    return integrate(
+        lambda r: (closedform._g_profile(order, freq, r) - g_X)
+        * r ** (2 * order + 1),
+        0.0, X, tol=1e-14 * scale, vectorized=True).value
+
+
+class TestMeanIdentities:
+    """The closed-form mean integrals inside the determinants against the
+    quadrature they replace."""
+
+    @pytest.mark.parametrize("nu", [1.0, 1.3, 2.7, 5.5])
+    def test_gauss_mean_against_quadrature(self, nu):
+        # Relative to the larger of the two terms.  Near the series/
+        # asymptotic switch the Kummer combination for H_{nu-1}(a) itself
+        # cancels to ~1e-16 e^{a^2} (3e-9 at nu = 1.3, a = 4.5), which then
+        # bounds the agreement instead.
+        for a in np.linspace(0.0, 4.5, 19):
+            a = float(a)
+            h_a = specfun.hermite_value(nu, a)
+            exact = closedform._gauss_mean(nu, a, h_a)
+            larger = max(
+                abs(math.exp(-a * a) / math.sqrt(math.pi)
+                    * specfun.hermite_value(nu - 1.0, a)),
+                abs(0.5 * math.erfc(a) * h_a))
+            tol = max(1e-10, 1e-16 * math.exp(a * a))
+            assert abs(exact - _gauss_mean_by_quadrature(nu, a)) <= \
+                tol * larger
+
+    @pytest.mark.parametrize("order", [0.5, 1.5, 3.0])
+    def test_power_mean_against_quadrature(self, order):
+        j1 = specfun.bessel_first_zero(order)
+        for X in (0.3, 1.0, 2.5):
+            for freq in (0.6 * j1 / X, j1 / X, 1.4 * j1 / X):
+                g_X = closedform._g_profile(order, freq, X)
+                exact = closedform._power_mean(order, freq, X, g_X)
+                assert exact == pytest.approx(
+                    _power_mean_by_quadrature(order, freq, X), rel=1e-11)
+
 
 class TestDirichletPower:
     def test_unit_ball_n3(self):
@@ -225,6 +287,22 @@ class TestTwistedPairPower:
             assert residual(sol.u_left_at, float(r)) <= 1e-6
         for r in np.linspace(0.05 * cfg.right_param, 0.95 * cfg.right_param, 50):
             assert residual(sol.u_right_at, float(r)) <= 1e-6
+
+    def test_one_zero_scan_per_order(self, monkeypatch):
+        calls = []
+        scan = specfun.bessel_first_zero
+
+        def counted(order, kind="of_J"):
+            calls.append(order)
+            return scan(order, kind)
+
+        monkeypatch.setattr(specfun, "bessel_first_zero", counted)
+        closedform._first_bessel_zero.cache_clear()
+        m = MeasureSpec.power(3, 2.0)
+        for s in (0.35, 0.45, 0.5):
+            closedform.twisted_pair_power(measures.config_from_split(m, 2.0, s))
+        closedform.dirichlet_halfball_power(m, 1.0)
+        assert calls == [m.profile_order]
 
     def test_lopsided_pair_flagged_but_agrees_with_oracle(self):
         # beyond the monotone-profile window the pair root still matches the

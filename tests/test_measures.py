@@ -62,6 +62,19 @@ class TestAngularConstant:
             want = sphere * sp.beta((k + 1) / 2, (n - 1) / 2) / 2
             assert m.angular_constant == pytest.approx(float(want), rel=1e-11)
 
+    def test_against_polar_quadrature(self):
+        # |S^{n-2}| int_0^{pi/2} cos^k(th) sin^{n-2}(th) dth
+        for n, k in [(2, 0.0), (3, 0.0), (3, 2.0), (5, 3.0), (4, 1.5), (7, 0.5)]:
+            sphere = 2 * math.pi ** ((n - 1) / 2) / math.gamma((n - 1) / 2)
+            integ = numerics.integrate(
+                lambda th: np.cos(th) ** k * np.sin(th) ** (n - 2),
+                0.0, math.pi / 2, tol=1e-13, vectorized=True)
+            assert MeasureSpec.power(n, k).angular_constant == pytest.approx(
+                sphere * integ.value, rel=1e-14)
+
+    def test_one_dimensional_hemisphere_is_a_point(self):
+        assert MeasureSpec.power(1, 2.5).angular_constant == 1.0
+
 
 class TestHalfball:
     def test_lebesgue_half_unit_ball(self):

@@ -87,6 +87,10 @@ class TestHermite:
     def test_method_dispatch(self):
         assert specfun.hermite_h(2.3, 1.0).method_used == "series"
         assert specfun.hermite_h(2.3, 6.0).method_used == "asymptotic"
+        assert specfun.hermite_h(2.3, 5.0).method_used == "asymptotic"
+        assert specfun.hermite_h(2.3, 4.99).method_used == "series"
+        # integer degrees take the polynomial at every t
+        assert specfun.hermite_h(3.0, 8.0).method_used == "series"
         # the large-argument expansion is only used on the positive branch
         assert specfun.hermite_h(2.3, -6.0).method_used == "series"
 
@@ -128,6 +132,42 @@ class TestHermite:
                 rhs = (2 ** (nu + 1) * SQRT_PI * math.exp(t * t)
                        / specfun.gamma(-nu))
                 assert lhs == pytest.approx(rhs, rel=1e-7)
+
+
+def _assert_paths_agree(fn, args):
+    """fn on each plain float against fn on the whole array."""
+    array_vals = fn(np.asarray(args, dtype=float))
+    for x, want in zip(args, array_vals):
+        got = fn(float(x))
+        assert type(got) is float
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
+class TestScalarPath:
+    # every branch: polynomial (integer degree), series at t < 0 and at
+    # 0 <= t < HERMITE_SWITCH_T, large-t expansion at t >= HERMITE_SWITCH_T
+    TS = [-4.2, -1.1, -0.2, 0.0, 0.4, 1.7, 3.3, 4.99, 5.0, 5.6, 8.0, 12.5]
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 3.0, 7.0, 0.37, 1.5, 4.2, 11.7])
+    def test_hermite_value(self, nu):
+        _assert_paths_agree(lambda t: specfun.hermite_value(nu, t), self.TS)
+
+    @pytest.mark.parametrize("order", [0.0, 0.5, 1.5, 3.0, 7.25])
+    def test_bessel(self, order):
+        zs = [0.0, 0.05, 1.0, 2.4, 6.3, 11.0, 15.9]
+        _assert_paths_agree(
+            lambda z: specfun.bessel_j_scaled_vec(order, z), zs)
+        _assert_paths_agree(
+            lambda r: specfun.bessel_j_value(order, r), zs[1:])
+
+    @pytest.mark.parametrize("wrap", [float, lambda x: np.asarray([1.0, x])])
+    def test_errors_on_both_paths(self, wrap):
+        with pytest.raises(AccuracyError, match="ceiling"):
+            specfun.bessel_j_scaled_vec(1.0, wrap(16.5))
+        with pytest.raises(DomainError, match="r must be >= 0"):
+            specfun.bessel_j_value(1.0, wrap(-0.1))
+        with pytest.raises(DomainError, match="diverges"):
+            specfun.bessel_j_value(-0.5, wrap(0.0))
 
 
 class TestHermiteZeros:
