@@ -103,17 +103,11 @@ def _solution_record(measure: MeasureSpec, sol) -> dict:
     }
 
 
-def _solve_config(measure: MeasureSpec, config) -> closedform.TwistedSolution:
-    if measure.is_gaussian:
-        return closedform.twisted_pair_gauss(config)
-    return closedform.twisted_pair_power(config)
-
-
 def cmd_solve(args) -> int:
     measure = _measure_from_args(args)
     measure.require_solver_order()
     config = _config_from_args(measure, args)
-    sol = _solve_config(measure, config)
+    sol = closedform.solve(config)
     rec = _solution_record(measure, sol)
     _emit([rec], rec, args)
     return EXIT_OK
@@ -193,7 +187,7 @@ def cmd_oracle(args) -> int:
     measure = _measure_from_args(args)
     measure.require_solver_order()
     config = _config_from_args(measure, args)
-    sol = _solve_config(measure, config)
+    sol = closedform.solve(config)
     if measure.is_gaussian:
         dom = oracle.gaussian_pair_domain(config)
     else:

@@ -420,6 +420,13 @@ def _assemble_power_solution(config, order, freq, A, B, bracket):
         profiles=profiles, u_left_at=u_left, u_right_at=u_right)
 
 
+def solve(config: PairConfig) -> TwistedSolution:
+    """First twisted eigenvalue of a pair of either measure family."""
+    if config.measure.is_gaussian:
+        return twisted_pair_gauss(config)
+    return twisted_pair_power(config)
+
+
 # ----------------------------------------------------------------------
 # Step-3 ratio functions and the gradient gap
 # ----------------------------------------------------------------------

@@ -2,26 +2,22 @@
 
 Bracketed root finding (scipy's Brent behind a bracket-validating wrapper),
 adaptive Gauss-Legendre quadrature on finite and truncated semi-infinite
-intervals, golden-section minimization, and a dense symmetric generalized
-eigensolver for K u = lambda M u with diagonal positive M.
+intervals, and golden-section minimization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import brentq
 
-from .errors import AccuracyError, DomainError, NumericalError, ResourceError
+from .errors import AccuracyError, DomainError
 
 DEFAULT_ROOT_TOL = 1e-10
 DEFAULT_QUAD_TOL = 1e-10
-EIG_RESIDUAL_BOUND = 1e-8
-MAX_EIG_DIM = 6000
 
 
 @dataclass(frozen=True)
@@ -181,60 +177,3 @@ def minimize_scalar(F: Callable[[float], float], a: float, b: float,
             f2 = F(x2)
     x = x1 if f1 <= f2 else x2
     return x, min(f1, f2)
-
-
-@dataclass
-class SymEig:
-    """Smallest eigenpairs of K u = lambda M u, M diagonal positive."""
-    eigenvalues: np.ndarray
-    vectors: np.ndarray           # columns, M-orthonormal
-    residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-
-def _is_tridiagonal(K: np.ndarray) -> bool:
-    n = K.shape[0]
-    if n <= 2:
-        return True
-    mask = np.ones_like(K, dtype=bool)
-    idx = np.arange(n)
-    mask[idx, idx] = False
-    mask[idx[:-1], idx[:-1] + 1] = False
-    mask[idx[:-1] + 1, idx[:-1]] = False
-    return not np.any(K[mask])
-
-
-def sym_eig_smallest(K: np.ndarray, M: np.ndarray, count: int) -> SymEig:
-    """The `count` smallest eigenpairs of the pencil (K, diag(M)).
-
-    Symmetrized to B = M^{-1/2} K M^{-1/2}; tridiagonal pencils take the
-    LAPACK tridiagonal path, everything else dense syevr with an index
-    subset.  Residuals ||K u - lambda M u|| / ||M u|| are returned.
-    """
-    K = np.asarray(K, dtype=float)
-    m = np.asarray(M, dtype=float)
-    if m.ndim == 2:
-        m = np.diag(m)
-    n = K.shape[0]
-    if n > MAX_EIG_DIM:
-        raise ResourceError(f"sym_eig_smallest: dimension {n} > {MAX_EIG_DIM}")
-    if np.any(m <= 0):
-        raise DomainError("sym_eig_smallest: M must be positive")
-    count = min(count, n)
-    inv_sqrt = 1.0 / np.sqrt(m)
-    if _is_tridiagonal(K):
-        d = np.diag(K) * inv_sqrt * inv_sqrt
-        e = np.diag(K, 1) * inv_sqrt[:-1] * inv_sqrt[1:]
-        w, v = scipy.linalg.eigh_tridiagonal(
-            d, e, select="i", select_range=(0, count - 1))
-    else:
-        B = K * np.outer(inv_sqrt, inv_sqrt)
-        w, v = scipy.linalg.eigh(B, subset_by_index=[0, count - 1])
-    u = v * inv_sqrt[:, None]
-    res = np.empty(count)
-    for j in range(count):
-        r = K @ u[:, j] - w[j] * (m * u[:, j])
-        res[j] = np.linalg.norm(r) / np.linalg.norm(m * u[:, j])
-    if np.any(res > EIG_RESIDUAL_BOUND):
-        raise NumericalError(
-            f"sym_eig_smallest: residuals {res} exceed {EIG_RESIDUAL_BOUND:g}")
-    return SymEig(eigenvalues=np.asarray(w, dtype=float), vectors=u, residuals=res)

@@ -7,10 +7,12 @@ c_{n,k} r^{n+k-1}.  Dirichlet conditions are eliminated at finite endpoints;
 the radial origin r=0 carries no condition (the weight vanishes there for
 n+k>1, making it a natural boundary).
 
-The zero-weighted-mean eigenvalue ("twisted") is computed by deflation: a
-Householder reflection sends the constraint direction to the first
-coordinate of the mass-symmetrized operator, and the trailing block is
-handed to the dense symmetric eigensolver.
+The zero-weighted-mean eigenvalue ("twisted") is the root in
+(lambda_1, lambda_2] of the secular equation  v^T (B - lambda)^{-1} v = 0,
+where B = M^{-1/2} K M^{-1/2} is the mass-symmetrized tridiagonal operator
+and v the normalized constraint direction M^{1/2} 1 (Golub 1973, "Some
+modified matrix eigenvalue problems").  Each evaluation is one tridiagonal
+solve, so Dirichlet and twisted eigenvalues share one O(n) path.
 """
 
 from __future__ import annotations
@@ -21,18 +23,23 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgtsv
 
-from . import measures
+from . import measures, numerics
 from .errors import DomainError, NumericalError, ResourceError
 from .grids import GridFunction
 
 COORDINATES = ("cartesian_gauss", "radial_power", "lebesgue")
 
-# Nodes per interval at the default grid; capped so the dense deflated solve
-# stays around a second.  (Second-order scheme: the resulting relative
-# discretization error is ~1e-5, two orders below the 1e-3 agreement gates.)
+# Nodes per interval at the default grid.  (Second-order scheme: the
+# resulting relative discretization error is ~1e-5, two orders below the
+# 1e-3 agreement gates.)  Default grids of unions with more than three
+# intervals are scaled down to the node cap; an explicit h beyond it raises.
 DEFAULT_NODES_PER_INTERVAL = 1100
 MAX_TOTAL_NODES = 4000
+
+# Brent x-tolerance of the secular root, relative to lambda_2.
+SECULAR_RTOL = 1e-14
 
 GAUSS_TRUNCATION_TOL = 1e-14
 
@@ -125,7 +132,6 @@ class EigenResult:
     eigenvectors: list[GridFunction]
     constrained: bool
     grid_size: int
-    residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 @dataclass
@@ -192,23 +198,6 @@ def _assemble(domain: Domain1D, h: Optional[float] = None) -> _Assembly:
     return _Assembly(main=main, off=off, mass=mass, nodes=nodes, pieces=pieces)
 
 
-def assemble(domain: Domain1D, h: Optional[float] = None):
-    """Dense (K, M, meanvec) for the weak form on the given grid.
-
-    K is symmetric positive semidefinite and tridiagonal up to the block
-    structure, M is the diagonal of node weights, and meanvec = node weights
-    is the discrete integral-d-gamma functional.
-    """
-    asm = _assemble(domain, h)
-    n = len(asm.main)
-    K = np.zeros((n, n))
-    idx = np.arange(n)
-    K[idx, idx] = asm.main
-    K[idx[:-1], idx[:-1] + 1] = asm.off
-    K[idx[:-1] + 1, idx[:-1]] = asm.off
-    return K, asm.mass.copy(), asm.mass.copy()
-
-
 def _grid_functions(asm: _Assembly, vectors: np.ndarray) -> list[GridFunction]:
     out = []
     for j in range(vectors.shape[1]):
@@ -223,13 +212,19 @@ def _grid_functions(asm: _Assembly, vectors: np.ndarray) -> list[GridFunction]:
     return out
 
 
+def _symmetrized(asm: _Assembly) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonals (d, e) of B = M^{-1/2} K M^{-1/2}, and M^{-1/2}."""
+    inv_sqrt = 1.0 / np.sqrt(asm.mass)
+    d = asm.main * inv_sqrt * inv_sqrt
+    e = asm.off * inv_sqrt[:-1] * inv_sqrt[1:]
+    return d, e, inv_sqrt
+
+
 def dirichlet_eigs(domain: Domain1D, h: Optional[float] = None,
                    count: int = 2) -> EigenResult:
     """Smallest `count` Dirichlet eigenvalues of the union."""
     asm = _assemble(domain, h)
-    inv_sqrt = 1.0 / np.sqrt(asm.mass)
-    d = asm.main * inv_sqrt * inv_sqrt
-    e = asm.off * inv_sqrt[:-1] * inv_sqrt[1:]
+    d, e, inv_sqrt = _symmetrized(asm)
     count = min(count, len(d))
     w, v = scipy.linalg.eigh_tridiagonal(
         d, e, select="i", select_range=(0, count - 1))
@@ -242,48 +237,59 @@ def dirichlet_eigs(domain: Domain1D, h: Optional[float] = None,
     )
 
 
-def twisted_eig(domain: Domain1D, h: Optional[float] = None,
-                count: int = 1) -> EigenResult:
-    """Smallest eigenvalue(s) of the Rayleigh quotient restricted to
-    the discrete zero-weighted-mean subspace (deflated dense solve)."""
+def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
+    """Smallest eigenvalue of the Rayleigh quotient restricted to the
+    discrete zero-weighted-mean subspace (secular equation)."""
     asm = _assemble(domain, h)
-    n = len(asm.main)
-    inv_sqrt = 1.0 / np.sqrt(asm.mass)
-    B = np.zeros((n, n))
-    idx = np.arange(n)
-    B[idx, idx] = asm.main * inv_sqrt * inv_sqrt
-    e = asm.off * inv_sqrt[:-1] * inv_sqrt[1:]
-    B[idx[:-1], idx[:-1] + 1] = e
-    B[idx[:-1] + 1, idx[:-1]] = e
-    # constraint  meanvec . u = 0  becomes  v . (M^{1/2} u) = 0 with
-    # v = M^{1/2} 1; reflect v onto e_1 and drop the first row/column.
+    d, e, inv_sqrt = _symmetrized(asm)
+    # constraint  meanvec . u = 0  becomes  v . (M^{1/2} u) = 0
     v = np.sqrt(asm.mass)
     v /= np.linalg.norm(v)
-    p = v.copy()
-    p[0] -= 1.0
-    p /= np.linalg.norm(p)
-    q = B @ p
-    alpha = float(p @ q)
-    B -= 2.0 * np.outer(p, q)
-    B -= 2.0 * np.outer(q, p) - 4.0 * alpha * np.outer(p, p)
-    C = B[1:, 1:]
-    count = min(count, n - 1)
-    w, z = scipy.linalg.eigh(C, subset_by_index=[0, count - 1])
-    vecs = np.zeros((n, count))
-    for j in range(count):
-        y = np.concatenate(([0.0], z[:, j]))
-        y = y - 2.0 * p * float(p @ y)      # apply the Householder back
-        vecs[:, j] = y * inv_sqrt
-    gfs = _grid_functions(asm, vecs)
-    for gf in gfs:
-        mean = abs(gf.weighted_mean())
-        norm = math.sqrt(float(np.dot(asm.mass, gf.values ** 2)))
-        if mean > 1e-10 * norm:
+    (lam1, lam2), phi = scipy.linalg.eigh_tridiagonal(
+        d, e, select="i", select_range=(0, 1))
+
+    def resolvent(lam: float) -> np.ndarray:
+        """(B - lam)^{-1} v by one tridiagonal solve."""
+        *_, x, info = dgtsv(e, d - lam, e, v[:, None])
+        if info != 0:
             raise NumericalError(
-                f"twisted eigenvector violates the mean constraint: {mean:g}")
+                f"twisted_eig: B - lambda singular at lambda = {lam!r}")
+        return x[:, 0]
+
+    def secular(lam: float) -> float:
+        return float(v @ resolvent(lam))
+
+    # eigh_tridiagonal places each pole only to about eps * ||B||; keep the
+    # bracket that far away from both so f has its asymptotic sign there.
+    tau = 64.0 * np.finfo(float).eps * (np.max(np.abs(d))
+                                        + 2.0 * np.max(np.abs(e)))
+    lo, hi = lam1 + tau, lam2 - tau
+    f_hi = secular(hi) if hi > lo else 0.0      # poles closer than 2 tau
+    if f_hi <= 0.0:
+        # the root sits at lambda_2 (a double pole or v . phi_2 = 0):
+        # the mean-zero combination of phi_1 and phi_2 is the eigenvector
+        lam = float(lam2)
+        y = (v @ phi[:, 1]) * phi[:, 0] - (v @ phi[:, 0]) * phi[:, 1]
+    else:
+        f_lo = secular(lo)
+        if not f_lo < 0.0:
+            raise NumericalError(
+                f"twisted_eig: secular function is {f_lo:g} >= 0 just above "
+                f"the pole lambda_1 = {lam1!r}")
+        lam = numerics.find_root(
+            secular, numerics.Bracket(lo, hi, f_lo, f_hi),
+            tol=SECULAR_RTOL * lam2)
+        y = resolvent(lam)
+    y -= v * float(v @ y)                       # one projection against v
+    gf = _grid_functions(asm, (y * inv_sqrt)[:, None])[0]
+    mean = abs(gf.weighted_mean())
+    norm = math.sqrt(float(np.dot(asm.mass, gf.values ** 2)))
+    if mean > 1e-10 * norm:
+        raise NumericalError(
+            f"twisted eigenvector violates the mean constraint: {mean:g}")
     return EigenResult(
-        eigenvalues=np.asarray(w, dtype=float),
-        eigenvectors=gfs,
+        eigenvalues=np.asarray([lam], dtype=float),
+        eigenvectors=[gf],
         constrained=True,
-        grid_size=n,
+        grid_size=len(d),
     )

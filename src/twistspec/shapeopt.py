@@ -37,10 +37,7 @@ DEFAULT_POINTS = 41
 def lambda_of_split(measure: MeasureSpec, total_mass: float,
                     s: float) -> TwistedSolution:
     """Twisted eigenvalue of the pair with left-mass fraction s."""
-    config = measures.config_from_split(measure, total_mass, s)
-    if measure.is_gaussian:
-        return closedform.twisted_pair_gauss(config)
-    return closedform.twisted_pair_power(config)
+    return closedform.solve(measures.config_from_split(measure, total_mass, s))
 
 
 def shape_derivative(sol: TwistedSolution, config: PairConfig,

@@ -1,8 +1,9 @@
 """Gamma, Kummer, Hermite-function and Bessel-function evaluators.
 
 Everything here is plain double-precision series/recurrence arithmetic with
-explicit switch-overs; no external special-function library is used, so the
-test suite can cross-check against scipy independently.
+explicit switch-overs, on top of the standard library's Gamma function; no
+external special-function library is used, so the test suite can
+cross-check against scipy independently.
 
 The Hermite function of real degree nu is the solution of
 
@@ -41,20 +42,6 @@ from .errors import AccuracyError, DomainError, NumericalError
 
 SQRT_PI = math.sqrt(math.pi)
 
-# Lanczos (g=7, n=9) coefficients; relative error ~1e-13 after reflection.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 # Switch from the Kummer combination to the large-t expansion.  z = t^2 = 25
 # keeps the series' cancellation below ~1e-9 relative while the N=4 tail of
 # the expansion is already ~1e-9; the handoff is tested explicitly.
@@ -88,30 +75,13 @@ class BesselEval:
     value: float
 
 
-def _sinpi(x: float) -> float:
-    """sin(pi*x) with argument reduction, accurate near integers."""
-    r = x - round(x)
-    s = math.sin(math.pi * r)
-    return -s if (round(x) % 2) else s
-
-
 def gamma(x: float) -> float:
-    """Gamma(x) by Lanczos approximation, reflection for x < 0.5."""
+    """Gamma(x) from the standard library, with typed errors at poles."""
     if not math.isfinite(x):
         raise DomainError(f"gamma: argument must be finite, got {x}")
     if x <= 0 and abs(x - round(x)) < 1e-15:
         raise DomainError(f"gamma: pole at non-positive integer x={x:g}")
-    if x < 0.5:
-        s = _sinpi(x)
-        if s == 0.0:
-            raise DomainError(f"gamma: pole at x={x:g}")
-        return math.pi / (s * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, 9):
-        acc += _LANCZOS[i] / (z + i)
-    base = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * base ** (z + 0.5) * math.exp(-base) * acc
+    return math.gamma(x)
 
 
 def _iteration_budget(zmax: float) -> int:

@@ -283,13 +283,9 @@ def _pair_cases_power() -> list[tuple[MeasureSpec, float, float]]:
 
 def _solve_pair(measure: MeasureSpec, total: float, s: float):
     cfg = measures.config_from_split(measure, total, s)
-    if measure.is_gaussian:
-        sol = closedform.twisted_pair_gauss(cfg)
-        dom = oracle.gaussian_pair_domain(cfg)
-    else:
-        sol = closedform.twisted_pair_power(cfg)
-        dom = oracle.power_pair_domain(cfg)
-    return cfg, sol, dom
+    dom = (oracle.gaussian_pair_domain(cfg) if measure.is_gaussian
+           else oracle.power_pair_domain(cfg))
+    return cfg, closedform.solve(cfg), dom
 
 
 def suite_oracle(rng: np.random.Generator, fault: bool = False) -> list[CheckResult]:
@@ -573,8 +569,7 @@ def suite_signs(rng: np.random.Generator, fault: bool = False) -> list[CheckResu
     for measure, total in ((g1, 0.5), (g1, 0.65), (m21, 1.5), (m21, 3.0)):
         for s in (0.34, 0.42, 0.66):
             cfg = measures.config_from_split(measure, total, s)
-            sol = (closedform.twisted_pair_gauss(cfg) if measure.is_gaussian
-                   else closedform.twisted_pair_power(cfg))
+            sol = closedform.solve(cfg)
             gap = closedform.boundary_gradient_gap(sol, cfg)
             if fault:
                 gap = -gap
@@ -590,8 +585,7 @@ def suite_signs(rng: np.random.Generator, fault: bool = False) -> list[CheckResu
     worst = math.inf
     for measure, total in ((g1, 0.5), (m21, 1.5)):
         cfg = measures.config_from_split(measure, total, 0.5)
-        sol = (closedform.twisted_pair_gauss(cfg) if measure.is_gaussian
-               else closedform.twisted_pair_power(cfg))
+        sol = closedform.solve(cfg)
         rel = abs(closedform.boundary_gradient_gap(sol, cfg)) / sol.du_left ** 2
         worst = min(worst, -rel)
     out.append(_r("signs", "gap_vanishes_at_symmetry", worst >= -1e-10,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twistspec import numerics, specfun
-from twistspec.errors import DomainError, ResourceError
+from twistspec.errors import DomainError
 
 
 class TestBracketAndRoots:
@@ -99,39 +99,3 @@ class TestMinimize:
                                          tol=1e-9)
         assert x == pytest.approx(math.pi, abs=1e-7)
         assert fx == pytest.approx(-1.0, abs=1e-12)
-
-
-class TestSymEig:
-    def test_classical_dirichlet(self):
-        n = 1000
-        h = 1.0 / n
-        K = (np.diag(np.full(n - 1, 2.0)) + np.diag(np.full(n - 2, -1.0), 1)
-             + np.diag(np.full(n - 2, -1.0), -1)) / h
-        M = np.full(n - 1, h)
-        r = numerics.sym_eig_smallest(K, M, 1)
-        assert r.eigenvalues[0] == pytest.approx(math.pi ** 2, rel=1e-3)
-        assert np.all(r.residuals <= 1e-8)
-
-    def test_identity_pencil(self):
-        K = np.diag([3.0, 3.0, 3.0])
-        M = np.array([3.0, 3.0, 3.0])
-        r = numerics.sym_eig_smallest(K, M, 3)
-        np.testing.assert_allclose(r.eigenvalues, 1.0, atol=1e-12)
-
-    def test_two_by_two(self):
-        K = np.array([[2.0, 0.0], [0.0, 3.0]])
-        r = numerics.sym_eig_smallest(K, np.array([1.0, 1.0]), 2)
-        np.testing.assert_allclose(r.eigenvalues, [2.0, 3.0], atol=1e-12)
-
-    def test_dense_nondecreasing_and_residuals(self):
-        rng = np.random.default_rng(3)
-        A = rng.standard_normal((40, 40))
-        K = A @ A.T  # PSD, generically dense
-        M = rng.uniform(0.5, 2.0, 40)
-        r = numerics.sym_eig_smallest(K, M, 5)
-        assert np.all(np.diff(r.eigenvalues) >= -1e-12)
-        assert np.all(r.residuals <= 1e-8)
-
-    def test_dimension_guard(self):
-        with pytest.raises(ResourceError):
-            numerics.sym_eig_smallest(np.eye(7000), np.ones(7000), 1)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twistspec import measures, oracle
+from twistspec import closedform, measures, oracle, verify
 from twistspec.errors import DomainError, ResourceError
 from twistspec.measures import MeasureSpec
 
@@ -89,21 +89,18 @@ class TestDirichlet:
 
 class TestAssembleSurface:
     def test_dense_contract(self):
-        from twistspec.numerics import sym_eig_smallest
         dom = oracle.Domain1D(intervals=((0.0, 1.0),), coordinate="lebesgue")
-        K, M, meanvec = oracle.assemble(dom, h=1e-3)
-        assert np.array_equal(M, meanvec)
-        np.testing.assert_allclose(K, K.T)
-        r = sym_eig_smallest(K, M, 1)
+        r = oracle.dirichlet_eigs(dom, h=1e-3, count=1)
         assert r.eigenvalues[0] == pytest.approx(PI2, rel=1e-3)
-        # meanvec is the discrete integral; the eliminated Dirichlet cells
-        # account for the O(h) mass deficit
-        assert np.sum(meanvec) == pytest.approx(1.0, abs=2e-3)
+        # the node weights are the discrete integral; the eliminated
+        # Dirichlet cells account for the O(h) mass deficit
+        assert np.sum(r.eigenvectors[0].node_weights) == pytest.approx(
+            1.0, abs=2e-3)
 
     def test_grid_cap(self):
         dom = oracle.Domain1D(intervals=((0.0, 1.0),), coordinate="lebesgue")
         with pytest.raises(ResourceError):
-            oracle.assemble(dom, h=1e-5)
+            oracle.twisted_eig(dom, h=1e-5)
 
 
 class TestTwisted:
@@ -161,3 +158,61 @@ class TestTwisted:
                         and np.any(piece < -1e-6 * scale))
             signs.append(math.copysign(1.0, piece[np.argmax(np.abs(piece))]))
         assert signs[0] * signs[1] < 0
+
+    @pytest.mark.parametrize("dom", [
+        oracle.Domain1D(intervals=((0.0, 1.0),), coordinate="lebesgue"),
+        oracle.Domain1D(intervals=((0.0, 1.0), (1.5, 2.5)),
+                        coordinate="lebesgue"),
+        oracle.Domain1D(intervals=((0.0, 1.0), (0.0, 1.0)),
+                        coordinate="radial_power",
+                        measure=MeasureSpec.power(2, 1.0)),
+        oracle.Domain1D(intervals=((0.0, 0.8), (0.0, 0.8)),
+                        coordinate="radial_power",
+                        measure=MeasureSpec.power(3, 0.0)),
+    ], ids=["unit", "twin", "power21", "power30"])
+    def test_equality_case_is_second_dirichlet(self, dom):
+        # the mean-zero eigenvector lives in the lambda_2 eigenspace, so the
+        # twisted value is lambda_2 itself, not a root found next to it
+        lam2 = oracle.dirichlet_eigs(dom, count=2).eigenvalues[1]
+        r = oracle.twisted_eig(dom)
+        assert r.eigenvalues[0] == pytest.approx(lam2, rel=1e-13)
+        u = r.eigenvectors[0]
+        norm = math.sqrt(float(np.dot(u.node_weights, u.values ** 2)))
+        assert abs(u.weighted_mean()) <= 1e-10 * norm
+
+    @pytest.mark.parametrize("n,k,total", [(5, 3.0, 1.481), (3, 0.0, 1.564),
+                                           (3, 2.0, 0.2929)])
+    def test_pole_guard_near_symmetric_split(self, n, k, total):
+        # near s = 1/2 the two Dirichlet poles nearly coincide; a bracket
+        # endpoint placed on the wrong side of a pole sends the root finder
+        # to the pole, or to lambda_2
+        m = MeasureSpec.power(n, k)
+        splits = [s for s in np.linspace(0.45, 0.55, 21) if s != 0.5]
+        assert len(splits) == 20
+        for s in splits:
+            cfg = measures.config_from_split(m, total, float(s))
+            dom = oracle.power_pair_domain(cfg)
+            lam = oracle.twisted_eig(dom).eigenvalues[0]
+            lam1, lam2 = oracle.dirichlet_eigs(dom, count=2).eigenvalues
+            want = closedform.twisted_pair_power(cfg).eigenvalue
+            assert abs(lam - want) <= 1e-5 * want
+            assert lam1 < lam <= lam2
+
+
+def _pair_cases():
+    g1 = MeasureSpec.gaussian(1)
+    return ([(g1, total, s) for total, s in verify._pair_cases_gauss()]
+            + verify._pair_cases_power())
+
+
+@pytest.mark.parametrize("measure,total,s", _pair_cases())
+def test_richardson_agreement(measure, total, s):
+    """Richardson extrapolation of the second-order oracle over 1000 and
+    2000 cells on the longest interval matches the closed form far below
+    the 1e-3 agreement gate."""
+    _, sol, dom = verify._solve_pair(measure, total, s)
+    length = max(b - a for a, b in dom.intervals)
+    lam_h, lam_h2 = (oracle.twisted_eig(dom, h=length / cells).eigenvalues[0]
+                     for cells in (1000, 2000))
+    extrapolated = (4.0 * lam_h2 - lam_h) / 3.0
+    assert abs(extrapolated - sol.eigenvalue) <= 1e-7 * sol.eigenvalue
