@@ -188,10 +188,7 @@ def cmd_oracle(args) -> int:
     measure.require_solver_order()
     config = _config_from_args(measure, args)
     sol = closedform.solve(config)
-    if measure.is_gaussian:
-        dom = oracle.gaussian_pair_domain(config)
-    else:
-        dom = oracle.power_pair_domain(config)
+    dom = oracle.pair_domain(config)
     h = None
     if args.grid:
         h = max(b - a for a, b in dom.intervals) / args.grid

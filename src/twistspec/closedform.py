@@ -55,7 +55,8 @@ from . import measures, numerics, specfun
 from .errors import DomainError, NumericalError
 from .measures import MeasureSpec, PairConfig
 
-NU_MAX_DEFAULT = 40.0
+# Upper end of the Hermite-degree scan of dirichlet_halfspace_gauss.
+NU_MAX = 40.0
 
 
 @dataclass(frozen=True)
@@ -101,13 +102,14 @@ class TwistedSolution:
 # Gaussian half-space machinery
 # ----------------------------------------------------------------------
 
-def dirichlet_halfspace_gauss(L: float, nu_max: float = NU_MAX_DEFAULT) -> float:
+def dirichlet_halfspace_gauss(L: float) -> float:
     """First Dirichlet eigenvalue of the Gaussian half-space at offset L.
 
     2 nu* with nu* the smallest positive root of nu -> H_nu(L); increasing
-    in L with value 2 at L = 0, so the scan starts at nu = 1.  Offsets at or
-    beyond specfun.HERMITE_SWITCH_T are rejected: there H_nu comes from the
-    large-t expansion, which is not valid near its zeros.
+    in L with value 2 at L = 0, so the scan runs from nu = 1 to NU_MAX in
+    0.05 steps.  Offsets at or beyond specfun.HERMITE_SWITCH_T are
+    rejected: there H_nu comes from the large-t expansion, which is not
+    valid near its zeros.
     """
     if L < 0:
         raise DomainError(f"dirichlet_halfspace_gauss: need L >= 0, got {L:g}")
@@ -119,20 +121,12 @@ def dirichlet_halfspace_gauss(L: float, nu_max: float = NU_MAX_DEFAULT) -> float
             f"{measures.k_gauss(t_switch):.2g}); the large-t expansion of H_nu "
             f"is not valid at its zeros")
     f = lambda nu: specfun.hermite_value(nu, L)  # noqa: E731
-    step = 0.05
-    lo = 1.0
-    f_lo = f(lo)
-    nu = lo
-    while nu < nu_max:
-        nxt = min(nu + step, nu_max)
-        f_nxt = f(nxt)
-        if f_lo * f_nxt <= 0.0:
-            br = numerics.Bracket(nu, nxt, f_lo, f_nxt)
-            return 2.0 * numerics.find_root(f, br, tol=1e-12)
-        nu, f_lo = nxt, f_nxt
-    raise NumericalError(
-        f"dirichlet_halfspace_gauss: no Hermite-degree root below "
-        f"nu_max={nu_max:g} for L={L:g}")
+    br = numerics.scan_sign_change(f, 1.0, NU_MAX, 780)
+    if br is None:
+        raise NumericalError(
+            f"dirichlet_halfspace_gauss: no Hermite-degree root below "
+            f"nu_max={NU_MAX:g} for L={L:g}")
+    return 2.0 * numerics.find_root(f, br, tol=1e-12)
 
 
 _GL_ORDER = 40

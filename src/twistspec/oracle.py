@@ -126,6 +126,13 @@ def power_pair_domain(config: measures.PairConfig) -> Domain1D:
     )
 
 
+def pair_domain(config: measures.PairConfig) -> Domain1D:
+    """Oracle domain of a pair of either measure family."""
+    if config.measure.is_gaussian:
+        return gaussian_pair_domain(config)
+    return power_pair_domain(config)
+
+
 @dataclass
 class EigenResult:
     eigenvalues: np.ndarray

@@ -25,10 +25,14 @@ with (a)_m the rising factorial.  The expansion is valid only on the +t
 branch: for non-integer nu, H_nu(-t) grows like exp(t^2) and is evaluated by
 the series, which is then free of cancellation.
 
-Every evaluator has an array kernel (`*_vec`) and a plain-float twin
-(`*_scalar`) with the same constants, iteration budget, convergence test
-and errors; the public functions take the plain-float path for a scalar
-argument, which avoids numpy overhead on one-element arrays.
+Each branch (polynomial, Kummer pair, large-t expansion, Bessel series) is
+one kernel in broadcasting float arithmetic: a plain float runs it in
+Python floats, which avoids numpy overhead on one-element arrays, and an
+array runs it through numpy, with bit-identical values.  The convergence
+tests compare floats directly and reduce arrays with `.all()`: a reducer
+call on every float term costs about 8 % of a scalar Bessel call.  The zero
+finders scan for a sign change and refine it with numerics' Brent root
+finder.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .errors import AccuracyError, DomainError, NumericalError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -58,6 +63,8 @@ SERIES_FLOOR = 1e-300
 # Beyond this argument the ascending Bessel series loses more than ~1e-11
 # relative to cancellation; the solvers never need r that large.
 BESSEL_SERIES_RMAX = 16.0
+# Grid spacing of the Bessel zero scans.
+ZERO_SCAN_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -66,13 +73,6 @@ class HermiteEval:
     argument: float
     value: float
     method_used: str  # "series" | "asymptotic"
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    order: float
-    argument: float
-    value: float
 
 
 def gamma(x: float) -> float:
@@ -90,67 +90,14 @@ def _iteration_budget(zmax: float) -> int:
                    zmax + 10.0 * math.sqrt(zmax + 1.0) + 24.0))
 
 
-def _kummer_vec(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """Kummer M(a,b;z) on an array of z by compensated direct summation."""
-    if b <= 0 and abs(b - round(b)) < 1e-12:
-        raise DomainError(f"kummer_m: b={b:g} is a non-positive integer")
-    z = np.asarray(z, dtype=float)
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    comp = np.zeros_like(z)
-    budget = _iteration_budget(float(np.max(np.abs(z))) if z.size else 0.0)
-    for m in range(KUMMER_MAX_TERMS):
-        term = term * ((a + m) / (b + m)) * (z / (m + 1.0))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if m >= budget and np.all(
-                np.abs(term) <= SERIES_RTOL * (np.abs(total) + SERIES_FLOOR)):
-            return total
-    raise AccuracyError(
-        f"kummer_m: series did not converge within {KUMMER_MAX_TERMS} terms "
-        f"(max |z| = {np.max(np.abs(z)):g})",
-        estimate=float(np.max(np.abs(term))),
-    )
-
-
-def _kummer_pair_vec(a1: float, b1: float, a2: float, b2: float,
-                     z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two Kummer series of the Hermite combination in one fused loop."""
-    z = np.asarray(z, dtype=float)
-    t1 = np.ones_like(z)
-    t2 = np.ones_like(z)
-    s1 = np.ones_like(z)
-    s2 = np.ones_like(z)
-    c1 = np.zeros_like(z)
-    c2 = np.zeros_like(z)
-    budget = _iteration_budget(float(np.max(np.abs(z))) if z.size else 0.0)
-    for m in range(KUMMER_MAX_TERMS):
-        zm = z / (m + 1.0)
-        t1 = t1 * ((a1 + m) / (b1 + m)) * zm
-        t2 = t2 * ((a2 + m) / (b2 + m)) * zm
-        y = t1 - c1
-        t = s1 + y
-        c1 = (t - s1) - y
-        s1 = t
-        y = t2 - c2
-        t = s2 + y
-        c2 = (t - s2) - y
-        s2 = t
-        if m >= budget and np.all(
-                np.abs(t1) + np.abs(t2)
-                <= SERIES_RTOL * (np.abs(s1) + np.abs(s2) + SERIES_FLOOR)):
-            return s1, s2
-    raise _kummer_pair_failure(float(np.max(np.abs(z))))
-
-
-def _kummer_pair_scalar(a1: float, b1: float, a2: float, b2: float,
-                        z: float) -> tuple[float, float]:
-    """Plain-float twin of _kummer_pair_vec."""
+def _kummer_pair(a1: float, b1: float, a2: float, b2: float, z):
+    """M(a1,b1;z) and M(a2,b2;z) in one fused compensated loop; z is a float
+    or an array, and the sums have its type."""
+    vec = isinstance(z, np.ndarray)
+    zmax = float(np.max(np.abs(z), initial=0.0)) if vec else abs(z)
+    budget = _iteration_budget(zmax)
     t1 = t2 = s1 = s2 = 1.0
     c1 = c2 = 0.0
-    budget = _iteration_budget(abs(z))
     for m in range(KUMMER_MAX_TERMS):
         zm = z / (m + 1.0)
         t1 = t1 * ((a1 + m) / (b1 + m)) * zm
@@ -163,21 +110,21 @@ def _kummer_pair_scalar(a1: float, b1: float, a2: float, b2: float,
         t = s2 + y
         c2 = (t - s2) - y
         s2 = t
-        if m >= budget and (abs(t1) + abs(t2)
-                            <= SERIES_RTOL * (abs(s1) + abs(s2) + SERIES_FLOOR)):
-            return s1, s2
-    raise _kummer_pair_failure(abs(z))
-
-
-def _kummer_pair_failure(zmax: float) -> AccuracyError:
-    return AccuracyError(
-        f"hermite kummer pair did not converge within {KUMMER_MAX_TERMS} "
-        f"terms (max |z| = {zmax:g})")
+        if m >= budget:
+            err = abs(t1) + abs(t2)
+            bound = SERIES_RTOL * (abs(s1) + abs(s2) + SERIES_FLOOR)
+            if (err <= bound).all() if vec else err <= bound:
+                return s1, s2
+    raise AccuracyError(
+        f"kummer series did not converge within {KUMMER_MAX_TERMS} terms "
+        f"(max |z| = {zmax:g})")
 
 
 def kummer_m(a: float, b: float, z: float) -> float:
     """Confluent hypergeometric M(a,b;z) = sum (a)_m/(b)_m z^m/m!."""
-    return float(_kummer_vec(a, b, np.asarray([z]))[0])
+    if b <= 0 and abs(b - round(b)) < 1e-12:
+        raise DomainError(f"kummer_m: b={b:g} is a non-positive integer")
+    return _kummer_pair(a, b, a, b, float(z))[0]
 
 
 def _poch_rising(a: float, m: int) -> float:
@@ -188,24 +135,11 @@ def _poch_rising(a: float, m: int) -> float:
     return out
 
 
-def _hermite_poly_vec(n: int, t: np.ndarray) -> np.ndarray:
+def _hermite_poly(n: int, t):
     """Physicists' Hermite polynomial by the three-term recurrence."""
-    t = np.asarray(t, dtype=float)
-    h_prev = np.ones_like(t)
     if n == 0:
-        return h_prev
-    h = 2.0 * t
-    for m in range(1, n):
-        h, h_prev = 2.0 * t * h - 2.0 * m * h_prev, h
-    return h
-
-
-def _hermite_poly_scalar(n: int, t: float) -> float:
-    """Plain-float twin of _hermite_poly_vec."""
-    h_prev = 1.0
-    if n == 0:
-        return h_prev
-    h = 2.0 * t
+        return np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+    h_prev, h = 1.0, 2.0 * t
     for m in range(1, n):
         h, h_prev = 2.0 * t * h - 2.0 * m * h_prev, h
     return h
@@ -222,45 +156,21 @@ def _hermite_series_coeffs(nu: float) -> tuple[float, float]:
     return two_nu * SQRT_PI / ga, -2.0 * two_nu * SQRT_PI / gb
 
 
-def _hermite_series_vec(nu: float, t: np.ndarray) -> np.ndarray:
+def _hermite_series(nu: float, t):
     """Gamma-coefficient Kummer combination; |t| <= switch or t < 0."""
-    t = np.asarray(t, dtype=float)
     z = t * t
-    phi1, phi2 = _kummer_pair_vec(-nu / 2.0, 0.5, (1.0 - nu) / 2.0, 1.5, z)
+    phi1, phi2 = _kummer_pair(-nu / 2.0, 0.5, (1.0 - nu) / 2.0, 1.5, z)
     coeff_a, coeff_b = _hermite_series_coeffs(nu)
     return coeff_a * phi1 + coeff_b * t * phi2
 
 
-def _hermite_series_scalar(nu: float, t: float) -> float:
-    """Plain-float twin of _hermite_series_vec."""
-    z = t * t
-    phi1, phi2 = _kummer_pair_scalar(-nu / 2.0, 0.5, (1.0 - nu) / 2.0, 1.5, z)
-    coeff_a, coeff_b = _hermite_series_coeffs(nu)
-    return coeff_a * phi1 + coeff_b * t * phi2
-
-
-def _hermite_asympt_coeffs(nu: float) -> list[float]:
-    """Coefficients of the large-t expansion, highest order first."""
-    return [(-1.0) ** k * _poch_rising(-nu, 2 * k) / math.factorial(k)
-            for k in range(HERMITE_ASYMPT_TERMS, 0, -1)]
-
-
-def _hermite_asympt_vec(nu: float, t: np.ndarray) -> np.ndarray:
+def _hermite_asympt(nu: float, t):
     """Large positive-t expansion, truncated after HERMITE_ASYMPT_TERMS."""
-    t = np.asarray(t, dtype=float)
-    inv = 1.0 / (2.0 * t) ** 2
-    acc = np.zeros_like(t)
-    for ck in _hermite_asympt_coeffs(nu):
-        acc = (acc + ck) * inv
-    return (2.0 * t) ** nu * (1.0 + acc)
-
-
-def _hermite_asympt_scalar(nu: float, t: float) -> float:
-    """Plain-float twin of _hermite_asympt_vec."""
     two_t = 2.0 * t
     inv = 1.0 / (two_t * two_t)
     acc = 0.0
-    for ck in _hermite_asympt_coeffs(nu):
+    for k in range(HERMITE_ASYMPT_TERMS, 0, -1):
+        ck = (-1.0) ** k * _poch_rising(-nu, 2 * k) / math.factorial(k)
         acc = (acc + ck) * inv
     return two_t ** nu * (1.0 + acc)
 
@@ -273,23 +183,23 @@ def _hermite_vec(nu: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized H_nu; returns (values, asymptotic_mask)."""
     t = np.asarray(t, dtype=float)
     if _is_nonneg_int(nu):
-        return _hermite_poly_vec(int(round(nu)), t), np.zeros(t.shape, dtype=bool)
+        return _hermite_poly(int(round(nu)), t), np.zeros(t.shape, dtype=bool)
     big = t >= HERMITE_SWITCH_T
     out = np.empty_like(t)
     if np.any(big):
-        out[big] = _hermite_asympt_vec(nu, t[big])
+        out[big] = _hermite_asympt(nu, t[big])
     if np.any(~big):
-        out[~big] = _hermite_series_vec(nu, t[~big])
+        out[~big] = _hermite_series(nu, t[~big])
     return out, big
 
 
 def _hermite_scalar(nu: float, t: float) -> tuple[float, bool]:
-    """Plain-float twin of _hermite_vec: (value, asymptotic branch used)."""
+    """H_nu at a plain float: (value, asymptotic branch used)."""
     if _is_nonneg_int(nu):
-        return _hermite_poly_scalar(int(round(nu)), t), False
+        return _hermite_poly(int(round(nu)), t), False
     if t >= HERMITE_SWITCH_T:
-        return _hermite_asympt_scalar(nu, t), True
-    return _hermite_series_scalar(nu, t), False
+        return _hermite_asympt(nu, t), True
+    return _hermite_series(nu, t), False
 
 
 def hermite_value(nu: float, t: float | np.ndarray) -> float | np.ndarray:
@@ -318,31 +228,11 @@ def hermite_h_deriv(nu: float, t: float) -> float:
     return 2.0 * nu * hermite_h(nu - 1.0, t).value
 
 
-def _bisect(f, lo, hi, f_lo, f_hi, xtol=1e-10, max_iter=200):
-    """Plain bisection on a sign-changing bracket."""
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol:
-            return mid
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
 def hermite_largest_zero(nu: float) -> float:
     """Largest positive zero of H_nu, nu > 1.
 
     All zeros lie in [-sqrt(2(nu+1)), sqrt(2(nu+1))]; scan downward from the
-    upper bound and bisect on the first sign change.
+    upper bound and refine the first sign change with Brent.
     """
     if not nu > 1.0:
         raise DomainError(f"hermite_largest_zero: need nu > 1, got {nu:g}")
@@ -350,16 +240,15 @@ def hermite_largest_zero(nu: float) -> float:
     step = min(0.05, top / 100.0)
     ts = np.arange(top, -step / 2, -step)
     vals, _ = _hermite_vec(nu, ts)
-    sign_hi = vals[0]
-    for i in range(1, len(ts)):
-        if sign_hi * vals[i] <= 0.0:
-            lo, hi = ts[i], ts[i - 1]
-            f = lambda x: hermite_value(nu, x)  # noqa: E731
-            return _bisect(f, lo, hi, vals[i], vals[i - 1], xtol=1e-10)
-    raise NumericalError(
-        f"hermite_largest_zero: no sign change found for nu={nu:g} on "
-        f"[0, {top:g}] with step {step:g}"
-    )
+    hits = np.flatnonzero(vals[0] * vals[1:] <= 0.0)
+    if hits.size == 0:
+        raise NumericalError(
+            f"hermite_largest_zero: no sign change found for nu={nu:g} on "
+            f"[0, {top:g}] with step {step:g}")
+    i = int(hits[0]) + 1
+    br = numerics.Bracket(float(ts[i]), float(ts[i - 1]),
+                          float(vals[i]), float(vals[i - 1]))
+    return numerics.find_root(lambda x: hermite_value(nu, x), br, tol=1e-13)
 
 
 def turan_gap(nu: float, t: float) -> float:
@@ -381,29 +270,13 @@ def bessel_j_scaled_vec(order: float,
     Scalar z gives a plain float, array z an array."""
     if order <= -1.0:
         raise DomainError(f"bessel order must be > -1, got {order:g}")
-    if np.ndim(z) == 0:
-        return _bessel_scaled_scalar(order, float(z))
-    z = np.asarray(z, dtype=float)
-    _check_bessel_ceiling(float(np.max(np.abs(z), initial=0.0)))
-    q = -(z * z) / 4.0
-    term = np.full_like(z, 1.0 / gamma(order + 1.0))
-    total = term.copy()
-    comp = np.zeros_like(z)
-    for m in range(BESSEL_MAX_TERMS):
-        term = term * q / ((m + 1.0) * (m + 1.0 + order))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if m >= 2 and np.all(
-                np.abs(term) <= SERIES_RTOL * (np.abs(total) + SERIES_FLOOR)):
-            return total
-    raise _bessel_failure(float(np.max(np.abs(term))))
-
-
-def _bessel_scaled_scalar(order: float, z: float) -> float:
-    """Plain-float twin of the array loop in bessel_j_scaled_vec."""
-    _check_bessel_ceiling(abs(z))
+    vec = np.ndim(z) != 0
+    z = np.asarray(z, dtype=float) if vec else float(z)
+    zmax = float(np.max(np.abs(z), initial=0.0)) if vec else abs(z)
+    if zmax > BESSEL_SERIES_RMAX:
+        raise AccuracyError(
+            f"bessel series ceiling exceeded: |z| up to {zmax:g} "
+            f"> {BESSEL_SERIES_RMAX:g}")
     q = -(z * z) / 4.0
     term = total = 1.0 / gamma(order + 1.0)
     comp = 0.0
@@ -413,21 +286,12 @@ def _bessel_scaled_scalar(order: float, z: float) -> float:
         t = total + y
         comp = (t - total) - y
         total = t
-        if m >= 2 and abs(term) <= SERIES_RTOL * (abs(total) + SERIES_FLOOR):
-            return total
-    raise _bessel_failure(abs(term))
-
-
-def _check_bessel_ceiling(zmax: float) -> None:
-    if zmax > BESSEL_SERIES_RMAX:
-        raise AccuracyError(
-            f"bessel series ceiling exceeded: |z| up to {zmax:g} "
-            f"> {BESSEL_SERIES_RMAX:g}"
-        )
-
-
-def _bessel_failure(estimate: float) -> AccuracyError:
-    return AccuracyError("bessel series did not converge", estimate=estimate)
+        if m >= 2:
+            err, bound = abs(term), SERIES_RTOL * (abs(total) + SERIES_FLOOR)
+            if (err <= bound).all() if vec else err <= bound:
+                return total
+    raise AccuracyError("bessel series did not converge",
+                        estimate=float(np.max(np.abs(term))))
 
 
 def bessel_j_value(order: float,
@@ -443,11 +307,6 @@ def bessel_j_value(order: float,
     return bessel_j_scaled_vec(order, r) * (r / 2.0) ** order
 
 
-def bessel_j(order: float, r: float) -> BesselEval:
-    """Bessel function of the first kind, ascending series."""
-    return BesselEval(order=order, argument=r, value=bessel_j_value(order, r))
-
-
 def bessel_j_deriv(order: float, r: float) -> float:
     """J_order'(r) = (order/r) J_order(r) - J_{order+1}(r), r > 0."""
     if r <= 0.0:
@@ -458,9 +317,10 @@ def bessel_j_deriv(order: float, r: float) -> float:
 def bessel_first_zero(order: float, kind: str = "of_J") -> float:
     """First positive zero of J_order or J_order'.
 
-    The scan starts at the interlacing lower bound (the order itself) and
-    expands in fixed steps.  By the convention used here j'_{0,1} = 0,
-    matching the display  order <= j'_{order,1} < j_{order,1}.
+    The scan runs in ZERO_SCAN_STEP steps from the interlacing lower bound
+    (the order itself) to order + 30, and Brent refines its first sign
+    change.  By the convention used here j'_{0,1} = 0, matching the display
+    order <= j'_{order,1} < j_{order,1}.
     """
     if order < 0.0:
         raise DomainError("bessel_first_zero: need order >= 0")
@@ -470,21 +330,14 @@ def bessel_first_zero(order: float, kind: str = "of_J") -> float:
         return 0.0
     f = (lambda x: bessel_j_value(order, x)) if kind == "of_J" \
         else (lambda x: bessel_j_deriv(order, x))
-    lo = max(order, 1e-6)
-    step = 0.05
-    span_cap = order + 30.0
-    f_lo = f(lo)
-    x = lo
-    while x < span_cap:
-        x_next = min(x + step, span_cap)
-        f_next = f(x_next)
-        if f_lo * f_next <= 0.0:
-            return _bisect(f, x, x_next, f_lo, f_next, xtol=1e-10)
-        x, f_lo = x_next, f_next
-    raise NumericalError(
-        f"bessel_first_zero: no sign change of {kind} for order {order:g} "
-        f"in [{max(order, 1e-6):g}, {span_cap:g}]"
-    )
+    lo, hi = max(order, 1e-6), order + 30.0
+    steps = int(round((hi - lo) / ZERO_SCAN_STEP))
+    br = numerics.scan_sign_change(f, lo, hi, steps)
+    if br is None:
+        raise NumericalError(
+            f"bessel_first_zero: no sign change of {kind} for order {order:g} "
+            f"in [{lo:g}, {hi:g}]")
+    return numerics.find_root(f, br, tol=1e-13)
 
 
 def _mcmahon_zero(order: float, h: int) -> float:
@@ -502,21 +355,19 @@ def _mcmahon_zero(order: float, h: int) -> float:
 def bessel_zeros(order: float, count: int) -> np.ndarray:
     """First `count` positive zeros of J_order.
 
-    Zeros inside the series region are bracketed and bisected to 1e-10; far
-    zeros use the McMahon expansion, whose error decays like h^{-7} and is
-    far below what the infinite-product cross-check can resolve.
+    Zeros inside the series region are bracketed on one vector evaluation
+    over a ZERO_SCAN_STEP grid and refined with Brent; far zeros use the
+    McMahon expansion, whose error decays like h^{-7} and is far below what
+    the infinite-product cross-check can resolve.
     """
-    zeros: list[float] = []
-    lo = max(order, 1e-6)
-    f_lo = bessel_j_value(order, lo)
-    step = 0.05
-    while len(zeros) < count and lo + step < BESSEL_SERIES_RMAX - 0.5:
-        hi = lo + step
-        f_hi = bessel_j_value(order, hi)
-        if f_lo * f_hi <= 0.0:
-            zeros.append(_bisect(lambda x: bessel_j_value(order, x),
-                                 lo, hi, f_lo, f_hi, xtol=1e-10))
-        lo, f_lo = hi, f_hi
+    xs = np.arange(max(order, 1e-6), BESSEL_SERIES_RMAX - 0.5, ZERO_SCAN_STEP)
+    vals = bessel_j_value(order, xs)
+    f = lambda x: bessel_j_value(order, x)  # noqa: E731
+    zeros = []
+    for i in np.flatnonzero(vals[:-1] * vals[1:] <= 0.0)[:count]:
+        br = numerics.Bracket(float(xs[i]), float(xs[i + 1]),
+                              float(vals[i]), float(vals[i + 1]))
+        zeros.append(numerics.find_root(f, br, tol=1e-13))
     for h in range(len(zeros) + 1, count + 1):
         zeros.append(_mcmahon_zero(order, h))
     return np.asarray(zeros[:count])

@@ -75,11 +75,11 @@ def suite_hermite(rng: np.random.Generator, fault: bool = False) -> list[CheckRe
     # Degrees below ~1.5 cannot reach 1e-8 with the N=4 expansion at any
     # switch point (truncation/cancellation crossover); the solvers only
     # evaluate the asymptotic branch at degrees in this range.
-    t_sw = np.asarray([specfun.HERMITE_SWITCH_T])
+    t_sw = specfun.HERMITE_SWITCH_T
     worst = 0.0
     for nu in (1.7, 2.4, 3.6, 5.3, 7.7):
-        s = float(specfun._hermite_series_vec(nu, t_sw)[0])
-        a = float(specfun._hermite_asympt_vec(nu, t_sw)[0])
+        s = specfun._hermite_series(nu, t_sw)
+        a = specfun._hermite_asympt(nu, t_sw)
         worst = max(worst, abs(s - a) / abs(a))
     out.append(_r("hermite", "asymptotic_handoff", worst <= 1e-8,
                   f"worst branch disagreement {worst:.2e} at the switch-over"))
@@ -283,9 +283,7 @@ def _pair_cases_power() -> list[tuple[MeasureSpec, float, float]]:
 
 def _solve_pair(measure: MeasureSpec, total: float, s: float):
     cfg = measures.config_from_split(measure, total, s)
-    dom = (oracle.gaussian_pair_domain(cfg) if measure.is_gaussian
-           else oracle.power_pair_domain(cfg))
-    return cfg, closedform.solve(cfg), dom
+    return cfg, closedform.solve(cfg), oracle.pair_domain(cfg)
 
 
 def suite_oracle(rng: np.random.Generator, fault: bool = False) -> list[CheckResult]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twistspec import closedform, measures, oracle, specfun
-from twistspec.errors import DomainError
+from twistspec.errors import DomainError, NumericalError
 from twistspec.measures import MeasureSpec
 
 PI2 = math.pi ** 2
@@ -40,6 +40,11 @@ class TestDirichletGauss:
         # the large-t expansion of H_nu is not valid at its zeros
         with pytest.raises(DomainError, match="switch point t=5 .*7.7e-13"):
             closedform.dirichlet_halfspace_gauss(L)
+
+    def test_scan_limit_named(self, monkeypatch):
+        monkeypatch.setattr(closedform, "NU_MAX", 1.5)
+        with pytest.raises(NumericalError, match="nu_max=1.5 for L=2"):
+            closedform.dirichlet_halfspace_gauss(2.0)
 
     def test_offset_just_below_switch(self):
         assert closedform.dirichlet_halfspace_gauss(4.9) == pytest.approx(
@@ -238,6 +243,11 @@ class TestTwistedPairPower:
         sol = closedform.twisted_pair_power(cfg)
         assert sol.eigenvalue == pytest.approx(PI2, rel=1e-6)
         assert sol.nonlocal_c == 0.0
+
+    def test_two_unit_balls_k0_to_round_off(self):
+        cfg = measures.PairConfig(MeasureSpec.power(3, 0.0), 1.0, 1.0)
+        sol = closedform.twisted_pair_power(cfg)
+        assert abs(sol.eigenvalue - PI2) <= 1e-12 * PI2
 
     def test_scaling(self):
         m = MeasureSpec.power(2, 1.0)

@@ -31,6 +31,19 @@ class TestDomain1D:
             oracle.Domain1D(intervals=((0.0, 1.0),), coordinate="polar")
 
 
+class TestPairDomain:
+    def test_gaussian_family(self):
+        cfg = measures.config_from_split(MeasureSpec.gaussian(1), 0.6, 0.4)
+        dom = oracle.pair_domain(cfg)
+        want = oracle.gaussian_pair_domain(cfg)
+        assert dom == want
+        assert dom.truncation == want.truncation
+
+    def test_power_family(self):
+        cfg = measures.config_from_split(MeasureSpec.power(2, 1.0), 1.2, 0.4)
+        assert oracle.pair_domain(cfg) == oracle.power_pair_domain(cfg)
+
+
 class TestTruncation:
     def test_cut_points(self):
         assert oracle.truncate_gaussian_halfline(0.0, 1e-14) == (0.0, 8.0)

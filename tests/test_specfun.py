@@ -160,6 +160,16 @@ class TestScalarPath:
         _assert_paths_agree(
             lambda r: specfun.bessel_j_value(order, r), zs[1:])
 
+    def test_paths_bit_identical(self):
+        # one kernel serves floats and arrays with the same arithmetic
+        for nu in (0.0, 3.0, 0.37, 4.2):
+            vals = specfun.hermite_value(nu, np.asarray(self.TS)).tolist()
+            assert [specfun.hermite_value(nu, t) for t in self.TS] == vals
+        zs = [0.0, 0.05, 2.4, 11.0, 15.9]
+        for order in (0.0, 1.5, 7.25):
+            vals = specfun.bessel_j_scaled_vec(order, np.asarray(zs)).tolist()
+            assert [specfun.bessel_j_scaled_vec(order, z) for z in zs] == vals
+
     @pytest.mark.parametrize("wrap", [float, lambda x: np.asarray([1.0, x])])
     def test_errors_on_both_paths(self, wrap):
         with pytest.raises(AccuracyError, match="ceiling"):
@@ -176,6 +186,10 @@ class TestHermiteZeros:
             1 / math.sqrt(2), abs=1e-9)
         assert specfun.hermite_largest_zero(3.0) == pytest.approx(
             math.sqrt(1.5), abs=1e-9)
+
+    def test_integer_roots_to_round_off(self):
+        assert abs(specfun.hermite_largest_zero(2.0) - 1 / math.sqrt(2)) <= 1e-13
+        assert abs(specfun.hermite_largest_zero(3.0) - math.sqrt(1.5)) <= 1e-13
 
     def test_fractional_degree_between_neighbors(self):
         z = specfun.hermite_largest_zero(2.5)
@@ -210,11 +224,11 @@ class TestBessel:
         closed = np.sqrt(2 / (math.pi * rs)) * np.sin(rs)
         np.testing.assert_allclose(
             specfun.bessel_j_value(0.5, rs), closed, atol=1e-10)
-        assert abs(specfun.bessel_j(0.5, math.pi).value) < 1e-12
+        assert abs(specfun.bessel_j_value(0.5, math.pi)) < 1e-12
 
     def test_at_origin(self):
-        assert specfun.bessel_j(0.0, 0.0).value == pytest.approx(1.0, rel=1e-14)
-        assert specfun.bessel_j(1.3, 0.0).value == 0.0
+        assert specfun.bessel_j_value(0.0, 0.0) == pytest.approx(1.0, rel=1e-14)
+        assert specfun.bessel_j_value(1.3, 0.0) == 0.0
 
     def test_two_truncations_agree(self):
         # independent fixed-truncation sums of the ascending series
@@ -227,8 +241,8 @@ class TestBessel:
         v30 = partial(1.3, 2.0, 30)
         v60 = partial(1.3, 2.0, 60)
         assert v30 == pytest.approx(v60, rel=1e-13)
-        assert specfun.bessel_j(1.3, 2.0).value == pytest.approx(v60, rel=1e-12)
-        assert specfun.bessel_j(1.3, 2.0).value == pytest.approx(
+        assert specfun.bessel_j_value(1.3, 2.0) == pytest.approx(v60, rel=1e-12)
+        assert specfun.bessel_j_value(1.3, 2.0) == pytest.approx(
             float(sp.jv(1.3, 2.0)), rel=1e-11)
 
     def test_deriv_recurrence(self):
@@ -256,7 +270,7 @@ class TestBessel:
 
     def test_series_ceiling(self):
         with pytest.raises(AccuracyError):
-            specfun.bessel_j(0.0, 25.0)
+            specfun.bessel_j_value(0.0, 25.0)
 
 
 class TestBesselZeros:
@@ -264,6 +278,15 @@ class TestBesselZeros:
         assert specfun.bessel_first_zero(0.5) == pytest.approx(math.pi, abs=1e-9)
         assert specfun.bessel_first_zero(0.0) == pytest.approx(
             2.404825557695773, abs=1e-9)
+
+    def test_first_zero_values_to_round_off(self):
+        assert abs(specfun.bessel_first_zero(0.5) - math.pi) <= 1e-13
+        assert abs(specfun.bessel_first_zero(0.0) - 2.404825557695773) <= 1e-13
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_first_derivative_zero_against_scipy(self, order):
+        want = float(sp.jnp_zeros(order, 1)[0])
+        assert abs(specfun.bessel_first_zero(order, "of_Jprime") - want) <= 1e-13
 
     @pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 1.7, 2.5])
     def test_interlacing(self, order):
