@@ -1,14 +1,16 @@
 """Command-line front end: solve, scan, verify and oracle subcommands.
 
 Exit codes: 0 success, 2 domain/usage error, 3 numerical failure.  Floats
-are serialized with 17 significant digits so CSV/JSON round-trip losslessly,
-and all randomized suites are seeded, making reruns byte-identical.
+are serialized with 17 significant digits so CSV/JSON round-trip losslessly
+(JSON writes a non-finite float as null), and all randomized suites are
+seeded, making reruns byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -41,8 +43,21 @@ def _write_csv(rows: list[dict], stream) -> None:
         stream.write(",".join(_fmt(row[c]) for c in cols) + "\n")
 
 
+def _strict_json(x):
+    """Non-finite floats (e.g. the scan's one-sided end differences) become
+    null, since strict JSON has no NaN or Infinity token."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    if isinstance(x, dict):
+        return {k: _strict_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict_json(v) for v in x]
+    return x
+
+
 def _write_json(payload, stream) -> None:
-    stream.write(json.dumps(payload, indent=2, sort_keys=True))
+    stream.write(json.dumps(_strict_json(payload), indent=2, sort_keys=True,
+                            allow_nan=False))
     stream.write("\n")
 
 

@@ -55,10 +55,6 @@ from . import measures, numerics, specfun
 from .errors import DomainError, NumericalError
 from .measures import MeasureSpec, PairConfig
 
-# Upper end of the Hermite-degree scan of dirichlet_halfspace_gauss.
-NU_MAX = 40.0
-
-
 @dataclass(frozen=True)
 class EigenfunctionProfile:
     """One component of a twisted eigenfunction.
@@ -105,9 +101,18 @@ class TwistedSolution:
 def dirichlet_halfspace_gauss(L: float) -> float:
     """First Dirichlet eigenvalue of the Gaussian half-space at offset L.
 
-    2 nu* with nu* the smallest positive root of nu -> H_nu(L); increasing
-    in L with value 2 at L = 0, so the scan runs from nu = 1 to NU_MAX in
-    0.05 steps.  Offsets at or beyond specfun.HERMITE_SWITCH_T are
+    2 nu* with nu* the smallest positive root of nu -> H_nu(L), scanned in
+    steps of at most 0.5 between two closed-form bounds and refined by Brent:
+
+    - lower: with u = e^{t^2/2} w the problem on (L, inf) reads
+      -w'' + (t^2 - 1) w = 2 nu w, a potential >= L^2 - 1, so
+      nu* > (L^2 - 1)/2; and nu* >= 1 = nu*(0), since nu* increases in L;
+    - upper: domain monotonicity on the box (L, L+1), where the potential is
+      <= (L+1)^2 - 1, gives 2 nu* <= pi^2 + (L+1)^2 - 1 = L^2 + 2L + pi^2.
+
+    The first two nu-roots lie at least 2 apart (exactly 2 at L = 0, 4.6 at
+    L = 4.95, measured over 100 offsets), so a 0.5 step cannot step over a
+    pair of them.  Offsets at or beyond specfun.HERMITE_SWITCH_T are
     rejected: there H_nu comes from the large-t expansion, which is not
     valid near its zeros.
     """
@@ -120,12 +125,14 @@ def dirichlet_halfspace_gauss(L: float) -> float:
             f"Hermite switch point t={t_switch:g} (component mass "
             f"{measures.k_gauss(t_switch):.2g}); the large-t expansion of H_nu "
             f"is not valid at its zeros")
+    lo = max(1.0, 0.5 * (L * L - 1.0))
+    hi = 0.5 * (L * L + 2.0 * L + math.pi ** 2)
     f = lambda nu: specfun.hermite_value(nu, L)  # noqa: E731
-    br = numerics.scan_sign_change(f, 1.0, NU_MAX, 780)
+    br = numerics.scan_sign_change(f, lo, hi, math.ceil(2.0 * (hi - lo)))
     if br is None:
         raise NumericalError(
-            f"dirichlet_halfspace_gauss: no Hermite-degree root below "
-            f"nu_max={NU_MAX:g} for L={L:g}")
+            f"dirichlet_halfspace_gauss: no Hermite-degree root in "
+            f"nu [{lo:g}, {hi:g}] for L={L:g}")
     return 2.0 * numerics.find_root(f, br, tol=1e-12)
 
 
@@ -196,7 +203,7 @@ def twisted_pair_gauss(config: PairConfig) -> TwistedSolution:
         raise DomainError("twisted_pair_gauss needs a gaussian PairConfig")
     L, R = config.left_param, config.right_param
     lamD_L = dirichlet_halfspace_gauss(L)
-    lamD_R = dirichlet_halfspace_gauss(R)
+    lamD_R = lamD_L if R == L else dirichlet_halfspace_gauss(R)
     bracket = (min(lamD_L, lamD_R), max(lamD_L, lamD_R))
 
     if config.is_symmetric:

@@ -93,6 +93,30 @@ class TestScan:
         again = json.loads(json.dumps(payload))
         assert again == payload
 
+    def test_json_is_strict(self, capsys):
+        # the one-sided end rows have no finite-difference derivative
+        code, out, _ = run(["scan", "--measure", "power", "--n", "3",
+                            "--k", "0", "--mass", "3.0", "--grid", "5",
+                            "--format", "json"], capsys)
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        rows = json.loads(out, parse_constant=reject)["rows"]
+        assert rows[0]["dlambda_ds_fd"] is None
+        assert rows[-1]["dlambda_ds_fd"] is None
+        assert all(math.isfinite(r["dlambda_ds_fd"]) for r in rows[1:-1])
+
+    def test_csv_keeps_nan(self, capsys):
+        code, out, _ = run(["scan", "--measure", "power", "--n", "3",
+                            "--k", "0", "--mass", "3.0", "--grid", "5"],
+                           capsys)
+        assert code == 0
+        header, first = out.splitlines()[:2]
+        rec = dict(zip(header.split(","), first.split(",")))
+        assert rec["dlambda_ds_fd"] == "nan"
+
 
 class TestVerify:
     def test_single_suite_passes(self, capsys):

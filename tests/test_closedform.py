@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistspec import closedform, measures, oracle, specfun
 from twistspec.errors import DomainError, NumericalError
@@ -42,13 +44,48 @@ class TestDirichletGauss:
             closedform.dirichlet_halfspace_gauss(L)
 
     def test_scan_limit_named(self, monkeypatch):
-        monkeypatch.setattr(closedform, "NU_MAX", 1.5)
-        with pytest.raises(NumericalError, match="nu_max=1.5 for L=2"):
+        # a Hermite function without zeros forces the no-root path
+        monkeypatch.setattr(specfun, "hermite_value", lambda nu, t: 1.0)
+        with pytest.raises(NumericalError,
+                           match=r"nu \[1.5, 8.9348\] for L=2"):
             closedform.dirichlet_halfspace_gauss(2.0)
 
     def test_offset_just_below_switch(self):
         assert closedform.dirichlet_halfspace_gauss(4.9) == pytest.approx(
             34.31965943626952, rel=1e-10)
+
+    @pytest.mark.parametrize("L", np.linspace(0.0, 4.95, 100))
+    def test_within_closed_form_bounds(self, L):
+        # potential bound below, domain monotonicity on (L, L+1) above
+        lam = closedform.dirichlet_halfspace_gauss(float(L))
+        assert L * L - 1.0 < lam <= L * L + 2.0 * L + PI2
+
+    def test_matches_fine_scan_from_one(self):
+        offsets = np.linspace(0.0, 4.95, 100)
+        worst = max(
+            abs(closedform.dirichlet_halfspace_gauss(float(L))
+                / _dirichlet_by_fine_scan(float(L)) - 1.0)
+            for L in offsets)
+        assert worst < 1e-12
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=5.0, exclude_max=True))
+    def test_first_root_property(self, L):
+        lam = closedform.dirichlet_halfspace_gauss(L)
+        assert L * L - 1.0 < lam <= L * L + 2.0 * L + PI2
+        nu_star = lam / 2.0
+        nus = np.arange(1.0, nu_star, 0.01)
+        # leave out grid points within the root tolerance of nu*
+        nus = nus[nus < nu_star - 1e-9]
+        vals = [specfun.hermite_value(float(nu), L) for nu in nus]
+        assert all(v > 0.0 for v in vals)
+
+
+def _dirichlet_by_fine_scan(L):
+    """Reference: 0.05-step scan of nu -> H_nu(L) from 1, then Brent."""
+    from twistspec.numerics import find_root, scan_sign_change
+    f = lambda nu: specfun.hermite_value(nu, L)  # noqa: E731
+    return 2.0 * find_root(f, scan_sign_change(f, 1.0, 40.0, 780), tol=1e-12)
 
 
 def _gauss_mean_by_quadrature(nu, a):
