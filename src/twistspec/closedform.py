@@ -8,9 +8,11 @@ half-ball of radius R is (j_{b,1}/R)^2 with b = (n+k)/2 - 1.
 For a two-component configuration the first zero-weighted-mean eigenvalue is
 pinned by a 2x2 homogeneous system in the component amplitudes (A, B): the
 matching condition (the nonlocal constant must agree across components) and
-the zero-mean condition.  Its determinant D has its smallest root strictly
-between the two component Dirichlet values (at most equal to the larger
-one), which localizes the scan.
+the zero-mean condition.  By rank-one interlacing the constrained spectrum
+has exactly one value in (Lambda_1, Lambda_2], where Lambda_1 is the smaller
+component Dirichlet value and Lambda_2 = min(Dirichlet value of the smaller
+component, second Dirichlet value of the larger one); the determinant D
+changes sign there once, and Brent finds the root on that bracket.
 
 Gaussian component profiles (x_1-reduced, degree nu, eigenvalue 2 nu):
 
@@ -24,29 +26,32 @@ c = -2 nu A H_nu(L).  Radial power profiles (frequency f, eigenvalue f^2):
 
 with matching  A g(L) + B g(R) = 0  and  c = -A f^2 g(L).
 
-Single-signedness of the radial profiles requires the weighted profile g to
-be monotone on each component, i.e. f * max(L, R) <= j_{b+1,1} (the first
-zero of J_{b+1}, where g' vanishes).  Beyond that window the determinant
-root still matches the discrete constrained eigenvalue of the reduced 1D
-problem to solver accuracy, but the eigenfunction picks up a thin
-opposite-sign shell near the larger boundary, and in dimension n >= 2 the
-first tangential (dipole) mode of the larger component - whose eigenvalue
-is exactly the window edge (j_{b+1,1}/max(L,R))^2 - drops below the
-two-signed pair value.  Solutions therefore carry a `single_signed`
-diagnostic instead of failing; scans stay inside the window by default.
+A profile is single-signed exactly when it is monotone on its component.
+Radial: g' vanishes first at j_{b+1,1}/f, so the test is J_{b+1}(f max(L, R))
+>= 0 (f max(L, R) < j_{b,2} < j_{b+1,2} on the bracket).  Gaussian:
+H_nu' = 2 nu H_{nu-1} has no zero beyond a iff nu - 1 <= nu*(a), i.e.
+lambda <= Lambda_1 + 2.  Beyond that window the determinant root still
+matches the discrete constrained eigenvalue of the reduced 1D problem to
+solver accuracy, but the eigenfunction picks up a thin opposite-sign shell
+near the larger boundary, and in dimension n >= 2 the first tangential
+(dipole) mode of the larger power component - whose eigenvalue is exactly
+the window edge (j_{b+1,1}/max(L,R))^2 - drops below the two-signed pair
+value.  Solutions therefore carry a `single_signed` diagnostic instead of
+failing; scans stay inside the window by default.
 
 The weighted mean integrals inside D are exact: from
 (e^{-t^2} H_{nu-1})' = -e^{-t^2} H_nu on the Gaussian side and from
 int_0^X r^{b+1} J_b(f r) dr = X^{b+1} J_{b+1}(f X)/f (DLMF 10.22.1) on the
-power side, so D costs four scalar special-function calls.  Only the
+power side, so D costs four scalar special-function calls.  The power
+normalization is exact as well (Lommel, DLMF 10.22.5); only the gaussian
 normalization, computed once per solve, uses quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,17 +59,6 @@ import numpy as np
 from . import measures, numerics, specfun
 from .errors import DomainError, NumericalError
 from .measures import MeasureSpec, PairConfig
-
-@dataclass(frozen=True)
-class EigenfunctionProfile:
-    """One component of a twisted eigenfunction.
-
-    `evaluate` maps the boundary-relative coordinate (distance into the
-    component from its Dirichlet boundary, >= 0) to the eigenfunction value.
-    """
-    component: str                     # "left" | "right"
-    sign: str                          # "positive" | "negative"
-    evaluate: Callable[[float], float]
 
 
 @dataclass
@@ -85,7 +79,6 @@ class TwistedSolution:
     mean_residual: float = 0.0
     matching_residual: float = 0.0
     single_signed: bool = True
-    profiles: list[EigenfunctionProfile] = field(default_factory=list)
     u_left_at: Callable[[float], float] = None   # physical coordinate
     u_right_at: Callable[[float], float] = None
 
@@ -97,6 +90,17 @@ class TwistedSolution:
 # ----------------------------------------------------------------------
 # Gaussian half-space machinery
 # ----------------------------------------------------------------------
+
+def _degree_root(what: str, L: float, lo: float, hi: float) -> float:
+    """2 nu for the first root of nu -> H_nu(L) on [lo, hi]: a scan in steps
+    of at most 0.5, refined by Brent."""
+    f = lambda nu: specfun.hermite_value(nu, L)  # noqa: E731
+    br = numerics.scan_sign_change(f, lo, hi, math.ceil(2.0 * (hi - lo)))
+    if br is None:
+        raise NumericalError(
+            f"{what}: no Hermite-degree root in nu [{lo:g}, {hi:g}] for L={L:g}")
+    return 2.0 * numerics.find_root(f, br, tol=1e-12)
+
 
 def dirichlet_halfspace_gauss(L: float) -> float:
     """First Dirichlet eigenvalue of the Gaussian half-space at offset L.
@@ -125,162 +129,89 @@ def dirichlet_halfspace_gauss(L: float) -> float:
             f"Hermite switch point t={t_switch:g} (component mass "
             f"{measures.k_gauss(t_switch):.2g}); the large-t expansion of H_nu "
             f"is not valid at its zeros")
-    lo = max(1.0, 0.5 * (L * L - 1.0))
-    hi = 0.5 * (L * L + 2.0 * L + math.pi ** 2)
-    f = lambda nu: specfun.hermite_value(nu, L)  # noqa: E731
-    br = numerics.scan_sign_change(f, lo, hi, math.ceil(2.0 * (hi - lo)))
-    if br is None:
-        raise NumericalError(
-            f"dirichlet_halfspace_gauss: no Hermite-degree root in "
-            f"nu [{lo:g}, {hi:g}] for L={L:g}")
-    return 2.0 * numerics.find_root(f, br, tol=1e-12)
+    return _degree_root("dirichlet_halfspace_gauss", L,
+                        max(1.0, 0.5 * (L * L - 1.0)),
+                        0.5 * (L * L + 2.0 * L + math.pi ** 2))
+
+
+def second_dirichlet_halfspace_gauss(L: float, lam1: float) -> float:
+    """Second Dirichlet eigenvalue of the Gaussian half-space at offset L,
+    given the first, lam1 = dirichlet_halfspace_gauss(L).
+
+    The scan starts at nu* + 1 (consecutive nu-roots lie at least 2 apart)
+    and ends at the second eigenvalue of the box (L, L+1),
+    2 nu_2 <= 4 pi^2 + (L+1)^2 - 1.
+    """
+    return _degree_root("second_dirichlet_halfspace_gauss", L,
+                        0.5 * lam1 + 1.0,
+                        0.5 * ((L + 1.0) ** 2 - 1.0 + 4.0 * math.pi ** 2))
 
 
 _GL_ORDER = 40
 _GL_PANEL_LEN = 1.5
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
 @lru_cache(maxsize=512)
-def _fixed_gl_grid(a: float, b: float,
-                   seam: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [a, b], panels no longer
-    than _GL_PANEL_LEN, with an optional forced panel boundary (the Hermite
-    series/asymptotic seam).  Spectrally accurate on the entire profiles
-    integrated here; cross-validated against the adaptive integrator."""
-    x0, w0 = np.polynomial.legendre.leggauss(_GL_ORDER)
-    if seam is not None and a < seam < b:
-        segs = [(a, seam), (seam, b)]
-    else:
-        segs = [(a, b)]
+def _gauss_grid(a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes on [a, T] (T the tail cut), panels no
+    longer than _GL_PANEL_LEN and a forced panel boundary at the Hermite
+    series/asymptotic seam, with the Gaussian weight folded into the
+    weights.  Spectrally accurate on the entire profiles integrated here."""
+    T = numerics.gauss_tail_cut(a)
+    seam = specfun.HERMITE_SWITCH_T
+    segs = [(a, seam), (seam, T)] if a < seam < T else [(a, T)]
     nodes, weights = [], []
     for lo, hi in segs:
         n_panels = max(1, int(math.ceil((hi - lo) / _GL_PANEL_LEN)))
         bounds = np.linspace(lo, hi, n_panels + 1)
         for p_lo, p_hi in zip(bounds[:-1], bounds[1:]):
             mid, half = 0.5 * (p_lo + p_hi), 0.5 * (p_hi - p_lo)
-            nodes.append(mid + half * x0)
-            weights.append(half * w0)
-    out_n, out_w = np.concatenate(nodes), np.concatenate(weights)
-    out_n.setflags(write=False)
-    out_w.setflags(write=False)
-    return out_n, out_w
+            nodes.append(mid + half * _GL_NODES)
+            weights.append(half * _GL_WEIGHTS)
+    ts = np.concatenate(nodes)
+    gw = np.concatenate(weights) * measures.gauss_weight_1d(ts)
+    ts.setflags(write=False)
+    gw.setflags(write=False)
+    return ts, gw
 
 
-def _gauss_mean(nu: float, a: float, h_a: float) -> float:
-    """int_a^inf (H_nu(t) - H_nu(a)) d gamma_1, with h_a = H_nu(a):
-    e^{-a^2} H_{nu-1}(a) / sqrt(pi) - H_nu(a) erfc(a) / 2."""
-    return (math.exp(-a * a) / specfun.SQRT_PI
-            * specfun.hermite_value(nu - 1.0, a)
-            - 0.5 * math.erfc(a) * h_a)
+def _gauss_state(nu: float, a: float) -> tuple[float, float]:
+    """(H_nu(a), H_{nu-1}(a))."""
+    return specfun.hermite_value(nu, a), specfun.hermite_value(nu - 1.0, a)
 
 
-def _gauss_square_integral(nu: float, a: float) -> float:
+def _gauss_mean(nu: float, a: float, h: float, hm: float) -> float:
+    """int_a^inf (H_nu(t) - H_nu(a)) d gamma_1, with h = H_nu(a) and
+    hm = H_{nu-1}(a): e^{-a^2} hm / sqrt(pi) - h erfc(a) / 2."""
+    return math.exp(-a * a) / specfun.SQRT_PI * hm - 0.5 * math.erfc(a) * h
+
+
+def _gauss_square_integral(nu: float, a: float, h: float, hm: float) -> float:
     """int_a^inf (H_nu(t) - H_nu(a))^2 d gamma_1, by quadrature."""
-    T = numerics.gauss_tail_cut(a).cut
-    ts, ws = _fixed_gl_grid(a, T, seam=specfun.HERMITE_SWITCH_T)
-    diff = specfun.hermite_value(nu, ts) - specfun.hermite_value(nu, a)
-    gw = ws * measures.gauss_weight_1d(ts)
+    ts, gw = _gauss_grid(a)
+    diff = specfun.hermite_value(nu, ts) - h
     return float(np.dot(gw, diff * diff))
 
 
-def _find_first_root(D, lo: float, hi: float, what: str):
-    """Smallest root of D on (lo, hi]; progressively denser scans."""
-    eps = 1e-10 * max(1.0, abs(lo))
-    for steps in (32, 192, 1024):
-        br = numerics.scan_sign_change(D, lo + eps, hi, steps)
-        if br is not None:
-            return numerics.find_root(D, br, tol=1e-13)
-    xs = np.linspace(lo + eps, hi, 9)
-    profile = ", ".join(f"D({x:.6g})={D(float(x)):.3g}" for x in xs)
-    raise NumericalError(
-        f"no sign change of the {what} determinant in ({lo:g}, {hi:g}]; "
-        f"scanned profile: {profile}")
+def _gauss_cap(a: float, lam1: float, lam_hi: float) -> float:
+    """Lambda_2 of a gaussian pair whose larger component (offset a) has
+    Dirichlet value lam1; the second value of that component is at least
+    lam1 + 4, so it is only computed when it can undercut lam_hi."""
+    if lam_hi - lam1 <= 4.0:
+        return lam_hi
+    return min(lam_hi, second_dirichlet_halfspace_gauss(a, lam1))
 
 
-def twisted_pair_gauss(config: PairConfig) -> TwistedSolution:
-    """First twisted eigenvalue of a Gaussian half-space pair."""
-    if not config.measure.is_gaussian:
-        raise DomainError("twisted_pair_gauss needs a gaussian PairConfig")
-    L, R = config.left_param, config.right_param
-    lamD_L = dirichlet_halfspace_gauss(L)
-    lamD_R = lamD_L if R == L else dirichlet_halfspace_gauss(R)
-    bracket = (min(lamD_L, lamD_R), max(lamD_L, lamD_R))
-
-    if config.is_symmetric:
-        nu = lamD_L / 2.0
-        ss = _gauss_square_integral(nu, L)
-        amp = 1.0 / math.sqrt(2.0 * ss)
-        sol = _assemble_gauss_solution(config, nu, amp, amp, bracket)
-        sol.nonlocal_c = 0.0  # antisymmetric eigenfunction, exactly
-        return sol
-
-    def D(nu: float) -> float:
-        hL = specfun.hermite_value(nu, L)
-        hR = specfun.hermite_value(nu, R)
-        return _gauss_mean(nu, L, hL) * hR + _gauss_mean(nu, R, hR) * hL
-
-    nu_hat = _find_first_root(D, bracket[0] / 2.0, bracket[1] / 2.0, "gaussian")
-    hL = specfun.hermite_value(nu_hat, L)
-    hR = specfun.hermite_value(nu_hat, R)
-    A, B = hR, -hL
-    sL = _gauss_square_integral(nu_hat, L)
-    sR = _gauss_square_integral(nu_hat, R)
-    scale = 1.0 / math.sqrt(A * A * sL + B * B * sR)
-    # orient the left component positive
-    interior = specfun.hermite_value(nu_hat, L + 0.5) - hL
-    if A * interior < 0:
-        scale = -scale
-    return _assemble_gauss_solution(config, nu_hat, A * scale, B * scale,
-                                    bracket)
-
-
-def _profile_sign(samples: np.ndarray) -> tuple[str, bool]:
-    """Dominant sign of a sampled component and whether it is the only one."""
-    scale = float(np.max(np.abs(samples))) or 1.0
-    pos = np.any(samples > 1e-9 * scale)
-    neg = np.any(samples < -1e-9 * scale)
-    dominant = "positive" if abs(samples.max()) >= abs(samples.min()) else "negative"
-    return dominant, not (pos and neg)
-
-
-def _assemble_gauss_solution(config, nu, A, B, bracket) -> TwistedSolution:
-    L, R = config.left_param, config.right_param
-    hL = specfun.hermite_value(nu, L)
-    hR = specfun.hermite_value(nu, R)
-    c = -2.0 * nu * A * hL
-    dH = lambda t: 2.0 * nu * specfun.hermite_value(nu - 1.0, t)  # noqa: E731
-    du_left = abs(A * dH(L))
-    du_right = abs(B * dH(R))
-    mean_res = abs(A * _gauss_mean(nu, L, hL) - B * _gauss_mean(nu, R, hR))
-    match_res = abs(A * hL + B * hR)
-
-    def u_left(x: float) -> float:
-        if x > -L + 1e-12:
-            raise DomainError(f"left component lives on x <= {-L:g}")
-        return A * (specfun.hermite_value(nu, -x) - hL)
-
-    def u_right(x: float) -> float:
-        if x < R - 1e-12:
-            raise DomainError(f"right component lives on x >= {R:g}")
-        return B * (hR - specfun.hermite_value(nu, x))
-
-    xi = np.linspace(1e-3, 4.0, 64)
-    left_samples = A * (specfun.hermite_value(nu, L + xi) - hL)
-    right_samples = B * (hR - specfun.hermite_value(nu, R + xi))
-    sgn_l, ok_l = _profile_sign(left_samples)
-    sgn_r, ok_r = _profile_sign(right_samples)
-    profiles = [
-        EigenfunctionProfile("left", sgn_l, lambda t: u_left(-L - t)),
-        EigenfunctionProfile("right", sgn_r, lambda t: u_right(R + t)),
-    ]
-    return TwistedSolution(
-        eigenvalue=2.0 * nu, config=config, nu=nu,
-        amp_left=A, amp_right=B, nonlocal_c=c,
-        du_left=du_left, du_right=du_right,
-        normalization=1.0, bracket_dirichlet=bracket,
-        mean_residual=mean_res, matching_residual=match_res,
-        single_signed=ok_l and ok_r,
-        profiles=profiles, u_left_at=u_left, u_right_at=u_right)
+def _gauss_argument(side: str, a: float, x: float) -> float:
+    """Hermite argument of the physical coordinate x on one component."""
+    if side == "left":
+        if x > -a + 1e-12:
+            raise DomainError(f"left component lives on x <= {-a:g}")
+        return -x
+    if x < a - 1e-12:
+        raise DomainError(f"right component lives on x >= {a:g}")
+    return x
 
 
 # ----------------------------------------------------------------------
@@ -306,119 +237,214 @@ def _first_bessel_zero(order: float) -> float:
     return specfun.bessel_first_zero(order, "of_J")
 
 
+@lru_cache(maxsize=64)
+def _second_bessel_zero(order: float) -> float:
+    """j_{order,2}, found once per profile order."""
+    return float(specfun.bessel_zeros(order, 2)[1])
+
+
 def _g_profile(order: float, freq: float,
                r: float | np.ndarray) -> float | np.ndarray:
     """g(r) = r^{-order} J_order(freq r), entire in r; float or array r."""
     return (freq / 2.0) ** order * specfun.bessel_j_scaled_vec(order, freq * r)
 
 
-def _g_deriv(order: float, freq: float, r: float) -> float:
-    """g'(r) = -freq * r * (freq/2)^{order+1} * jscaled(order+1, freq r)."""
-    return (-freq * r * (freq / 2.0) ** (order + 1.0)
-            * specfun.bessel_j_scaled_vec(order + 1.0, freq * r))
+def _power_state(order: float, freq: float, X: float) -> tuple[float, float]:
+    """(g(X), Jhat_{order+1}(freq X)), Jhat = bessel_j_scaled_vec."""
+    return (_g_profile(order, freq, X),
+            specfun.bessel_j_scaled_vec(order + 1.0, freq * X))
 
 
-def _power_mean(order: float, freq: float, X: float, g_X: float) -> float:
-    """int_0^X (g - g(X)) r^{2 order + 1} dr, with g_X = g(X):
-    X^{2b+2} [(f/2)^{b+1} Jhat_{b+1}(fX) / f - g(X) / (2b+2)], b = order,
-    f = freq, Jhat = bessel_j_scaled_vec; 2b+2 = n+k."""
+def _power_mean(order: float, freq: float, X: float, g_X: float,
+                j_next: float) -> float:
+    """int_0^X (g - g(X)) r^{2 order + 1} dr, with g_X = g(X) and
+    j_next = Jhat_{b+1}(fX):  X^{2b+2} [(f/2)^{b+1} j_next / f - g_X / (2b+2)],
+    b = order, f = freq; 2b+2 = n+k."""
     p = 2.0 * order + 2.0
-    j_next = specfun.bessel_j_scaled_vec(order + 1.0, freq * X)
     return X ** p * ((freq / 2.0) ** (order + 1.0) * j_next / freq - g_X / p)
 
 
-def _power_square_integral(measure: MeasureSpec, order: float, freq: float,
-                           X: float) -> float:
-    """int_0^X (g - g(X))^2 r^{n+k-1} dr, by quadrature."""
-    rs, ws = _fixed_gl_grid(0.0, X)
-    diff = _g_profile(order, freq, rs) - _g_profile(order, freq, X)
-    w = ws * rs ** measure.radial_exponent
-    return float(np.dot(w, diff * diff))
+def _power_deriv(order: float, freq: float, X: float, g_X: float,
+                 j_next: float) -> float:
+    """g'(X) = -freq X (freq/2)^{order+1} Jhat_{order+1}(freq X)."""
+    return -freq * X * (freq / 2.0) ** (order + 1.0) * j_next
+
+
+def _power_square_integral(order: float, freq: float, X: float, g_X: float,
+                           j_next: float) -> float:
+    """int_0^X (g - g(X))^2 r^{2b+1} dr in closed form, b = order, z = f X.
+
+    Lommel (DLMF 10.22.5, J_{b-1} eliminated by the recurrence) gives
+    int_0^X r J_b(fr)^2 dr = X^2/2 (J_b^2 + J_{b+1}^2 - (2b/z) J_b J_{b+1})(z),
+    DLMF 10.22.1 the cross term.  With Jhat_b - (b+1) Jhat_{b+1} =
+    -(z^2/4) Jhat_{b+2} the O(1) parts cancel exactly and the sum is
+    X^{2b+2} (f/2)^{2b} (z^2/8) (Jhat_{b+1}^2 - (b+2)/(b+1) Jhat_b Jhat_{b+2}),
+    which loses digits only like z^{-2} as z -> 0.
+    """
+    z = freq * X
+    j0 = g_X / (freq / 2.0) ** order
+    j2 = specfun.bessel_j_scaled_vec(order + 2.0, z)
+    return (X ** (2.0 * order + 2.0) * (freq / 2.0) ** (2.0 * order)
+            * (z * z / 8.0)
+            * (j_next * j_next - (order + 2.0) / (order + 1.0) * j0 * j2))
+
+
+def _power_argument(side: str, a: float, r: float) -> float:
+    if not 0.0 <= r <= a + 1e-12:
+        raise DomainError(f"{side} component lives on 0 <= r <= {a:g}")
+    return r
+
+
+# ----------------------------------------------------------------------
+# One pair solver over a per-family record
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Family:
+    """A measure family as the pair solver sees it.
+
+    x is the spectral variable: the Hermite degree nu (eigenvalue 2 nu) or
+    the frequency f (eigenvalue f^2).  A component is given by its boundary
+    parameter a (offset or radius).  `state(x, a)` returns the boundary
+    profile value p and a companion value q (H_{nu-1}(a), or
+    Jhat_{b+1}(f a)); the mean identity, the boundary derivative and the
+    single-sign edge need nothing else.
+    """
+    name: str
+    weight: float                       # angular constant; 1 for gaussian
+    lam: Callable[[float], float]       # x -> eigenvalue
+    x_of: Callable[[float], float]      # eigenvalue -> x
+    labels: Callable[[float], dict]     # x -> family fields of the solution
+    dirichlet: Callable[[float], float]               # a -> Dirichlet value
+    cap: Callable[[float, float, float], float]       # (a, Lambda_1, hi) -> Lambda_2
+    state: Callable[[float, float], tuple[float, float]]
+    profile: Callable[[float, float], float]          # (x, t) -> profile at t
+    mean: Callable[..., float]          # (x, a, p, q) -> int (profile - p)
+    square: Callable[..., float]        # (x, a, p, q) -> int (profile - p)^2
+    deriv: Callable[..., float]         # (x, a, p, q) -> profile'(a)
+    single_signed: Callable[[float, float, float], bool]  # (Lambda_1, x, q)
+    inside: Callable[[float], float]    # a -> interior profile argument
+    argument: Callable[[str, float, float], float]    # (side, a, coordinate)
+
+
+# Public functions are looked up when called, so that wrappers installed on
+# the modules (tracing, test doubles) see every call.
+_GAUSS = _Family(
+    name="gaussian", weight=1.0,
+    lam=lambda nu: 2.0 * nu, x_of=lambda lam: lam / 2.0,
+    labels=lambda nu: {"nu": nu},
+    dirichlet=lambda a: dirichlet_halfspace_gauss(a), cap=_gauss_cap,
+    state=_gauss_state,
+    profile=lambda nu, t: specfun.hermite_value(nu, t),
+    mean=_gauss_mean, square=_gauss_square_integral,
+    deriv=lambda nu, a, h, hm: 2.0 * nu * hm,
+    single_signed=lambda lam1, nu, hm: 2.0 * nu <= lam1 + 2.0,
+    inside=lambda a: a + 0.5, argument=_gauss_argument)
+
+
+def _power_family(measure: MeasureSpec) -> _Family:
+    b = _profile_order(measure)
+    alpha = 1.0 - (measure.n + measure.k) / 2.0
+    j1 = _first_bessel_zero(b)
+
+    def cap(a: float, lam1: float, lam_hi: float) -> float:
+        # D needs the Bessel series at f a <= BESSEL_SERIES_RMAX
+        return min(lam_hi, (_second_bessel_zero(b) / a) ** 2,
+                   (specfun.BESSEL_SERIES_RMAX / a) ** 2)
+
+    return _Family(
+        name="power", weight=measure.angular_constant,
+        lam=lambda f: f * f, x_of=math.sqrt,
+        labels=lambda f: {"freq": f, "alpha": alpha},
+        dirichlet=lambda a: (j1 / a) ** 2, cap=cap,
+        state=partial(_power_state, b), profile=partial(_g_profile, b),
+        mean=partial(_power_mean, b),
+        square=partial(_power_square_integral, b),
+        deriv=partial(_power_deriv, b),
+        single_signed=lambda lam1, f, q: q >= 0.0,
+        inside=lambda a: 0.5 * a, argument=_power_argument)
+
+
+def _solve_pair(config: PairConfig, fam: _Family) -> TwistedSolution:
+    """The pair solve of either family: Brent on the interlacing bracket,
+    then amplitudes, normalization and diagnostics from the values the
+    root search already holds."""
+    L, R = config.left_param, config.right_param
+    lam_L = fam.dirichlet(L)
+    lam_R = lam_L if R == L else fam.dirichlet(R)
+    bracket = (min(lam_L, lam_R), max(lam_L, lam_R))
+    big = L if lam_L <= lam_R else R        # the component with Lambda_1
+    states: dict[float, tuple] = {}
+
+    def D(x: float) -> float:
+        (pL, qL), (pR, qR) = states[x] = fam.state(x, L), fam.state(x, R)
+        return fam.mean(x, L, pL, qL) * pR + fam.mean(x, R, pR, qR) * pL
+
+    if config.is_symmetric:
+        x = fam.x_of(lam_L)
+        st_L = fam.state(x, L)
+        st_R = st_L if R == L else fam.state(x, R)
+        A = B = 1.0
+    else:
+        lam2 = fam.cap(big, *bracket)
+        lo = fam.x_of(bracket[0])
+        lo += 1e-10 * max(1.0, abs(lo))
+        hi = fam.x_of(lam2)
+        br = numerics.scan_sign_change(D, lo, hi, 1)
+        if br is None:
+            raise NumericalError(
+                f"no sign change of the {fam.name} determinant on the "
+                f"interlacing bracket ({bracket[0]:g}, {lam2:g}]: "
+                f"D({lo:.6g})={D(lo):.3g}, D({hi:.6g})={D(hi):.3g}")
+        x = numerics.find_root(D, br, tol=1e-13)
+        if x not in states:
+            D(x)
+        st_L, st_R = states[x]
+        A, B = st_R[0], -st_L[0]
+    (pL, qL), (pR, qR) = st_L, st_R
+    sL = fam.square(x, L, pL, qL)
+    sR = sL if st_R is st_L else fam.square(x, R, pR, qR)
+    scale = 1.0 / math.sqrt(fam.weight * (A * A * sL + B * B * sR))
+    # orient the left component positive
+    if A * (fam.profile(x, fam.inside(L)) - pL) < 0:
+        scale = -scale
+    A, B = A * scale, B * scale
+    lam = fam.lam(x)
+
+    def u_left(t: float) -> float:
+        return A * (fam.profile(x, fam.argument("left", L, t)) - pL)
+
+    def u_right(t: float) -> float:
+        return B * (pR - fam.profile(x, fam.argument("right", R, t)))
+
+    return TwistedSolution(
+        eigenvalue=lam, config=config, **fam.labels(x),
+        amp_left=A, amp_right=B,
+        # antisymmetric eigenfunction at a symmetric pair: c = 0 exactly
+        nonlocal_c=0.0 if config.is_symmetric else -lam * A * pL,
+        du_left=abs(A * fam.deriv(x, L, pL, qL)),
+        du_right=abs(B * fam.deriv(x, R, pR, qR)),
+        normalization=1.0, bracket_dirichlet=bracket,
+        mean_residual=fam.weight * abs(A * fam.mean(x, L, pL, qL)
+                                       - B * fam.mean(x, R, pR, qR)),
+        matching_residual=abs(A * pL + B * pR),
+        single_signed=fam.single_signed(
+            bracket[0], x, qL if big == L else qR),
+        u_left_at=u_left, u_right_at=u_right)
+
+
+def twisted_pair_gauss(config: PairConfig) -> TwistedSolution:
+    """First twisted eigenvalue of a Gaussian half-space pair."""
+    if not config.measure.is_gaussian:
+        raise DomainError("twisted_pair_gauss needs a gaussian PairConfig")
+    return _solve_pair(config, _GAUSS)
 
 
 def twisted_pair_power(config: PairConfig) -> TwistedSolution:
     """First twisted eigenvalue of a weighted half-ball pair."""
     if config.measure.is_gaussian:
         raise DomainError("twisted_pair_power needs a power PairConfig")
-    measure = config.measure
-    b = _profile_order(measure)
-    L, R = config.left_param, config.right_param
-    j1 = _first_bessel_zero(b)
-    lamD_L = (j1 / L) ** 2
-    lamD_R = (j1 / R) ** 2
-    bracket = (min(lamD_L, lamD_R), max(lamD_L, lamD_R))
-
-    if config.is_symmetric:
-        freq = j1 / L
-        sq = _power_square_integral(measure, b, freq, L)
-        amp = 1.0 / math.sqrt(2.0 * measure.angular_constant * sq)
-        sol = _assemble_power_solution(config, b, freq, amp, amp, bracket)
-        sol.nonlocal_c = 0.0  # antisymmetric eigenfunction, exactly
-        return sol
-
-    f_lo = math.sqrt(bracket[0])
-    f_hi = math.sqrt(bracket[1])
-
-    def D(freq: float) -> float:
-        pL = _g_profile(b, freq, L)
-        pR = _g_profile(b, freq, R)
-        return (_power_mean(b, freq, L, pL) * pR
-                + _power_mean(b, freq, R, pR) * pL)
-
-    f_hat = _find_first_root(D, f_lo, f_hi, "power")
-    pL = _g_profile(b, f_hat, L)
-    pR = _g_profile(b, f_hat, R)
-    A, B = pR, -pL
-    sL = _power_square_integral(measure, b, f_hat, L)
-    sR = _power_square_integral(measure, b, f_hat, R)
-    scale = 1.0 / math.sqrt(measure.angular_constant * (A * A * sL + B * B * sR))
-    interior = _g_profile(b, f_hat, 0.5 * L) - pL
-    if A * interior < 0:
-        scale = -scale
-    return _assemble_power_solution(config, b, f_hat, A * scale, B * scale,
-                                    bracket)
-
-
-def _assemble_power_solution(config, order, freq, A, B, bracket):
-    measure = config.measure
-    L, R = config.left_param, config.right_param
-    pL = _g_profile(order, freq, L)
-    pR = _g_profile(order, freq, R)
-    c = -A * freq * freq * pL
-    du_left = abs(A * _g_deriv(order, freq, L))
-    du_right = abs(B * _g_deriv(order, freq, R))
-    mean_res = measure.angular_constant * abs(
-        A * _power_mean(order, freq, L, pL)
-        - B * _power_mean(order, freq, R, pR))
-    match_res = abs(A * pL + B * pR)
-
-    def u_left(r: float) -> float:
-        if not 0.0 <= r <= L + 1e-12:
-            raise DomainError(f"left component lives on 0 <= r <= {L:g}")
-        return A * (_g_profile(order, freq, r) - pL)
-
-    def u_right(r: float) -> float:
-        if not 0.0 <= r <= R + 1e-12:
-            raise DomainError(f"right component lives on 0 <= r <= {R:g}")
-        return B * (pR - _g_profile(order, freq, r))
-
-    rl = np.linspace(0.0, L, 66)[:-1]
-    rr = np.linspace(0.0, R, 66)[:-1]
-    sgn_l, ok_l = _profile_sign(A * (_g_profile(order, freq, rl) - pL))
-    sgn_r, ok_r = _profile_sign(B * (pR - _g_profile(order, freq, rr)))
-    profiles = [
-        EigenfunctionProfile("left", sgn_l, lambda t: u_left(max(L - t, 0.0))),
-        EigenfunctionProfile("right", sgn_r, lambda t: u_right(max(R - t, 0.0))),
-    ]
-    return TwistedSolution(
-        eigenvalue=freq * freq, config=config, freq=freq,
-        alpha=1.0 - (measure.n + measure.k) / 2.0,
-        amp_left=A, amp_right=B, nonlocal_c=c,
-        du_left=du_left, du_right=du_right,
-        normalization=1.0, bracket_dirichlet=bracket,
-        mean_residual=mean_res, matching_residual=match_res,
-        single_signed=ok_l and ok_r,
-        profiles=profiles, u_left_at=u_left, u_right_at=u_right)
+    return _solve_pair(config, _power_family(config.measure))
 
 
 def solve(config: PairConfig) -> TwistedSolution:

@@ -104,7 +104,7 @@ class Rearranged:
         n = n or len(star.values)
         if self.measure.is_gaussian:
             a = measures.k_gauss_inv(total)
-            cut = numerics.gauss_tail_cut(a, nu=0.0).cut
+            cut = numerics.gauss_tail_cut(a)
             edges = np.linspace(a, cut, n + 1)
             x = 0.5 * (edges[:-1] + edges[1:])
             vals = star(0.5 * erfc(x))
@@ -191,7 +191,7 @@ def _sharp_norm_by_quadrature(rearranged: Rearranged, measure: MeasureSpec,
     npts = 2 * oversample * len(star.values) + 1
     if measure.is_gaussian:
         a = measures.k_gauss_inv(total)
-        cut = numerics.gauss_tail_cut(a, nu=0.0).cut
+        cut = numerics.gauss_tail_cut(a)
         x = np.linspace(a, cut, npts)
         vals = star(0.5 * erfc(x)) ** p * measures.gauss_weight_1d(x)
         return _simpson(vals, x[1] - x[0])

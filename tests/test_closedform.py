@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistspec import closedform, measures, oracle, specfun
 from twistspec.errors import DomainError, NumericalError
 from twistspec.measures import MeasureSpec
+
+from quadrature import gauss_tail, integrate
 
 PI2 = math.pi ** 2
 
@@ -50,6 +52,12 @@ class TestDirichletGauss:
                            match=r"nu \[1.5, 8.9348\] for L=2"):
             closedform.dirichlet_halfspace_gauss(2.0)
 
+    def test_second_value_at_origin(self):
+        # H_nu(0) vanishes at the odd degrees: nu = 1, then nu = 3
+        lam1 = closedform.dirichlet_halfspace_gauss(0.0)
+        assert closedform.second_dirichlet_halfspace_gauss(
+            0.0, lam1) == pytest.approx(6.0, abs=1e-10)
+
     def test_offset_just_below_switch(self):
         assert closedform.dirichlet_halfspace_gauss(4.9) == pytest.approx(
             34.31965943626952, rel=1e-10)
@@ -89,16 +97,14 @@ def _dirichlet_by_fine_scan(L):
 
 
 def _gauss_mean_by_quadrature(nu, a):
-    from twistspec.numerics import gauss_tail_cut, integrate
     h_a = specfun.hermite_value(nu, a)
     return integrate(
         lambda t: (specfun.hermite_value(nu, t) - h_a)
         * measures.gauss_weight_1d(t),
-        a, math.inf, tol=1e-13, tail=gauss_tail_cut(a), vectorized=True).value
+        a, math.inf, tol=1e-13, tail=gauss_tail(a), vectorized=True).value
 
 
 def _power_mean_by_quadrature(order, freq, X):
-    from twistspec.numerics import integrate
     g_X = closedform._g_profile(order, freq, X)
     scale = X ** (2 * order + 2) * abs(closedform._g_profile(order, freq, 0.0))
     return integrate(
@@ -119,8 +125,8 @@ class TestMeanIdentities:
         # bounds the agreement instead.
         for a in np.linspace(0.0, 4.5, 19):
             a = float(a)
-            h_a = specfun.hermite_value(nu, a)
-            exact = closedform._gauss_mean(nu, a, h_a)
+            h_a, hm_a = closedform._gauss_state(nu, a)
+            exact = closedform._gauss_mean(nu, a, h_a, hm_a)
             larger = max(
                 abs(math.exp(-a * a) / math.sqrt(math.pi)
                     * specfun.hermite_value(nu - 1.0, a)),
@@ -134,8 +140,8 @@ class TestMeanIdentities:
         j1 = specfun.bessel_first_zero(order)
         for X in (0.3, 1.0, 2.5):
             for freq in (0.6 * j1 / X, j1 / X, 1.4 * j1 / X):
-                g_X = closedform._g_profile(order, freq, X)
-                exact = closedform._power_mean(order, freq, X, g_X)
+                g_X, j_next = closedform._power_state(order, freq, X)
+                exact = closedform._power_mean(order, freq, X, g_X, j_next)
                 assert exact == pytest.approx(
                     _power_mean_by_quadrature(order, freq, X), rel=1e-11)
 
@@ -213,33 +219,31 @@ class TestTwistedPairGauss:
             assert c1 == pytest.approx(c2, rel=1e-8, abs=1e-12)
 
     def test_normalization(self):
-        from twistspec.numerics import gauss_tail_cut, integrate
         cfg = measures.config_from_split(MeasureSpec.gaussian(1), 0.5, 0.41)
         sol = closedform.twisted_pair_gauss(cfg)
         L, R = cfg.left_param, cfg.right_param
         left = integrate(
             lambda t: np.asarray([sol.u_left_at(-x) ** 2 for x in t])
             * measures.gauss_weight_1d(t),
-            L, math.inf, tail=gauss_tail_cut(L), vectorized=True)
+            L, math.inf, tail=gauss_tail(L), vectorized=True)
         right = integrate(
             lambda t: np.asarray([sol.u_right_at(x) ** 2 for x in t])
             * measures.gauss_weight_1d(t),
-            R, math.inf, tail=gauss_tail_cut(R), vectorized=True)
+            R, math.inf, tail=gauss_tail(R), vectorized=True)
         assert left.value + right.value == pytest.approx(1.0, rel=1e-8)
 
     def test_zero_weighted_mean_of_eigenfunction(self):
-        from twistspec.numerics import gauss_tail_cut, integrate
         cfg = measures.config_from_split(MeasureSpec.gaussian(1), 0.6, 0.37)
         sol = closedform.twisted_pair_gauss(cfg)
         L, R = cfg.left_param, cfg.right_param
         left = integrate(
             lambda t: np.asarray([sol.u_left_at(-x) for x in t])
             * measures.gauss_weight_1d(t),
-            L, math.inf, tail=gauss_tail_cut(L), vectorized=True)
+            L, math.inf, tail=gauss_tail(L), vectorized=True)
         right = integrate(
             lambda t: np.asarray([sol.u_right_at(x) for x in t])
             * measures.gauss_weight_1d(t),
-            R, math.inf, tail=gauss_tail_cut(R), vectorized=True)
+            R, math.inf, tail=gauss_tail(R), vectorized=True)
         assert abs(left.value + right.value) <= 1e-8
 
     def test_ode_residual(self):
@@ -265,12 +269,14 @@ class TestTwistedPairGauss:
     def test_profiles_signed_and_vanish_at_boundary(self):
         cfg = measures.config_from_split(MeasureSpec.gaussian(1), 0.5, 0.42)
         sol = closedform.twisted_pair_gauss(cfg)
-        left, right = sol.profiles
-        assert left.component == "left" and right.component == "right"
-        assert left.evaluate(0.0) == pytest.approx(0.0, abs=1e-12)
-        assert right.evaluate(0.0) == pytest.approx(0.0, abs=1e-12)
-        assert {left.sign, right.sign} == {"positive", "negative"}
-        assert left.sign == "positive"  # orientation convention
+        L, R = cfg.left_param, cfg.right_param
+        assert sol.u_left_at(-L) == pytest.approx(0.0, abs=1e-12)
+        assert sol.u_right_at(R) == pytest.approx(0.0, abs=1e-12)
+        ts = np.linspace(1e-3, 4.0, 64)
+        left = np.array([sol.u_left_at(-L - t) for t in ts])
+        right = np.array([sol.u_right_at(R + t) for t in ts])
+        assert np.all(left > 0.0)   # orientation convention
+        assert np.all(right < 0.0)
         assert sol.single_signed
 
 
@@ -361,6 +367,188 @@ class TestTwistedPairPower:
         assert not sol.single_signed
         lam_o = oracle.twisted_eig(oracle.power_pair_domain(cfg))
         assert sol.eigenvalue == pytest.approx(lam_o.eigenvalues[0], rel=1e-3)
+
+
+def _progressive_scan_lambda(cfg):
+    """Reference: the smallest determinant root on the whole Dirichlet
+    bracket by 32-, 192- and 1024-step scans, then Brent (the pair solver's
+    root search before the interlacing bracket)."""
+    from twistspec.numerics import find_root, scan_sign_change
+    fam = (closedform._GAUSS if cfg.measure.is_gaussian
+           else closedform._power_family(cfg.measure))
+    L, R = cfg.left_param, cfg.right_param
+    lams = (fam.dirichlet(L), fam.dirichlet(R))
+    lo, hi = fam.x_of(min(lams)), fam.x_of(max(lams))
+
+    def D(x):
+        (pL, qL), (pR, qR) = fam.state(x, L), fam.state(x, R)
+        return fam.mean(x, L, pL, qL) * pR + fam.mean(x, R, pR, qR) * pL
+
+    eps = 1e-10 * max(1.0, abs(lo))
+    for steps in (32, 192, 1024):
+        br = scan_sign_change(D, lo + eps, hi, steps)
+        if br is not None:
+            return fam.lam(find_root(D, br, tol=1e-13))
+    raise AssertionError(f"no determinant root for {cfg}")
+
+
+def _second_dirichlet_value(cfg):
+    """Reference second Dirichlet value of the larger component: a 0.05-step
+    degree scan (gaussian) or scipy's J_b (power), then Brent."""
+    from scipy.optimize import brentq
+    from scipy.special import jv
+    L, R = cfg.left_param, cfg.right_param
+    if cfg.measure.is_gaussian:
+        a = min(L, R)
+        nu1 = closedform.dirichlet_halfspace_gauss(a) / 2.0
+        f = lambda nu: specfun.hermite_value(nu, a)  # noqa: E731
+        nus = np.arange(nu1 + 0.5, nu1 + 30.0, 0.05)
+        vals = [f(float(nu)) for nu in nus]
+        i = next(i for i in range(len(nus) - 1) if vals[i] * vals[i + 1] <= 0)
+        return 2.0 * brentq(f, nus[i], nus[i + 1], xtol=1e-14)
+    b = cfg.measure.profile_order
+    xs = np.arange(b + 0.5, b + 20.0, 0.05)
+    vals = jv(b, xs)
+    hits = [i for i in range(len(xs) - 1) if vals[i] * vals[i + 1] <= 0]
+    j2 = brentq(lambda x: jv(b, x), xs[hits[1]], xs[hits[1] + 1], xtol=1e-14)
+    return (j2 / max(L, R)) ** 2
+
+
+# The gaussian pair the `lemma` suite draws (seed 0), where D has two roots
+# in the Dirichlet bracket and equal signs at its ends.
+LEMMA_PAIR = (float.fromhex("0x1.94b712619868cp+0"),
+              float.fromhex("0x1.7f8116f96560ep-2"))
+
+BRACKET_FAMILIES = (MeasureSpec.gaussian(1), MeasureSpec.power(3, 0.0),
+                    MeasureSpec.power(3, 2.0), MeasureSpec.power(2, 1.0),
+                    MeasureSpec.power(2, 0.5))
+
+
+class TestInterlacingBracket:
+    """The root on (Lambda_1, Lambda_2] is the one the progressive scan over
+    the whole Dirichlet bracket finds."""
+
+    def _check(self, cfg):
+        sol = closedform.solve(cfg)
+        lam1, lam_hi = sol.bracket_dirichlet
+        lam2 = min(lam_hi, _second_dirichlet_value(cfg))
+        assert lam1 < sol.eigenvalue <= lam2 * (1.0 + 1e-14)
+        assert sol.eigenvalue == pytest.approx(_progressive_scan_lambda(cfg),
+                                               rel=1e-12)
+        return lam2 < lam_hi
+
+    def test_lemma_pair_needs_the_cap(self):
+        cfg = measures.PairConfig(MeasureSpec.gaussian(1), *LEMMA_PAIR)
+        lam1, lam_hi = closedform.solve(cfg).bracket_dirichlet
+        assert 1.478 < lam1 / 2 and lam_hi / 2 < 3.826
+        assert self._check(cfg)
+
+    @pytest.mark.parametrize("total", [0.5, 3.0, 40.0])
+    def test_power_split_beyond_zero_ratio(self, total):
+        # R_max/R_min = 9^{1/3} > j_{1/2,2}/j_{1/2,1} = 2
+        m = MeasureSpec.power(3, 0.0)
+        cfg = measures.config_from_split(m, total, 0.1)
+        assert max(cfg.left_param, cfg.right_param) / min(
+            cfg.left_param, cfg.right_param) > 2.0
+        assert self._check(cfg)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.sampled_from(BRACKET_FAMILIES),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=1.0))
+    def test_matches_progressive_scan(self, measure, u_mass, u_split):
+        if measure.is_gaussian:
+            total = 10.0 ** (-6.0 + 6.0 * u_mass) * 0.99
+            lo, hi = measures.gaussian_split_window(total)
+            # keep the smaller mass >= 1e-10 (offset below about 4.5)
+            lo = max(lo, 1e-10 / total)
+            hi = min(hi, 1.0 - 1e-10 / total)
+        else:
+            total = 10.0 ** (-1.0 + 3.0 * u_mass)
+            lo, hi = 0.01, 0.99
+        s = lo + u_split * (hi - lo)
+        assume(abs(s - 0.5) > 1e-6)     # symmetric pairs take no root search
+        self._check(measures.config_from_split(measure, total, s))
+
+
+class TestSingleSignedEdge:
+    def test_power_window_edge(self):
+        # f R_max / j_{b+1,1} = 1.00132: the larger profile has a thin
+        # opposite-sign shell that 64-point sampling misses
+        m = MeasureSpec.power(3, 2.0)
+        b = m.profile_order
+        for s in (0.18, 0.82):
+            cfg = measures.config_from_split(m, 5.0, s)
+            sol = closedform.twisted_pair_power(cfg)
+            big = max(cfg.left_param, cfg.right_param)
+            ratio = sol.freq * big / specfun.bessel_first_zero(b + 1.0)
+            assert 1.0013 < ratio < 1.0014
+            assert not sol.single_signed
+            u = sol.u_left_at if cfg.left_param == big else sol.u_right_at
+            vals = np.array([u(float(r)) for r in np.linspace(0.0, big, 4001)])
+            peak = np.max(np.abs(vals))
+            minority = min(vals.max(), -vals.min())
+            assert 1e-6 < minority / peak < 5e-6
+
+    def test_gaussian_flag_flips_at_lambda1_plus_two(self):
+        from scipy.optimize import brentq
+        g, total = MeasureSpec.gaussian(1), 0.31
+
+        def solve(s):
+            return closedform.twisted_pair_gauss(
+                measures.config_from_split(g, total, s))
+
+        def excess(s):
+            sol = solve(s)
+            return sol.eigenvalue - sol.bracket_dirichlet[0] - 2.0
+
+        s_edge = brentq(excess, 0.1264, 0.2073, xtol=1e-13)
+        assert not solve(s_edge - 1e-6).single_signed
+        assert solve(s_edge + 1e-6).single_signed
+        # dense samples of the larger (right) component on both sides
+        for s, two_signed in ((0.1668, True), (0.2073, False)):
+            sol = solve(s)
+            assert sol.single_signed is not two_signed
+            R = sol.config.right_param
+            vals = np.array([sol.u_right_at(R + float(t))
+                             for t in np.linspace(0.0, 6.0, 4001)[1:]])
+            assert np.all(vals < 0.0) is not two_signed
+
+
+class TestPowerNormalization:
+    # 30-digit references of int_0^X (g(r) - g(X))^2 r^{2b+1} dr at b = 1/4
+    # (n=2, k=1/2), g(r) = r^{-b} J_b(f r), computed with mpmath 1.3.0:
+    #   mp.mp.dps = 40; b = mp.mpf(1)/4
+    #   g = lambda r: (f/2)**b * mp.besselj(b, f*r) / (f*r/2)**b
+    #   mp.quad(lambda r: (g(r) - g(X))**2 * r**(2*b+1), [0, X])
+    # (Lommel's closed form in mpmath agrees to all 30 digits).  The fixed
+    # 40-point panel quadrature this replaces was 9.3e-9 and 7.9e-9 off:
+    # r^{n+k-1} = r^{3/2} is not smooth at the origin.
+    @pytest.mark.parametrize("f,X,ref", [
+        (2.75, 1.0, 0.113072169779521541569588688472),
+        (1.5, 1.3, 0.0732695752407275443862492548677),
+    ])
+    def test_lommel_square_integral_order_quarter(self, f, X, ref):
+        state = closedform._power_state(0.25, f, X)
+        got = closedform._power_square_integral(0.25, f, X, *state)
+        assert abs(got - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("order", [0.5, 1.5, 3.0])
+    def test_lommel_against_quadrature(self, order):
+        # smooth weights: the adaptive reference is exact to round-off
+        j1 = specfun.bessel_first_zero(order)
+        for X in (0.3, 1.0, 2.5):
+            for freq in (0.2 * j1 / X, j1 / X, 1.4 * j1 / X):
+                g_X = closedform._g_profile(order, freq, X)
+                scale = X ** (2 * order + 2) * closedform._g_profile(
+                    order, freq, 0.0) ** 2
+                ref = integrate(
+                    lambda r: (closedform._g_profile(order, freq, r) - g_X) ** 2
+                    * r ** (2 * order + 1),
+                    0.0, X, tol=1e-14 * scale, vectorized=True)
+                state = closedform._power_state(order, freq, X)
+                got = closedform._power_square_integral(order, freq, X, *state)
+                assert got == pytest.approx(ref.value, rel=1e-11)
 
 
 class TestGradientGap:
