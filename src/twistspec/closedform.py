@@ -43,8 +43,11 @@ The weighted mean integrals inside D are exact: from
 (e^{-t^2} H_{nu-1})' = -e^{-t^2} H_nu on the Gaussian side and from
 int_0^X r^{b+1} J_b(f r) dr = X^{b+1} J_{b+1}(f X)/f (DLMF 10.22.1) on the
 power side, so D costs four scalar special-function calls.  The power
-normalization is exact as well (Lommel, DLMF 10.22.5); only the gaussian
-normalization, computed once per solve, uses quadrature.
+normalization is exact as well (Lommel, DLMF 10.22.5), and so is the
+gaussian one: the Lagrange identity in the degree,
+int_a^inf H_nu^2 e^{-t^2} dt = e^{-a^2} (H_nu dH_nu' - H_nu' dH_nu)(a) / 2
+with d = d/dnu, needs the Hermite function and its degree derivative at the
+boundary only.  No solve uses quadrature.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import measures, numerics, specfun
-from .errors import DomainError, NumericalError
+from .errors import AccuracyError, DomainError, NumericalError
 from .measures import MeasureSpec, PairConfig
 
 
@@ -147,35 +150,6 @@ def second_dirichlet_halfspace_gauss(L: float, lam1: float) -> float:
                         0.5 * ((L + 1.0) ** 2 - 1.0 + 4.0 * math.pi ** 2))
 
 
-_GL_ORDER = 40
-_GL_PANEL_LEN = 1.5
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
-
-
-@lru_cache(maxsize=512)
-def _gauss_grid(a: float) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes on [a, T] (T the tail cut), panels no
-    longer than _GL_PANEL_LEN and a forced panel boundary at the Hermite
-    series/asymptotic seam, with the Gaussian weight folded into the
-    weights.  Spectrally accurate on the entire profiles integrated here."""
-    T = numerics.gauss_tail_cut(a)
-    seam = specfun.HERMITE_SWITCH_T
-    segs = [(a, seam), (seam, T)] if a < seam < T else [(a, T)]
-    nodes, weights = [], []
-    for lo, hi in segs:
-        n_panels = max(1, int(math.ceil((hi - lo) / _GL_PANEL_LEN)))
-        bounds = np.linspace(lo, hi, n_panels + 1)
-        for p_lo, p_hi in zip(bounds[:-1], bounds[1:]):
-            mid, half = 0.5 * (p_lo + p_hi), 0.5 * (p_hi - p_lo)
-            nodes.append(mid + half * _GL_NODES)
-            weights.append(half * _GL_WEIGHTS)
-    ts = np.concatenate(nodes)
-    gw = np.concatenate(weights) * measures.gauss_weight_1d(ts)
-    ts.setflags(write=False)
-    gw.setflags(write=False)
-    return ts, gw
-
-
 def _gauss_state(nu: float, a: float) -> tuple[float, float]:
     """(H_nu(a), H_{nu-1}(a))."""
     return specfun.hermite_value(nu, a), specfun.hermite_value(nu - 1.0, a)
@@ -188,10 +162,17 @@ def _gauss_mean(nu: float, a: float, h: float, hm: float) -> float:
 
 
 def _gauss_square_integral(nu: float, a: float, h: float, hm: float) -> float:
-    """int_a^inf (H_nu(t) - H_nu(a))^2 d gamma_1, by quadrature."""
-    ts, gw = _gauss_grid(a)
-    diff = specfun.hermite_value(nu, ts) - h
-    return float(np.dot(gw, diff * diff))
+    """int_a^inf (H_nu(t) - H_nu(a))^2 d gamma_1, with h = H_nu(a) and
+    hm = H_{nu-1}(a): S_2 - 2 h m_1 + h^2 erfc(a)/2, where m_1 is the mean
+    integral e^{-a^2} hm / sqrt(pi) and S_2 = int_a^inf H_nu^2 d gamma_1
+    comes from the Lagrange identity: differentiating
+    (e^{-t^2} H_nu')' = -2 nu e^{-t^2} H_nu in nu gives
+    (e^{-t^2} (H_nu' dH_nu - H_nu dH_nu'))' = 2 e^{-t^2} H_nu^2, d = d/dnu,
+    so S_2 = e^{-a^2} (H_nu dH_nu' - H_nu' dH_nu)(a) / (2 sqrt(pi))."""
+    H, Hp, dH, dHp = specfun._hermite_jet(nu, a)
+    w = math.exp(-a * a) / specfun.SQRT_PI
+    return 0.5 * w * (H * dHp - Hp * dH) - 2.0 * h * w * hm \
+        + 0.5 * h * h * math.erfc(a)
 
 
 def _gauss_cap(a: float, lam1: float, lam_hi: float) -> float:
@@ -239,8 +220,14 @@ def _first_bessel_zero(order: float) -> float:
 
 @lru_cache(maxsize=64)
 def _second_bessel_zero(order: float) -> float:
-    """j_{order,2}, found once per profile order."""
-    return float(specfun.bessel_zeros(order, 2)[1])
+    """min(j_{order,2}, BESSEL_SERIES_RMAX), found once per profile order:
+    D needs the Bessel series at f a, so the cap f a <= j_{order,2} of the
+    pair bracket is never taken beyond the series ceiling."""
+    ceiling = specfun.BESSEL_SERIES_RMAX
+    try:
+        return min(float(specfun.bessel_zeros(order, 2)[1]), ceiling)
+    except AccuracyError:     # j_{order,2} lies beyond the ceiling
+        return ceiling
 
 
 def _g_profile(order: float, freq: float,
@@ -348,9 +335,7 @@ def _power_family(measure: MeasureSpec) -> _Family:
     j1 = _first_bessel_zero(b)
 
     def cap(a: float, lam1: float, lam_hi: float) -> float:
-        # D needs the Bessel series at f a <= BESSEL_SERIES_RMAX
-        return min(lam_hi, (_second_bessel_zero(b) / a) ** 2,
-                   (specfun.BESSEL_SERIES_RMAX / a) ** 2)
+        return min(lam_hi, (_second_bessel_zero(b) / a) ** 2)
 
     return _Family(
         name="power", weight=measure.angular_constant,

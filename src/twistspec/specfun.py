@@ -21,9 +21,15 @@ evaluator switches to the algebraic large-argument expansion
 
     H_nu(t) = (2t)^nu sum_k (-1)^k (-nu)_{2k} / (k! (2t)^{2k}),
 
-with (a)_m the rising factorial.  The expansion is valid only on the +t
-branch: for non-integer nu, H_nu(-t) grows like exp(t^2) and is evaluated by
-the series, which is then free of cancellation.
+with (a)_m the rising factorial, summed until its terms stop shrinking.  The
+expansion is valid only on the +t branch: for non-integer nu, H_nu(-t) grows
+like exp(t^2) and is evaluated by the series, which is then free of
+cancellation.
+
+The degree derivative d/dnu H_nu, which the Lagrange identity for
+int H_nu^2 e^{-t^2} needs, differentiates the Kummer combination term by
+term; its Gamma coefficients go through 1/Gamma, which is entire, so integer
+degrees need no special case.
 
 Each branch (polynomial, Kummer pair, large-t expansion, Bessel series) is
 one kernel in broadcasting float arithmetic: a plain float runs it in
@@ -37,6 +43,7 @@ finder.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,10 +55,13 @@ from .errors import AccuracyError, DomainError, NumericalError
 SQRT_PI = math.sqrt(math.pi)
 
 # Switch from the Kummer combination to the large-t expansion.  z = t^2 = 25
-# keeps the series' cancellation below ~1e-9 relative while the N=4 tail of
-# the expansion is already ~1e-9; the handoff is tested explicitly.
+# keeps the series' cancellation below ~1e-9 relative, while the smallest
+# term of the expansion is already below 1e-15 of its sum for degrees >= 1
+# and 2e-11 for degrees >= -1; the handoff is tested explicitly.
 HERMITE_SWITCH_T = 5.0
-HERMITE_ASYMPT_TERMS = 4
+# The large-t expansion raises AccuracyError where its smallest term exceeds
+# this fraction of its sum: the accuracy of the series at the switch point.
+HERMITE_ASYMPT_RTOL = 1e-9
 INTEGER_NU_TOL = 1e-9
 
 KUMMER_MAX_TERMS = 500
@@ -65,6 +75,9 @@ SERIES_FLOOR = 1e-300
 BESSEL_SERIES_RMAX = 16.0
 # Grid spacing of the Bessel zero scans.
 ZERO_SCAN_STEP = 0.05
+# McMahon's expansion is used for a zero only where its first omitted term
+# is below this fraction of the zero.
+MCMAHON_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -127,14 +140,6 @@ def kummer_m(a: float, b: float, z: float) -> float:
     return _kummer_pair(a, b, a, b, float(z))[0]
 
 
-def _poch_rising(a: float, m: int) -> float:
-    """Rising factorial a (a+1) ... (a+m-1)."""
-    out = 1.0
-    for j in range(m):
-        out *= a + j
-    return out
-
-
 def _hermite_poly(n: int, t):
     """Physicists' Hermite polynomial by the three-term recurrence."""
     if n == 0:
@@ -164,15 +169,151 @@ def _hermite_series(nu: float, t):
     return coeff_a * phi1 + coeff_b * t * phi2
 
 
-def _hermite_asympt(nu: float, t):
-    """Large positive-t expansion, truncated after HERMITE_ASYMPT_TERMS."""
-    two_t = 2.0 * t
-    inv = 1.0 / (two_t * two_t)
+def _digamma(x: float) -> float:
+    """psi(x), x > 0: the recurrence psi(x) = psi(x + 1) - 1/x up to x >= 10,
+    then the asymptotic series through B_12."""
     acc = 0.0
-    for k in range(HERMITE_ASYMPT_TERMS, 0, -1):
-        ck = (-1.0) ** k * _poch_rising(-nu, 2 * k) / math.factorial(k)
-        acc = (acc + ck) * inv
-    return two_t ** nu * (1.0 + acc)
+    while x < 10.0:
+        acc -= 1.0 / x
+        x += 1.0
+    y = 1.0 / (x * x)
+    tail = y * (1.0 / 12.0 - y * (1.0 / 120.0 - y * (1.0 / 252.0 - y * (
+        1.0 / 240.0 - y * (1.0 / 132.0 - y * (691.0 / 32760.0))))))
+    return acc + math.log(x) - 0.5 / x - tail
+
+
+def _rgamma_jet(x: float) -> tuple[float, float]:
+    """1/Gamma(x) and its derivative.  Below x = 1/2 by reflection,
+    1/Gamma(x) = Gamma(1-x) sin(pi x)/pi, whose derivative
+    Gamma(1-x) (pi cos(pi x) - sin(pi x) psi(1-x))/pi is smooth through the
+    poles of Gamma; sin and cos take the argument reduced to [-1/2, 1/2], so
+    1/Gamma vanishes exactly at the poles."""
+    if x >= 0.5:
+        r = 1.0 / math.gamma(x)
+        return r, -_digamma(x) * r
+    n = round(x)
+    sign = -1.0 if n % 2 else 1.0
+    sin_px = sign * math.sin(math.pi * (x - n))
+    cos_px = sign * math.cos(math.pi * (x - n))
+    g = math.gamma(1.0 - x) / math.pi
+    return g * sin_px, g * (math.pi * cos_px - sin_px * _digamma(1.0 - x))
+
+
+def _hermite_jet(nu: float, t: float) -> tuple[float, float, float, float]:
+    """(H_nu, H_nu', d/dnu H_nu, d/dnu H_nu') at a float t < HERMITE_SWITCH_T.
+
+    The Kummer combination differentiated term by term: one fused
+    compensated loop sums M, dM/da, dM/dz and d2M/da dz for both series,
+    with dt_{m+1} = (dt_m (a+m) + t_m) z / ((b+m)(m+1)) the a-derivative of
+    the term t_m; the z-derivative terms are t_{m+1}, dt_{m+1} before their
+    factor z/(m+1).  Same term budget and stop test as _kummer_pair."""
+    z = t * t
+    budget = _iteration_budget(z)
+    # per series (a, b): term, a-derivative of the term, and the compensated
+    # sums of M, M_a, M_z, M_az with their Kahan corrections
+    a1, a2 = -nu / 2.0, (1.0 - nu) / 2.0
+    t1 = t2 = 1.0
+    d1 = d2 = 0.0
+    m1 = m2 = 1.0
+    m1a = m2a = m1z = m2z = m1az = m2az = 0.0
+    k1 = k2 = k1a = k2a = k1z = k2z = k1az = k2az = 0.0
+    for m in range(KUMMER_MAX_TERMS):
+        q1, q2 = 1.0 / (0.5 + m), 1.0 / (1.5 + m)
+        z1, z2 = t1 * (a1 + m) * q1, t2 * (a2 + m) * q2
+        za1 = (d1 * (a1 + m) + t1) * q1
+        za2 = (d2 * (a2 + m) + t2) * q2
+        zm = z / (m + 1.0)
+        t1, t2, d1, d2 = z1 * zm, z2 * zm, za1 * zm, za2 * zm
+        y = t1 - k1
+        s = m1 + y
+        k1, m1 = (s - m1) - y, s
+        y = t2 - k2
+        s = m2 + y
+        k2, m2 = (s - m2) - y, s
+        y = d1 - k1a
+        s = m1a + y
+        k1a, m1a = (s - m1a) - y, s
+        y = d2 - k2a
+        s = m2a + y
+        k2a, m2a = (s - m2a) - y, s
+        y = z1 - k1z
+        s = m1z + y
+        k1z, m1z = (s - m1z) - y, s
+        y = z2 - k2z
+        s = m2z + y
+        k2z, m2z = (s - m2z) - y, s
+        y = za1 - k1az
+        s = m1az + y
+        k1az, m1az = (s - m1az) - y, s
+        y = za2 - k2az
+        s = m2az + y
+        k2az, m2az = (s - m2az) - y, s
+        if m >= budget:
+            err = (abs(t1) + abs(t2) + abs(d1) + abs(d2) + abs(z1) + abs(z2)
+                   + abs(za1) + abs(za2))
+            if err <= SERIES_RTOL * (abs(m1) + abs(m2) + abs(m1a) + abs(m2a)
+                                     + abs(m1z) + abs(m2z) + abs(m1az)
+                                     + abs(m2az) + SERIES_FLOOR):
+                break
+    else:
+        raise AccuracyError(
+            f"hermite degree-derivative series did not converge within "
+            f"{KUMMER_MAX_TERMS} terms (z = {z:g})")
+    # H = cA M1 + cB t M2, cA = 2^nu sqrt(pi)/Gamma((1-nu)/2),
+    # cB = -2^{nu+1} sqrt(pi)/Gamma(-nu/2); d/dnu acts on the coefficients
+    # and, with da/dnu = -1/2, on both series
+    scale = 2.0 ** nu * SQRT_PI
+    rA, drA = _rgamma_jet(a2)
+    rB, drB = _rgamma_jet(a1)
+    cA, cB = scale * rA, -2.0 * scale * rB
+    dcA = math.log(2.0) * cA - 0.5 * scale * drA
+    dcB = math.log(2.0) * cB + scale * drB
+    h = cA * m1 + cB * t * m2
+    hp = 2.0 * t * cA * m1z + cB * (m2 + 2.0 * z * m2z)
+    h_nu = dcA * m1 + dcB * t * m2 - 0.5 * (cA * m1a + cB * t * m2a)
+    hp_nu = (2.0 * t * (dcA * m1z - 0.5 * cA * m1az)
+             + dcB * (m2 + 2.0 * z * m2z)
+             - 0.5 * cB * (m2a + 2.0 * z * m2az))
+    return h, hp, h_nu, hp_nu
+
+
+def _hermite_asympt(nu: float, t):
+    """Large positive-t expansion, summed term by term until a term drops
+    below SERIES_RTOL of the sum or, once the terms are past their growing
+    phase (2k > nu + 2), grows again; the smallest term then estimates the
+    truncation error, which must stay below HERMITE_ASYMPT_RTOL of the sum.
+
+    Per-element stops are masks multiplied into the terms, so a float and
+    an array take the same arithmetic."""
+    vec = isinstance(t, np.ndarray)
+    inv = 0.25 / (t * t)
+    total = 1.0 + 0.0 * inv
+    term = prev = 1.0
+    est = 0.0 * inv             # smallest term, where the terms grew again
+    live = np.ones(np.shape(t), dtype=bool) if vec else True
+    # The loop ends: past 2k = nu + 2 the term ratio
+    # (2k - 2 - nu)(2k - 1 - nu) / (4 t^2 k) increases without bound.
+    for k in itertools.count(1):
+        term = term * ((2 * k - 2 - nu) * (2 * k - 1 - nu) / -k) * inv
+        mag = abs(term)
+        if 2 * k > nu + 2:
+            grew = live & (mag > prev)
+            est = est + prev * grew
+            live = live & (mag <= prev)
+        total = total + term * live
+        live = live & (mag > SERIES_RTOL * abs(total))
+        if not (live.any() if vec else live):
+            break
+        prev = mag
+    bad = est > HERMITE_ASYMPT_RTOL * abs(total)
+    if bad.any() if vec else bad:
+        i = int(np.argmax(est / abs(total))) if vec else None
+        t_bad, e_bad = (float(t[i]), float(est[i])) if vec else (t, est)
+        raise AccuracyError(
+            f"large-t Hermite expansion: smallest term {e_bad:.3g} of the "
+            f"leading term exceeds {HERMITE_ASYMPT_RTOL:g} of the sum at "
+            f"nu={nu:g}, t={t_bad:g}", estimate=e_bad)
+    return (2.0 * t) ** nu * total
 
 
 def _is_nonneg_int(nu: float) -> bool:
@@ -340,27 +481,40 @@ def bessel_first_zero(order: float, kind: str = "of_J") -> float:
     return numerics.find_root(f, br, tol=1e-13)
 
 
-def _mcmahon_zero(order: float, h: int) -> float:
-    """McMahon expansion for j_{order,h}; ~1e-8 absolute already at h=5."""
+def _mcmahon_zero(order: float, h: int) -> tuple[float, float]:
+    """McMahon's expansion for j_{order,h} through (8a)^{-7} (DLMF 10.21.19),
+    and its first omitted term, which estimates the error: against
+    40-digit zeros its ratio to the error lies within 15 % of 1 for orders
+    0 to 5 at h = 3 to 8."""
     a = (h + order / 2.0 - 0.25) * math.pi
     mu = 4.0 * order * order
     e = 8.0 * a
-    return (a
+    zero = (a
             - (mu - 1.0) / e
             - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * e ** 3)
             - 32.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0)
-            / (15.0 * e ** 5))
+            / (15.0 * e ** 5)
+            - 64.0 * (mu - 1.0) * (((6949.0 * mu - 153855.0) * mu
+                                    + 1585743.0) * mu - 6277237.0)
+            / (105.0 * e ** 7))
+    nxt = (-512.0 * (mu - 1.0) * ((((70197.0 * mu - 2479316.0) * mu
+                                     + 48010494.0) * mu - 512062548.0) * mu
+                                   + 2092163573.0)
+           / (315.0 * e ** 9))
+    return zero, nxt
 
 
 def bessel_zeros(order: float, count: int) -> np.ndarray:
     """First `count` positive zeros of J_order.
 
-    Zeros inside the series region are bracketed on one vector evaluation
-    over a ZERO_SCAN_STEP grid and refined with Brent; far zeros use the
-    McMahon expansion, whose error decays like h^{-7} and is far below what
-    the infinite-product cross-check can resolve.
+    Zeros up to the series ceiling BESSEL_SERIES_RMAX are bracketed on one
+    vector evaluation over a ZERO_SCAN_STEP grid and refined with Brent;
+    farther zeros use McMahon's expansion, and only where its first omitted
+    term is below MCMAHON_RTOL of the zero (large orders need large h):
+    anything else raises AccuracyError.
     """
-    xs = np.arange(max(order, 1e-6), BESSEL_SERIES_RMAX - 0.5, ZERO_SCAN_STEP)
+    xs = np.arange(max(order, 1e-6), BESSEL_SERIES_RMAX, ZERO_SCAN_STEP)
+    xs = np.append(xs[xs < BESSEL_SERIES_RMAX], BESSEL_SERIES_RMAX)
     vals = bessel_j_value(order, xs)
     f = lambda x: bessel_j_value(order, x)  # noqa: E731
     zeros = []
@@ -369,5 +523,12 @@ def bessel_zeros(order: float, count: int) -> np.ndarray:
                               float(vals[i]), float(vals[i + 1]))
         zeros.append(numerics.find_root(f, br, tol=1e-13))
     for h in range(len(zeros) + 1, count + 1):
-        zeros.append(_mcmahon_zero(order, h))
+        zero, nxt = _mcmahon_zero(order, h)
+        if abs(nxt) > MCMAHON_RTOL * zero:
+            raise AccuracyError(
+                f"bessel_zeros: zero {h} of J_{order:g} lies beyond the "
+                f"series ceiling {BESSEL_SERIES_RMAX:g}, where McMahon's "
+                f"expansion is good only to {abs(nxt) / zero:.2g} relative "
+                f"(> {MCMAHON_RTOL:g})", estimate=abs(nxt))
+        zeros.append(zero)
     return np.asarray(zeros[:count])

@@ -72,9 +72,8 @@ def suite_hermite(rng: np.random.Generator, fault: bool = False) -> list[CheckRe
     out.append(_r("hermite", "parity", worst <= 1e-12,
                   f"worst parity defect {worst:.2e}"))
 
-    # Degrees below ~1.5 cannot reach 1e-8 with the N=4 expansion at any
-    # switch point (truncation/cancellation crossover); the solvers only
-    # evaluate the asymptotic branch at degrees in this range.
+    # The gap measures the series' cancellation at the switch point: the
+    # expansion, summed to its smallest term, is far more accurate there.
     t_sw = specfun.HERMITE_SWITCH_T
     worst = 0.0
     for nu in (1.7, 2.4, 3.6, 5.3, 7.7):

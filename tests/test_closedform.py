@@ -167,6 +167,15 @@ class TestDirichletPower:
         with pytest.raises(DomainError):
             closedform.dirichlet_halfball_power(MeasureSpec.power(1, 0.5), 1.0)
 
+    def test_second_zero_capped_at_series_ceiling(self):
+        # j_{5,2} (scipy jn_zeros) inside the series region; j_{8,2} = 16.04
+        # and j_{11,2} = 19.0 beyond it, where the pair bracket stops anyway
+        assert closedform._second_bessel_zero(5.0) == pytest.approx(
+            12.338604197466944, rel=1e-13)
+        for order in (8.0, 11.0):
+            assert closedform._second_bessel_zero(order) == \
+                specfun.BESSEL_SERIES_RMAX
+
 
 class TestTwistedPairGauss:
     def test_two_halflines(self):
@@ -549,6 +558,55 @@ class TestPowerNormalization:
                 state = closedform._power_state(order, freq, X)
                 got = closedform._power_square_integral(order, freq, X, *state)
                 assert got == pytest.approx(ref.value, rel=1e-11)
+
+
+class TestGaussNormalization:
+    # 30-digit references of int_a^inf (H_nu(t) - H_nu(a))^2 d gamma_1 at
+    # nu = lambda^D(a)/2 x {1.001, 1.2}, computed with mpmath 1.3.0:
+    #   mp.mp.dps = 30; ha = mp.hermite(nu, a)
+    #   mp.quad(lambda t: (mp.hermite(nu, t) - ha)**2 * mp.exp(-t*t),
+    #           [a, a+0.5, a+1, a+2, a+4, mp.inf]) / mp.sqrt(mp.pi)
+    # a = 4.9 sits just below the Hermite switch point, where the Kummer
+    # series that the identity differentiates cancels most.
+    @pytest.mark.parametrize("nu,a,ref", [
+        (1.6660196809439405, 0.5, 2.03381597162955776763426392391),
+        (1.9972263907419867, 0.5, 4.32950026021912309817648104192),
+        (6.491692924294882, 2.5, 44724.4280607902781898721697844),
+        (7.782249259893964, 2.5, 1587591.31746311849536985426319),
+        (10.279984812303043, 3.5, 2018749201.62378589603954376202),
+        (12.323658116647005, 3.5, 1280001936050.23671903478875473),
+        (12.528309831700811, 4.0, 2344048467684.4748946454253701),
+        (15.01895284519578, 4.0, 9875902024796002.76762945215861),
+        (17.17698954785295, 4.9, 16961795502889696099.398040553),
+        (20.591795661761783, 4.9, 4841955710830712833645149.80616),
+    ])
+    def test_lagrange_square_integral(self, nu, a, ref):
+        h, hm = closedform._gauss_state(nu, a)
+        got = closedform._gauss_square_integral(nu, a, h, hm)
+        assert abs(got - ref) <= 1e-11 * ref
+
+    def test_unit_norm_at_tiny_mass(self):
+        # offsets near 4.3, degree 14.2: the profiles reach into the large-t
+        # expansion (t >= 5), which needs more than four terms there.
+        # The amplitudes are pinned to the same mpmath quadrature as above
+        # (H_nu(R), -H_nu(L) over the square root of the weighted sum of
+        # the two square integrals); the unit norm checks that the profiles
+        # the solution hands out agree with that normalization.
+        cfg = measures.config_from_split(MeasureSpec.gaussian(1), 1e-9, 0.3)
+        sol = closedform.twisted_pair_gauss(cfg)
+        assert sol.nu == pytest.approx(14.208291928648624, rel=1e-13)
+        assert abs(sol.amp_left - 3.283541119104254646146656e-8) <= \
+            1e-12 * sol.amp_left
+        assert abs(sol.amp_right - 2.462031214994754770336147e-8) <= \
+            1e-12 * sol.amp_right
+        L, R = cfg.left_param, cfg.right_param
+        left = integrate(
+            lambda t: sol.u_left_at(-t) ** 2 * measures.gauss_weight_1d(t),
+            L, math.inf, tol=1e-12, tail=gauss_tail(L))
+        right = integrate(
+            lambda t: sol.u_right_at(t) ** 2 * measures.gauss_weight_1d(t),
+            R, math.inf, tol=1e-12, tail=gauss_tail(R))
+        assert abs(left.value + right.value - 1.0) <= 1e-10
 
 
 class TestGradientGap:

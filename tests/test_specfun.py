@@ -180,6 +180,72 @@ class TestScalarPath:
             specfun.bessel_j_value(-0.5, wrap(0.0))
 
 
+class TestDegreeDerivative:
+    # 25-digit references of d/dnu H_nu(t) and d/dnu H_nu'(t) from
+    # mpmath 1.3.0: mp.mp.dps = 30;
+    #   mp.diff(lambda n: mp.hermite(n, t), nu)
+    #   mp.diff(lambda n: 2 * n * mp.hermite(n - 1, t), nu)
+    @pytest.mark.parametrize("nu,t,dh,dhp", [
+        (0.37, 1.3, 1.450359727963557952429153, 1.414823785436071469868931),
+        (2.5, 0.0, 1.563692306979584773322596, -13.04137069401120614496071),
+        (6.2, 3.1, 31441.1525315269658459717, 127250.3398585869689558391),
+        (13.7, 4.6, 664619271823.0891646925514, 5283593729530.528195872444),
+        # integer degrees: the Gamma coefficients pass through their poles
+        (1.0, 0.0, -1.772453850905516027298167, 1.422784335098467139393488),
+        (1.0, 0.8, 0.2476186779414632646839792, 3.393158625987662247334121),
+        (2.0, 1.5, 4.596150858287802043442732, 17.9591103968242425372333),
+    ])
+    def test_against_mpmath(self, nu, t, dh, dhp):
+        h, hp, h_nu, hp_nu = specfun._hermite_jet(nu, t)
+        assert abs(h_nu - dh) <= 1e-11 * abs(dh)
+        assert abs(hp_nu - dhp) <= 1e-11 * abs(dhp)
+        assert h == pytest.approx(specfun.hermite_value(nu, t),
+                                  rel=1e-12, abs=1e-14)
+        assert hp == pytest.approx(2 * nu * specfun.hermite_value(nu - 1, t),
+                                   rel=1e-12, abs=1e-14)
+
+    def test_digamma_against_scipy(self):
+        xs = np.concatenate([np.linspace(0.01, 12.0, 300), [1e3, 1e6]])
+        for x in xs:
+            want = float(sp.digamma(x))
+            assert abs(specfun._digamma(float(x)) - want) <= \
+                2e-15 * max(1.0, abs(want))
+
+    def test_reciprocal_gamma_jet(self):
+        for x in np.linspace(-5.3, 6.1, 58):
+            r, dr = specfun._rgamma_jet(float(x))
+            assert r == pytest.approx(float(sp.rgamma(x)), rel=1e-14,
+                                      abs=1e-16)
+            if abs(r) > 1e-3:
+                assert dr == pytest.approx(-float(sp.digamma(x)) * r,
+                                           rel=1e-12, abs=1e-14)
+        # at the poles of Gamma: 1/Gamma = 0, (1/Gamma)'(-n) = (-1)^n n!
+        for n in range(5):
+            assert specfun._rgamma_jet(-float(n)) == (
+                0.0, (-1.0) ** n * math.factorial(n))
+
+
+class TestLargeTExpansion:
+    # mpmath 1.3.0 references, mp.mp.dps = 30; mp.hermite(nu, t)
+    @pytest.mark.parametrize("nu,t,ref,rtol", [
+        (15.1, 5.0, 43072610064686.09880438424, 1e-13),
+        (20.6, 5.0, -652358597541015360.7026434, 1e-11),
+        (0.37, 7.5, 2.726460955097272650899656, 1e-15),
+        (4.2, 5.0, 13746.96756050226627551497, 1e-15),
+    ])
+    def test_against_mpmath(self, nu, t, ref, rtol):
+        # at degree 15 and beyond, t = 5 needs far more than four terms
+        assert abs(specfun.hermite_value(nu, t) - ref) <= rtol * abs(ref)
+
+    @pytest.mark.parametrize("wrap", [float, lambda t: np.asarray([9.0, t])])
+    def test_smallest_term_too_large(self, wrap):
+        # at degree -2.5 the terms bottom out at 5e-9 of the sum at t = 5
+        with pytest.raises(AccuracyError, match=r"nu=-2.5, t=5\b"):
+            specfun.hermite_value(-2.5, wrap(5.0))
+        assert specfun.hermite_value(-2.5, 9.0) == pytest.approx(
+            float(sp.hyperu(1.25, 0.5, 81.0)) * 2.0 ** -2.5, rel=1e-9)
+
+
 class TestHermiteZeros:
     def test_integer_roots(self):
         assert specfun.hermite_largest_zero(2.0) == pytest.approx(
@@ -298,6 +364,25 @@ class TestBesselZeros:
         mine = specfun.bessel_zeros(1.0, 12)
         ref = sp.jn_zeros(1, 12)
         np.testing.assert_allclose(mine, ref, rtol=1e-8)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_mcmahon_zeros_against_scipy(self, order):
+        # zeros beyond the series ceiling come from McMahon's expansion
+        np.testing.assert_allclose(specfun.bessel_zeros(order, 60),
+                                   sp.jn_zeros(order, 60), rtol=1e-10)
+
+    def test_scan_reaches_the_series_ceiling(self):
+        # j_{5,3} = 15.70 and j_{11,1} = 15.59 lie between 15.5 and 16,
+        # where the series keeps about 12 digits
+        assert specfun.bessel_zeros(5.0, 3)[2] == pytest.approx(
+            sp.jn_zeros(5, 3)[2], rel=1e-12)
+        assert specfun.bessel_zeros(11.0, 1)[0] == pytest.approx(
+            sp.jn_zeros(11, 1)[0], rel=1e-12)
+
+    def test_large_order_beyond_ceiling_raises(self):
+        # McMahon's expansion at order 11 is 1e-3 off for the second zero
+        with pytest.raises(AccuracyError, match="zero 2 of J_11"):
+            specfun.bessel_zeros(11.0, 2)
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
