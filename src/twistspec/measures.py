@@ -37,11 +37,17 @@ def k_gauss_deriv(t: float) -> float:
     return -math.exp(-t * t) / SQRT_PI
 
 
-def k_gauss_inv(m: float) -> float:
-    """The t with k_gauss(t) = m, 0 < m < 1."""
-    if not 0.0 < m < 1.0:
-        raise DomainError(f"k_gauss_inv: mass must be in (0,1), got {m:g}")
-    return float(erfcinv(2.0 * m))
+def k_gauss_inv(m: float | np.ndarray) -> float | np.ndarray:
+    """The t with k_gauss(t) = m, 0 < m < 1: a plain float for a float m,
+    and for an array m the same ufunc elementwise, with the same bits."""
+    vec = isinstance(m, np.ndarray)
+    ok = (0.0 < m) & (m < 1.0)
+    if not (ok.all() if vec else ok):
+        m_bad = m[np.argmin(ok)] if vec else m
+        raise DomainError(
+            f"k_gauss_inv: mass must be in (0,1), got {m_bad:g}")
+    t = erfcinv(2.0 * m)
+    return t if vec else float(t)
 
 
 def gauss_halfspace_perimeter(t: float) -> float:
@@ -136,12 +142,19 @@ def halfball_mass(measure: MeasureSpec, radius: float) -> float:
     return measure.angular_constant * radius ** p / p
 
 
-def radius_from_mass(measure: MeasureSpec, m: float) -> float:
-    """Radius of the upper half-ball of weighted volume m."""
+def radius_from_mass(measure: MeasureSpec,
+                     m: float | np.ndarray) -> float | np.ndarray:
+    """Radius of the upper half-ball of weighted volume m: a plain float
+    for a float m, an array elementwise for an array m.  A float takes
+    Python's pow and an array numpy's, which may round the last bit
+    differently."""
     if measure.is_gaussian:
         raise DomainError("radius_from_mass applies to power measures")
-    if m <= 0:
-        raise DomainError(f"mass must be > 0, got {m:g}")
+    vec = isinstance(m, np.ndarray)
+    bad = m <= 0
+    if bad.any() if vec else bad:
+        m_bad = m[np.argmax(bad)] if vec else m
+        raise DomainError(f"mass must be > 0, got {m_bad:g}")
     p = measure.n + measure.k
     return (p * m / measure.angular_constant) ** (1.0 / p)
 

@@ -13,10 +13,17 @@ where B = M^{-1/2} K M^{-1/2} is the mass-symmetrized tridiagonal operator
 and v the normalized constraint direction M^{1/2} 1 (Golub 1973, "Some
 modified matrix eigenvalue problems").  Each evaluation is one tridiagonal
 solve, so Dirichlet and twisted eigenvalues share one O(n) path.
+
+Both solves read one eigensolve per (domain, h, count): assembly,
+symmetrization and the tridiagonal eigensolver run once in `_spectrum`,
+which keeps its last two results, so a twisted solve followed by
+`dirichlet_eigs(count=2)` on the same grid (or the reverse) solves once.
+The cached arrays are read-only; results hand out copies.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -227,17 +234,26 @@ def _symmetrized(asm: _Assembly) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return d, e, inv_sqrt
 
 
+@functools.lru_cache(maxsize=2)
+def _spectrum(domain: Domain1D, h: Optional[float], count: int):
+    """Assembly, diagonals (d, e) of B, M^{-1/2}, and the smallest `count`
+    eigenpairs (w, phi) of B, all read-only."""
+    asm = _assemble(domain, h)
+    d, e, inv_sqrt = _symmetrized(asm)
+    w, phi = scipy.linalg.eigh_tridiagonal(
+        d, e, select="i", select_range=(0, min(count, len(d)) - 1))
+    for a in (asm.main, asm.off, asm.mass, asm.nodes, d, e, inv_sqrt, w, phi):
+        a.flags.writeable = False
+    return asm, d, e, inv_sqrt, w, phi
+
+
 def dirichlet_eigs(domain: Domain1D, h: Optional[float] = None,
                    count: int = 2) -> EigenResult:
     """Smallest `count` Dirichlet eigenvalues of the union."""
-    asm = _assemble(domain, h)
-    d, e, inv_sqrt = _symmetrized(asm)
-    count = min(count, len(d))
-    w, v = scipy.linalg.eigh_tridiagonal(
-        d, e, select="i", select_range=(0, count - 1))
+    asm, d, _, inv_sqrt, w, v = _spectrum(domain, h, count)
     u = v * inv_sqrt[:, None]
     return EigenResult(
-        eigenvalues=np.asarray(w, dtype=float),
+        eigenvalues=w.copy(),
         eigenvectors=_grid_functions(asm, u),
         constrained=False,
         grid_size=len(d),
@@ -247,13 +263,10 @@ def dirichlet_eigs(domain: Domain1D, h: Optional[float] = None,
 def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
     """Smallest eigenvalue of the Rayleigh quotient restricted to the
     discrete zero-weighted-mean subspace (secular equation)."""
-    asm = _assemble(domain, h)
-    d, e, inv_sqrt = _symmetrized(asm)
+    asm, d, e, inv_sqrt, (lam1, lam2), phi = _spectrum(domain, h, 2)
     # constraint  meanvec . u = 0  becomes  v . (M^{1/2} u) = 0
     v = np.sqrt(asm.mass)
     v /= np.linalg.norm(v)
-    (lam1, lam2), phi = scipy.linalg.eigh_tridiagonal(
-        d, e, select="i", select_range=(0, 1))
 
     def resolvent(lam: float) -> np.ndarray:
         """(B - lam)^{-1} v by one tridiagonal solve."""

@@ -123,8 +123,8 @@ class Rearranged:
 def _mass_to_coordinate(measure: MeasureSpec, m: np.ndarray) -> np.ndarray:
     """Boundary coordinate of the isoperimetric set of mass m."""
     if measure.is_gaussian:
-        return np.asarray([measures.k_gauss_inv(float(x)) for x in m])
-    return np.asarray([measures.radius_from_mass(measure, float(x)) for x in m])
+        return measures.k_gauss_inv(m)
+    return measures.radius_from_mass(measure, m)
 
 
 def weighted_rearrangement(u: GridFunction, measure: MeasureSpec) -> Rearranged:

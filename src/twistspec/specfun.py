@@ -313,7 +313,11 @@ def _hermite_asympt(nu: float, t):
             f"large-t Hermite expansion: smallest term {e_bad:.3g} of the "
             f"leading term exceeds {HERMITE_ASYMPT_RTOL:g} of the sum at "
             f"nu={nu:g}, t={t_bad:g}", estimate=e_bad)
-    return (2.0 * t) ** nu * total
+    # Python's pow on each element, as on a float: numpy's SIMD power can
+    # round the last bit differently, and less accurately
+    lead = (np.array([x ** nu for x in (2.0 * t).tolist()]) if vec
+            else (2.0 * t) ** nu)
+    return lead * total
 
 
 def _is_nonneg_int(nu: float) -> bool:

@@ -117,6 +117,50 @@ class TestHalfball:
             measures.halfball_mass(MeasureSpec.gaussian(1), 1.0)
 
 
+class TestArrayMassMaps:
+    """The mass -> coordinate maps take a float or an array."""
+
+    MASSES = np.concatenate((np.linspace(1e-6, 0.999, 257), [0.2, 0.37]))
+
+    def test_gaussian_array_bit_identical(self):
+        got = measures.k_gauss_inv(self.MASSES).tolist()
+        assert got == [measures.k_gauss_inv(float(m)) for m in self.MASSES]
+
+    @pytest.mark.parametrize("measure", [MeasureSpec.power(3, 2.0),
+                                         MeasureSpec.power(5, 3.0),
+                                         MeasureSpec.power(3, 0.0)])
+    def test_power_array_within_two_ulp(self, measure):
+        masses = self.MASSES * 5.0
+        got = measures.radius_from_mass(measure, masses)
+        want = np.array([measures.radius_from_mass(measure, float(m))
+                         for m in masses])
+        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
+
+    def test_float_in_float_out(self):
+        # values of the float-only maps these replace
+        for m, t in ((0.2, 0.5951160814499948), (0.37, 0.23465575162492167),
+                     (1e-9, 4.24109001256018)):
+            got = measures.k_gauss_inv(m)
+            assert type(got) is float and got == t
+        for measure, m, r in (
+                (MeasureSpec.power(3, 2.0), 0.7, 1.1081585105440963),
+                (MeasureSpec.power(3, 2.0), 2.3, 1.4058139396528495),
+                (MeasureSpec.power(5, 3.0), 0.7, 1.1654803118586146),
+                (MeasureSpec.power(5, 3.0), 2.3, 1.3523330624769836)):
+            got = measures.radius_from_mass(measure, m)
+            assert type(got) is float and got == r
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0])
+    def test_gaussian_array_domain(self, bad):
+        with pytest.raises(DomainError, match=f"got {bad:g}$"):
+            measures.k_gauss_inv(np.array([0.3, bad, 0.4]))
+
+    def test_power_array_domain(self):
+        with pytest.raises(DomainError, match="got 0$"):
+            measures.radius_from_mass(MeasureSpec.power(3, 0.0),
+                                      np.array([0.3, 0.0, 2.0]))
+
+
 class TestConfigFromSplit:
     def test_gaussian_symmetric(self):
         cfg = measures.config_from_split(MeasureSpec.gaussian(1), 0.5, 0.5)

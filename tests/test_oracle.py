@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from twistspec import closedform, measures, oracle, verify
 from twistspec.errors import DomainError, ResourceError
@@ -210,6 +211,68 @@ class TestTwisted:
             want = closedform.twisted_pair_power(cfg).eigenvalue
             assert abs(lam - want) <= 1e-5 * want
             assert lam1 < lam <= lam2
+
+
+class TestSharedSpectrum:
+    """dirichlet_eigs and twisted_eig read one cached eigensolve."""
+
+    DOMAINS = [
+        oracle.Domain1D(intervals=((0.0, 1.0), (1.4, 2.9)),
+                        coordinate="lebesgue"),
+        oracle.gaussian_pair_domain(
+            measures.PairConfig(MeasureSpec.gaussian(1), 0.3, 0.9)),
+        oracle.power_pair_domain(
+            measures.PairConfig(MeasureSpec.power(3, 2.0), 0.8, 1.1)),
+    ]
+    IDS = ["lebesgue", "gauss", "power"]
+
+    @staticmethod
+    def _values(tw, dd):
+        return (tw.eigenvalues.tolist(), tw.eigenvectors[0].values.tolist(),
+                dd.eigenvalues.tolist())
+
+    @pytest.mark.parametrize("twisted_first", [True, False])
+    @pytest.mark.parametrize("dom", DOMAINS, ids=IDS)
+    def test_shared_solve_bit_identical_to_fresh(self, dom, twisted_first):
+        oracle._spectrum.cache_clear()
+        if twisted_first:
+            tw = oracle.twisted_eig(dom)
+            dd = oracle.dirichlet_eigs(dom, count=2)
+        else:
+            dd = oracle.dirichlet_eigs(dom, count=2)
+            tw = oracle.twisted_eig(dom)
+        info = oracle._spectrum.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        oracle._spectrum.cache_clear()
+        fresh_tw = oracle.twisted_eig(dom)
+        oracle._spectrum.cache_clear()
+        fresh_dd = oracle.dirichlet_eigs(dom, count=2)
+        assert self._values(tw, dd) == self._values(fresh_tw, fresh_dd)
+
+    def test_results_are_caller_owned(self):
+        dom = self.DOMAINS[1]
+        first = oracle.dirichlet_eigs(dom, count=2)
+        want = first.eigenvalues.tolist()
+        first.eigenvalues[:] = -1.0
+        first.eigenvectors[0].values[:] = 0.0
+        first.eigenvectors[0].node_weights[:] = 0.0
+        again = oracle.dirichlet_eigs(dom, count=2)
+        assert again.eigenvalues.tolist() == want
+        assert np.all(again.eigenvectors[0].node_weights > 0.0)
+        tw = oracle.twisted_eig(dom)
+        assert want[0] < tw.eigenvalues[0] <= want[1]
+        asm, *arrays = oracle._spectrum(dom, None, 2)
+        assert not any(a.flags.writeable for a in
+                       [asm.main, asm.off, asm.mass, asm.nodes, *arrays])
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("dom", DOMAINS, ids=IDS)
+    def test_other_counts_match_direct_eigensolve(self, dom, count):
+        d, e, _ = oracle._symmetrized(oracle._assemble(dom))
+        want = scipy.linalg.eigh_tridiagonal(
+            d, e, select="i", select_range=(0, count - 1))[0]
+        got = oracle.dirichlet_eigs(dom, count=count).eigenvalues
+        assert got.tolist() == want.tolist()
 
 
 def _pair_cases():

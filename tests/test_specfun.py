@@ -165,6 +165,11 @@ class TestScalarPath:
         for nu in (0.0, 3.0, 0.37, 4.2):
             vals = specfun.hermite_value(nu, np.asarray(self.TS)).tolist()
             assert [specfun.hermite_value(nu, t) for t in self.TS] == vals
+        # large-t points where numpy's power and the C library's pow round
+        # the leading factor (2t)^nu differently
+        for nu, t in ((15.1, 5.3), (20.6, 6.1), (-0.5, 5.6)):
+            vals = specfun.hermite_value(nu, np.asarray([t, t])).tolist()
+            assert [specfun.hermite_value(nu, t)] * 2 == vals
         zs = [0.0, 0.05, 2.4, 11.0, 15.9]
         for order in (0.0, 1.5, 7.25):
             vals = specfun.bessel_j_scaled_vec(order, np.asarray(zs)).tolist()
