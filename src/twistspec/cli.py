@@ -15,8 +15,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import closedform, measures, oracle, shapeopt, verify
 from .errors import DomainError, NumericalError
 from .measures import MeasureSpec

@@ -41,10 +41,6 @@ class GridFunction:
     def weighted_mean(self) -> float:
         return float(np.dot(self.node_weights, self.values))
 
-    def norm_p(self, p: float) -> float:
-        """L^p(d gamma) norm from the node weights."""
-        return float(np.dot(self.node_weights, np.abs(self.values) ** p) ** (1.0 / p))
-
     def gradient(self) -> np.ndarray:
         """Central differences per piece (one-sided at piece ends)."""
         out = np.empty_like(self.values)

@@ -32,11 +32,6 @@ def k_gauss(t: float) -> float:
     return 0.5 * float(erfc(t))
 
 
-def k_gauss_deriv(t: float) -> float:
-    """d/dt of k_gauss: -exp(-t^2)/sqrt(pi)."""
-    return -math.exp(-t * t) / SQRT_PI
-
-
 def k_gauss_inv(m: float | np.ndarray) -> float | np.ndarray:
     """The t with k_gauss(t) = m, 0 < m < 1: a plain float for a float m,
     and for an array m the same ufunc elementwise, with the same bits."""
@@ -48,11 +43,6 @@ def k_gauss_inv(m: float | np.ndarray) -> float | np.ndarray:
             f"k_gauss_inv: mass must be in (0,1), got {m_bad:g}")
     t = erfcinv(2.0 * m)
     return t if vec else float(t)
-
-
-def gauss_halfspace_perimeter(t: float) -> float:
-    """Weighted perimeter of {x_1 > t}: exp(-t^2)/sqrt(pi) = -k'(t)."""
-    return math.exp(-t * t) / SQRT_PI
 
 
 def gauss_weight_1d(x) -> np.ndarray:
@@ -159,13 +149,6 @@ def radius_from_mass(measure: MeasureSpec,
     return (p * m / measure.angular_constant) ** (1.0 / p)
 
 
-def halfball_perimeter(measure: MeasureSpec, radius: float) -> float:
-    """Weighted perimeter of the spherical part: c_{n,k} r^{n+k-1}."""
-    if measure.is_gaussian:
-        raise DomainError("halfball_perimeter applies to power measures")
-    return measure.angular_constant * radius ** measure.radial_exponent
-
-
 @dataclass(frozen=True)
 class PairConfig:
     """Two disjoint isoperimetric components.
@@ -204,10 +187,6 @@ class PairConfig:
     @property
     def total_mass(self) -> float:
         return self.mass_left + self.mass_right
-
-    @property
-    def larger_side(self) -> str:
-        return "left" if self.mass_left >= self.mass_right else "right"
 
     @property
     def is_symmetric(self) -> bool:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -48,23 +48,6 @@ MAX_TOTAL_NODES = 4000
 # Brent x-tolerance of the secular root, relative to lambda_2.
 SECULAR_RTOL = 1e-14
 
-GAUSS_TRUNCATION_TOL = 1e-14
-
-
-def truncate_gaussian_halfline(boundary: float, tol: float) -> tuple[float, float]:
-    """Finite interval replacing (boundary, +inf) under the Gaussian weight.
-
-    The omitted tail mass is below tol; imposing Dirichlet at the artificial
-    endpoint perturbs eigenvalues by O(tail).
-    """
-    if tol <= 0:
-        raise DomainError("truncate_gaussian_halfline: tol must be > 0")
-    cut = max(8.0, boundary + 6.0)
-    while measures.k_gauss(cut) >= tol:
-        cut += 1.0
-    return (boundary, cut)
-
-
 @dataclass(frozen=True)
 class Domain1D:
     """Union of 1D intervals with a weight family.
@@ -77,7 +60,6 @@ class Domain1D:
     intervals: tuple[tuple[float, float], ...]
     coordinate: str
     measure: Optional[measures.MeasureSpec] = None
-    truncation: dict = field(default_factory=dict, hash=False, compare=False)
 
     def __post_init__(self):
         if self.coordinate not in COORDINATES:
@@ -107,20 +89,19 @@ class Domain1D:
         return self.measure.radial_weight(x)
 
 
-def gaussian_pair_domain(config: measures.PairConfig,
-                         tol: float = GAUSS_TRUNCATION_TOL) -> Domain1D:
+def gaussian_pair_domain(config: measures.PairConfig) -> Domain1D:
     """Truncated 1D domain of a Gaussian half-space pair.
 
-    The left half-space {x_1 < -L} maps to (-cut, -L); the right one to
-    (R, cut).
+    The left half-space {x_1 < -L} maps to (-cut(L), -L), the right one to
+    (R, cut(R)), with cut = numerics.gauss_tail_cut: the omitted tail mass
+    is below k_gauss(8) = 5.6e-30, and the Dirichlet condition at the
+    artificial endpoint perturbs eigenvalues by O(tail).
     """
-    left = truncate_gaussian_halfline(config.left_param, tol)
-    right = truncate_gaussian_halfline(config.right_param, tol)
+    L, R = config.left_param, config.right_param
     return Domain1D(
-        intervals=((-left[1], -config.left_param),
-                   (config.right_param, right[1])),
+        intervals=((-numerics.gauss_tail_cut(L), -L),
+                   (R, numerics.gauss_tail_cut(R))),
         coordinate="cartesian_gauss",
-        truncation={"tol": tol, "cuts": (left[1], right[1])},
     )
 
 

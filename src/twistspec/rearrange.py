@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfc
 
 from . import measures, numerics
 from .errors import DomainError
@@ -95,36 +96,34 @@ class Rearranged:
     usharp: GridFunction
     measure: MeasureSpec = None
 
-    def resampled(self, n: int = 0) -> GridFunction:
-        """usharp on a uniform grid over the isoperimetric set."""
-        from scipy.special import erfc
-
+    def resampled(self) -> GridFunction:
+        """usharp on a uniform grid over the isoperimetric set, one node per
+        slab."""
         star = self.ustar
-        total = star.total_mass
-        n = n or len(star.values)
-        if self.measure.is_gaussian:
-            a = measures.k_gauss_inv(total)
-            cut = numerics.gauss_tail_cut(a)
-            edges = np.linspace(a, cut, n + 1)
-            x = 0.5 * (edges[:-1] + edges[1:])
-            vals = star(0.5 * erfc(x))
-            w = measures.gauss_weight_1d(x) * (edges[1] - edges[0])
-            return GridFunction(x, vals, w)
-        radius = measures.radius_from_mass(self.measure, total)
-        p_exp = self.measure.n + self.measure.k
-        edges = np.linspace(0.0, radius, n + 1)
-        r = 0.5 * (edges[:-1] + edges[1:])
-        m = self.measure.angular_constant * r ** p_exp / p_exp
-        vals = star(m)
-        w = self.measure.radial_weight(r) * (edges[1] - edges[0])
-        return GridFunction(r, vals, w)
+        boundary, span, set_mass, weight = _image(self.measure)
+        edges = np.linspace(*span(boundary(star.total_mass)),
+                            len(star.values) + 1)
+        x = 0.5 * (edges[:-1] + edges[1:])
+        return GridFunction(x, star(set_mass(x)),
+                            weight(x) * (edges[1] - edges[0]))
 
 
-def _mass_to_coordinate(measure: MeasureSpec, m: np.ndarray) -> np.ndarray:
-    """Boundary coordinate of the isoperimetric set of mass m."""
+def _image(measure: MeasureSpec):
+    """The isoperimetric sets of `measure` in the reduced 1D coordinate, as
+    (boundary, span, set_mass, weight): boundary(m) is the boundary
+    coordinate of the set of mass m (float or array), span(x) the
+    coordinate range of the set bounded at x, set_mass(x) its mass and
+    weight the reduced weight.  Gaussian: the half-space {x_1 > x}, cut
+    where the tail ends; power: the half-ball of radius x."""
     if measure.is_gaussian:
-        return measures.k_gauss_inv(m)
-    return measures.radius_from_mass(measure, m)
+        return (measures.k_gauss_inv,
+                lambda a: (a, numerics.gauss_tail_cut(a)),
+                lambda x: 0.5 * erfc(x), measures.gauss_weight_1d)
+    p_exp = measure.n + measure.k
+    c = measure.angular_constant
+    return (lambda m: measures.radius_from_mass(measure, m),
+            lambda r: (0.0, r),
+            lambda r: c * r ** p_exp / p_exp, measure.radial_weight)
 
 
 def weighted_rearrangement(u: GridFunction, measure: MeasureSpec) -> Rearranged:
@@ -143,7 +142,7 @@ def weighted_rearrangement(u: GridFunction, measure: MeasureSpec) -> Rearranged:
     W = star.cum_mass
     W_prev = np.concatenate(([0.0], W[:-1]))
     mid_mass = 0.5 * (W_prev + W)
-    nodes = _mass_to_coordinate(measure, mid_mass)
+    nodes = _image(measure)[0](mid_mass)
     order = np.argsort(nodes)
     usharp = GridFunction(
         nodes=nodes[order],
@@ -179,28 +178,15 @@ def _simpson(vals: np.ndarray, h: float) -> float:
                             + 2.0 * np.sum(vals[2:-2:2])))
 
 
-def _sharp_norm_by_quadrature(rearranged: Rearranged, measure: MeasureSpec,
-                              p: float, oversample: int = 4) -> float:
+def _sharp_norm_by_quadrature(rearranged: Rearranged, p: float) -> float:
     """int |usharp|^p d gamma by composite Simpson quadrature of the
-    interpolated profile against the continuous weight - independent of the
-    node-weight bookkeeping, so it carries a genuine resampling error."""
-    from scipy.special import erfc
-
+    interpolated profile against the continuous weight, 8 points per slab -
+    independent of the node-weight bookkeeping, so it carries a genuine
+    resampling error."""
     star = rearranged.ustar
-    total = star.total_mass
-    npts = 2 * oversample * len(star.values) + 1
-    if measure.is_gaussian:
-        a = measures.k_gauss_inv(total)
-        cut = numerics.gauss_tail_cut(a)
-        x = np.linspace(a, cut, npts)
-        vals = star(0.5 * erfc(x)) ** p * measures.gauss_weight_1d(x)
-        return _simpson(vals, x[1] - x[0])
-    radius = measures.radius_from_mass(measure, total)
-    p_exp = measure.n + measure.k
-    r = np.linspace(0.0, radius, npts)
-    m = measure.angular_constant * r ** p_exp / p_exp
-    vals = star(m) ** p * measure.radial_weight(r)
-    return _simpson(vals, r[1] - r[0])
+    boundary, span, set_mass, weight = _image(rearranged.measure)
+    x = np.linspace(*span(boundary(star.total_mass)), 8 * len(star.values) + 1)
+    return _simpson(star(set_mass(x)) ** p * weight(x), x[1] - x[0])
 
 
 def check_cavalieri(u: GridFunction, measure: MeasureSpec,
@@ -213,7 +199,7 @@ def check_cavalieri(u: GridFunction, measure: MeasureSpec,
     """
     lhs = float(np.dot(u.node_weights, np.abs(u.values) ** p))
     re = weighted_rearrangement(u, measure)
-    rhs = _sharp_norm_by_quadrature(re, measure, p)
+    rhs = _sharp_norm_by_quadrature(re, p)
     return InequalityReport(name=f"cavalieri_p{p:g}", lhs=lhs, rhs=rhs)
 
 

@@ -21,17 +21,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from . import closedform, measures, numerics
 from .closedform import TwistedSolution
 from .errors import DomainError
-from .measures import MeasureSpec, PairConfig
+from .measures import MeasureSpec
 
 DEFAULT_WINDOW = (0.3, 0.7)
 DEFAULT_POINTS = 41
+# certify_minimum gates: curve symmetry relative to max(1, max lambda), and
+# the absolute floor of the analytic-vs-FD derivative agreement
+SYMMETRY_TOL = 1e-8
+DERIV_TOL = 1e-4
 
 
 def lambda_of_split(measure: MeasureSpec, total_mass: float,
@@ -40,13 +43,10 @@ def lambda_of_split(measure: MeasureSpec, total_mass: float,
     return closedform.solve(measures.config_from_split(measure, total_mass, s))
 
 
-def shape_derivative(sol: TwistedSolution, config: PairConfig,
-                     ds_mass: float) -> float:
+def shape_derivative(sol: TwistedSolution, ds_mass: float) -> float:
     """Analytic d lambda / ds for the normalized solution, with ds_mass the
     mass rate of the left component (total_mass for the unit split rate)."""
-    if abs(sol.normalization - 1.0) > 1e-8:
-        raise DomainError("shape_derivative needs a normalized solution")
-    return closedform.boundary_gradient_gap(sol, config) * ds_mass
+    return closedform.boundary_gradient_gap(sol) * ds_mass
 
 
 @dataclass
@@ -65,11 +65,10 @@ class ScanCurve:
         return float(np.max(np.abs(np.diff(self.lambdas))))
 
 
-def feasible_window(measure: MeasureSpec, total_mass: float,
-                    window: tuple[float, float] = DEFAULT_WINDOW
-                    ) -> tuple[float, float]:
-    """Requested window intersected with the family's feasibility limits."""
-    lo, hi = window
+def feasible_window(measure: MeasureSpec,
+                    total_mass: float) -> tuple[float, float]:
+    """DEFAULT_WINDOW intersected with the family's feasibility limits."""
+    lo, hi = DEFAULT_WINDOW
     if measure.is_gaussian:
         s_min, s_max = measures.gaussian_split_window(total_mass)
         margin = 1e-9
@@ -83,10 +82,9 @@ def feasible_window(measure: MeasureSpec, total_mass: float,
 
 
 def split_grid(measure: MeasureSpec, total_mass: float,
-               points: int = DEFAULT_POINTS,
-               window: tuple[float, float] = DEFAULT_WINDOW) -> np.ndarray:
+               points: int = DEFAULT_POINTS) -> np.ndarray:
     """Uniform split grid, symmetric about 1/2 and containing it."""
-    lo, hi = feasible_window(measure, total_mass, window)
+    lo, hi = feasible_window(measure, total_mass)
     half = min(0.5 - lo, hi - 0.5)
     if half <= 0:
         raise DomainError("window must contain s = 1/2")
@@ -111,22 +109,17 @@ def _fd_derivative(s: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def scan(measure: MeasureSpec, total_mass: float,
-         s_grid: Optional[np.ndarray] = None,
-         points: int = DEFAULT_POINTS,
-         window: tuple[float, float] = DEFAULT_WINDOW) -> ScanCurve:
-    """Solve the pair problem on a split grid and collect the curve."""
-    if s_grid is None:
-        s_grid = split_grid(measure, total_mass, points, window)
-    s_grid = np.asarray(s_grid, dtype=float)
+         points: int = DEFAULT_POINTS) -> ScanCurve:
+    """Solve the pair problem on the split grid and collect the curve."""
+    s_grid = split_grid(measure, total_mass, points)
     sols = []
     lams = np.empty_like(s_grid)
     dana = np.empty_like(s_grid)
     for i, s in enumerate(s_grid):
         sol = lambda_of_split(measure, total_mass, float(s))
-        cfg = sol.config
         sols.append(sol)
         lams[i] = sol.eigenvalue
-        dana[i] = shape_derivative(sol, cfg, total_mass)
+        dana[i] = shape_derivative(sol, total_mass)
     dfd = _fd_derivative(s_grid, lams)
     return ScanCurve(
         measure=measure, total_mass=total_mass, splits=s_grid,
@@ -155,14 +148,13 @@ class CertificationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def certify_minimum(curve: ScanCurve, symmetry_tol: float = 1e-8,
-                    deriv_tol: float = 1e-4) -> CertificationReport:
+def certify_minimum(curve: ScanCurve) -> CertificationReport:
     """Certify that the half split minimizes the curve.
 
     Checks: (a) global grid minimum at s = 1/2; (b) relabeling symmetry
     lambda(s) = lambda(1-s); (c) analytic derivative sign pattern (<= 0
     left of the center, >= 0 right of it); (d) analytic-vs-FD derivative
-    agreement within max(deriv_tol, 1e-3 |dlambda/ds|); (e) golden-section
+    agreement within max(DERIV_TOL, 1e-3 |dlambda/ds|); (e) golden-section
     refinement of the grid bracket lands within one grid step of 1/2.
     """
     s, lam = curve.splits, curve.lambdas
@@ -185,7 +177,7 @@ def certify_minimum(curve: ScanCurve, symmetry_tol: float = 1e-8,
             sym_gap = max(sym_gap, abs(lam[i] - lam[j]))
     scale = float(np.max(np.abs(lam)))
     checks.append(CheckOutcome(
-        "curve_symmetry", sym_gap <= symmetry_tol * max(1.0, scale),
+        "curve_symmetry", sym_gap <= SYMMETRY_TOL * max(1.0, scale),
         f"max |lambda(s) - lambda(1-s)| = {sym_gap:.3g}"))
 
     eps = 1e-8 * max(1.0, scale)
@@ -199,7 +191,7 @@ def certify_minimum(curve: ScanCurve, symmetry_tol: float = 1e-8,
 
     worst = 0.0
     for i in range(2, n - 2):
-        tol_i = max(deriv_tol, 1e-3 * abs(curve.derivative_fd[i]))
+        tol_i = max(DERIV_TOL, 1e-3 * abs(curve.derivative_fd[i]))
         gap = abs(curve.derivative_analytic[i] - curve.derivative_fd[i])
         worst = max(worst, gap / tol_i)
     checks.append(CheckOutcome(

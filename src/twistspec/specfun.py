@@ -449,7 +449,11 @@ def bessel_j_value(order: float,
         raise DomainError("bessel_j: r must be >= 0")
     if order < 0 and r_min == 0.0:
         raise DomainError("bessel_j: r=0 diverges for negative order")
-    return bessel_j_scaled_vec(order, r) * (r / 2.0) ** order
+    # Python's pow on each element, as on a float (see _hermite_asympt)
+    half = r / 2.0
+    lead = half ** order if scalar else np.array(
+        [x ** order for x in half.ravel().tolist()]).reshape(half.shape)
+    return bessel_j_scaled_vec(order, r) * lead
 
 
 def bessel_j_deriv(order: float, r: float) -> float:

@@ -217,14 +217,12 @@ def _random_two_interval_domain(rng: np.random.Generator,
                            coordinate="radial_power", measure=m)
 
 
-def suite_bracket(rng: np.random.Generator, fault: bool = False,
-                  domains_per_family: int = 20) -> list[CheckResult]:
+def suite_bracket(rng: np.random.Generator, fault: bool = False) -> list[CheckResult]:
     out = []
-    h_coarse = None  # default grid; strictness margins are >> discretization
     for family in ("lebesgue", "cartesian_gauss", "radial_power"):
         ok = True
         worst_gap = math.inf
-        for _ in range(domains_per_family):
+        for _ in range(20):
             dom = _random_two_interval_domain(rng, family)
             dd = oracle.dirichlet_eigs(dom, h=_bracket_h(dom), count=2)
             tw = oracle.twisted_eig(dom, h=_bracket_h(dom))
@@ -236,7 +234,7 @@ def suite_bracket(rng: np.random.Generator, fault: bool = False,
             worst_gap = min(worst_gap, strict)
             ok = ok and (strict > 1e-6) and (lamT <= lam2 * (1 + 1e-9))
         out.append(_r("bracket", f"chain_{family}", ok,
-                      f"{domains_per_family} domains, smallest scaled gap "
+                      "20 domains, smallest scaled gap "
                       f"lambda_T - lambda_1^D = {worst_gap:.3g}"))
 
     dom = oracle.Domain1D(intervals=((0.0, 1.0),), coordinate="lebesgue")
@@ -288,23 +286,18 @@ def _solve_pair(measure: MeasureSpec, total: float, s: float):
 def suite_oracle(rng: np.random.Generator, fault: bool = False) -> list[CheckResult]:
     out = []
     g1 = MeasureSpec.gaussian(1)
-    worst = 0.0
-    for total, s in _pair_cases_gauss():
-        _, sol, dom = _solve_pair(g1, total, s)
-        lam_o = oracle.twisted_eig(dom).eigenvalues[0]
-        worst = max(worst, abs(sol.eigenvalue - lam_o) / lam_o)
-    if fault:
-        worst += 1.0
-    out.append(_r("oracle", "gaussian_pairs_agreement", worst <= 1e-3,
-                  f"worst relative gap {worst:.2e} over 10 pairs"))
-
-    worst = 0.0
-    for m, total, s in _pair_cases_power():
-        _, sol, dom = _solve_pair(m, total, s)
-        lam_o = oracle.twisted_eig(dom).eigenvalues[0]
-        worst = max(worst, abs(sol.eigenvalue - lam_o) / lam_o)
-    out.append(_r("oracle", "power_pairs_agreement", worst <= 1e-3,
-                  f"worst relative gap {worst:.2e} over 10 pairs"))
+    gauss_cases = [(g1, total, s) for total, s in _pair_cases_gauss()]
+    for family, cases in (("gaussian", gauss_cases),
+                          ("power", _pair_cases_power())):
+        worst = 0.0
+        for m, total, s in cases:
+            _, sol, dom = _solve_pair(m, total, s)
+            lam_o = oracle.twisted_eig(dom).eigenvalues[0]
+            worst = max(worst, abs(sol.eigenvalue - lam_o) / lam_o)
+        if fault and family == "gaussian":
+            worst += 1.0
+        out.append(_r("oracle", f"{family}_pairs_agreement", worst <= 1e-3,
+                      f"worst relative gap {worst:.2e} over {len(cases)} pairs"))
 
     # refinement: the closed-form-vs-oracle gap trend must shrink by ~4x
     # per halving (second-order oracle); demand at least halving.
@@ -343,7 +336,6 @@ def suite_lemma(rng: np.random.Generator, fault: bool = False) -> list[CheckResu
             if b - a < 0.25:
                 b = a + 0.25
             ivs.append((float(a), float(b)))
-        ivs = [(a, b) for a, b in ivs]
         if any(b2 <= b1 for (_, b1), (a2, b2) in zip(ivs, ivs[1:])) or any(
                 a2 < b1 for (_, b1), (a2, _) in zip(ivs, ivs[1:])):
             continue
@@ -395,19 +387,20 @@ def suite_nodal(rng: np.random.Generator, fault: bool = False) -> list[CheckResu
 # rearrangement suite
 # ----------------------------------------------------------------------
 
-def _random_gauss_sample(rng: np.random.Generator, n: int = 2200) -> GridFunction:
-    a = rng.uniform(-4.5, -1.5)
-    b = rng.uniform(0.3, 3.0)
-    xs = np.linspace(a, b, n)
-    h = xs[1] - xs[0]
-    coef = rng.normal(size=4)
-    vals = sum(c * np.sin((j + 1) * math.pi * (xs - a) / (b - a))
-               for j, c in enumerate(coef))
-    return GridFunction(xs, vals, measures.gauss_weight_1d(xs) * h)
-
-
-def _random_power_sample(rng: np.random.Generator, measure: MeasureSpec,
-                         n: int = 2200) -> GridFunction:
+def _random_sample(rng: np.random.Generator, measure: MeasureSpec,
+                   n: int = 2200) -> GridFunction:
+    """A random smooth function on a uniform grid under `measure`: a sine
+    series on a random interval for the gaussian, a cosine series vanishing
+    at a random radius for a power measure."""
+    if measure.is_gaussian:
+        a = rng.uniform(-4.5, -1.5)
+        b = rng.uniform(0.3, 3.0)
+        xs = np.linspace(a, b, n)
+        h = xs[1] - xs[0]
+        coef = rng.normal(size=4)
+        vals = sum(c * np.sin((j + 1) * math.pi * (xs - a) / (b - a))
+                   for j, c in enumerate(coef))
+        return GridFunction(xs, vals, measures.gauss_weight_1d(xs) * h)
     R0 = rng.uniform(0.6, 1.6)
     rr = np.linspace(R0 / n, R0, n)
     h = rr[1] - rr[0]
@@ -449,8 +442,7 @@ def suite_rearrange(rng: np.random.Generator, fault: bool = False) -> list[Check
     worst = 0.0
     for p in (1.0, 2.0, 4.0):
         for measure in (g1, m21):
-            u = (_random_gauss_sample(rng) if measure.is_gaussian
-                 else _random_power_sample(rng, measure))
+            u = _random_sample(rng, measure)
             rep = rearrange.check_cavalieri(u, measure, p=p)
             worst = max(worst, abs(rep.rel_gap))
     if fault:
@@ -462,7 +454,7 @@ def suite_rearrange(rng: np.random.Generator, fault: bool = False) -> list[Check
     # that every refined level sits well below the coarse one
     halving = []
     for n in (1100, 2200, 4400):
-        u = _random_gauss_sample(np.random.default_rng(7), n=n)
+        u = _random_sample(np.random.default_rng(7), g1, n=n)
         halving.append(abs(rearrange.check_cavalieri(u, g1, p=2).rel_gap))
     ok = max(halving[1], halving[2]) <= 0.6 * halving[0]
     out.append(_r("rearrange", "cavalieri_refinement", ok,
@@ -472,8 +464,7 @@ def suite_rearrange(rng: np.random.Generator, fault: bool = False) -> list[Check
     worst = 0.0
     for measure in (g1, m21):
         for _ in range(25):
-            u = (_random_gauss_sample(rng) if measure.is_gaussian
-                 else _random_power_sample(rng, measure))
+            u = _random_sample(rng, measure)
             coef = rng.normal(size=3)
             span = u.nodes[-1] - u.nodes[0]
             v = u.with_values(sum(
@@ -483,7 +474,7 @@ def suite_rearrange(rng: np.random.Generator, fault: bool = False) -> list[Check
     out.append(_r("rearrange", "hardy_littlewood", worst >= -2e-3,
                   f"smallest relative gap {worst:.2e} over 50 pairs"))
 
-    u = _random_gauss_sample(rng)
+    u = _random_sample(rng, g1)
     v = u.with_values(np.abs(u.values) ** 1.5)
     como = rearrange.check_hardy_littlewood(u, v).rel_gap
     out.append(_r("rearrange", "hardy_littlewood_comonotone",
@@ -493,8 +484,7 @@ def suite_rearrange(rng: np.random.Generator, fault: bool = False) -> list[Check
     worst = 0.0
     for measure in (g1, m21):
         for _ in range(15):
-            u = (_random_gauss_sample(rng) if measure.is_gaussian
-                 else _random_power_sample(rng, measure))
+            u = _random_sample(rng, measure)
             worst = min(worst, rearrange.check_polya_szego(u, measure).rel_gap)
     out.append(_r("rearrange", "polya_szego", worst >= -5e-3,
                   f"smallest relative gap {worst:.2e} over 30 samples"))
@@ -538,11 +528,10 @@ def _certification_cases() -> list[tuple[MeasureSpec, float]]:
     ]
 
 
-def suite_minimum(rng: np.random.Generator, fault: bool = False,
-                  points: int = 41) -> list[CheckResult]:
+def suite_minimum(rng: np.random.Generator, fault: bool = False) -> list[CheckResult]:
     out = []
     for measure, total in _certification_cases():
-        curve = shapeopt.scan(measure, total, points=points)
+        curve = shapeopt.scan(measure, total)
         if fault:
             curve.lambdas[0] = curve.lambdas.min() - 1.0
         rep = shapeopt.certify_minimum(curve)
@@ -567,7 +556,7 @@ def suite_signs(rng: np.random.Generator, fault: bool = False) -> list[CheckResu
         for s in (0.34, 0.42, 0.66):
             cfg = measures.config_from_split(measure, total, s)
             sol = closedform.solve(cfg)
-            gap = closedform.boundary_gradient_gap(sol, cfg)
+            gap = closedform.boundary_gradient_gap(sol)
             if fault:
                 gap = -gap
             # the larger-mass component has the smaller squared gradient:
@@ -583,7 +572,7 @@ def suite_signs(rng: np.random.Generator, fault: bool = False) -> list[CheckResu
     for measure, total in ((g1, 0.5), (m21, 1.5)):
         cfg = measures.config_from_split(measure, total, 0.5)
         sol = closedform.solve(cfg)
-        rel = abs(closedform.boundary_gradient_gap(sol, cfg)) / sol.du_left ** 2
+        rel = abs(closedform.boundary_gradient_gap(sol)) / sol.du_left ** 2
         worst = min(worst, -rel)
     out.append(_r("signs", "gap_vanishes_at_symmetry", worst >= -1e-10,
                   f"largest |gap|/du^2 at symmetry {-worst:.2e}"))

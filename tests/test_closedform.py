@@ -613,7 +613,7 @@ class TestGradientGap:
     def test_zero_at_symmetry(self):
         cfg = measures.config_from_split(MeasureSpec.gaussian(1), 0.5, 0.5)
         sol = closedform.twisted_pair_gauss(cfg)
-        assert closedform.boundary_gradient_gap(sol, cfg) == pytest.approx(
+        assert closedform.boundary_gradient_gap(sol) == pytest.approx(
             0.0, abs=1e-10)
 
     @pytest.mark.parametrize("measure,total", [
@@ -625,18 +625,11 @@ class TestGradientGap:
             cfg = measures.config_from_split(measure, total, s)
             sol = (closedform.twisted_pair_gauss(cfg) if measure.is_gaussian
                    else closedform.twisted_pair_power(cfg))
-            gap = closedform.boundary_gradient_gap(sol, cfg)
+            gap = closedform.boundary_gradient_gap(sol)
             if s < 0.5:   # right component heavier -> du_right smaller
                 assert gap < 0.0
             else:
                 assert gap > 0.0
-
-    def test_config_mismatch_rejected(self):
-        cfg = measures.config_from_split(MeasureSpec.gaussian(1), 0.5, 0.4)
-        other = measures.config_from_split(MeasureSpec.gaussian(1), 0.5, 0.45)
-        sol = closedform.twisted_pair_gauss(cfg)
-        with pytest.raises(DomainError):
-            closedform.boundary_gradient_gap(sol, other)
 
 
 class TestRatioFunctions:

@@ -38,7 +38,6 @@ class TestPairDomain:
         dom = oracle.pair_domain(cfg)
         want = oracle.gaussian_pair_domain(cfg)
         assert dom == want
-        assert dom.truncation == want.truncation
 
     def test_power_family(self):
         cfg = measures.config_from_split(MeasureSpec.power(2, 1.0), 1.2, 0.4)
@@ -47,10 +46,14 @@ class TestPairDomain:
 
 class TestTruncation:
     def test_cut_points(self):
-        assert oracle.truncate_gaussian_halfline(0.0, 1e-14) == (0.0, 8.0)
-        assert oracle.truncate_gaussian_halfline(2.0, 1e-14) == (2.0, 8.0)
-        a, b = oracle.truncate_gaussian_halfline(4.0, 1e-14)
-        assert b >= 10.0
+        for L, R, want in ((0.0, 2.0, ((-8.0, 0.0), (2.0, 8.0))),
+                           (4.0, 0.5, ((-10.0, -4.0), (0.5, 8.0)))):
+            dom = oracle.gaussian_pair_domain(
+                measures.PairConfig(MeasureSpec.gaussian(1), L, R))
+            assert dom.intervals == want
+            (left_cut, _), (_, right_cut) = dom.intervals
+            assert measures.k_gauss(-left_cut) < 1e-14
+            assert measures.k_gauss(right_cut) < 1e-14
 
     def test_eigenvalue_insensitive_to_cut(self):
         d8 = oracle.Domain1D(intervals=((1e-4, 8.0),),

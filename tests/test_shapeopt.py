@@ -32,15 +32,15 @@ class TestLambdaOfSplit:
 class TestShapeDerivative:
     def test_zero_at_symmetry(self):
         sol = shapeopt.lambda_of_split(G1, 0.5, 0.5)
-        assert shapeopt.shape_derivative(sol, sol.config, 0.5) == pytest.approx(
+        assert shapeopt.shape_derivative(sol, 0.5) == pytest.approx(
             0.0, abs=1e-10)
 
     def test_pushes_back_toward_half(self):
         sol = shapeopt.lambda_of_split(G1, 0.5, 0.55)
-        d = shapeopt.shape_derivative(sol, sol.config, 0.5)
+        d = shapeopt.shape_derivative(sol, 0.5)
         assert d > 0.0
         sol2 = shapeopt.lambda_of_split(G1, 0.5, 0.45)
-        assert shapeopt.shape_derivative(sol2, sol2.config, 0.5) < 0.0
+        assert shapeopt.shape_derivative(sol2, 0.5) < 0.0
 
     def test_agrees_with_curve_fd(self):
         curve = shapeopt.scan(G1, 0.5, points=21)
@@ -48,12 +48,6 @@ class TestShapeDerivative:
             tol = max(1e-4, 1e-3 * abs(curve.derivative_fd[i]))
             assert abs(curve.derivative_analytic[i]
                        - curve.derivative_fd[i]) <= tol
-
-    def test_unnormalized_rejected(self):
-        sol = shapeopt.lambda_of_split(G1, 0.5, 0.5)
-        sol.normalization = 2.0
-        with pytest.raises(DomainError):
-            shapeopt.shape_derivative(sol, sol.config, 0.5)
 
 
 class TestScan:

@@ -174,6 +174,11 @@ class TestScalarPath:
         for order in (0.0, 1.5, 7.25):
             vals = specfun.bessel_j_scaled_vec(order, np.asarray(zs)).tolist()
             assert [specfun.bessel_j_scaled_vec(order, z) for z in zs] == vals
+        # points where numpy's power and the C library's pow round the
+        # factor (r/2)^order of J_order differently
+        for order, r in ((5.9, 6.79), (6.56, 9.22), (1.52, 0.13)):
+            vals = specfun.bessel_j_value(order, np.asarray([r, r])).tolist()
+            assert [specfun.bessel_j_value(order, r)] * 2 == vals
 
     @pytest.mark.parametrize("wrap", [float, lambda x: np.asarray([1.0, x])])
     def test_errors_on_both_paths(self, wrap):
