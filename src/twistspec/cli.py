@@ -1,5 +1,9 @@
 """Command-line front end: solve, scan, verify and oracle subcommands.
 
+`COMMANDS` gives each subcommand its handler and the flags it reads, and
+`_FLAGS` each flag's type and default.  A `--config` file of key=value lines
+goes through the same parser as flags; command-line flags win.
+
 Exit codes: 0 success, 2 domain/usage error, 3 numerical failure.  Floats
 are serialized with 17 significant digits so CSV/JSON round-trip losslessly
 (JSON writes a non-finite float as null), and all randomized suites are
@@ -12,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import closedform, measures, oracle, shapeopt, verify
@@ -72,11 +75,12 @@ def _emit(rows: list[dict], payload, args) -> None:
 
 
 def _measure_from_args(args) -> MeasureSpec:
-    if args.measure == "gaussian":
-        return MeasureSpec.gaussian(args.n)
-    if args.k is None:
+    if args.measure == "power" and args.k is None:
         raise DomainError("power measure needs --k")
-    return MeasureSpec.power(args.n, args.k)
+    measure = (MeasureSpec.gaussian(args.n) if args.measure == "gaussian"
+               else MeasureSpec.power(args.n, args.k))
+    measure.require_solver_order()
+    return measure
 
 
 def _config_from_args(measure: MeasureSpec, args) -> measures.PairConfig:
@@ -118,7 +122,6 @@ def _solution_record(measure: MeasureSpec, sol) -> dict:
 
 def cmd_solve(args) -> int:
     measure = _measure_from_args(args)
-    measure.require_solver_order()
     config = _config_from_args(measure, args)
     sol = closedform.solve(config)
     rec = _solution_record(measure, sol)
@@ -128,13 +131,11 @@ def cmd_solve(args) -> int:
 
 def cmd_scan(args) -> int:
     measure = _measure_from_args(args)
-    measure.require_solver_order()
     if args.mass is None:
         raise DomainError("scan needs --mass")
-    points = args.grid if args.grid else shapeopt.DEFAULT_POINTS
-    if points < 3:
+    if args.grid < 3:
         raise DomainError("scan needs at least a 3-point grid")
-    curve = shapeopt.scan(measure, args.mass, points=points)
+    curve = shapeopt.scan(measure, args.mass, points=args.grid)
     rows = []
     for i, s in enumerate(curve.splits):
         sol = curve.solutions[i]
@@ -180,17 +181,9 @@ def cmd_verify(args) -> int:
         ],
         "all_passed": n_fail == 0,
     }
-    if args.out:
-        with open(args.out, "w") as fh:
-            if args.format == "csv":
-                _write_csv(payload["results"], fh)
-            else:
-                _write_json(payload, fh)
-        print(table)
-        print(summary)
-    elif args.format == "json":
-        _write_json(payload, sys.stdout)
-    else:
+    if args.out or args.format == "json":
+        _emit(payload["results"], payload, args)
+    if args.out or args.format == "csv":
         print(table)
         print(summary)
     return EXIT_OK if n_fail == 0 else 1
@@ -198,29 +191,64 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     measure = _measure_from_args(args)
-    measure.require_solver_order()
     config = _config_from_args(measure, args)
     sol = closedform.solve(config)
     dom = oracle.pair_domain(config)
     h = None
-    if args.grid:
+    if args.grid is not None:
+        if args.grid < 1:
+            raise DomainError("oracle needs --grid >= 1")
         h = max(b - a for a, b in dom.intervals) / args.grid
     lam_oracle = float(oracle.twisted_eig(dom, h=h).eigenvalues[0])
     rec = _solution_record(measure, sol)
     rec["lambda_oracle"] = lam_oracle
     rec["relative_gap"] = abs(rec["lambda"] - lam_oracle) / lam_oracle
     _emit([rec], rec, args)
-    tol = args.tol if args.tol else 1e-3
-    if rec["relative_gap"] > tol:
+    if rec["relative_gap"] > args.tol:
         print(f"closed-form vs oracle disagreement "
-              f"{rec['relative_gap']:.3e} > {tol:g}", file=sys.stderr)
+              f"{rec['relative_gap']:.3e} > {args.tol:g}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
-def _read_config_file(path: str) -> dict:
-    """key=value lines mirroring the long flags; '#' starts a comment."""
-    values = {}
+COMMANDS = {
+    "solve": (cmd_solve, "solve one pair configuration",
+              ("measure", "n", "k", "mass", "split", "L", "R"), {}),
+    "scan": (cmd_scan, "scan the split parameter",
+             ("measure", "n", "k", "mass", "grid"),
+             {"grid": shapeopt.DEFAULT_POINTS}),
+    "verify": (cmd_verify, "run invariant suites",
+               ("seed", "suite", "inject-fault"), {}),
+    "oracle": (cmd_oracle, "compare closed form against the oracle",
+               ("measure", "n", "k", "mass", "split", "L", "R", "grid", "tol"),
+               {}),
+}
+
+_FLAGS = {
+    "measure": {"choices": ("gaussian", "power"), "default": "gaussian"},
+    "n": {"type": int, "default": 1},
+    "k": {"type": float},
+    "mass": {"type": float},
+    "split": {"type": float},
+    "L": {"type": float},
+    "R": {"type": float},
+    "grid": {"type": int},
+    "tol": {"type": float, "default": 1e-3},
+    "seed": {"type": int, "default": 0},
+    "suite": {"choices": sorted(verify.SUITES)},
+    "inject-fault": {"help": argparse.SUPPRESS},
+    "out": {},
+    "format": {"choices": ("csv", "json"), "default": "csv"},
+    "config": {"help": "key=value file of this subcommand's flags"},
+}
+
+
+def _read_config_file(path: str, command: str) -> list[str]:
+    """`--key=value` tokens from key=value lines naming the subcommand's
+    flags ('#' starts a comment); one token keeps a value starting with '-'."""
+    keys = [f for f in (*COMMANDS[command][2], "out", "format")
+            if _FLAGS[f].get("help") != argparse.SUPPRESS]
+    tokens = []
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -229,26 +257,10 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise DomainError(f"bad config line (need key=value): {raw!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
-    return values
-
-
-_CONFIG_TYPES = {
-    "measure": str, "n": int, "k": float, "mass": float, "split": float,
-    "L": float, "R": float, "grid": int, "tol": float, "out": str,
-    "format": str, "seed": int, "suite": str,
-}
-
-
-def _apply_config_file(args) -> None:
-    if not args.config:
-        return
-    file_values = _read_config_file(args.config)
-    for key, raw in file_values.items():
-        if key not in _CONFIG_TYPES:
-            raise DomainError(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None:
-            setattr(args, key, _CONFIG_TYPES[key](raw))
+            if key not in keys:
+                raise DomainError(f"unknown config key {key!r}")
+            tokens.append(f"--{key}={val}")
+    return tokens
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,56 +270,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "isoperimetric pairs: closed-form solvers, a discrete "
                     "oracle, and invariant verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_suite=False):
-        p.add_argument("--measure", choices=("gaussian", "power"))
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--k", type=float, default=None)
-        p.add_argument("--mass", type=float, default=None)
-        p.add_argument("--split", type=float, default=None)
-        p.add_argument("--L", type=float, default=None)
-        p.add_argument("--R", type=float, default=None)
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", type=str, default=None,
-                       help="key=value file mirroring the flags")
-        if with_suite:
-            p.add_argument("--suite", type=str, default=None,
-                           choices=sorted(verify.SUITES))
-            p.add_argument("--inject-fault", type=str, default=None,
-                           help=argparse.SUPPRESS)
-
-    p_solve = sub.add_parser("solve", help="solve one pair configuration")
-    common(p_solve)
-    p_scan = sub.add_parser("scan", help="scan the split parameter")
-    common(p_scan)
-    p_verify = sub.add_parser("verify", help="run invariant suites")
-    common(p_verify, with_suite=True)
-    p_oracle = sub.add_parser("oracle",
-                              help="compare closed form against the oracle")
-    common(p_oracle)
+    for name, (_, help_text, flags, defaults) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in (*flags, "out", "format", "config"):
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(**defaults)
     return parser
 
 
-_DEFAULTS = {"measure": "gaussian", "n": 1, "format": "csv", "seed": 0}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
-        for key, val in _DEFAULTS.items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, val)
-        if not hasattr(args, "inject_fault"):
-            args.inject_fault = None
-        handler = {"solve": cmd_solve, "scan": cmd_scan,
-                   "verify": cmd_verify, "oracle": cmd_oracle}[args.command]
-        return handler(args)
+        if args.config:
+            tokens = _read_config_file(args.config, args.command)
+            args = parser.parse_args([args.command, *tokens, *argv[1:]])
+        return COMMANDS[args.command][0](args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -324,18 +324,18 @@ def _is_nonneg_int(nu: float) -> bool:
     return abs(nu - round(nu)) < INTEGER_NU_TOL and round(nu) >= 0
 
 
-def _hermite_vec(nu: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized H_nu; returns (values, asymptotic_mask)."""
+def _hermite_vec(nu: float, t: np.ndarray) -> np.ndarray:
+    """Vectorized H_nu."""
     t = np.asarray(t, dtype=float)
     if _is_nonneg_int(nu):
-        return _hermite_poly(int(round(nu)), t), np.zeros(t.shape, dtype=bool)
+        return _hermite_poly(int(round(nu)), t)
     big = t >= HERMITE_SWITCH_T
     out = np.empty_like(t)
     if np.any(big):
         out[big] = _hermite_asympt(nu, t[big])
     if np.any(~big):
         out[~big] = _hermite_series(nu, t[~big])
-    return out, big
+    return out
 
 
 def _hermite_scalar(nu: float, t: float) -> tuple[float, bool]:
@@ -351,8 +351,7 @@ def hermite_value(nu: float, t: float | np.ndarray) -> float | np.ndarray:
     """H_nu evaluated on a scalar (plain float out) or array argument."""
     if np.ndim(t) == 0:
         return _hermite_scalar(nu, float(t))[0]
-    vals, _ = _hermite_vec(nu, np.asarray(t, dtype=float))
-    return vals
+    return _hermite_vec(nu, t)
 
 
 def hermite_h(nu: float, t: float) -> HermiteEval:
@@ -384,7 +383,7 @@ def hermite_largest_zero(nu: float) -> float:
     top = math.sqrt(2.0 * (nu + 1.0))
     step = min(0.05, top / 100.0)
     ts = np.arange(top, -step / 2, -step)
-    vals, _ = _hermite_vec(nu, ts)
+    vals = _hermite_vec(nu, ts)
     hits = np.flatnonzero(vals[0] * vals[1:] <= 0.0)
     if hits.size == 0:
         raise NumericalError(

@@ -6,9 +6,6 @@ lines and timings.
 
 import time
 
-import numpy as np
-import pytest
-
 from twistspec import cli, verify
 
 

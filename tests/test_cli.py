@@ -51,6 +51,19 @@ class TestSolve:
         assert "infeasible" in err
 
 
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--seed", "1"],
+        ["scan", "--split", "0.4"],
+        ["verify", "--mass", "1"],
+        ["oracle", "--seed", "3"],
+    ])
+    def test_flag_the_command_does_not_read_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+
 class TestScan:
     def test_rows_and_minimum(self, tmp_path, capsys):
         out_file = tmp_path / "scan.csv"
@@ -71,6 +84,11 @@ class TestScan:
     def test_too_small_grid_rejected(self, capsys):
         code, _, _ = run(["scan", "--measure", "gaussian", "--n", "1",
                           "--mass", "0.5", "--grid", "1"], capsys)
+        assert code == 2
+
+    def test_zero_grid_rejected(self, capsys):
+        code, _, _ = run(["scan", "--measure", "gaussian", "--n", "1",
+                          "--mass", "0.5", "--grid", "0"], capsys)
         assert code == 2
 
     def test_reruns_byte_identical(self, tmp_path, capsys):
@@ -155,6 +173,20 @@ class TestOracleCommand:
         rec = json.loads(out)
         assert rec["relative_gap"] <= 1e-3
 
+    def test_zero_tolerance_fails(self, capsys):
+        code, out, err = run(["oracle", "--measure", "power", "--n", "2",
+                              "--k", "1", "--mass", "1.0", "--split", "0.6",
+                              "--tol", "0"], capsys)
+        assert code == 3
+        assert "disagreement" in err
+
+    def test_zero_grid_rejected(self, capsys):
+        code, _, err = run(["oracle", "--measure", "power", "--n", "2",
+                            "--k", "1", "--mass", "1.0", "--split", "0.6",
+                            "--grid", "0"], capsys)
+        assert code == 2
+        assert "--grid" in err
+
 
 class TestConfigFile:
     def test_file_supplies_values_flags_override(self, tmp_path, capsys):
@@ -177,3 +209,29 @@ class TestConfigFile:
         cfg.write_text("nonsense = 1\n")
         code, _, err = run(["solve", "--config", str(cfg)], capsys)
         assert code == 2
+
+    def test_key_the_command_does_not_read_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mass = 0.5\nsplit = 0.4\nseed = 1\n")
+        code, _, err = run(["solve", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "unknown config key" in err
+
+    @pytest.mark.parametrize("line", ["format = xml", "n = abc"])
+    def test_bad_value_rejected_by_parser(self, line, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mass = 0.5\nsplit = 0.4\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_value_starting_with_dash(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(
+            "mass = 0.5\nsplit = 0.4\nformat = json\nout = -dash.json\n")
+        code, out, _ = run(["solve", "--config", "run.cfg"], capsys)
+        assert code == 0
+        assert out == ""
+        rec = json.loads((tmp_path / "-dash.json").read_text())
+        assert rec["mass_left"] == pytest.approx(0.2)

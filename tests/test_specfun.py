@@ -5,7 +5,7 @@ import pytest
 import scipy.special as sp
 
 from twistspec import specfun
-from twistspec.errors import AccuracyError, DomainError, NumericalError
+from twistspec.errors import AccuracyError, DomainError
 
 SQRT_PI = math.sqrt(math.pi)
 
