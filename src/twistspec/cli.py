@@ -4,7 +4,7 @@
 `_FLAGS` each flag's type and default.  A `--config` file of key=value lines
 goes through the same parser as flags; command-line flags win.
 
-Exit codes: 0 success, 2 domain/usage error, 3 numerical failure.  Floats
+Exit codes: 0 success, 2 domain/usage/file error, 3 numerical failure.  Floats
 are serialized with 17 significant digits so CSV/JSON round-trip losslessly
 (JSON writes a non-finite float as null), and all randomized suites are
 seeded, making reruns byte-identical.
@@ -25,6 +25,18 @@ from .measures import MeasureSpec
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_NUMERICAL = 3
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags: nan would turn every comparison
+    against the value false (the oracle's --tol gate among them)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
+    return value
 
 
 def _fmt(x) -> str:
@@ -227,13 +239,13 @@ COMMANDS = {
 _FLAGS = {
     "measure": {"choices": ("gaussian", "power"), "default": "gaussian"},
     "n": {"type": int, "default": 1},
-    "k": {"type": float},
-    "mass": {"type": float},
-    "split": {"type": float},
-    "L": {"type": float},
-    "R": {"type": float},
+    "k": {"type": _finite_float},
+    "mass": {"type": _finite_float},
+    "split": {"type": _finite_float},
+    "L": {"type": _finite_float},
+    "R": {"type": _finite_float},
     "grid": {"type": int},
-    "tol": {"type": float, "default": 1e-3},
+    "tol": {"type": _finite_float, "default": 1e-3},
     "seed": {"type": int, "default": 0},
     "suite": {"choices": sorted(verify.SUITES)},
     "inject-fault": {"help": argparse.SUPPRESS},
@@ -293,6 +305,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

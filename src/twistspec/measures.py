@@ -84,10 +84,6 @@ class MeasureSpec:
     def power(cls, n: int, k: float) -> "MeasureSpec":
         return cls(kind="power", n=n, k=float(k))
 
-    @classmethod
-    def lebesgue(cls, n: int) -> "MeasureSpec":
-        return cls(kind="power", n=n, k=0.0)
-
     @property
     def is_gaussian(self) -> bool:
         return self.kind == "gaussian"

@@ -6,6 +6,9 @@ Polya-Szego principle.
 Rearrangements are computed by exact sorting of node values with their
 weights (no binning), so equimeasurability is exact on the grid and all
 discretization error is isolated in resampling/gradient quadrature.
+The checks work from the decreasing profile u* alone (Polya-Szego through
+`resampled`, its image on a uniform grid); `weighted_rearrangement` builds
+usharp, the image with one node per mass slab.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class DecreasingProfile:
     sorted samples, with a piecewise-linear interpolant for resampling."""
     cum_mass: np.ndarray      # ascending cumulative weights W_j
     values: np.ndarray        # descending |u| values v_j
-    weights: np.ndarray = None  # sorted slab weights (diffs of cum_mass)
+    weights: np.ndarray       # sorted slab weights (diffs of cum_mass)
 
     @property
     def total_mass(self) -> float:
@@ -83,29 +86,14 @@ def decreasing_rearrangement(u: GridFunction) -> DecreasingProfile:
     return DecreasingProfile(cum_mass=np.cumsum(w), values=vals, weights=w)
 
 
-@dataclass
-class Rearranged:
-    """`usharp` carries exactly the sorted (value, weight) pairs of the
-    input, one node per mass slab: its distribution function coincides with
-    the input's exactly.  Per-slab spacings are useless for finite
-    differences when node weights are strongly heterogeneous (a light slab
-    wedged between heavy ones fakes a huge local slope), so gradient-based
-    checks use `resampled`, the same monotone profile on a uniform grid.
-    """
-    ustar: DecreasingProfile
-    usharp: GridFunction
-    measure: MeasureSpec = None
-
-    def resampled(self) -> GridFunction:
-        """usharp on a uniform grid over the isoperimetric set, one node per
-        slab."""
-        star = self.ustar
-        boundary, span, set_mass, weight = _image(self.measure)
-        edges = np.linspace(*span(boundary(star.total_mass)),
-                            len(star.values) + 1)
-        x = 0.5 * (edges[:-1] + edges[1:])
-        return GridFunction(x, star(set_mass(x)),
-                            weight(x) * (edges[1] - edges[0]))
+def resampled(star: DecreasingProfile, measure: MeasureSpec) -> GridFunction:
+    """`star` on a uniform grid over the isoperimetric set, a node per slab."""
+    boundary, span, set_mass, weight = _image(measure)
+    edges = np.linspace(*span(boundary(star.total_mass)),
+                        len(star.values) + 1)
+    x = 0.5 * (edges[:-1] + edges[1:])
+    return GridFunction(x, star(set_mass(x)),
+                        weight(x) * (edges[1] - edges[0]))
 
 
 def _image(measure: MeasureSpec):
@@ -126,8 +114,9 @@ def _image(measure: MeasureSpec):
             lambda r: c * r ** p_exp / p_exp, measure.radial_weight)
 
 
-def weighted_rearrangement(u: GridFunction, measure: MeasureSpec) -> Rearranged:
-    """Rearrangement onto the isoperimetric set of the same total mass.
+def weighted_rearrangement(u: GridFunction,
+                           measure: MeasureSpec) -> GridFunction:
+    """usharp: u rearranged onto the isoperimetric set of its total mass.
 
     Gaussian: the image is the half-space {x_1 > k^{-1}(mass)} and the
     profile increases in x_1 (largest values furthest right, where the
@@ -136,7 +125,11 @@ def weighted_rearrangement(u: GridFunction, measure: MeasureSpec) -> Rearranged:
 
     The image grid carries exactly the sorted (value, weight) pairs of the
     input, one node per mass slab, so the distribution function of usharp
-    coincides with that of u exactly.
+    coincides with that of u exactly.  Per-slab spacings are useless for
+    finite differences when node weights are strongly heterogeneous (a
+    light slab wedged between heavy ones fakes a huge local slope), so
+    gradient-based checks use `resampled`, the same monotone profile on a
+    uniform grid.
     """
     star = decreasing_rearrangement(u)
     W = star.cum_mass
@@ -144,12 +137,11 @@ def weighted_rearrangement(u: GridFunction, measure: MeasureSpec) -> Rearranged:
     mid_mass = 0.5 * (W_prev + W)
     nodes = _image(measure)[0](mid_mass)
     order = np.argsort(nodes)
-    usharp = GridFunction(
+    return GridFunction(
         nodes=nodes[order],
         values=star.values[order],
         node_weights=star.weights[order],
     )
-    return Rearranged(ustar=star, usharp=usharp, measure=measure)
 
 
 # ----------------------------------------------------------------------
@@ -178,13 +170,13 @@ def _simpson(vals: np.ndarray, h: float) -> float:
                             + 2.0 * np.sum(vals[2:-2:2])))
 
 
-def _sharp_norm_by_quadrature(rearranged: Rearranged, p: float) -> float:
+def _sharp_norm_by_quadrature(star: DecreasingProfile, measure: MeasureSpec,
+                              p: float) -> float:
     """int |usharp|^p d gamma by composite Simpson quadrature of the
     interpolated profile against the continuous weight, 8 points per slab -
     independent of the node-weight bookkeeping, so it carries a genuine
     resampling error."""
-    star = rearranged.ustar
-    boundary, span, set_mass, weight = _image(rearranged.measure)
+    boundary, span, set_mass, weight = _image(measure)
     x = np.linspace(*span(boundary(star.total_mass)), 8 * len(star.values) + 1)
     return _simpson(star(set_mass(x)) ** p * weight(x), x[1] - x[0])
 
@@ -198,8 +190,7 @@ def check_cavalieri(u: GridFunction, measure: MeasureSpec,
     with grid resolution.
     """
     lhs = float(np.dot(u.node_weights, np.abs(u.values) ** p))
-    re = weighted_rearrangement(u, measure)
-    rhs = _sharp_norm_by_quadrature(re, p)
+    rhs = _sharp_norm_by_quadrature(decreasing_rearrangement(u), measure, p)
     return InequalityReport(name=f"cavalieri_p{p:g}", lhs=lhs, rhs=rhs)
 
 
@@ -230,6 +221,6 @@ def check_polya_szego(u: GridFunction, measure: MeasureSpec) -> InequalityReport
     orientation: gap = energy(u) - energy(usharp) >= -tol.
     """
     energy_u = u.gradient_energy()
-    re = weighted_rearrangement(u, measure)
-    energy_sharp = re.resampled().gradient_energy()
+    star = decreasing_rearrangement(u)
+    energy_sharp = resampled(star, measure).gradient_energy()
     return InequalityReport(name="polya_szego", lhs=energy_sharp, rhs=energy_u)

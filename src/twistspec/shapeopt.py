@@ -20,7 +20,7 @@ golden-section refinement landing at the center.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,12 +43,6 @@ def lambda_of_split(measure: MeasureSpec, total_mass: float,
     return closedform.solve(measures.config_from_split(measure, total_mass, s))
 
 
-def shape_derivative(sol: TwistedSolution, ds_mass: float) -> float:
-    """Analytic d lambda / ds for the normalized solution, with ds_mass the
-    mass rate of the left component (total_mass for the unit split rate)."""
-    return closedform.boundary_gradient_gap(sol) * ds_mass
-
-
 @dataclass
 class ScanCurve:
     measure: MeasureSpec
@@ -57,17 +51,18 @@ class ScanCurve:
     lambdas: np.ndarray
     derivative_analytic: np.ndarray
     derivative_fd: np.ndarray          # NaN where the stencil does not fit
-    solutions: list[TwistedSolution] = field(default_factory=list)
-    window: tuple[float, float] = DEFAULT_WINDOW
-    all_single_signed: bool = True
+    solutions: list[TwistedSolution]
+    window: tuple[float, float]
+    all_single_signed: bool
 
     def max_adjacent_jump(self) -> float:
         return float(np.max(np.abs(np.diff(self.lambdas))))
 
 
-def feasible_window(measure: MeasureSpec,
-                    total_mass: float) -> tuple[float, float]:
-    """DEFAULT_WINDOW intersected with the family's feasibility limits."""
+def split_grid(measure: MeasureSpec, total_mass: float,
+               points: int = DEFAULT_POINTS) -> np.ndarray:
+    """Uniform split grid over DEFAULT_WINDOW intersected with the family's
+    feasibility limits, symmetric about 1/2 and containing it."""
     lo, hi = DEFAULT_WINDOW
     if measure.is_gaussian:
         s_min, s_max = measures.gaussian_split_window(total_mass)
@@ -78,13 +73,6 @@ def feasible_window(measure: MeasureSpec,
         raise DomainError(
             f"empty split window for total mass {total_mass:g}: "
             f"[{lo:g}, {hi:g}]")
-    return lo, hi
-
-
-def split_grid(measure: MeasureSpec, total_mass: float,
-               points: int = DEFAULT_POINTS) -> np.ndarray:
-    """Uniform split grid, symmetric about 1/2 and containing it."""
-    lo, hi = feasible_window(measure, total_mass)
     half = min(0.5 - lo, hi - 0.5)
     if half <= 0:
         raise DomainError("window must contain s = 1/2")
@@ -119,7 +107,7 @@ def scan(measure: MeasureSpec, total_mass: float,
         sol = lambda_of_split(measure, total_mass, float(s))
         sols.append(sol)
         lams[i] = sol.eigenvalue
-        dana[i] = shape_derivative(sol, total_mass)
+        dana[i] = closedform.boundary_gradient_gap(sol) * total_mass
     dfd = _fd_derivative(s_grid, lams)
     return ScanCurve(
         measure=measure, total_mass=total_mass, splits=s_grid,

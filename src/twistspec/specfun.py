@@ -24,7 +24,8 @@ evaluator switches to the algebraic large-argument expansion
 with (a)_m the rising factorial, summed until its terms stop shrinking.  The
 expansion is valid only on the +t branch: for non-integer nu, H_nu(-t) grows
 like exp(t^2) and is evaluated by the series, which is then free of
-cancellation.
+cancellation.  `hermite_value(nu, t)` is the one entry point: it picks the
+polynomial, the expansion (t >= HERMITE_SWITCH_T) or the series.
 
 The degree derivative d/dnu H_nu, which the Lagrange identity for
 int H_nu^2 e^{-t^2} needs, differentiates the Kummer combination term by
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,14 +78,6 @@ ZERO_SCAN_STEP = 0.05
 # McMahon's expansion is used for a zero only where its first omitted term
 # is below this fraction of the zero.
 MCMAHON_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class HermiteEval:
-    degree: float
-    argument: float
-    value: float
-    method_used: str  # "series" | "asymptotic"
 
 
 def gamma(x: float) -> float:
@@ -150,22 +142,16 @@ def _hermite_poly(n: int, t):
     return h
 
 
-def _hermite_series_coeffs(nu: float) -> tuple[float, float]:
-    """Gamma coefficients of the two Kummer series in H_nu."""
-    two_nu = 2.0 ** nu
-    # Gamma poles at positive integers are handled upstream by the
-    # polynomial dispatch; near-integers give a large Gamma and a vanishing
-    # coefficient, which is the correct continuous limit.
-    ga = gamma((1.0 - nu) / 2.0)
-    gb = gamma(-nu / 2.0)
-    return two_nu * SQRT_PI / ga, -2.0 * two_nu * SQRT_PI / gb
-
-
 def _hermite_series(nu: float, t):
     """Gamma-coefficient Kummer combination; |t| <= switch or t < 0."""
     z = t * t
     phi1, phi2 = _kummer_pair(-nu / 2.0, 0.5, (1.0 - nu) / 2.0, 1.5, z)
-    coeff_a, coeff_b = _hermite_series_coeffs(nu)
+    two_nu = 2.0 ** nu
+    # Gamma poles at positive integers are handled upstream by the
+    # polynomial dispatch; near-integers give a large Gamma and a vanishing
+    # coefficient, which is the correct continuous limit.
+    coeff_a = two_nu * SQRT_PI / gamma((1.0 - nu) / 2.0)
+    coeff_b = -2.0 * two_nu * SQRT_PI / gamma(-nu / 2.0)
     return coeff_a * phi1 + coeff_b * t * phi2
 
 
@@ -324,11 +310,17 @@ def _is_nonneg_int(nu: float) -> bool:
     return abs(nu - round(nu)) < INTEGER_NU_TOL and round(nu) >= 0
 
 
-def _hermite_vec(nu: float, t: np.ndarray) -> np.ndarray:
-    """Vectorized H_nu."""
-    t = np.asarray(t, dtype=float)
+def hermite_value(nu: float, t: float | np.ndarray) -> float | np.ndarray:
+    """H_nu at a float (plain float out) or an array: the polynomial for a
+    non-negative integer degree, the large-t expansion at
+    t >= HERMITE_SWITCH_T, the Kummer combination below it."""
+    scalar = np.ndim(t) == 0
+    t = float(t) if scalar else np.asarray(t, dtype=float)
     if _is_nonneg_int(nu):
         return _hermite_poly(int(round(nu)), t)
+    if scalar:
+        return (_hermite_asympt(nu, t) if t >= HERMITE_SWITCH_T
+                else _hermite_series(nu, t))
     big = t >= HERMITE_SWITCH_T
     out = np.empty_like(t)
     if np.any(big):
@@ -338,38 +330,11 @@ def _hermite_vec(nu: float, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hermite_scalar(nu: float, t: float) -> tuple[float, bool]:
-    """H_nu at a plain float: (value, asymptotic branch used)."""
-    if _is_nonneg_int(nu):
-        return _hermite_poly(int(round(nu)), t), False
-    if t >= HERMITE_SWITCH_T:
-        return _hermite_asympt(nu, t), True
-    return _hermite_series(nu, t), False
-
-
-def hermite_value(nu: float, t: float | np.ndarray) -> float | np.ndarray:
-    """H_nu evaluated on a scalar (plain float out) or array argument."""
-    if np.ndim(t) == 0:
-        return _hermite_scalar(nu, float(t))[0]
-    return _hermite_vec(nu, t)
-
-
-def hermite_h(nu: float, t: float) -> HermiteEval:
-    """Hermite function of real degree nu at t."""
-    if not (math.isfinite(nu) and math.isfinite(t)):
-        raise DomainError("hermite_h: non-finite input")
-    value, big = _hermite_scalar(nu, float(t))
-    return HermiteEval(
-        degree=nu, argument=t, value=value,
-        method_used="asymptotic" if big else "series",
-    )
-
-
 def hermite_h_deriv(nu: float, t: float) -> float:
     """H_nu'(t) = 2 nu H_{nu-1}(t)."""
     if nu == 0.0:
         return 0.0
-    return 2.0 * nu * hermite_h(nu - 1.0, t).value
+    return 2.0 * nu * hermite_value(nu - 1.0, t)
 
 
 def hermite_largest_zero(nu: float) -> float:
@@ -383,7 +348,7 @@ def hermite_largest_zero(nu: float) -> float:
     top = math.sqrt(2.0 * (nu + 1.0))
     step = min(0.05, top / 100.0)
     ts = np.arange(top, -step / 2, -step)
-    vals = _hermite_vec(nu, ts)
+    vals = hermite_value(nu, ts)
     hits = np.flatnonzero(vals[0] * vals[1:] <= 0.0)
     if hits.size == 0:
         raise NumericalError(

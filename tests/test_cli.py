@@ -63,6 +63,35 @@ class TestFlagsPerCommand:
             cli.main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--L", "nan", "--R", "nan"],
+        ["solve", "--measure", "power", "--n", "3", "--k", "inf",
+         "--mass", "1", "--split", "0.4"],
+        ["oracle", "--mass", "0.5", "--split", "0.4", "--tol", "nan"],
+    ])
+    def test_non_finite_number_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
+
+class TestFileErrors:
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.cfg")
+        code, out, err = run(["solve", "--config", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [err.strip()] and path in err
+
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "x.csv")
+        code, out, err = run(["solve", "--mass", "0.5", "--split", "0.5",
+                              "--out", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [err.strip()] and path in err
+
 
 class TestScan:
     def test_rows_and_minimum(self, tmp_path, capsys):
@@ -217,7 +246,7 @@ class TestConfigFile:
         assert code == 2
         assert "unknown config key" in err
 
-    @pytest.mark.parametrize("line", ["format = xml", "n = abc"])
+    @pytest.mark.parametrize("line", ["format = xml", "n = abc", "L = nan"])
     def test_bad_value_rejected_by_parser(self, line, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"mass = 0.5\nsplit = 0.4\n{line}\n")

@@ -210,7 +210,3 @@ class TestConfigFromSplit:
             MeasureSpec.power(1, 0.5).require_solver_order()
         MeasureSpec.power(2, 1.0).require_solver_order()
         MeasureSpec.gaussian(1).require_solver_order()
-
-    def test_lebesgue_alias(self):
-        m = MeasureSpec.lebesgue(3)
-        assert m.kind == "power" and m.k == 0.0

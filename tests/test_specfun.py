@@ -56,13 +56,13 @@ class TestKummer:
 
 class TestHermite:
     def test_integer_values(self):
-        assert specfun.hermite_h(2, 1.0).value == pytest.approx(2.0, abs=1e-12)
-        assert specfun.hermite_h(1, 3.0).value == pytest.approx(6.0, abs=1e-12)
+        assert specfun.hermite_value(2, 1.0) == pytest.approx(2.0, abs=1e-12)
+        assert specfun.hermite_value(1, 3.0) == pytest.approx(6.0, abs=1e-12)
 
     def test_half_degree_at_origin(self):
         # coefficient formula: only the even Kummer term survives at t = 0
         want = 2.0 ** 0.5 * SQRT_PI / specfun.gamma(0.25)
-        assert specfun.hermite_h(0.5, 0.0).value == pytest.approx(want, rel=1e-13)
+        assert specfun.hermite_value(0.5, 0.0) == pytest.approx(want, rel=1e-13)
 
     def test_integer_matches_polynomial_recurrence(self):
         ts = np.linspace(-4, 4, 200)
@@ -85,14 +85,18 @@ class TestHermite:
                     ref, rel=tol, abs=1e-10)
 
     def test_method_dispatch(self):
-        assert specfun.hermite_h(2.3, 1.0).method_used == "series"
-        assert specfun.hermite_h(2.3, 6.0).method_used == "asymptotic"
-        assert specfun.hermite_h(2.3, 5.0).method_used == "asymptotic"
-        assert specfun.hermite_h(2.3, 4.99).method_used == "series"
-        # integer degrees take the polynomial at every t
-        assert specfun.hermite_h(3.0, 8.0).method_used == "series"
-        # the large-argument expansion is only used on the positive branch
-        assert specfun.hermite_h(2.3, -6.0).method_used == "series"
+        series, asympt = specfun._hermite_series, specfun._hermite_asympt
+        for nu, t, branch in [
+            (2.3, 1.0, series),
+            (2.3, 6.0, asympt),
+            (2.3, 5.0, asympt),
+            (2.3, 4.99, series),
+            # integer degrees take the polynomial at every t
+            (3.0, 8.0, lambda nu, t: specfun._hermite_poly(3, t)),
+            # the large-argument expansion is only used on the positive branch
+            (2.3, -6.0, series),
+        ]:
+            assert specfun.hermite_value(nu, t) == branch(nu, t)
 
     def test_parity_integer(self):
         ts = np.linspace(-4, 4, 50)
