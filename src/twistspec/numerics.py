@@ -2,17 +2,16 @@
 
 Bracketed root finding (scipy's Brent behind a bracket-validating wrapper),
 uniform sign-change scans, the truncation point of Gaussian tail integrals,
-and golden-section minimization.
+and bounded scalar minimization (scipy's bounded Brent).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy import optimize
 
 from .errors import DomainError
 
@@ -58,7 +57,7 @@ def find_root(f: Callable[[float], float], bracket: Bracket,
         if x == hi:
             return bracket.f_hi
         return f(x)
-    return float(brentq(g, lo, hi, xtol=tol, rtol=8.9e-16))
+    return float(optimize.brentq(g, lo, hi, xtol=tol, rtol=8.9e-16))
 
 
 def scan_sign_change(f: Callable[[float], float], a: float, b: float,
@@ -76,25 +75,13 @@ def scan_sign_change(f: Callable[[float], float], a: float, b: float,
     return None
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def minimize_scalar(F: Callable[[float], float], a: float, b: float,
                     tol: float = 1e-8) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal F on [a, b] to x-tolerance tol."""
+    """Minimum of a unimodal F on [a, b] to x-tolerance tol by scipy's
+    bounded Brent method (golden sections with parabolic steps)."""
     if not a < b:
         raise DomainError(f"minimize_scalar: need a < b, got ({a}, {b})")
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = F(x1), F(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = F(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = F(x2)
-    x = x1 if f1 <= f2 else x2
-    return x, min(f1, f2)
+    # scipy passes numpy scalars; F runs on plain floats
+    res = optimize.minimize_scalar(lambda x: F(float(x)), bounds=(a, b),
+                                   method="bounded", options={"xatol": tol})
+    return float(res.x), float(res.fun)

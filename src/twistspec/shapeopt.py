@@ -14,7 +14,7 @@ V.n integrates to the mass flux there (+total_mass on the left component,
 `certify_minimum` checks the grid minimum at s = 1/2, the relabeling
 symmetry of the curve, the derivative sign pattern, agreement of the
 analytic derivative with finite differences of the curve itself, and a
-golden-section refinement landing at the center.
+bounded minimization near the center landing at s = 1/2.
 """
 
 from __future__ import annotations
@@ -142,8 +142,9 @@ def certify_minimum(curve: ScanCurve) -> CertificationReport:
     Checks: (a) global grid minimum at s = 1/2; (b) relabeling symmetry
     lambda(s) = lambda(1-s); (c) analytic derivative sign pattern (<= 0
     left of the center, >= 0 right of it); (d) analytic-vs-FD derivative
-    agreement within max(DERIV_TOL, 1e-3 |dlambda/ds|); (e) golden-section
-    refinement of the grid bracket lands within one grid step of 1/2.
+    agreement within max(DERIV_TOL, 1e-3 |dlambda/ds|); (e) the bounded
+    minimizer of lambda on the two grid steps either side of 1/2 lands
+    within one grid step of 1/2.
     """
     s, lam = curve.splits, curve.lambdas
     checks = []
@@ -192,7 +193,7 @@ def certify_minimum(curve: ScanCurve) -> CertificationReport:
         lambda x: lambda_of_split(curve.measure, curve.total_mass, x).eigenvalue,
         a, b, tol=min(1e-6, h / 10))
     checks.append(CheckOutcome(
-        "golden_section_refinement", abs(x_star - 0.5) <= h,
+        "refined_minimum_at_half", abs(x_star - 0.5) <= h,
         f"refined minimizer at s={x_star:.8f} (grid step {h:.3g})"))
 
     return CertificationReport(checks=checks)

@@ -27,10 +27,12 @@ like exp(t^2) and is evaluated by the series, which is then free of
 cancellation.  `hermite_value(nu, t)` is the one entry point: it picks the
 polynomial, the expansion (t >= HERMITE_SWITCH_T) or the series.
 
-The degree derivative d/dnu H_nu, which the Lagrange identity for
-int H_nu^2 e^{-t^2} needs, differentiates the Kummer combination term by
-term; its Gamma coefficients go through 1/Gamma, which is entire, so integer
-degrees need no special case.
+The degree derivatives d/dnu H_nu and d/dnu H_nu', which the Lagrange
+identity for int H_nu^2 e^{-t^2} needs, are taken by a complex step in the
+degree: the same Kummer pair runs at nu + i d and nu - 1 + i d, and the
+imaginary part over d is the derivative, exact to round-off with no
+difference to cancel.  The Gamma coefficients go through 1/Gamma, which is
+entire, so integer degrees need no special case.
 
 Each branch (polynomial, Kummer pair, large-t expansion, Bessel series) is
 one kernel in broadcasting float arithmetic: a plain float runs it in
@@ -44,6 +46,7 @@ finder.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -78,6 +81,12 @@ ZERO_SCAN_STEP = 0.05
 # McMahon's expansion is used for a zero only where its first omitted term
 # is below this fraction of the zero.
 MCMAHON_RTOL = 1e-10
+# Step of the complex-step degree derivative (Squire & Trapp, SIAM Rev. 40,
+# 1998): f(nu + i d) = f(nu) - d^2 f''/2 + i (d f' - d^3 f'''/6) + ..., so
+# Im f / d is f' with no difference to cancel.  For any d <= 1e-20 the d^2
+# cross terms of each complex product lie far below an ulp of the sums they
+# join, so the real parts round exactly as the float arithmetic does.
+COMPLEX_STEP = 1e-30
 
 
 def gamma(x: float) -> float:
@@ -185,82 +194,30 @@ def _rgamma_jet(x: float) -> tuple[float, float]:
     return g * sin_px, g * (math.pi * cos_px - sin_px * _digamma(1.0 - x))
 
 
-def _hermite_jet(nu: float, t: float) -> tuple[float, float, float, float]:
-    """(H_nu, H_nu', d/dnu H_nu, d/dnu H_nu') at a float t < HERMITE_SWITCH_T.
+def _hermite_complex_degree(mu: float, t: float) -> complex:
+    """The Kummer combination of _hermite_series at the complex degree
+    mu + i COMPLEX_STEP, float t.  Its Gamma coefficients take
+    1/Gamma(x - i d/2) = r - i (d/2) r' from _rgamma_jet, so integer degrees
+    pass through the poles of Gamma."""
+    d = COMPLEX_STEP
+    a1 = complex(-mu / 2.0, -d / 2.0)
+    a2 = complex((1.0 - mu) / 2.0, -d / 2.0)
+    phi1, phi2 = _kummer_pair(a1, 0.5, a2, 1.5, t * t)
+    rA, drA = _rgamma_jet(a2.real)
+    rB, drB = _rgamma_jet(a1.real)
+    return 2.0 ** complex(mu, d) * SQRT_PI * (
+        complex(rA, -0.5 * d * drA) * phi1
+        - 2.0 * t * complex(rB, -0.5 * d * drB) * phi2)
 
-    The Kummer combination differentiated term by term: one fused
-    compensated loop sums M, dM/da, dM/dz and d2M/da dz for both series,
-    with dt_{m+1} = (dt_m (a+m) + t_m) z / ((b+m)(m+1)) the a-derivative of
-    the term t_m; the z-derivative terms are t_{m+1}, dt_{m+1} before their
-    factor z/(m+1).  Same term budget and stop test as _kummer_pair."""
-    z = t * t
-    budget = _iteration_budget(z)
-    # per series (a, b): term, a-derivative of the term, and the compensated
-    # sums of M, M_a, M_z, M_az with their Kahan corrections
-    a1, a2 = -nu / 2.0, (1.0 - nu) / 2.0
-    t1 = t2 = 1.0
-    d1 = d2 = 0.0
-    m1 = m2 = 1.0
-    m1a = m2a = m1z = m2z = m1az = m2az = 0.0
-    k1 = k2 = k1a = k2a = k1z = k2z = k1az = k2az = 0.0
-    for m in range(KUMMER_MAX_TERMS):
-        q1, q2 = 1.0 / (0.5 + m), 1.0 / (1.5 + m)
-        z1, z2 = t1 * (a1 + m) * q1, t2 * (a2 + m) * q2
-        za1 = (d1 * (a1 + m) + t1) * q1
-        za2 = (d2 * (a2 + m) + t2) * q2
-        zm = z / (m + 1.0)
-        t1, t2, d1, d2 = z1 * zm, z2 * zm, za1 * zm, za2 * zm
-        y = t1 - k1
-        s = m1 + y
-        k1, m1 = (s - m1) - y, s
-        y = t2 - k2
-        s = m2 + y
-        k2, m2 = (s - m2) - y, s
-        y = d1 - k1a
-        s = m1a + y
-        k1a, m1a = (s - m1a) - y, s
-        y = d2 - k2a
-        s = m2a + y
-        k2a, m2a = (s - m2a) - y, s
-        y = z1 - k1z
-        s = m1z + y
-        k1z, m1z = (s - m1z) - y, s
-        y = z2 - k2z
-        s = m2z + y
-        k2z, m2z = (s - m2z) - y, s
-        y = za1 - k1az
-        s = m1az + y
-        k1az, m1az = (s - m1az) - y, s
-        y = za2 - k2az
-        s = m2az + y
-        k2az, m2az = (s - m2az) - y, s
-        if m >= budget:
-            err = (abs(t1) + abs(t2) + abs(d1) + abs(d2) + abs(z1) + abs(z2)
-                   + abs(za1) + abs(za2))
-            if err <= SERIES_RTOL * (abs(m1) + abs(m2) + abs(m1a) + abs(m2a)
-                                     + abs(m1z) + abs(m2z) + abs(m1az)
-                                     + abs(m2az) + SERIES_FLOOR):
-                break
-    else:
-        raise AccuracyError(
-            f"hermite degree-derivative series did not converge within "
-            f"{KUMMER_MAX_TERMS} terms (z = {z:g})")
-    # H = cA M1 + cB t M2, cA = 2^nu sqrt(pi)/Gamma((1-nu)/2),
-    # cB = -2^{nu+1} sqrt(pi)/Gamma(-nu/2); d/dnu acts on the coefficients
-    # and, with da/dnu = -1/2, on both series
-    scale = 2.0 ** nu * SQRT_PI
-    rA, drA = _rgamma_jet(a2)
-    rB, drB = _rgamma_jet(a1)
-    cA, cB = scale * rA, -2.0 * scale * rB
-    dcA = math.log(2.0) * cA - 0.5 * scale * drA
-    dcB = math.log(2.0) * cB + scale * drB
-    h = cA * m1 + cB * t * m2
-    hp = 2.0 * t * cA * m1z + cB * (m2 + 2.0 * z * m2z)
-    h_nu = dcA * m1 + dcB * t * m2 - 0.5 * (cA * m1a + cB * t * m2a)
-    hp_nu = (2.0 * t * (dcA * m1z - 0.5 * cA * m1az)
-             + dcB * (m2 + 2.0 * z * m2z)
-             - 0.5 * cB * (m2a + 2.0 * z * m2az))
-    return h, hp, h_nu, hp_nu
+
+def _hermite_jet(nu: float, t: float) -> tuple[float, float, float, float]:
+    """(H_nu, H_nu', d/dnu H_nu, d/dnu H_nu') at a float t < HERMITE_SWITCH_T
+    by the complex step in the degree: with G = H_{nu-1+i d}, H_nu' is
+    2 nu Re G and d/dnu H_nu' is 2 Re G + 2 nu Im G / d."""
+    h = _hermite_complex_degree(nu, t)
+    g = _hermite_complex_degree(nu - 1.0, t)
+    return (h.real, 2.0 * nu * g.real, h.imag / COMPLEX_STEP,
+            2.0 * g.real + 2.0 * nu * g.imag / COMPLEX_STEP)
 
 
 def _hermite_asympt(nu: float, t):
@@ -337,8 +294,9 @@ def hermite_h_deriv(nu: float, t: float) -> float:
     return 2.0 * nu * hermite_value(nu - 1.0, t)
 
 
+@functools.lru_cache(maxsize=64)
 def hermite_largest_zero(nu: float) -> float:
-    """Largest positive zero of H_nu, nu > 1.
+    """Largest positive zero of H_nu, nu > 1, scanned once per degree.
 
     All zeros lie in [-sqrt(2(nu+1)), sqrt(2(nu+1))]; scan downward from the
     upper bound and refine the first sign change with Brent.

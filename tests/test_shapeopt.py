@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -99,3 +100,14 @@ class TestCertify:
         curve.lambdas[1] += 1e-4
         rep = shapeopt.certify_minimum(curve)
         assert any(c.name == "curve_symmetry" for c in rep.failures())
+
+    def test_detects_refined_minimum_off_center(self, monkeypatch):
+        curve = shapeopt.scan(G1, 0.5, points=11)
+        # a stand-in curve whose minimizer sits 1.5 grid steps right of 1/2
+        s_min = 0.5 + 1.5 * (curve.splits[1] - curve.splits[0])
+        monkeypatch.setattr(
+            shapeopt, "lambda_of_split",
+            lambda measure, total_mass, s: SimpleNamespace(
+                eigenvalue=(s - s_min) ** 2))
+        rep = shapeopt.certify_minimum(curve)
+        assert "refined_minimum_at_half" in {c.name for c in rep.failures()}

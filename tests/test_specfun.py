@@ -208,6 +208,12 @@ class TestDegreeDerivative:
         (1.0, 0.0, -1.772453850905516027298167, 1.422784335098467139393488),
         (1.0, 0.8, 0.2476186779414632646839792, 3.393158625987662247334121),
         (2.0, 1.5, 4.596150858287802043442732, 17.9591103968242425372333),
+        # even integer degrees: the real Kummer series M(-nu/2, 1/2; t^2)
+        # terminates but its degree derivative does not; the series' stop
+        # test cannot see imaginary parts of the complex step's size, so the
+        # term budget alone must have summed the derivative
+        (4.0, 4.5, 11764.70336756482705644518, 12857.65819509670825477544),
+        (6.0, 4.2, 413548.274541666034581721, 782858.5183243940145361422),
     ])
     def test_against_mpmath(self, nu, t, dh, dhp):
         h, hp, h_nu, hp_nu = specfun._hermite_jet(nu, t)
