@@ -39,6 +39,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy's generators take no negative seed."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"need a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -246,7 +254,7 @@ _FLAGS = {
     "R": {"type": _finite_float},
     "grid": {"type": int},
     "tol": {"type": _finite_float, "default": 1e-3},
-    "seed": {"type": int, "default": 0},
+    "seed": {"type": _seed, "default": 0},
     "suite": {"choices": sorted(verify.SUITES)},
     "inject-fault": {"help": argparse.SUPPRESS},
     "out": {},

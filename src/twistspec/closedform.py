@@ -206,25 +206,20 @@ def dirichlet_halfball_power(measure: MeasureSpec, R: float) -> float:
     if R <= 0:
         raise DomainError(f"dirichlet_halfball_power: need R > 0, got {R:g}")
     b = _profile_order(measure)
-    return (_first_bessel_zero(b) / R) ** 2
+    return (_bessel_zero_pair(b)[0] / R) ** 2
 
 
 @lru_cache(maxsize=64)
-def _first_bessel_zero(order: float) -> float:
-    """j_{order,1}, scanned once per profile order."""
-    return specfun.bessel_first_zero(order, "of_J")
-
-
-@lru_cache(maxsize=64)
-def _second_bessel_zero(order: float) -> float:
-    """min(j_{order,2}, BESSEL_SERIES_RMAX), found once per profile order:
-    D needs the Bessel series at f a, so the cap f a <= j_{order,2} of the
-    pair bracket is never taken beyond the series ceiling."""
-    ceiling = specfun.BESSEL_SERIES_RMAX
+def _bessel_zero_pair(order: float) -> tuple[float, float]:
+    """(j_{order,1}, min(j_{order,2}, BESSEL_SERIES_RMAX)) per profile order,
+    from one bessel_zeros call if j_{order,2} is below the ceiling: D needs
+    the Bessel series at f a, so the bracket cap f a <= j_{order,2} stops
+    there."""
     try:
-        return min(float(specfun.bessel_zeros(order, 2)[1]), ceiling)
+        j1, j2 = specfun.bessel_zeros(order, 2)
     except AccuracyError:     # j_{order,2} lies beyond the ceiling
-        return ceiling
+        j1, j2 = specfun.bessel_zeros(order, 1)[0], math.inf
+    return float(j1), min(float(j2), specfun.BESSEL_SERIES_RMAX)
 
 
 def _g_profile(order: float, freq: float,
@@ -329,10 +324,10 @@ _GAUSS = _Family(
 def _power_family(measure: MeasureSpec) -> _Family:
     b = _profile_order(measure)
     alpha = 1.0 - (measure.n + measure.k) / 2.0
-    j1 = _first_bessel_zero(b)
+    j1, j2 = _bessel_zero_pair(b)
 
     def cap(a: float, lam1: float, lam_hi: float) -> float:
-        return min(lam_hi, (_second_bessel_zero(b) / a) ** 2)
+        return min(lam_hi, (j2 / a) ** 2)
 
     return _Family(
         name="power", weight=measure.angular_constant,

@@ -1,8 +1,8 @@
 """Shared 1D numerical kernels.
 
 Bracketed root finding (scipy's Brent behind a bracket-validating wrapper),
-uniform sign-change scans, the truncation point of Gaussian tail integrals,
-and bounded scalar minimization (scipy's bounded Brent).
+sign-change scans (scalar, or vectorized and refined), the truncation point
+of Gaussian tail integrals, and bounded minimization (scipy's bounded Brent).
 """
 
 from __future__ import annotations
@@ -73,6 +73,20 @@ def scan_sign_change(f: Callable[[float], float], a: float, b: float,
             return Bracket(x_prev, x_cur, f_prev, f_cur)
         x_prev, f_prev = x_cur, f_cur
     return None
+
+
+def grid_roots(f: Callable, xs: np.ndarray, count: int,
+               tol: float = DEFAULT_ROOT_TOL) -> list[float]:
+    """Roots at the first `count` sign changes of a vectorized f along the
+    monotone grid xs (either direction), in grid order: f runs once on xs,
+    then on floats inside the brackets.  A grid value 0 ends one change."""
+    v = f(xs)
+    change = v[:-1] * v[1:] <= 0.0
+    change[1:] &= v[1:-1] != 0.0
+    ends = (sorted(zip(xs[i:i + 2].tolist(), v[i:i + 2].tolist()))
+            for i in np.flatnonzero(change)[:count])
+    return [find_root(f, Bracket(lo, hi, f_lo, f_hi), tol)
+            for (lo, f_lo), (hi, f_hi) in ends]
 
 
 def minimize_scalar(F: Callable[[float], float], a: float, b: float,

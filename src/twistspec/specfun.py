@@ -39,9 +39,9 @@ one kernel in broadcasting float arithmetic: a plain float runs it in
 Python floats, which avoids numpy overhead on one-element arrays, and an
 array runs it through numpy, with bit-identical values.  The convergence
 tests compare floats directly and reduce arrays with `.all()`: a reducer
-call on every float term costs about 8 % of a scalar Bessel call.  The zero
-finders scan for a sign change and refine it with numerics' Brent root
-finder.
+call on every float term costs about 8 % of a scalar Bessel call.  Every
+zero finder evaluates its function once on an array grid and refines the
+sign changes with numerics.grid_roots; the Bessel grids end at the ceiling.
 """
 
 from __future__ import annotations
@@ -305,17 +305,13 @@ def hermite_largest_zero(nu: float) -> float:
         raise DomainError(f"hermite_largest_zero: need nu > 1, got {nu:g}")
     top = math.sqrt(2.0 * (nu + 1.0))
     step = min(0.05, top / 100.0)
-    ts = np.arange(top, -step / 2, -step)
-    vals = hermite_value(nu, ts)
-    hits = np.flatnonzero(vals[0] * vals[1:] <= 0.0)
-    if hits.size == 0:
+    zeros = numerics.grid_roots(lambda t: hermite_value(nu, t),
+                                np.arange(top, -step / 2, -step), 1, tol=1e-13)
+    if not zeros:
         raise NumericalError(
             f"hermite_largest_zero: no sign change found for nu={nu:g} on "
             f"[0, {top:g}] with step {step:g}")
-    i = int(hits[0]) + 1
-    br = numerics.Bracket(float(ts[i]), float(ts[i - 1]),
-                          float(vals[i]), float(vals[i - 1]))
-    return numerics.find_root(lambda x: hermite_value(nu, x), br, tol=1e-13)
+    return zeros[0]
 
 
 def turan_gap(nu: float, t: float) -> float:
@@ -378,37 +374,32 @@ def bessel_j_value(order: float,
     return bessel_j_scaled_vec(order, r) * lead
 
 
-def bessel_j_deriv(order: float, r: float) -> float:
-    """J_order'(r) = (order/r) J_order(r) - J_{order+1}(r), r > 0."""
-    if r <= 0.0:
+def bessel_j_deriv(order: float,
+                   r: float | np.ndarray) -> float | np.ndarray:
+    """J_order' = (order/r) J_order - J_{order+1} at float or array r > 0."""
+    if np.min(r) <= 0.0:
         raise DomainError("bessel_j_deriv: need r > 0")
     return (order / r) * bessel_j_value(order, r) - bessel_j_value(order + 1.0, r)
 
 
-def bessel_first_zero(order: float, kind: str = "of_J") -> float:
-    """First positive zero of J_order or J_order'.
+def _zero_grid(order: float) -> np.ndarray:
+    """ZERO_SCAN_STEP grid from max(order, 1e-6) through BESSEL_SERIES_RMAX."""
+    xs = np.arange(max(order, 1e-6), BESSEL_SERIES_RMAX, ZERO_SCAN_STEP)
+    return np.append(xs[xs < BESSEL_SERIES_RMAX], BESSEL_SERIES_RMAX)
 
-    The scan runs in ZERO_SCAN_STEP steps from the interlacing lower bound
-    (the order itself) to order + 30, and Brent refines its first sign
-    change.  By the convention used here j'_{0,1} = 0, matching the display
-    order <= j'_{order,1} < j_{order,1}.
-    """
-    if order < 0.0:
-        raise DomainError("bessel_first_zero: need order >= 0")
-    if kind not in ("of_J", "of_Jprime"):
-        raise DomainError(f"bessel_first_zero: unknown kind {kind!r}")
-    if kind == "of_Jprime" and order == 0.0:
+
+def bessel_jprime_first_zero(order: float) -> float:
+    """j'_{order,1}, the first positive zero of J_order', on the grid of
+    bessel_zeros; j'_{0,1} = 0 by the convention
+    order <= j'_{order,1} < j_{order,1}, which the scan does not assume."""
+    if order == 0.0:
         return 0.0
-    f = (lambda x: bessel_j_value(order, x)) if kind == "of_J" \
-        else (lambda x: bessel_j_deriv(order, x))
-    lo, hi = max(order, 1e-6), order + 30.0
-    steps = int(round((hi - lo) / ZERO_SCAN_STEP))
-    br = numerics.scan_sign_change(f, lo, hi, steps)
-    if br is None:
-        raise NumericalError(
-            f"bessel_first_zero: no sign change of {kind} for order {order:g} "
-            f"in [{lo:g}, {hi:g}]")
-    return numerics.find_root(f, br, tol=1e-13)
+    zeros = numerics.grid_roots(lambda r: bessel_j_deriv(order, r),
+                                _zero_grid(order), 1, tol=1e-13)
+    if not zeros:
+        raise AccuracyError(f"bessel_jprime_first_zero: j'_({order:g},1) "
+                            f"lies beyond the series ceiling")
+    return zeros[0]
 
 
 def _mcmahon_zero(order: float, h: int) -> tuple[float, float]:
@@ -437,21 +428,13 @@ def _mcmahon_zero(order: float, h: int) -> tuple[float, float]:
 def bessel_zeros(order: float, count: int) -> np.ndarray:
     """First `count` positive zeros of J_order.
 
-    Zeros up to the series ceiling BESSEL_SERIES_RMAX are bracketed on one
-    vector evaluation over a ZERO_SCAN_STEP grid and refined with Brent;
+    Zeros below the series ceiling come from grid_roots on _zero_grid;
     farther zeros use McMahon's expansion, and only where its first omitted
     term is below MCMAHON_RTOL of the zero (large orders need large h):
     anything else raises AccuracyError.
     """
-    xs = np.arange(max(order, 1e-6), BESSEL_SERIES_RMAX, ZERO_SCAN_STEP)
-    xs = np.append(xs[xs < BESSEL_SERIES_RMAX], BESSEL_SERIES_RMAX)
-    vals = bessel_j_value(order, xs)
-    f = lambda x: bessel_j_value(order, x)  # noqa: E731
-    zeros = []
-    for i in np.flatnonzero(vals[:-1] * vals[1:] <= 0.0)[:count]:
-        br = numerics.Bracket(float(xs[i]), float(xs[i + 1]),
-                              float(vals[i]), float(vals[i + 1]))
-        zeros.append(numerics.find_root(f, br, tol=1e-13))
+    zeros = numerics.grid_roots(lambda r: bessel_j_value(order, r),
+                                _zero_grid(order), count, tol=1e-13)
     for h in range(len(zeros) + 1, count + 1):
         zero, nxt = _mcmahon_zero(order, h)
         if abs(nxt) > MCMAHON_RTOL * zero:

@@ -143,30 +143,29 @@ def suite_bessel(rng: np.random.Generator, fault: bool = False) -> list[CheckRes
                   f"max abs gap {worst:.2e} on (0, 10]"))
 
     worst = 0.0
-    h = 1e-6
+    h, rs = 1e-6, np.linspace(0.3, 9.0, 14)
     for a in (0.0, 0.5, 1.3, 2.2):
-        for r in np.linspace(0.3, 9.0, 14):
-            d = specfun.bessel_j_deriv(a, r)
-            fd = (specfun.bessel_j_value(a, r + h)
-                  - specfun.bessel_j_value(a, r - h)) / (2 * h)
-            worst = max(worst, abs(d - fd) / (1.0 + abs(d)))
+        d = specfun.bessel_j_deriv(a, rs)
+        fd = (specfun.bessel_j_value(a, rs + h)
+              - specfun.bessel_j_value(a, rs - h)) / (2 * h)
+        worst = max(worst, float(np.max(np.abs(d - fd) / (1.0 + np.abs(d)))))
     out.append(_r("bessel", "recurrence_vs_fd", worst <= 1e-6,
                   f"worst scaled residual {worst:.2e}"))
 
     ok = True
     details = []
     for a in (0.0, 0.5, 1.0, 1.7, 2.5):
-        jp = specfun.bessel_first_zero(a, "of_Jprime")
-        j = specfun.bessel_first_zero(a, "of_J")
+        jp = specfun.bessel_jprime_first_zero(a)
+        j = specfun.bessel_zeros(a, 1)[0]
         ok = ok and (a <= jp < j)
         details.append(f"a={a:g}: {jp:.4f} < {j:.4f}")
     out.append(_r("bessel", "zero_interlacing", ok, "; ".join(details)))
 
-    ok = (abs(specfun.bessel_first_zero(0.5) - math.pi) <= 1e-9
-          and abs(specfun.bessel_first_zero(0.0) - 2.404825557695773) <= 1e-9)
+    j_half, j_zero = (specfun.bessel_zeros(a, 1)[0] for a in (0.5, 0.0))
+    ok = (abs(j_half - math.pi) <= 1e-9
+          and abs(j_zero - 2.404825557695773) <= 1e-9)
     out.append(_r("bessel", "first_zero_values", ok,
-                  f"j_(1/2,1)={specfun.bessel_first_zero(0.5):.12f}, "
-                  f"j_(0,1)={specfun.bessel_first_zero(0.0):.12f}"))
+                  f"j_(1/2,1)={j_half:.12f}, j_(0,1)={j_zero:.12f}"))
 
     # infinite-product cross-check; truncating after H factors drops the
     # tail of sum 1/j^2 (total 1/(4(a+1)), the Rayleigh sum), a relative
@@ -588,7 +587,7 @@ def suite_signs(rng: np.random.Generator, fault: bool = False) -> list[CheckResu
 
     ok = True
     for order in (0.5, 1.0, 1.7):
-        jp = specfun.bessel_first_zero(order, "of_Jprime")
+        jp = specfun.bessel_jprime_first_zero(order)
         ss = np.linspace(0.01, jp - 0.01, 200)
         vals = np.asarray([closedform.phi_alpha(order, float(s)) for s in ss])
         ok = ok and bool(np.all(np.diff(vals) < 0.0)) and bool(np.all(vals < 0.0))

@@ -192,6 +192,13 @@ class TestVerify:
         with pytest.raises(SystemExit):
             cli.main(["verify", "--suite", "nope"])
 
+    def test_negative_seed_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "recovery", "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "non-negative" in err and "Traceback" not in err
+
 
 class TestOracleCommand:
     def test_agreement(self, capsys):
@@ -245,6 +252,15 @@ class TestConfigFile:
         code, _, err = run(["solve", "--config", str(cfg)], capsys)
         assert code == 2
         assert "unknown config key" in err
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("suite = recovery\nseed = -1\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "non-negative" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("line", ["format = xml", "n = abc", "L = nan"])
     def test_bad_value_rejected_by_parser(self, line, tmp_path, capsys):

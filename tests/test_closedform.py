@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistspec import closedform, measures, oracle, specfun
-from twistspec.errors import DomainError, NumericalError
+from twistspec.errors import AccuracyError, DomainError, NumericalError
 from twistspec.measures import MeasureSpec
 
 from quadrature import gauss_tail, integrate
@@ -137,7 +137,7 @@ class TestMeanIdentities:
 
     @pytest.mark.parametrize("order", [0.5, 1.5, 3.0])
     def test_power_mean_against_quadrature(self, order):
-        j1 = specfun.bessel_first_zero(order)
+        j1 = specfun.bessel_zeros(order, 1)[0]
         for X in (0.3, 1.0, 2.5):
             for freq in (0.6 * j1 / X, j1 / X, 1.4 * j1 / X):
                 g_X, j_next = closedform._power_state(order, freq, X)
@@ -167,13 +167,30 @@ class TestDirichletPower:
         with pytest.raises(DomainError):
             closedform.dirichlet_halfball_power(MeasureSpec.power(1, 0.5), 1.0)
 
+    def test_first_zero_beyond_series_ceiling_named(self):
+        # (3,22) has profile order 11.5 and j_{11.5,1} = 16.1 > 16
+        with pytest.raises(AccuracyError, match="zero 1 of J_11.5"):
+            closedform.dirichlet_halfball_power(MeasureSpec.power(3, 22.0),
+                                                1.0)
+
+    def test_largest_order_below_series_ceiling(self):
+        # (3,21) has profile order 11 and j_{11,1} = 15.59 < 16
+        from scipy.special import jn_zeros
+        m = MeasureSpec.power(3, 21.0)
+        lam = closedform.dirichlet_halfball_power(m, 1.0)
+        assert math.sqrt(lam) == pytest.approx(jn_zeros(11, 1)[0], rel=1e-12)
+        sol = closedform.twisted_pair_power(
+            measures.config_from_split(m, 1.0, 0.4))
+        lo, hi = sol.bracket_dirichlet
+        assert lo < sol.eigenvalue <= hi
+
     def test_second_zero_capped_at_series_ceiling(self):
         # j_{5,2} (scipy jn_zeros) inside the series region; j_{8,2} = 16.04
         # and j_{11,2} = 19.0 beyond it, where the pair bracket stops anyway
-        assert closedform._second_bessel_zero(5.0) == pytest.approx(
+        assert closedform._bessel_zero_pair(5.0)[1] == pytest.approx(
             12.338604197466944, rel=1e-13)
         for order in (8.0, 11.0):
-            assert closedform._second_bessel_zero(order) == \
+            assert closedform._bessel_zero_pair(order)[1] == \
                 specfun.BESSEL_SERIES_RMAX
 
 
@@ -314,6 +331,16 @@ class TestTwistedPairPower:
         lam_o = oracle.twisted_eig(oracle.power_pair_domain(cfg))
         assert sol.eigenvalue == pytest.approx(lam_o.eigenvalues[0], rel=1e-3)
 
+    def test_tiny_profile_order_against_oracle(self):
+        # (2, 1e-4) has profile order 5e-5: its zero scans start at the
+        # grid floor 1e-6, not at the order
+        m = MeasureSpec.power(2, 1e-4)
+        assert m.profile_order == pytest.approx(5e-5)
+        cfg = measures.config_from_split(m, 1.0, 0.4)
+        sol = closedform.twisted_pair_power(cfg)
+        lam_o = oracle.twisted_eig(oracle.power_pair_domain(cfg))
+        assert sol.eigenvalue == pytest.approx(lam_o.eigenvalues[0], rel=1e-3)
+
     def test_residuals_and_bracket(self):
         m = MeasureSpec.power(3, 2.0)
         cfg = measures.config_from_split(m, 3.0, 0.41)
@@ -352,14 +379,14 @@ class TestTwistedPairPower:
 
     def test_one_zero_scan_per_order(self, monkeypatch):
         calls = []
-        scan = specfun.bessel_first_zero
+        scan = specfun.bessel_zeros
 
-        def counted(order, kind="of_J"):
+        def counted(order, count):
             calls.append(order)
-            return scan(order, kind)
+            return scan(order, count)
 
-        monkeypatch.setattr(specfun, "bessel_first_zero", counted)
-        closedform._first_bessel_zero.cache_clear()
+        monkeypatch.setattr(specfun, "bessel_zeros", counted)
+        closedform._bessel_zero_pair.cache_clear()
         m = MeasureSpec.power(3, 2.0)
         for s in (0.35, 0.45, 0.5):
             closedform.twisted_pair_power(measures.config_from_split(m, 2.0, s))
@@ -490,7 +517,7 @@ class TestSingleSignedEdge:
             cfg = measures.config_from_split(m, 5.0, s)
             sol = closedform.twisted_pair_power(cfg)
             big = max(cfg.left_param, cfg.right_param)
-            ratio = sol.freq * big / specfun.bessel_first_zero(b + 1.0)
+            ratio = sol.freq * big / specfun.bessel_zeros(b + 1.0, 1)[0]
             assert 1.0013 < ratio < 1.0014
             assert not sol.single_signed
             u = sol.u_left_at if cfg.left_param == big else sol.u_right_at
@@ -545,7 +572,7 @@ class TestPowerNormalization:
     @pytest.mark.parametrize("order", [0.5, 1.5, 3.0])
     def test_lommel_against_quadrature(self, order):
         # smooth weights: the adaptive reference is exact to round-off
-        j1 = specfun.bessel_first_zero(order)
+        j1 = specfun.bessel_zeros(order, 1)[0]
         for X in (0.3, 1.0, 2.5):
             for freq in (0.2 * j1 / X, j1 / X, 1.4 * j1 / X):
                 g_X = closedform._g_profile(order, freq, X)
@@ -661,7 +688,7 @@ class TestRatioFunctions:
 
     def test_phi_monotone_negative(self):
         for order in (0.5, 1.0, 1.7):
-            jp = specfun.bessel_first_zero(order, "of_Jprime")
+            jp = specfun.bessel_jprime_first_zero(order)
             ss = np.linspace(0.01, jp - 0.01, 100)
             vals = [closedform.phi_alpha(order, float(s)) for s in ss]
             assert all(v < 0 for v in vals)

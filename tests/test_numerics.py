@@ -44,6 +44,29 @@ class TestBracketAndRoots:
         assert br.lo <= math.pi / 2 <= br.hi
         assert numerics.scan_sign_change(lambda x: 1.0 + x * x, 0, 1, 10) is None
 
+    def test_grid_roots_ascending_several(self):
+        xs = np.linspace(0.0, 10.0, 41)
+        roots = numerics.grid_roots(np.cos, xs, 2, tol=1e-13)
+        assert roots == pytest.approx([math.pi / 2, 3 * math.pi / 2],
+                                      abs=1e-12)
+
+    def test_grid_roots_descending_in_grid_order(self):
+        xs = np.linspace(10.0, 0.0, 41)
+        roots = numerics.grid_roots(np.cos, xs, 2, tol=1e-13)
+        assert roots == pytest.approx([5 * math.pi / 2, 3 * math.pi / 2],
+                                      abs=1e-12)
+
+    def test_grid_roots_fewer_changes_than_count(self):
+        xs = np.linspace(0.0, 5.0, 21)
+        roots = numerics.grid_roots(np.cos, xs, 4)
+        assert roots == pytest.approx([math.pi / 2, 3 * math.pi / 2], abs=1e-9)
+        assert numerics.grid_roots(lambda x: 1.0 + x * x, xs, 1) == []
+
+    def test_grid_roots_zero_on_grid_counted_once(self):
+        xs = np.arange(-2.0, 4.0)          # f vanishes at the node 0
+        roots = numerics.grid_roots(lambda x: x * (x - 2.5), xs, 3)
+        assert roots == pytest.approx([0.0, 2.5], abs=1e-9)
+
 
 class TestIntegrate:
     def test_polynomial(self):

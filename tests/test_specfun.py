@@ -361,23 +361,25 @@ class TestBessel:
 
 class TestBesselZeros:
     def test_first_zero_values(self):
-        assert specfun.bessel_first_zero(0.5) == pytest.approx(math.pi, abs=1e-9)
-        assert specfun.bessel_first_zero(0.0) == pytest.approx(
+        assert specfun.bessel_zeros(0.5, 1)[0] == pytest.approx(
+            math.pi, abs=1e-9)
+        assert specfun.bessel_zeros(0.0, 1)[0] == pytest.approx(
             2.404825557695773, abs=1e-9)
 
     def test_first_zero_values_to_round_off(self):
-        assert abs(specfun.bessel_first_zero(0.5) - math.pi) <= 1e-13
-        assert abs(specfun.bessel_first_zero(0.0) - 2.404825557695773) <= 1e-13
+        assert abs(specfun.bessel_zeros(0.5, 1)[0] - math.pi) <= 1e-13
+        j0 = specfun.bessel_zeros(0.0, 1)[0]
+        assert abs(j0 - 2.404825557695773) <= 1e-13
 
     @pytest.mark.parametrize("order", [1, 3])
     def test_first_derivative_zero_against_scipy(self, order):
         want = float(sp.jnp_zeros(order, 1)[0])
-        assert abs(specfun.bessel_first_zero(order, "of_Jprime") - want) <= 1e-13
+        assert abs(specfun.bessel_jprime_first_zero(order) - want) <= 1e-13
 
     @pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 1.7, 2.5])
     def test_interlacing(self, order):
-        jp = specfun.bessel_first_zero(order, "of_Jprime")
-        j = specfun.bessel_first_zero(order, "of_J")
+        jp = specfun.bessel_jprime_first_zero(order)
+        j = specfun.bessel_zeros(order, 1)[0]
         assert order <= jp < j
 
     def test_zero_table_against_scipy(self):
@@ -403,7 +405,3 @@ class TestBesselZeros:
         # McMahon's expansion at order 11 is 1e-3 off for the second zero
         with pytest.raises(AccuracyError, match="zero 2 of J_11"):
             specfun.bessel_zeros(11.0, 2)
-
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            specfun.bessel_first_zero(1.0, "of_Y")
