@@ -44,9 +44,11 @@ single-signed.
 The weighted mean integrals inside D are exact: from
 (e^{-t^2} H_{nu-1})' = -e^{-t^2} H_nu on the Gaussian side and from
 int_0^X r^{b+1} J_b(f r) dr = X^{b+1} J_{b+1}(f X)/f (DLMF 10.22.1) on the
-power side, so D costs four scalar special-function calls.  The power
-normalization is exact as well (Lommel, DLMF 10.22.5), and so is the
-gaussian one: the Lagrange identity in the degree,
+power side.  D needs H_nu and H_{nu-1} (or g and Jhat_{b+1}) at both
+boundaries; specfun.hermite_state gives each Hermite pair from one Kummer
+pass, so a gaussian D costs two scalar special-function calls and a power
+D four.  The power normalization is exact as well (Lommel, DLMF 10.22.5),
+and so is the gaussian one: the Lagrange identity in the degree,
 int_a^inf H_nu^2 e^{-t^2} dt = e^{-a^2} (H_nu dH_nu' - H_nu' dH_nu)(a) / 2
 with d = d/dnu, needs the Hermite function and its degree derivative at the
 boundary only.  No solve uses quadrature.
@@ -148,8 +150,8 @@ def second_dirichlet_halfspace_gauss(L: float, lam1: float) -> float:
 
 
 def _gauss_state(nu: float, a: float) -> tuple[float, float]:
-    """(H_nu(a), H_{nu-1}(a))."""
-    return specfun.hermite_value(nu, a), specfun.hermite_value(nu - 1.0, a)
+    """(H_nu(a), H_{nu-1}(a)) from one Kummer pass."""
+    return specfun.hermite_state(nu, a)
 
 
 def _gauss_mean(nu: float, a: float, h: float, hm: float) -> float:

@@ -41,7 +41,7 @@ def k_gauss_inv(m: float | np.ndarray) -> float | np.ndarray:
         m_bad = m[np.argmin(ok)] if vec else m
         raise DomainError(
             f"k_gauss_inv: mass must be in (0,1), got {m_bad:g}")
-    t = erfcinv(2.0 * m)
+    t = erfcinv(2.0 * m) + 0.0     # erfcinv(1) is -0.0
     return t if vec else float(t)
 
 

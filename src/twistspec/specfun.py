@@ -26,13 +26,22 @@ expansion is valid only on the +t branch: for non-integer nu, H_nu(-t) grows
 like exp(t^2) and is evaluated by the series, which is then free of
 cancellation.  `hermite_value(nu, t)` is the one entry point: it picks the
 polynomial, the expansion (t >= HERMITE_SWITCH_T) or the series.
+`hermite_state(nu, t)` returns H_nu and H_{nu-1} from one Kummer pass: the
+series also sums its term-by-term derivative (DLMF 13.3.15), which gives
+H_nu' = 2 nu H_{nu-1} from the same terms.
 
 The degree derivatives d/dnu H_nu and d/dnu H_nu', which the Lagrange
 identity for int H_nu^2 e^{-t^2} needs, are taken by a complex step in the
-degree: the same Kummer pair runs at nu + i d and nu - 1 + i d, and the
-imaginary part over d is the derivative, exact to round-off with no
-difference to cancel.  The Gamma coefficients go through 1/Gamma, which is
-entire, so integer degrees need no special case.
+degree: one Kummer pass with derivative sums runs at nu + i d, and the
+imaginary parts of H and H' over d are the derivatives, exact to round-off
+with no difference to cancel.  The Gamma coefficients go through 1/Gamma,
+which is entire, so integer degrees need no special case.
+
+A Kummer series stops on a proven tail bound.  From a closed-form index m0
+on, every term at most halves, so the omitted tail is at most the last term
+added; the series stops at the first term past m0 below SERIES_RTOL of the
+sums.  A term that is small before m0 proves nothing: near a terminating
+series the terms pass near zero and grow again.
 
 Each branch (polynomial, Kummer pair, large-t expansion, Bessel series) is
 one kernel in broadcasting float arithmetic: a plain float runs it in
@@ -67,7 +76,8 @@ HERMITE_SWITCH_T = 5.0
 HERMITE_ASYMPT_RTOL = 1e-9
 INTEGER_NU_TOL = 1e-9
 
-KUMMER_MAX_TERMS = 500
+# The tail start of a Kummer series lies near 2|z|, so this reaches |z| = 350.
+KUMMER_MAX_TERMS = 700
 BESSEL_MAX_TERMS = 400
 # A compensated series stops once its last term is below SERIES_RTOL times
 # the running sum (SERIES_FLOOR keeps the test finite at a zero sum).
@@ -98,21 +108,43 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def _iteration_budget(zmax: float) -> int:
-    """Terms after which z^m/m! has dropped ~17 digits below exp(z)."""
-    return int(min(KUMMER_MAX_TERMS - 8,
-                   zmax + 10.0 * math.sqrt(zmax + 1.0) + 24.0))
+def _tail_start(amax: float, b: float, zmax: float) -> int:
+    """First index m0 with |t_{k+1}/t_k| <= 1/2 for every k >= m0, where
+    t_k are the terms of M(a, b'; z) at any real or complex a with
+    |a| <= amax, real b' >= b and real z (or array of them) with
+    |z| <= zmax.
+
+    For k > -b the term ratio |a+k|/|b'+k| |z|/(k+1) is at most
+    max(1, (amax+k)/(b+k)) zmax/(k+1), which does not increase in k; it is
+    at most 1/2 once zmax/(k+1) <= 1/2 and (b+k)(k+1) - 2 zmax (amax+k)
+    >= 0, i.e. k >= 2 zmax - 1 and k at or past the larger root of that
+    quadratic.  A closed form, not a search: this runs on every call.
+    KUMMER_MAX_TERMS stands for an index beyond the loop's reach, including
+    a non-finite one (z = inf or nan), so the series raises AccuracyError.
+    """
+    p = b + 1.0 - 2.0 * zmax
+    disc = p * p - 4.0 * (b - 2.0 * zmax * amax)
+    k = max(2.0 * zmax - 1.0,
+            0.5 * (math.sqrt(disc) - p) if disc > 0.0 else 0.0)
+    if b < 0.0:
+        k = max(k, math.floor(-b) + 1.0)
+    return max(0, math.ceil(k)) if k < KUMMER_MAX_TERMS else KUMMER_MAX_TERMS
 
 
 def _kummer_pair(a1: float, b1: float, a2: float, b2: float, z):
     """M(a1,b1;z) and M(a2,b2;z) in one fused compensated loop; z is a float
-    or an array, and the sums have its type."""
+    or an array, and the sums have its type.
+
+    Past _tail_start every term at most halves, so once the last term added
+    is below SERIES_RTOL of the sums, so is the whole omitted tail."""
     vec = isinstance(z, np.ndarray)
     zmax = float(np.max(np.abs(z), initial=0.0)) if vec else abs(z)
-    budget = _iteration_budget(zmax)
+    start = _tail_start(max(abs(a1), abs(a2)), min(b1, b2), zmax) - 1.0
     t1 = t2 = s1 = s2 = 1.0
-    c1 = c2 = 0.0
-    for m in range(KUMMER_MAX_TERMS):
+    # a float index: float-float arithmetic takes the interpreter's fast
+    # path, float-int does not, and the values are the same
+    c1 = c2 = m = 0.0
+    for _ in range(KUMMER_MAX_TERMS):
         zm = z / (m + 1.0)
         t1 = t1 * ((a1 + m) / (b1 + m)) * zm
         t2 = t2 * ((a2 + m) / (b2 + m)) * zm
@@ -124,12 +156,71 @@ def _kummer_pair(a1: float, b1: float, a2: float, b2: float, z):
         t = s2 + y
         c2 = (t - s2) - y
         s2 = t
-        if m >= budget:
+        if m >= start:
             err = abs(t1) + abs(t2)
             bound = SERIES_RTOL * (abs(s1) + abs(s2) + SERIES_FLOOR)
             if (err <= bound).all() if vec else err <= bound:
                 return s1, s2
-    raise AccuracyError(
+        m += 1.0
+    raise _kummer_failure(zmax)
+
+
+def _kummer_pair_deriv(a1, b1: float, a2, b2: float, z: float):
+    """M(a1,b1;z), M(a2,b2;z) and their z-derivatives at a float z, a1 and
+    a2 real or complex, in one compensated loop.
+
+    The derivative sums u_m = t_m (a+m)/(b+m) = (m+1) t_{m+1}/z are the
+    intermediate products of the value terms, so z = 0 needs no division.
+    They are a/b times the terms of M(a+1, b+1; z) (DLMF 13.3.15), whose
+    ratios exceed the value ratios by up to (m+2)/(m+1), so one tail start
+    taken at |a| + 1 serves both kinds of sum, and the stop test covers all
+    four.
+
+    At a complex a (the degree step of _hermite_jet) the test also covers
+    the imaginary parts on their own, which the moduli cannot see.  Past the
+    tail start k0, a term ratio rho_k has |Re rho_k| <= 1/2 and
+    |Im rho_k| <= |Im a|/(2(b+k0)), so the imaginary part of the omitted
+    tail is at most |Im t| + 2 |Im a| |t|/(b+k0) for the last term t."""
+    zmax = abs(z)
+    start = float(_tail_start(max(abs(a1), abs(a2)) + 1.0, min(b1, b2), zmax))
+    t1 = t2 = s1 = s2 = 1.0
+    d1 = d2 = c1 = c2 = e1 = e2 = m = 0.0
+    for _ in range(KUMMER_MAX_TERMS):
+        zm = z / (m + 1.0)
+        u1 = t1 * ((a1 + m) / (b1 + m))
+        u2 = t2 * ((a2 + m) / (b2 + m))
+        t1 = u1 * zm
+        t2 = u2 * zm
+        y = t1 - c1
+        t = s1 + y
+        c1 = (t - s1) - y
+        s1 = t
+        y = t2 - c2
+        t = s2 + y
+        c2 = (t - s2) - y
+        s2 = t
+        y = u1 - e1
+        t = d1 + y
+        e1 = (t - d1) - y
+        d1 = t
+        y = u2 - e2
+        t = d2 + y
+        e2 = (t - d2) - y
+        d2 = t
+        if (m >= start and abs(t1) + abs(t2) + abs(u1) + abs(u2)
+                <= SERIES_RTOL * (abs(s1) + abs(s2) + abs(d1) + abs(d2)
+                                  + SERIES_FLOOR)
+                and abs(t1.imag) + abs(t2.imag) + abs(u1.imag)
+                + abs(u2.imag) <= SERIES_RTOL * (
+                    abs(s1.imag) + abs(s2.imag) + abs(d1.imag)
+                    + abs(d2.imag) + SERIES_FLOOR)):
+            return s1, s2, d1, d2
+        m += 1.0
+    raise _kummer_failure(zmax)
+
+
+def _kummer_failure(zmax: float) -> AccuracyError:
+    return AccuracyError(
         f"kummer series did not converge within {KUMMER_MAX_TERMS} terms "
         f"(max |z| = {zmax:g})")
 
@@ -151,16 +242,20 @@ def _hermite_poly(n: int, t):
     return h
 
 
+def _hermite_coeffs(nu: float) -> tuple[float, float]:
+    """The Gamma coefficients of the Kummer combination of H_nu.  Gamma
+    poles at positive integers are handled upstream by the polynomial
+    dispatch; near-integers give a large Gamma and a vanishing coefficient,
+    which is the correct continuous limit."""
+    two_nu = 2.0 ** nu
+    return (two_nu * SQRT_PI / gamma((1.0 - nu) / 2.0),
+            -2.0 * two_nu * SQRT_PI / gamma(-nu / 2.0))
+
+
 def _hermite_series(nu: float, t):
     """Gamma-coefficient Kummer combination; |t| <= switch or t < 0."""
-    z = t * t
-    phi1, phi2 = _kummer_pair(-nu / 2.0, 0.5, (1.0 - nu) / 2.0, 1.5, z)
-    two_nu = 2.0 ** nu
-    # Gamma poles at positive integers are handled upstream by the
-    # polynomial dispatch; near-integers give a large Gamma and a vanishing
-    # coefficient, which is the correct continuous limit.
-    coeff_a = two_nu * SQRT_PI / gamma((1.0 - nu) / 2.0)
-    coeff_b = -2.0 * two_nu * SQRT_PI / gamma(-nu / 2.0)
+    phi1, phi2 = _kummer_pair(-nu / 2.0, 0.5, (1.0 - nu) / 2.0, 1.5, t * t)
+    coeff_a, coeff_b = _hermite_coeffs(nu)
     return coeff_a * phi1 + coeff_b * t * phi2
 
 
@@ -194,30 +289,26 @@ def _rgamma_jet(x: float) -> tuple[float, float]:
     return g * sin_px, g * (math.pi * cos_px - sin_px * _digamma(1.0 - x))
 
 
-def _hermite_complex_degree(mu: float, t: float) -> complex:
-    """The Kummer combination of _hermite_series at the complex degree
-    mu + i COMPLEX_STEP, float t.  Its Gamma coefficients take
-    1/Gamma(x - i d/2) = r - i (d/2) r' from _rgamma_jet, so integer degrees
-    pass through the poles of Gamma."""
-    d = COMPLEX_STEP
-    a1 = complex(-mu / 2.0, -d / 2.0)
-    a2 = complex((1.0 - mu) / 2.0, -d / 2.0)
-    phi1, phi2 = _kummer_pair(a1, 0.5, a2, 1.5, t * t)
-    rA, drA = _rgamma_jet(a2.real)
-    rB, drB = _rgamma_jet(a1.real)
-    return 2.0 ** complex(mu, d) * SQRT_PI * (
-        complex(rA, -0.5 * d * drA) * phi1
-        - 2.0 * t * complex(rB, -0.5 * d * drB) * phi2)
-
-
 def _hermite_jet(nu: float, t: float) -> tuple[float, float, float, float]:
     """(H_nu, H_nu', d/dnu H_nu, d/dnu H_nu') at a float t < HERMITE_SWITCH_T
-    by the complex step in the degree: with G = H_{nu-1+i d}, H_nu' is
-    2 nu Re G and d/dnu H_nu' is 2 Re G + 2 nu Im G / d."""
-    h = _hermite_complex_degree(nu, t)
-    g = _hermite_complex_degree(nu - 1.0, t)
-    return (h.real, 2.0 * nu * g.real, h.imag / COMPLEX_STEP,
-            2.0 * g.real + 2.0 * nu * g.imag / COMPLEX_STEP)
+    from one Kummer pass at the complex degree nu + i COMPLEX_STEP: h and
+    h' = dh/dt as in hermite_state, whose real parts are H_nu and H_nu' and
+    whose imaginary parts over the step are the degree derivatives.  The
+    Gamma coefficients take 1/Gamma(x - i d/2) = r - i (d/2) r' from
+    _rgamma_jet, so integer degrees pass through the poles of Gamma."""
+    d = COMPLEX_STEP
+    a1 = complex(-nu / 2.0, -d / 2.0)
+    a2 = complex((1.0 - nu) / 2.0, -d / 2.0)
+    z = t * t
+    phi1, phi2, dphi1, dphi2 = _kummer_pair_deriv(a1, 0.5, a2, 1.5, z)
+    rA, drA = _rgamma_jet(a2.real)
+    rB, drB = _rgamma_jet(a1.real)
+    scale = 2.0 ** complex(nu, d) * SQRT_PI
+    coeff_a = scale * complex(rA, -0.5 * d * drA)
+    coeff_b = -2.0 * scale * complex(rB, -0.5 * d * drB)
+    h = coeff_a * phi1 + coeff_b * t * phi2
+    hp = coeff_a * 2.0 * t * dphi1 + coeff_b * (phi2 + 2.0 * z * dphi2)
+    return h.real, hp.real, h.imag / d, hp.imag / d
 
 
 def _hermite_asympt(nu: float, t):
@@ -285,6 +376,24 @@ def hermite_value(nu: float, t: float | np.ndarray) -> float | np.ndarray:
     if np.any(~big):
         out[~big] = _hermite_series(nu, t[~big])
     return out
+
+
+def hermite_state(nu: float, t: float) -> tuple[float, float]:
+    """(H_nu(t), H_{nu-1}(t)) at a float t from one Kummer pass.
+
+    Where hermite_value takes the polynomial or the large-t expansion, this
+    is two hermite_value calls.  Otherwise the derivative sums of the same
+    pass give H_nu' = c_A 2t phi_1' + c_B (phi_2 + 2z phi_2'), z = t^2, for
+    H_nu = c_A phi_1(z) + c_B t phi_2(z), and H_{nu-1} = H_nu' / (2 nu)."""
+    t = float(t)
+    if t >= HERMITE_SWITCH_T or _is_nonneg_int(nu):
+        return hermite_value(nu, t), hermite_value(nu - 1.0, t)
+    z = t * t
+    phi1, phi2, dphi1, dphi2 = _kummer_pair_deriv(
+        -nu / 2.0, 0.5, (1.0 - nu) / 2.0, 1.5, z)
+    coeff_a, coeff_b = _hermite_coeffs(nu)
+    hp = coeff_a * 2.0 * t * dphi1 + coeff_b * (phi2 + 2.0 * z * dphi2)
+    return coeff_a * phi1 + coeff_b * t * phi2, hp / (2.0 * nu)
 
 
 def hermite_h_deriv(nu: float, t: float) -> float:

@@ -22,6 +22,13 @@ class TestSolve:
         assert float(rec["c"]) == 0.0
         assert float(rec["lambda"]) == pytest.approx(3.2584169547794604, rel=1e-9)
 
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_unit_mass_halflines_print_zero_offsets(self, command, capsys):
+        # erfcinv(1) is -0.0; the offsets print as 0
+        code, out, _ = run([command, "--mass", "1", "--split", "0.5"], capsys)
+        assert code == 0
+        assert out.splitlines()[1].startswith("gaussian,1,0,0,0,")
+
     def test_power_two_unit_balls(self, capsys):
         code, out, _ = run(["solve", "--measure", "power", "--n", "3",
                             "--k", "0", "--L", "1", "--R", "1",

@@ -226,6 +226,25 @@ class TestTwistedPairGauss:
         assert sol.eigenvalue == pytest.approx(
             lam_o.eigenvalues[0], rel=1e-3)
 
+    def test_offset_zero_pair(self, monkeypatch):
+        # the determinant evaluates the one-pass Hermite state at t = 0
+        # exactly, at non-integer degrees
+        seen = []
+        state = specfun.hermite_state
+        monkeypatch.setattr(specfun, "hermite_state",
+                            lambda nu, t: seen.append((nu, t)) or state(nu, t))
+        cfg = measures.PairConfig(MeasureSpec.gaussian(1), 0.0, 2.0)
+        sol = closedform.twisted_pair_gauss(cfg)
+        assert any(t == 0.0 and abs(nu - round(nu)) > 1e-6 for nu, t in seen)
+        lo, hi = sol.bracket_dirichlet
+        assert lo < sol.eigenvalue <= hi
+        scale = max(1.0, abs(sol.amp_left), abs(sol.amp_right))
+        assert sol.mean_residual <= 1e-9 * scale
+        assert sol.matching_residual <= 1e-9 * scale
+        assert sol.eigenvalue == pytest.approx(5.3752907463002844, rel=1e-13)
+        lam_o = oracle.twisted_eig(oracle.gaussian_pair_domain(cfg))
+        assert sol.eigenvalue == pytest.approx(lam_o.eigenvalues[0], rel=1e-3)
+
     def test_bracket_and_residuals(self):
         for total, s in [(0.5, 0.34), (0.62, 0.45), (0.7, 0.5)]:
             cfg = measures.config_from_split(MeasureSpec.gaussian(1), total, s)

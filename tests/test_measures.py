@@ -42,6 +42,13 @@ class TestKGauss:
             assert abs(measures.k_gauss(measures.k_gauss_inv(m)) - m) <= 1e-12
         assert measures.k_gauss_inv(0.25) > 0.0
 
+    def test_half_mass_is_positive_zero(self):
+        # scipy's erfcinv(1.0) is -0.0
+        assert math.copysign(1.0, measures.k_gauss_inv(0.5)) == 1.0
+        got = measures.k_gauss_inv(np.array([0.5, 0.2]))
+        assert math.copysign(1.0, got[0]) == 1.0
+        assert got[1] == measures.k_gauss_inv(0.2)
+
     @pytest.mark.parametrize("m", [0.0, 1.0, -0.2, 1.4])
     def test_inverse_domain(self, m):
         with pytest.raises(DomainError):

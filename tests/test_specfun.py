@@ -33,6 +33,10 @@ class TestGamma:
 class TestKummer:
     def test_empty_sum(self):
         assert specfun.kummer_m(0.7, 1.9, 0.0) == 1.0
+        # negative b: the tail start is past k > -b, but every term is 0
+        for b in (1.9, -2.5):
+            assert specfun.kummer_m(0.3, b, -0.0) == 1.0
+        assert specfun.kummer_m(0.3, -2.5, 0.0) == 1.0
 
     def test_exponential_identity(self):
         for z in (-3.0, 0.5, 4.0, 20.0):
@@ -52,6 +56,62 @@ class TestKummer:
     def test_nonpositive_integer_b_raises(self):
         with pytest.raises(DomainError):
             specfun.kummer_m(0.3, -2.0, 1.0)
+
+    # references from mpmath 1.3.0 at mp.mp.dps = 30:
+    #   mp.hyp1f1(mp.mpf(a), mp.mpf(b), mp.mpf(z)) at the float a, b, z
+    @pytest.mark.parametrize("a,b,z,ref", [
+        # near-terminating: the terms pass near zero at m = 2 and grow again
+        (-1.0 - 1e-9, 0.5, 12.0, -22.99999037492478755545321),
+        (-1.0 - 1e-9, 0.5, 25.0, -47.83359441612129858221953),
+        # negative non-integer b: the ratios shrink only past k > -b
+        (0.3, -2.5, 3.0, -81.20114911103664477292909),
+        (0.3, -2.5, -3.0, 1.262372608401220378417172),
+        # b + 2 = 2e-12: the term t_2 = 8e-18 passes the relative test, and
+        # t_3 = 1.6e-14 follows; only the tail start keeps the sum going
+        (1.0, -1.999999999998, 4e-9, 0.9999999980000160083520193),
+    ])
+    def test_against_mpmath(self, a, b, z, ref):
+        assert abs(specfun.kummer_m(a, b, z) - ref) <= 1e-15 * abs(ref)
+
+    # d/da M(a, b; z) and d/da dM/dz from mpmath 1.3.0 at mp.mp.dps = 30:
+    #   mp.diff(lambda x: mp.hyp1f1(x, b, z), a)
+    #   mp.diff(lambda x: mp.diff(lambda y: mp.hyp1f1(x, b, y), z), a)
+    @pytest.mark.parametrize("z,ref", [
+        (12.0, (2878.368561990633864525522, -520.9767913994111283653168,
+                2069.907165597644513461267, -379.3374016748259203281985)),
+        (20.25, (1895598.302259638428280882, -401234.5168403736722374849,
+                 1604913.06736149468894994, -344522.5953811141141999944)),
+    ])
+    def test_complex_step_through_terminating_series(self, z, ref):
+        # the real parts terminate, so every later term is imaginary and
+        # of the step's size: only the test on the imaginary parts keeps
+        # summing the degree derivative
+        d = 1e-30
+        sums = specfun._kummer_pair_deriv(complex(-2.0, -d), 0.5,
+                                          complex(-1.0, -d), 1.5, z)
+        for got, want in zip(sums, ref):
+            assert abs(got.imag / -d - want) <= 1e-13 * abs(want)
+
+    def test_large_argument_within_term_limit(self):
+        # the tail start is 660 terms in; mpmath as above
+        assert specfun.kummer_m(0.3, 0.5, 330.0) == pytest.approx(
+            3.857775350220285195869932e+142, rel=1e-13)
+
+    @pytest.mark.parametrize("z", [math.nan, -math.inf, 600.0])
+    def test_unreachable_tail_raises(self, z):
+        with pytest.raises(AccuracyError, match="did not converge"):
+            specfun.kummer_m(0.3, 0.5, z)
+
+    def test_tail_start_bounds_every_later_ratio(self):
+        rng = np.random.default_rng(3)
+        for _ in range(400):
+            a = complex(rng.uniform(-30, 30), rng.choice([0.0, 1e-15, 2.0]))
+            b = float(rng.choice([rng.uniform(0.1, 20), rng.uniform(-9, 0)]))
+            zmax = float(rng.choice([rng.uniform(0, 1), rng.uniform(0, 60)]))
+            m0 = specfun._tail_start(abs(a), b, zmax)
+            k = np.arange(m0, m0 + 400)
+            ratio = np.abs(a + k) / np.abs(b + k) * zmax / (k + 1.0)
+            assert ratio.max() <= 0.5 * (1.0 + 1e-12)
 
 
 class TestHermite:
@@ -138,6 +198,33 @@ class TestHermite:
                 assert lhs == pytest.approx(rhs, rel=1e-7)
 
 
+class TestHermiteState:
+    """hermite_state(nu, t) = (H_nu(t), H_{nu-1}(t)) from one Kummer pass."""
+
+    @pytest.mark.parametrize("nu", [1.0, 1.37, 2.0 - 1e-10, 2.5, 3.0 - 1e-10,
+                                    3.0, 3.0 + 1e-10, 4.2, 7.9, 13.6, 14.0])
+    @pytest.mark.parametrize("t", [0.0, -0.0, -3.5, 0.3, 2.5, 4.0, 4.99,
+                                   5.0, 6.0])
+    def test_against_hermite_value(self, nu, t):
+        h, hm = specfun.hermite_state(nu, t)
+        for got, deg in ((h, nu), (hm, nu - 1.0)):
+            want = specfun.hermite_value(deg, t)
+            assert type(got) is float
+            if t >= specfun.HERMITE_SWITCH_T or abs(nu - round(nu)) < 1e-9:
+                # polynomial or large-t expansion: two hermite_value calls
+                assert got == want
+            else:
+                # the tolerance of the generic-branch test above, whose
+                # Kummer combination cancels like exp(t^2) at positive t
+                tol = max(2e-10, 20 * math.exp(t * t) * 1e-16 / abs(want))
+                assert got == pytest.approx(want, rel=tol, abs=1e-10)
+
+    def test_negative_degree(self):
+        h, hm = specfun.hermite_state(-0.6, 1.2)
+        assert h == pytest.approx(specfun.hermite_value(-0.6, 1.2), rel=1e-13)
+        assert hm == pytest.approx(specfun.hermite_value(-1.6, 1.2), rel=1e-13)
+
+
 def _assert_paths_agree(fn, args):
     """fn on each plain float against fn on the whole array."""
     array_vals = fn(np.asarray(args, dtype=float))
@@ -209,9 +296,9 @@ class TestDegreeDerivative:
         (1.0, 0.8, 0.2476186779414632646839792, 3.393158625987662247334121),
         (2.0, 1.5, 4.596150858287802043442732, 17.9591103968242425372333),
         # even integer degrees: the real Kummer series M(-nu/2, 1/2; t^2)
-        # terminates but its degree derivative does not; the series' stop
-        # test cannot see imaginary parts of the complex step's size, so the
-        # term budget alone must have summed the derivative
+        # terminates but its degree derivative does not; the modulus of a
+        # term cannot see imaginary parts of the complex step's size, so the
+        # stop test checks the imaginary parts on their own
         (4.0, 4.5, 11764.70336756482705644518, 12857.65819509670825477544),
         (6.0, 4.2, 413548.274541666034581721, 782858.5183243940145361422),
     ])
