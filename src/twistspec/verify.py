@@ -282,10 +282,21 @@ def _solve_pair(measure: MeasureSpec, total: float, s: float):
     return cfg, closedform.solve(cfg), oracle.pair_domain(cfg)
 
 
+def _richardson(dom: oracle.Domain1D) -> float:
+    """Oracle twisted value extrapolated from 1000 and 2000 cells on the
+    longest interval: (4 lambda_{h/2} - lambda_h) / 3 cancels the h^2 term
+    of the second-order scheme."""
+    length = max(b - a for a, b in dom.intervals)
+    lam_h, lam_h2 = (oracle.twisted_eig(dom, h=length / cells).eigenvalues[0]
+                     for cells in (1000, 2000))
+    return (4.0 * lam_h2 - lam_h) / 3.0
+
+
 def suite_oracle(rng: np.random.Generator, fault: bool = False) -> list[CheckResult]:
     out = []
     g1 = MeasureSpec.gaussian(1)
     gauss_cases = [(g1, total, s) for total, s in _pair_cases_gauss()]
+    richardson = 0.0
     for family, cases in (("gaussian", gauss_cases),
                           ("power", _pair_cases_power())):
         worst = 0.0
@@ -293,10 +304,18 @@ def suite_oracle(rng: np.random.Generator, fault: bool = False) -> list[CheckRes
             _, sol, dom = _solve_pair(m, total, s)
             lam_o = oracle.twisted_eig(dom).eigenvalues[0]
             worst = max(worst, abs(sol.eigenvalue - lam_o) / lam_o)
+            gap = abs(_richardson(dom) - sol.eigenvalue) / sol.eigenvalue
+            richardson = max(richardson, gap)
         if fault and family == "gaussian":
             worst += 1.0
         out.append(_r("oracle", f"{family}_pairs_agreement", worst <= 1e-3,
                       f"worst relative gap {worst:.2e} over {len(cases)} pairs"))
+    if fault:
+        richardson += 1.0
+    out.append(_r("oracle", "richardson_agreement", richardson <= 1e-8,
+                  f"worst relative gap {richardson:.2e} of the h, h/2 "
+                  "extrapolation (1000 and 2000 cells on the longest "
+                  "interval) over 20 pairs"))
 
     # refinement: the closed-form-vs-oracle gap trend must shrink by ~4x
     # per halving (second-order oracle); demand at least halving.

@@ -5,10 +5,15 @@ import pytest
 import scipy.linalg
 
 from twistspec import closedform, measures, oracle, verify
-from twistspec.errors import DomainError, ResourceError
+from twistspec.errors import DomainError, NumericalError, ResourceError
 from twistspec.measures import MeasureSpec
 
 PI2 = math.pi ** 2
+POLE_GUARD_CASES = [(5, 3.0, 1.481), (3, 0.0, 1.564), (3, 2.0, 0.2929)]
+
+
+def _near_half_splits() -> list[float]:
+    return [float(s) for s in np.linspace(0.45, 0.55, 21) if s != 0.5]
 
 
 class TestDomain1D:
@@ -197,17 +202,16 @@ class TestTwisted:
         norm = math.sqrt(float(np.dot(u.node_weights, u.values ** 2)))
         assert abs(u.weighted_mean()) <= 1e-10 * norm
 
-    @pytest.mark.parametrize("n,k,total", [(5, 3.0, 1.481), (3, 0.0, 1.564),
-                                           (3, 2.0, 0.2929)])
+    @pytest.mark.parametrize("n,k,total", POLE_GUARD_CASES)
     def test_pole_guard_near_symmetric_split(self, n, k, total):
         # near s = 1/2 the two Dirichlet poles nearly coincide; a bracket
         # endpoint placed on the wrong side of a pole sends the root finder
         # to the pole, or to lambda_2
         m = MeasureSpec.power(n, k)
-        splits = [s for s in np.linspace(0.45, 0.55, 21) if s != 0.5]
+        splits = _near_half_splits()
         assert len(splits) == 20
         for s in splits:
-            cfg = measures.config_from_split(m, total, float(s))
+            cfg = measures.config_from_split(m, total, s)
             dom = oracle.power_pair_domain(cfg)
             lam = oracle.twisted_eig(dom).eigenvalues[0]
             lam1, lam2 = oracle.dirichlet_eigs(dom, count=2).eigenvalues
@@ -278,6 +282,130 @@ class TestSharedSpectrum:
         assert got.tolist() == want.tolist()
 
 
+def _small_domains() -> list[tuple[str, oracle.Domain1D]]:
+    """Unions for the dense check: 2-4-interval gaussian unions, random
+    lebesgue, gaussian and radial_power pairs, and the pole-guard splits."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for count in (2, 3, 4) * 4:
+        lengths = rng.uniform(0.3, 2.0, count)
+        gaps = rng.uniform(0.1, 1.0, count)
+        starts = rng.uniform(-4.0, -1.0) + np.cumsum(gaps) + np.concatenate(
+            ([0.0], np.cumsum(lengths[:-1])))
+        out.append(("gauss_union", oracle.Domain1D(
+            intervals=tuple(zip(starts, starts + lengths)),
+            coordinate="cartesian_gauss")))
+    for family in ("lebesgue", "cartesian_gauss", "radial_power"):
+        out += [(family, verify._random_two_interval_domain(rng, family))
+                for _ in range(8)]
+    for n, k, total in POLE_GUARD_CASES:
+        m = MeasureSpec.power(n, k)
+        out += [("pole_guard", oracle.power_pair_domain(
+            measures.config_from_split(m, total, s)))
+            for s in _near_half_splits()]
+    return out
+
+
+def _dense_twisted(dom: oracle.Domain1D, h: float) -> float:
+    """The twisted value from the dense projected operator P B P with
+    P = I - v v^T: v is its null vector, and the rest of its spectrum is
+    the spectrum of B on the mean-zero subspace."""
+    asm, d, e, *_ = oracle._spectrum(dom, h, 2)
+    v = np.sqrt(asm.mass)
+    v /= np.linalg.norm(v)
+    p = np.eye(len(d)) - np.outer(v, v)
+    b = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    return float(np.linalg.eigvalsh(p @ b @ p)[1])
+
+
+class TestSecularSolve:
+    """The two-pole secular iteration against an independent dense solve,
+    its cost in tridiagonal solves, and its failure modes."""
+
+    PAIR = oracle.gaussian_pair_domain(measures.config_from_split(
+        MeasureSpec.gaussian(1), 0.55, 0.42))
+
+    def test_matches_dense_projected_operator(self):
+        doms = _small_domains()
+        assert len(doms) >= 40
+        worst = {}
+        for label, dom in doms:
+            h = sum(b - a for a, b in dom.intervals) / 290.0
+            r = oracle.twisted_eig(dom, h=h)
+            assert r.grid_size <= 300
+            want = _dense_twisted(dom, h)
+            rel = abs(r.eigenvalues[0] - want) / want
+            worst[label] = max(worst.get(label, 0.0), rel)
+        assert max(worst.values()) <= 1e-10, worst
+
+    def test_solves_per_root(self, monkeypatch):
+        counts = []
+        real = oracle.dgtsv
+
+        def counting(*args):
+            counts[-1] += 1
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "dgtsv", counting)
+        for measure, total, s in _pair_cases():
+            dom = oracle.pair_domain(
+                measures.config_from_split(measure, total, s))
+            counts.append(0)
+            oracle.twisted_eig(dom)
+        assert len(counts) == 20
+        assert np.median(counts) <= 8, counts
+
+    @pytest.mark.parametrize("dg", [0.5, -40.0], ids=["monotone", "not"])
+    def test_model_root(self, dg):
+        # m(x) = 0.3/(1 - x) + 0.2/(2 - x) + 0.1 + dg (x - 1.5), built at
+        # 1.5 where m < 0; with dg = -40 its slope is negative on most of
+        # the bracket, where the Newton iteration must bisect
+        poles, weights, lam = (1.0, 2.0), (0.3, 0.2), 1.5
+
+        def model(x):
+            return (weights[0] / (poles[0] - x) + weights[1] / (poles[1] - x)
+                    + 0.1 + dg * (x - lam))
+
+        f = model(lam)
+        df = weights[0] / 0.25 + weights[1] / 0.25 + dg
+        root = oracle._model_root(lam, f, df, lam, 2.0 - 1e-9, poles, weights)
+        assert lam < root < 2.0 and abs(model(root)) <= 1e-10
+        if dg > 0.0:
+            # the model's root lies beyond hi = 1.52
+            assert oracle._model_root(lam, f, df, lam, 1.52, poles,
+                                      weights) is None
+
+    def test_bisection_fallback_alone_finds_the_root(self, monkeypatch):
+        # no sampled domain sends the model's root out of its bracket, so
+        # force every step to bisect
+        want = oracle.twisted_eig(self.PAIR).eigenvalues[0]
+        monkeypatch.setattr(oracle, "_model_root", lambda *args: None)
+        got = oracle.twisted_eig(self.PAIR).eigenvalues[0]
+        assert abs(got - want) <= 1e-10 * want
+
+    def test_nonfinite_secular_value_raises(self, monkeypatch):
+        real = oracle.dgtsv
+        calls = [0]
+
+        def poisoned(*args):
+            calls[0] += 1
+            *rest, x, info = real(*args)
+            if calls[0] > 3:
+                x[:] = np.nan
+            return (*rest, x, info)
+
+        monkeypatch.setattr(oracle, "dgtsv", poisoned)
+        with pytest.raises(NumericalError, match=r"secular function is nan"
+                           r".*lambda_1 = .*lambda_2 = .*last bracket \["):
+            oracle.twisted_eig(self.PAIR)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "SECULAR_MAX_ITER", 2)
+        with pytest.raises(NumericalError, match=r"no secular root after 2 "
+                           r"solves.*lambda_1 = .*last bracket \["):
+            oracle.twisted_eig(self.PAIR)
+
+
 def _pair_cases():
     g1 = MeasureSpec.gaussian(1)
     return ([(g1, total, s) for total, s in verify._pair_cases_gauss()]
@@ -290,8 +418,11 @@ def test_richardson_agreement(measure, total, s):
     2000 cells on the longest interval matches the closed form far below
     the 1e-3 agreement gate."""
     _, sol, dom = verify._solve_pair(measure, total, s)
-    length = max(b - a for a, b in dom.intervals)
-    lam_h, lam_h2 = (oracle.twisted_eig(dom, h=length / cells).eigenvalues[0]
-                     for cells in (1000, 2000))
-    extrapolated = (4.0 * lam_h2 - lam_h) / 3.0
+    extrapolated = verify._richardson(dom)
     assert abs(extrapolated - sol.eigenvalue) <= 1e-7 * sol.eigenvalue
+
+
+def test_verify_richardson_row_fails_under_fault():
+    rows = {r.name: r.passed for r in verify.run_suites(
+        ["oracle"], inject_fault="oracle")}
+    assert rows["richardson_agreement"] is False
