@@ -149,11 +149,6 @@ def second_dirichlet_halfspace_gauss(L: float, lam1: float) -> float:
                         0.5 * ((L + 1.0) ** 2 - 1.0 + 4.0 * math.pi ** 2))
 
 
-def _gauss_state(nu: float, a: float) -> tuple[float, float]:
-    """(H_nu(a), H_{nu-1}(a)) from one Kummer pass."""
-    return specfun.hermite_state(nu, a)
-
-
 def _gauss_mean(nu: float, a: float, h: float, hm: float) -> float:
     """int_a^inf (H_nu(t) - H_nu(a)) d gamma_1, with h = H_nu(a) and
     hm = H_{nu-1}(a): e^{-a^2} hm / sqrt(pi) - h erfc(a) / 2."""
@@ -315,7 +310,7 @@ _GAUSS = _Family(
     lam=lambda nu: 2.0 * nu, x_of=lambda lam: lam / 2.0,
     labels=lambda nu: {"nu": nu},
     dirichlet=lambda a: dirichlet_halfspace_gauss(a), cap=_gauss_cap,
-    state=_gauss_state,
+    state=lambda nu, a: specfun.hermite_state(nu, a),
     profile=lambda nu, t: specfun.hermite_value(nu, t),
     mean=_gauss_mean, square=_gauss_square_integral,
     deriv=lambda nu, a, h, hm: 2.0 * nu * hm,

@@ -73,8 +73,9 @@ class MeasureSpec:
             raise DomainError(f"unknown measure kind {self.kind!r}")
         if self.n < 1:
             raise DomainError(f"dimension must be >= 1, got {self.n}")
-        if self.kind == "power" and self.k < 0:
-            raise DomainError(f"power exponent must be >= 0, got {self.k}")
+        if self.kind == "power" and not 0 <= self.k < math.inf:
+            raise DomainError(
+                f"power exponent must be finite and >= 0, got {self.k}")
 
     @classmethod
     def gaussian(cls, n: int) -> "MeasureSpec":
@@ -159,14 +160,17 @@ class PairConfig:
     right_param: float
 
     def __post_init__(self):
+        L, R = self.left_param, self.right_param
         if self.measure.is_gaussian:
-            if self.left_param < 0 or self.right_param < 0:
+            if not (0 <= L < math.inf and 0 <= R < math.inf):
                 raise DomainError(
-                    "gaussian pair needs offsets L, R >= 0 (component mass "
-                    "> 1/2 would push a half-space across the origin)")
-        else:
-            if self.left_param <= 0 or self.right_param <= 0:
-                raise DomainError("power pair needs radii L, R > 0")
+                    f"gaussian pair needs finite offsets L, R >= 0, got "
+                    f"L={L:g}, R={R:g} (component mass > 1/2 would push a "
+                    f"half-space across the origin)")
+        elif not (0 < L < math.inf and 0 < R < math.inf):
+            raise DomainError(
+                f"power pair needs finite radii L, R > 0, got L={L:g}, "
+                f"R={R:g}")
 
     @property
     def mass_left(self) -> float:
@@ -204,8 +208,9 @@ def config_from_split(measure: MeasureSpec, total_mass: float,
     """Pair with left mass s*total and right mass (1-s)*total."""
     if not 0.0 < s < 1.0:
         raise DomainError(f"split fraction must be in (0,1), got {s:g}")
-    if total_mass <= 0:
-        raise DomainError(f"total mass must be > 0, got {total_mass:g}")
+    if not 0 < total_mass < math.inf:
+        raise DomainError(
+            f"total mass must be finite and > 0, got {total_mass:g}")
     m_left = s * total_mass
     m_right = (1.0 - s) * total_mass
     if measure.is_gaussian:

@@ -74,8 +74,6 @@ def split_grid(measure: MeasureSpec, total_mass: float,
             f"empty split window for total mass {total_mass:g}: "
             f"[{lo:g}, {hi:g}]")
     half = min(0.5 - lo, hi - 0.5)
-    if half <= 0:
-        raise DomainError("window must contain s = 1/2")
     if points < 3 or points % 2 == 0:
         raise DomainError("points must be odd and >= 3")
     return np.linspace(0.5 - half, 0.5 + half, points)

@@ -9,23 +9,30 @@ The Hermite function of real degree nu is the solution of
 
     y'' - 2 t y' + 2 nu y = 0
 
-that grows polynomially as t -> +inf.  For non-negative integer nu it is the
-physicists' Hermite polynomial; otherwise it is the Gamma-weighted
-combination of two Kummer functions
+that grows polynomially as t -> +inf.  At every real nu it is the
+Gamma-weighted combination of two Kummer functions
 
     H_nu(t) = 2^nu sqrt(pi) [ M(-nu/2, 1/2; t^2) / Gamma((1-nu)/2)
                               - 2 t M((1-nu)/2, 3/2; t^2) / Gamma(-nu/2) ].
+
+1/Gamma is entire and vanishes at the poles of Gamma (DLMF 5.2(i)), so at a
+non-negative integer n one coefficient is 0 and the other Kummer series
+terminates: the same formula is the physicists' Hermite polynomial H_n.
 
 For large positive t the combination above cancels catastrophically, so the
 evaluator switches to the algebraic large-argument expansion
 
     H_nu(t) = (2t)^nu sum_k (-1)^k (-nu)_{2k} / (k! (2t)^{2k}),
 
-with (a)_m the rising factorial, summed until its terms stop shrinking.  The
-expansion is valid only on the +t branch: for non-integer nu, H_nu(-t) grows
-like exp(t^2) and is evaluated by the series, which is then free of
-cancellation.  `hermite_value(nu, t)` is the one entry point: it picks the
-polynomial, the expansion (t >= HERMITE_SWITCH_T) or the series.
+with (a)_m the rising factorial, summed until its terms stop shrinking; at
+an integer degree it terminates.  The expansion is valid only on the +t
+branch: for non-integer nu, H_nu(-t) grows like exp(t^2) and is evaluated by
+the series, which is then free of cancellation.  At an integer degree the
+series still sums the exp(t^2)-sized Kummer function whose coefficient is
+0, so H_n below about t = -22.4 raises AccuracyError, as every degree does there:
+that series needs more than KUMMER_MAX_TERMS terms.  `hermite_value(nu, t)`
+is the one entry point, with one formula for every degree: the expansion at
+t >= HERMITE_SWITCH_T, the series below it.
 `hermite_state(nu, t)` returns H_nu and H_{nu-1} from one Kummer pass: the
 series also sums its term-by-term derivative (DLMF 13.3.15), which gives
 H_nu' = 2 nu H_{nu-1} from the same terms.
@@ -43,14 +50,14 @@ added; the series stops at the first term past m0 below SERIES_RTOL of the
 sums.  A term that is small before m0 proves nothing: near a terminating
 series the terms pass near zero and grow again.
 
-Each branch (polynomial, Kummer pair, large-t expansion, Bessel series) is
-one kernel in broadcasting float arithmetic: a plain float runs it in
-Python floats, which avoids numpy overhead on one-element arrays, and an
-array runs it through numpy, with bit-identical values.  The convergence
-tests compare floats directly and reduce arrays with `.all()`: a reducer
-call on every float term costs about 8 % of a scalar Bessel call.  Every
-zero finder evaluates its function once on an array grid and refines the
-sign changes with numerics.grid_roots; the Bessel grids end at the ceiling.
+Each branch (Kummer pair, large-t expansion, Bessel series) is one kernel
+in broadcasting float arithmetic: a plain float runs it in Python floats,
+which avoids numpy overhead on one-element arrays, and an array runs it
+through numpy, with bit-identical values.  The convergence tests compare
+floats directly and reduce arrays with `.all()`: a reducer call on every
+float term costs about 8 % of a scalar Bessel call.  Every zero finder
+evaluates its function once on an array grid and refines the sign changes
+with numerics.grid_roots; the Bessel grids end at the ceiling.
 """
 
 from __future__ import annotations
@@ -74,7 +81,6 @@ HERMITE_SWITCH_T = 5.0
 # The large-t expansion raises AccuracyError where its smallest term exceeds
 # this fraction of its sum: the accuracy of the series at the switch point.
 HERMITE_ASYMPT_RTOL = 1e-9
-INTEGER_NU_TOL = 1e-9
 
 # The tail start of a Kummer series lies near 2|z|, so this reaches |z| = 350.
 KUMMER_MAX_TERMS = 700
@@ -232,24 +238,17 @@ def kummer_m(a: float, b: float, z: float) -> float:
     return _kummer_pair(a, b, a, b, float(z))[0]
 
 
-def _hermite_poly(n: int, t):
-    """Physicists' Hermite polynomial by the three-term recurrence."""
-    if n == 0:
-        return np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
-    h_prev, h = 1.0, 2.0 * t
-    for m in range(1, n):
-        h, h_prev = 2.0 * t * h - 2.0 * m * h_prev, h
-    return h
-
-
 def _hermite_coeffs(nu: float) -> tuple[float, float]:
-    """The Gamma coefficients of the Kummer combination of H_nu.  Gamma
-    poles at positive integers are handled upstream by the polynomial
-    dispatch; near-integers give a large Gamma and a vanishing coefficient,
-    which is the correct continuous limit."""
-    two_nu = 2.0 ** nu
-    return (two_nu * SQRT_PI / gamma((1.0 - nu) / 2.0),
-            -2.0 * two_nu * SQRT_PI / gamma(-nu / 2.0))
+    """The Gamma coefficients of the Kummer combination of H_nu, each a
+    scale times 1/Gamma(x).  1/Gamma is entire and vanishes at the poles of
+    Gamma, so a coefficient is exactly 0 where x is a non-positive integer
+    (nu a non-negative integer) and scale / Gamma(x) elsewhere, which tends
+    to 0 continuously as x nears a pole."""
+    scale = 2.0 ** nu * SQRT_PI
+    xa, xb = (1.0 - nu) / 2.0, -nu / 2.0
+    return (0.0 if xa <= 0.0 and xa.is_integer() else scale / math.gamma(xa),
+            0.0 if xb <= 0.0 and xb.is_integer()
+            else -2.0 * scale / math.gamma(xb))
 
 
 def _hermite_series(nu: float, t):
@@ -354,18 +353,13 @@ def _hermite_asympt(nu: float, t):
     return lead * total
 
 
-def _is_nonneg_int(nu: float) -> bool:
-    return abs(nu - round(nu)) < INTEGER_NU_TOL and round(nu) >= 0
-
-
 def hermite_value(nu: float, t: float | np.ndarray) -> float | np.ndarray:
-    """H_nu at a float (plain float out) or an array: the polynomial for a
-    non-negative integer degree, the large-t expansion at
-    t >= HERMITE_SWITCH_T, the Kummer combination below it."""
+    """H_nu at a float (plain float out) or an array, at every real degree:
+    the large-t expansion at t >= HERMITE_SWITCH_T, the Kummer combination
+    below it.  Integer degrees take the same two branches, where the
+    expansion terminates and a Gamma coefficient vanishes."""
     scalar = np.ndim(t) == 0
     t = float(t) if scalar else np.asarray(t, dtype=float)
-    if _is_nonneg_int(nu):
-        return _hermite_poly(int(round(nu)), t)
     if scalar:
         return (_hermite_asympt(nu, t) if t >= HERMITE_SWITCH_T
                 else _hermite_series(nu, t))
@@ -381,12 +375,13 @@ def hermite_value(nu: float, t: float | np.ndarray) -> float | np.ndarray:
 def hermite_state(nu: float, t: float) -> tuple[float, float]:
     """(H_nu(t), H_{nu-1}(t)) at a float t from one Kummer pass.
 
-    Where hermite_value takes the polynomial or the large-t expansion, this
-    is two hermite_value calls.  Otherwise the derivative sums of the same
-    pass give H_nu' = c_A 2t phi_1' + c_B (phi_2 + 2z phi_2'), z = t^2, for
-    H_nu = c_A phi_1(z) + c_B t phi_2(z), and H_{nu-1} = H_nu' / (2 nu)."""
+    The derivative sums of the pass give H_nu' = c_A 2t phi_1' +
+    c_B (phi_2 + 2z phi_2'), z = t^2, for H_nu = c_A phi_1(z) + c_B t phi_2(z),
+    and H_{nu-1} = H_nu' / (2 nu), at integer degrees too.  Two hermite_value
+    calls serve where hermite_value takes the large-t expansion and at
+    nu = 0, where H_nu' / (2 nu) is 0/0."""
     t = float(t)
-    if t >= HERMITE_SWITCH_T or _is_nonneg_int(nu):
+    if t >= HERMITE_SWITCH_T or nu == 0.0:
         return hermite_value(nu, t), hermite_value(nu - 1.0, t)
     z = t * t
     phi1, phi2, dphi1, dphi2 = _kummer_pair_deriv(

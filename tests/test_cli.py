@@ -29,6 +29,17 @@ class TestSolve:
         assert code == 0
         assert out.splitlines()[1].startswith("gaussian,1,0,0,0,")
 
+    def test_component_mass_just_below_half(self, capsys):
+        # two half-spaces of mass 0.4999999999 at L = R = 1.77e-10; the
+        # symmetric pair's lambda is the half-space Dirichlet value, 2 nu*
+        # for the root of nu -> H_nu(L) near 1.  mpmath 1.3.0, mp.mp.dps =
+        # 40: 2 * mp.findroot(lambda n: mp.hermite(n, mp.mpf(L)), 1) =
+        # 2.0000000004000000331.
+        code, out, _ = run(["solve", "--mass", "0.9999999998", "--split",
+                            "0.5", "--format", "json"], capsys)
+        assert code == 0
+        assert abs(json.loads(out)["lambda"] - 2.0000000004) <= 1e-15
+
     def test_power_two_unit_balls(self, capsys):
         code, out, _ = run(["solve", "--measure", "power", "--n", "3",
                             "--k", "0", "--L", "1", "--R", "1",

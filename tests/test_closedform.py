@@ -19,6 +19,13 @@ class TestDirichletGauss:
         assert closedform.dirichlet_halfspace_gauss(0.0) == pytest.approx(
             2.0, abs=1e-10)
 
+    def test_offset_near_zero_against_mpmath(self):
+        # 2 nu* for the root of nu -> H_nu(1e-10) near 1, from mpmath 1.3.0:
+        # mp.mp.dps = 40; 2 * mp.findroot(lambda n: mp.hermite(n,
+        # mp.mpf(1e-10)), 1): a degree root 1.1e-10 above the integer 1.
+        lam = closedform.dirichlet_halfspace_gauss(1e-10)
+        assert abs(lam - 2.000000000225675833) <= 1e-15 * 2.0
+
     def test_continuity_at_zero_offset(self):
         lams = [closedform.dirichlet_halfspace_gauss(L)
                 for L in (0.0, 1e-3, 1e-2, 0.05)]
@@ -125,7 +132,7 @@ class TestMeanIdentities:
         # bounds the agreement instead.
         for a in np.linspace(0.0, 4.5, 19):
             a = float(a)
-            h_a, hm_a = closedform._gauss_state(nu, a)
+            h_a, hm_a = specfun.hermite_state(nu, a)
             exact = closedform._gauss_mean(nu, a, h_a, hm_a)
             larger = max(
                 abs(math.exp(-a * a) / math.sqrt(math.pi)
@@ -627,7 +634,7 @@ class TestGaussNormalization:
         (20.591795661761783, 4.9, 4841955710830712833645149.80616),
     ])
     def test_lagrange_square_integral(self, nu, a, ref):
-        h, hm = closedform._gauss_state(nu, a)
+        h, hm = specfun.hermite_state(nu, a)
         got = closedform._gauss_square_integral(nu, a, h, hm)
         assert abs(got - ref) <= 1e-11 * ref
 

@@ -217,3 +217,35 @@ class TestConfigFromSplit:
             MeasureSpec.power(1, 0.5).require_solver_order()
         MeasureSpec.power(2, 1.0).require_solver_order()
         MeasureSpec.gaussian(1).require_solver_order()
+
+
+class TestNonFiniteInputs:
+    """A nan or infinite parameter is a DomainError at construction, not a
+    bare ValueError in the solver that first takes math.ceil of it."""
+
+    @pytest.mark.parametrize("L,R", [(math.nan, 1.0), (1.0, math.nan),
+                                     (math.inf, 1.0), (0.5, math.inf)])
+    def test_gaussian_offsets(self, L, R):
+        with pytest.raises(DomainError, match="finite offsets"):
+            measures.PairConfig(MeasureSpec.gaussian(1), L, R)
+
+    @pytest.mark.parametrize("L,R", [(math.nan, 1.0), (1.0, math.nan),
+                                     (math.inf, 1.0), (0.5, math.inf)])
+    def test_power_radii(self, L, R):
+        with pytest.raises(DomainError, match="finite radii"):
+            measures.PairConfig(MeasureSpec.power(3, 2.0), L, R)
+
+    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    def test_power_split_mass(self, mass):
+        with pytest.raises(DomainError, match="total mass must be finite"):
+            measures.config_from_split(MeasureSpec.power(3, 2.0), mass, 0.5)
+
+    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    def test_gaussian_split_mass(self, mass):
+        with pytest.raises(DomainError, match="total mass must be finite"):
+            measures.config_from_split(MeasureSpec.gaussian(1), mass, 0.5)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_power_exponent(self, k):
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            MeasureSpec.power(3, k)

@@ -151,8 +151,8 @@ class TestHermite:
             (2.3, 6.0, asympt),
             (2.3, 5.0, asympt),
             (2.3, 4.99, series),
-            # integer degrees take the polynomial at every t
-            (3.0, 8.0, lambda nu, t: specfun._hermite_poly(3, t)),
+            # integer degrees take the same branches as their neighbours
+            (3.0, 8.0, asympt),
             # the large-argument expansion is only used on the positive branch
             (2.3, -6.0, series),
         ]:
@@ -210,8 +210,9 @@ class TestHermiteState:
         for got, deg in ((h, nu), (hm, nu - 1.0)):
             want = specfun.hermite_value(deg, t)
             assert type(got) is float
-            if t >= specfun.HERMITE_SWITCH_T or abs(nu - round(nu)) < 1e-9:
-                # polynomial or large-t expansion: two hermite_value calls
+            if t >= specfun.HERMITE_SWITCH_T or want == 0.0:
+                # large-t expansion: two hermite_value calls; or the exact
+                # zero of an odd degree at t = 0, where every term is 0
                 assert got == want
             else:
                 # the tolerance of the generic-branch test above, whose
@@ -225,6 +226,88 @@ class TestHermiteState:
         assert hm == pytest.approx(specfun.hermite_value(-1.6, 1.2), rel=1e-13)
 
 
+class TestIntegerDegree:
+    """One Kummer formula at every degree: H_nu is continuous through the
+    integers, down to a degree 1e-12 from one."""
+
+    # H_nu(t) at the binary degree float(n + delta) and the binary t, from
+    # mpmath 1.3.0: mp.mp.dps = 40; mp.hermite(mp.mpf(nu), mp.mpf(t)).  At
+    # the exact degree 2 + 5e-10, H(0.7) is -0.04000000166466493.
+    @pytest.mark.parametrize("nu,t,want", [
+        (1.0 - 5e-10, 0.7, 1.4000000000414085624),
+        (1.0 - 1e-10, 0.7, 1.4000000000082816414),
+        (1.0 - 1e-12, 0.7, 1.4000000000000827266),
+        (1.0 + 1e-12, 0.7, 1.3999999999999170865),
+        (1.0 + 1e-10, 0.7, 1.3999999999917181809),
+        (1.0 + 5e-10, 0.7, 1.3999999999585912596),
+        (2.0 - 5e-10, 0.7, -0.039999998335335178817),
+        (2.0 - 1e-10, 0.7, -0.03999999966706723462),
+        (2.0 - 1e-12, 0.7, -0.039999999996670622845),
+        (2.0 + 1e-12, 0.7, -0.040000000003329874535),
+        (2.0 + 1e-10, 0.7, -0.040000000332933262807),
+        (2.0 + 5e-10, 0.7, -0.040000001664665319751),
+        (3.0 - 5e-10, 0.7, -5.6559999964351033803),
+        (3.0 - 1e-10, 0.7, -5.6559999992870206675),
+        (3.0 - 1e-12, 0.7, -5.6559999999928695629),
+        (3.0 + 1e-12, 0.7, -5.6560000000071304158),
+        (3.0 + 1e-10, 0.7, -5.6560000007129793111),
+        (3.0 + 5e-10, 0.7, -5.6560000035648965983),
+        (5.0 - 5e-10, 0.7, 34.498239958772840838),
+        (5.0 - 1e-10, 0.7, 34.498239991754570894),
+        (5.0 - 1e-12, 0.7, 34.498239999917541761),
+        (5.0 + 1e-12, 0.7, 34.498240000082465058),
+        (5.0 + 1e-10, 0.7, 34.498240008245435927),
+        (5.0 + 5e-10, 0.7, 34.498240041227166003),
+        # the Kummer series at t < 0 and the large-t expansion
+        (1.0 - 5e-10, -3.1, -6.2000016840724009185),
+        (1.0 + 1e-12, -3.1, -6.1999999966315562257),
+        (1.0 + 5e-10, -3.1, -6.1999983159276002954),
+        (2.0 - 5e-10, -3.1, 36.440001372304889328),
+        (2.0 + 1e-12, -3.1, 36.439999997255148658),
+        (2.0 + 5e-10, -3.1, 36.439998627695114868),
+        (3.0 - 5e-10, -3.1, -201.12800177820071883),
+        (3.0 + 1e-12, -3.1, -201.12799999644330215),
+        (3.0 + 5e-10, -3.1, -201.12799822179931864),
+        (5.0 - 5e-10, -3.1, -4766.768323505744448),
+        (5.0 + 1e-12, -3.1, -4766.7683199929888035),
+        (5.0 + 5e-10, -3.1, -4766.7683164942573656),
+        (1.0 - 5e-10, 6.5, 12.999999983366066928),
+        (1.0 + 1e-12, 6.5, 13.000000000033270821),
+        (1.0 + 5e-10, 6.5, 13.000000016633933093),
+        (2.0 - 5e-10, 6.5, 166.99999978732963575),
+        (2.0 + 1e-12, 6.5, 167.00000000042537851),
+        (2.0 + 5e-10, 6.5, 167.00000021267036452),
+        (3.0 - 5e-10, 6.5, 2118.999997314820998),
+        (3.0 + 1e-12, 6.5, 2119.000000005370835),
+        (3.0 + 5e-10, 6.5, 2119.0000026851790054),
+        (5.0 - 5e-10, 6.5, 328132.99958856446945),
+        (5.0 + 1e-12, 6.5, 328133.00000082294415),
+        (5.0 + 5e-10, 6.5, 328133.00041143553107),
+    ])
+    def test_near_integer_against_mpmath(self, nu, t, want):
+        assert abs(specfun.hermite_value(nu, t) - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("t,want", [
+        # H_{-1}(t), mpmath 1.3.0, mp.mp.dps = 40: mp.hermite(-1, mp.mpf(t))
+        (0.0, 0.88622692545275801365), (1.0, 0.37893607807065605302),
+        (-2.5, 917.96700362595893002), (3.7, 0.13066086457151447656),
+        (6.0, 0.082221092435930453706)])
+    def test_state_at_degree_zero(self, t, want):
+        # H_{nu-1} = H_nu' / (2 nu) is 0/0 at nu = 0: two hermite_value calls
+        h, hm = specfun.hermite_state(0.0, t)
+        assert h == 1.0
+        assert hm == specfun.hermite_value(-1.0, t)
+        # 1e-13, or the exp(t^2) cancellation of the generic-branch test
+        tol = max(1e-13, 20 * math.exp(t * t) * 1e-16 / abs(want))
+        assert hm == pytest.approx(want, rel=tol)
+
+    def test_integer_degree_far_left_raises(self):
+        # the Kummer series of the zero coefficient still runs: H_n below
+        # t = -22.4 needs more than KUMMER_MAX_TERMS terms, as every degree
+        with pytest.raises(AccuracyError, match="did not converge"):
+            specfun.hermite_value(3.0, -25.0)
+
+
 def _assert_paths_agree(fn, args):
     """fn on each plain float against fn on the whole array."""
     array_vals = fn(np.asarray(args, dtype=float))
@@ -235,8 +318,8 @@ def _assert_paths_agree(fn, args):
 
 
 class TestScalarPath:
-    # every branch: polynomial (integer degree), series at t < 0 and at
-    # 0 <= t < HERMITE_SWITCH_T, large-t expansion at t >= HERMITE_SWITCH_T
+    # every branch, at integer and non-integer degrees: series at t < 0 and
+    # at 0 <= t < HERMITE_SWITCH_T, large-t expansion at t >= HERMITE_SWITCH_T
     TS = [-4.2, -1.1, -0.2, 0.0, 0.4, 1.7, 3.3, 4.99, 5.0, 5.6, 8.0, 12.5]
 
     @pytest.mark.parametrize("nu", [0.0, 1.0, 3.0, 7.0, 0.37, 1.5, 4.2, 11.7])
