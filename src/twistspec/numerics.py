@@ -77,9 +77,10 @@ def scan_sign_change(f: Callable[[float], float], a: float, b: float,
 
 def grid_roots(f: Callable, xs: np.ndarray, count: int,
                tol: float = DEFAULT_ROOT_TOL) -> list[float]:
-    """Roots at the first `count` sign changes of a vectorized f along the
-    monotone grid xs (either direction), in grid order: f runs once on xs,
-    then on floats inside the brackets.  A grid value 0 ends one change."""
+    """Roots at the first `count` sign changes of an f that takes an array,
+    along the monotone grid xs (either direction), in grid order: f runs
+    once on xs, then on floats inside the brackets.  A grid value 0 ends one
+    change."""
     v = f(xs)
     change = v[:-1] * v[1:] <= 0.0
     change[1:] &= v[1:-1] != 0.0

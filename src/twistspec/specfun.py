@@ -51,13 +51,11 @@ sums.  A term that is small before m0 proves nothing: near a terminating
 series the terms pass near zero and grow again.
 
 Each branch (Kummer pair, large-t expansion, Bessel series) is one kernel
-in broadcasting float arithmetic: a plain float runs it in Python floats,
-which avoids numpy overhead on one-element arrays, and an array runs it
-through numpy, with bit-identical values.  The convergence tests compare
-floats directly and reduce arrays with `.all()`: a reducer call on every
-float term costs about 8 % of a scalar Bessel call.  Every zero finder
-evaluates its function once on an array grid and refines the sign changes
-with numerics.grid_roots; the Bessel grids end at the ceiling.
+on plain floats; an array argument maps it over its elements, so floats and
+arrays give the same bits.  A non-finite degree, order or argument raises
+DomainError.  Every zero finder evaluates its function once on an array
+grid and refines the sign changes with numerics.grid_roots; the Bessel
+grids end at the ceiling.
 """
 
 from __future__ import annotations
@@ -81,6 +79,10 @@ HERMITE_SWITCH_T = 5.0
 # The large-t expansion raises AccuracyError where its smallest term exceeds
 # this fraction of its sum: the accuracy of the series at the switch point.
 HERMITE_ASYMPT_RTOL = 1e-9
+# Both Gamma coefficients of H_nu are normal floats within this degree:
+# 2^nu / Gamma(-nu/2) overflows near 267.6, 2^nu / Gamma((1-nu)/2)
+# underflows near -268.
+HERMITE_MAX_DEGREE = 267.0
 
 # The tail start of a Kummer series lies near 2|z|, so this reaches |z| = 350.
 KUMMER_MAX_TERMS = 700
@@ -117,8 +119,7 @@ def gamma(x: float) -> float:
 def _tail_start(amax: float, b: float, zmax: float) -> int:
     """First index m0 with |t_{k+1}/t_k| <= 1/2 for every k >= m0, where
     t_k are the terms of M(a, b'; z) at any real or complex a with
-    |a| <= amax, real b' >= b and real z (or array of them) with
-    |z| <= zmax.
+    |a| <= amax, real b' >= b and real z with |z| <= zmax.
 
     For k > -b the term ratio |a+k|/|b'+k| |z|/(k+1) is at most
     max(1, (amax+k)/(b+k)) zmax/(k+1), which does not increase in k; it is
@@ -137,14 +138,13 @@ def _tail_start(amax: float, b: float, zmax: float) -> int:
     return max(0, math.ceil(k)) if k < KUMMER_MAX_TERMS else KUMMER_MAX_TERMS
 
 
-def _kummer_pair(a1: float, b1: float, a2: float, b2: float, z):
-    """M(a1,b1;z) and M(a2,b2;z) in one fused compensated loop; z is a float
-    or an array, and the sums have its type.
+def _kummer_pair(a1: float, b1: float, a2: float, b2: float,
+                 z: float) -> tuple[float, float]:
+    """M(a1,b1;z) and M(a2,b2;z) at a float z in one fused compensated loop.
 
     Past _tail_start every term at most halves, so once the last term added
     is below SERIES_RTOL of the sums, so is the whole omitted tail."""
-    vec = isinstance(z, np.ndarray)
-    zmax = float(np.max(np.abs(z), initial=0.0)) if vec else abs(z)
+    zmax = abs(z)
     start = _tail_start(max(abs(a1), abs(a2)), min(b1, b2), zmax) - 1.0
     t1 = t2 = s1 = s2 = 1.0
     # a float index: float-float arithmetic takes the interpreter's fast
@@ -162,11 +162,9 @@ def _kummer_pair(a1: float, b1: float, a2: float, b2: float, z):
         t = s2 + y
         c2 = (t - s2) - y
         s2 = t
-        if m >= start:
-            err = abs(t1) + abs(t2)
-            bound = SERIES_RTOL * (abs(s1) + abs(s2) + SERIES_FLOOR)
-            if (err <= bound).all() if vec else err <= bound:
-                return s1, s2
+        if m >= start and abs(t1) + abs(t2) <= SERIES_RTOL * (
+                abs(s1) + abs(s2) + SERIES_FLOOR):
+            return s1, s2
         m += 1.0
     raise _kummer_failure(zmax)
 
@@ -251,7 +249,7 @@ def _hermite_coeffs(nu: float) -> tuple[float, float]:
             else -2.0 * scale / math.gamma(xb))
 
 
-def _hermite_series(nu: float, t):
+def _hermite_series(nu: float, t: float) -> float:
     """Gamma-coefficient Kummer combination; |t| <= switch or t < 0."""
     phi1, phi2 = _kummer_pair(-nu / 2.0, 0.5, (1.0 - nu) / 2.0, 1.5, t * t)
     coeff_a, coeff_b = _hermite_coeffs(nu)
@@ -310,66 +308,64 @@ def _hermite_jet(nu: float, t: float) -> tuple[float, float, float, float]:
     return h.real, hp.real, h.imag / d, hp.imag / d
 
 
-def _hermite_asympt(nu: float, t):
+def _hermite_asympt(nu: float, t: float) -> float:
     """Large positive-t expansion, summed term by term until a term drops
     below SERIES_RTOL of the sum or, once the terms are past their growing
     phase (2k > nu + 2), grows again; the smallest term then estimates the
-    truncation error, which must stay below HERMITE_ASYMPT_RTOL of the sum.
-
-    Per-element stops are masks multiplied into the terms, so a float and
-    an array take the same arithmetic."""
-    vec = isinstance(t, np.ndarray)
+    truncation error, which must stay below HERMITE_ASYMPT_RTOL of the sum."""
     inv = 0.25 / (t * t)
-    total = 1.0 + 0.0 * inv
-    term = prev = 1.0
-    est = 0.0 * inv             # smallest term, where the terms grew again
-    live = np.ones(np.shape(t), dtype=bool) if vec else True
+    total = term = prev = 1.0
     # The loop ends: past 2k = nu + 2 the term ratio
     # (2k - 2 - nu)(2k - 1 - nu) / (4 t^2 k) increases without bound.
     for k in itertools.count(1):
         term = term * ((2 * k - 2 - nu) * (2 * k - 1 - nu) / -k) * inv
         mag = abs(term)
-        if 2 * k > nu + 2:
-            grew = live & (mag > prev)
-            est = est + prev * grew
-            live = live & (mag <= prev)
-        total = total + term * live
-        live = live & (mag > SERIES_RTOL * abs(total))
-        if not (live.any() if vec else live):
+        if 2 * k > nu + 2 and mag > prev:
+            if prev > HERMITE_ASYMPT_RTOL * abs(total):
+                raise AccuracyError(
+                    f"large-t Hermite expansion: smallest term {prev:.3g} of "
+                    f"the leading term exceeds {HERMITE_ASYMPT_RTOL:g} of the "
+                    f"sum at nu={nu:g}, t={t:g}", estimate=prev)
+            break
+        total = total + term
+        # `not >` also stops on a nan term
+        if not mag > SERIES_RTOL * abs(total):
             break
         prev = mag
-    bad = est > HERMITE_ASYMPT_RTOL * abs(total)
-    if bad.any() if vec else bad:
-        i = int(np.argmax(est / abs(total))) if vec else None
-        t_bad, e_bad = (float(t[i]), float(est[i])) if vec else (t, est)
+    return (2.0 * t) ** nu * total
+
+
+def _elementwise(kernel, p: float,
+                 x: float | np.ndarray) -> float | np.ndarray:
+    """kernel(p, x) at a float x, as a plain float; at an array x,
+    kernel(p, .) on each element, in the shape of x."""
+    if np.ndim(x) == 0:
+        return kernel(p, float(x))
+    xs = np.asarray(x, dtype=float)
+    return np.array([kernel(p, v) for v in xs.ravel().tolist()],
+                    dtype=float).reshape(xs.shape)
+
+
+def _check_hermite(where: str, nu: float, t: float) -> None:
+    if not (math.isfinite(nu) and math.isfinite(t)):
+        raise DomainError(f"{where}: need finite nu and t, got {nu}, {t}")
+    if abs(nu) > HERMITE_MAX_DEGREE:
         raise AccuracyError(
-            f"large-t Hermite expansion: smallest term {e_bad:.3g} of the "
-            f"leading term exceeds {HERMITE_ASYMPT_RTOL:g} of the sum at "
-            f"nu={nu:g}, t={t_bad:g}", estimate=e_bad)
-    # Python's pow on each element, as on a float: numpy's SIMD power can
-    # round the last bit differently, and less accurately
-    lead = (np.array([x ** nu for x in (2.0 * t).tolist()]) if vec
-            else (2.0 * t) ** nu)
-    return lead * total
+            f"{where}: the Gamma coefficients of H_nu over- or underflow "
+            f"beyond |nu| = {HERMITE_MAX_DEGREE:g}, got nu={nu:g}")
+
+
+def _hermite(nu: float, t: float) -> float:
+    _check_hermite("hermite_value", nu, t)
+    return (_hermite_asympt(nu, t) if t >= HERMITE_SWITCH_T
+            else _hermite_series(nu, t))
 
 
 def hermite_value(nu: float, t: float | np.ndarray) -> float | np.ndarray:
-    """H_nu at a float (plain float out) or an array, at every real degree:
-    the large-t expansion at t >= HERMITE_SWITCH_T, the Kummer combination
-    below it.  Integer degrees take the same two branches, where the
-    expansion terminates and a Gamma coefficient vanishes."""
-    scalar = np.ndim(t) == 0
-    t = float(t) if scalar else np.asarray(t, dtype=float)
-    if scalar:
-        return (_hermite_asympt(nu, t) if t >= HERMITE_SWITCH_T
-                else _hermite_series(nu, t))
-    big = t >= HERMITE_SWITCH_T
-    out = np.empty_like(t)
-    if np.any(big):
-        out[big] = _hermite_asympt(nu, t[big])
-    if np.any(~big):
-        out[~big] = _hermite_series(nu, t[~big])
-    return out
+    """H_nu at a float (plain float out) or an array, at every real degree,
+    by one float kernel: the large-t expansion at t >= HERMITE_SWITCH_T, the
+    Kummer combination below it; at integer degrees both terminate."""
+    return _elementwise(_hermite, nu, t)
 
 
 def hermite_state(nu: float, t: float) -> tuple[float, float]:
@@ -381,6 +377,7 @@ def hermite_state(nu: float, t: float) -> tuple[float, float]:
     calls serve where hermite_value takes the large-t expansion and at
     nu = 0, where H_nu' / (2 nu) is 0/0."""
     t = float(t)
+    _check_hermite("hermite_state", nu, t)
     if t >= HERMITE_SWITCH_T or nu == 0.0:
         return hermite_value(nu, t), hermite_value(nu - 1.0, t)
     z = t * t
@@ -430,19 +427,16 @@ def turan_gap(nu: float, t: float) -> float:
 # Bessel functions of the first kind, real order > -1, ascending series.
 # ----------------------------------------------------------------------
 
-def bessel_j_scaled_vec(order: float,
-                        z: float | np.ndarray) -> float | np.ndarray:
-    """(z/2)^{-order} J_order(z): entire in z, finite and 1/Gamma(order+1) at 0.
-
-    Scalar z gives a plain float, array z an array."""
+def _bessel_scaled(order: float, z: float) -> float:
+    """(z/2)^{-order} J_order(z) at a float z by the ascending series."""
+    if not (math.isfinite(order) and math.isfinite(z)):
+        raise DomainError(
+            f"bessel_j: need finite order and z, got {order}, {z}")
     if order <= -1.0:
         raise DomainError(f"bessel order must be > -1, got {order:g}")
-    vec = np.ndim(z) != 0
-    z = np.asarray(z, dtype=float) if vec else float(z)
-    zmax = float(np.max(np.abs(z), initial=0.0)) if vec else abs(z)
-    if zmax > BESSEL_SERIES_RMAX:
+    if abs(z) > BESSEL_SERIES_RMAX:
         raise AccuracyError(
-            f"bessel series ceiling exceeded: |z| up to {zmax:g} "
+            f"bessel series ceiling exceeded: |z| up to {abs(z):g} "
             f"> {BESSEL_SERIES_RMAX:g}")
     q = -(z * z) / 4.0
     term = total = 1.0 / gamma(order + 1.0)
@@ -453,29 +447,32 @@ def bessel_j_scaled_vec(order: float,
         t = total + y
         comp = (t - total) - y
         total = t
-        if m >= 2:
-            err, bound = abs(term), SERIES_RTOL * (abs(total) + SERIES_FLOOR)
-            if (err <= bound).all() if vec else err <= bound:
-                return total
-    raise AccuracyError("bessel series did not converge",
-                        estimate=float(np.max(np.abs(term))))
+        if m >= 2 and abs(term) <= SERIES_RTOL * (abs(total) + SERIES_FLOOR):
+            return total
+    raise AccuracyError("bessel series did not converge", estimate=abs(term))
+
+
+def _bessel_j(order: float, r: float) -> float:
+    if r < 0:
+        raise DomainError("bessel_j: r must be >= 0")
+    if order < 0 and r == 0.0:
+        raise DomainError("bessel_j: r=0 diverges for negative order")
+    return _bessel_scaled(order, r) * (r / 2.0) ** order
+
+
+def bessel_j_scaled_vec(order: float,
+                        z: float | np.ndarray) -> float | np.ndarray:
+    """(z/2)^{-order} J_order(z): entire in z, finite and 1/Gamma(order+1) at 0.
+
+    One float kernel: a float z gives a plain float, an array z an array."""
+    return _elementwise(_bessel_scaled, order, z)
 
 
 def bessel_j_value(order: float,
                    r: float | np.ndarray) -> float | np.ndarray:
-    """J_order(r) for scalar (plain float out) or array r >= 0."""
-    scalar = np.ndim(r) == 0
-    r = float(r) if scalar else np.asarray(r, dtype=float)
-    r_min = r if scalar else float(np.min(r, initial=math.inf))
-    if r_min < 0:
-        raise DomainError("bessel_j: r must be >= 0")
-    if order < 0 and r_min == 0.0:
-        raise DomainError("bessel_j: r=0 diverges for negative order")
-    # Python's pow on each element, as on a float (see _hermite_asympt)
-    half = r / 2.0
-    lead = half ** order if scalar else np.array(
-        [x ** order for x in half.ravel().tolist()]).reshape(half.shape)
-    return bessel_j_scaled_vec(order, r) * lead
+    """J_order(r) for float (plain float out) or array r >= 0, by one float
+    kernel: the scaled series times (r/2)^order."""
+    return _elementwise(_bessel_j, order, r)
 
 
 def bessel_j_deriv(order: float,

@@ -354,6 +354,22 @@ class TestScalarPath:
             vals = specfun.bessel_j_value(order, np.asarray([r, r])).tolist()
             assert [specfun.bessel_j_value(order, r)] * 2 == vals
 
+    @pytest.mark.parametrize("name", ["hermite_value", "bessel_j_scaled_vec",
+                                      "bessel_j_value"])
+    def test_array_contract(self, name):
+        fn = lambda x: getattr(specfun, name)(1.5, x)  # noqa: E731
+        # a 0-d array gives a plain float
+        assert type(fn(np.asarray(0.7))) is float
+        # a 2-D array keeps its shape, element by element the float values
+        grid = np.array([[0.2, 1.1, 3.4], [4.0, 6.3, 0.9]])
+        out = fn(grid)
+        assert out.shape == (2, 3) and out.dtype == np.float64
+        assert out.tolist() == [[fn(x) for x in row] for row in grid.tolist()]
+        # an empty array gives an empty float array of the same shape
+        for shape in ((0,), (0, 3)):
+            empty = fn(np.empty(shape))
+            assert empty.shape == shape and empty.dtype == np.float64
+
     @pytest.mark.parametrize("wrap", [float, lambda x: np.asarray([1.0, x])])
     def test_errors_on_both_paths(self, wrap):
         with pytest.raises(AccuracyError, match="ceiling"):
@@ -362,6 +378,42 @@ class TestScalarPath:
             specfun.bessel_j_value(1.0, wrap(-0.1))
         with pytest.raises(DomainError, match="diverges"):
             specfun.bessel_j_value(-0.5, wrap(0.0))
+
+
+class TestInputEdges:
+    # a non-finite degree, order or argument is a DomainError at each public
+    # entry point, on the float and the array path
+    @pytest.mark.parametrize("name,args", [
+        ("hermite_value", (math.nan, 6.0)),
+        ("hermite_value", (math.inf, 6.0)),
+        ("hermite_value", (math.nan, 1.0)),
+        ("hermite_value", (3.0, math.nan)),
+        ("hermite_value", (3.0, -math.inf)),
+        ("hermite_value", (2.0, np.asarray([1.0, math.nan]))),
+        ("hermite_state", (math.nan, 1.0)),
+        ("hermite_state", (1.0, math.inf)),
+        ("bessel_j_scaled_vec", (1.0, math.nan)),
+        ("bessel_j_scaled_vec", (math.inf, 1.0)),
+        ("bessel_j_value", (1.0, math.inf)),
+        ("bessel_j_value", (1.0, np.asarray([0.5, math.nan]))),
+    ])
+    def test_non_finite_raises_domain_error(self, name, args):
+        with pytest.raises(DomainError, match="need finite"):
+            getattr(specfun, name)(*args)
+
+    # beyond |nu| = 267 a Gamma coefficient of the Kummer combination leaves
+    # the normal floats: 1/Gamma(-199.5) overflows at nu = 400
+    @pytest.mark.parametrize("name,nu", [
+        ("hermite_value", 400.0), ("hermite_value", -400.0),
+        ("hermite_value", 267.7), ("hermite_state", 400.0)])
+    def test_gamma_coefficient_range(self, name, nu):
+        with pytest.raises(AccuracyError, match=r"beyond \|nu\| = 267\b"):
+            getattr(specfun, name)(nu, 1.0)
+
+    def test_gamma_coefficients_at_the_degree_limit(self):
+        for nu in (267.0, -267.0):
+            assert math.isfinite(specfun.hermite_value(nu, 1.0))
+            assert all(map(math.isfinite, specfun.hermite_state(nu, 1.0)))
 
 
 class TestDegreeDerivative:
