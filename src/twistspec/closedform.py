@@ -93,6 +93,18 @@ class TwistedSolution:
 # Gaussian half-space machinery
 # ----------------------------------------------------------------------
 
+# The first two zeros of the Airy function Ai (DLMF 9.9.1).
+AIRY_A1 = -2.338107410459767
+AIRY_A2 = -4.087949444130971
+
+
+def _airy_degree_bound(L: float, airy_zero: float) -> float:
+    """Lower bound (L^2 - 1 + (2L)^{2/3} |a_k|)/2 on the k-th nu-root of
+    H_nu(L), L >= 0, from the k-th Airy zero a_k; the proof is in
+    dirichlet_halfspace_gauss."""
+    return 0.5 * (L * L - 1.0 + (2.0 * L) ** (2.0 / 3.0) * abs(airy_zero))
+
+
 def _degree_root(what: str, L: float, lo: float, hi: float) -> float:
     """2 nu for the first root of nu -> H_nu(L) on [lo, hi]: a scan in steps
     of at most 0.5, refined by Brent."""
@@ -111,8 +123,15 @@ def dirichlet_halfspace_gauss(L: float) -> float:
     steps of at most 0.5 between two closed-form bounds and refined by Brent:
 
     - lower: with u = e^{t^2/2} w the problem on (L, inf) reads
-      -w'' + (t^2 - 1) w = 2 nu w, a potential >= L^2 - 1, so
-      nu* > (L^2 - 1)/2; and nu* >= 1 = nu*(0), since nu* increases in L;
+      -w'' + (t^2 - 1) w = 2 nu w.  For t >= L the potential is
+      t^2 - 1 >= L^2 - 1 + 2L (t - L), so by min-max the k-th eigenvalue is
+      at least L^2 - 1 plus the k-th Dirichlet eigenvalue of the linear
+      potential 2L s on the half-line s > 0, which is (2L)^{2/3} |a_k| with
+      a_k the k-th zero of Ai (DLMF 9.9(i)): 2 nu* >= L^2 - 1 +
+      (2L)^{2/3} |a_1|.  The gap to nu* is 0.68 at L = 1 and falls to 0.30
+      as L nears 5; where the bound is below 1 (L < 0.6) the start is
+      nu* >= 1 = nu*(0), since nu* increases in L.  Either way the scan finds
+      its sign change at its first or second step;
     - upper: domain monotonicity on the box (L, L+1), where the potential is
       <= (L+1)^2 - 1, gives 2 nu* <= pi^2 + (L+1)^2 - 1 = L^2 + 2L + pi^2.
 
@@ -132,7 +151,7 @@ def dirichlet_halfspace_gauss(L: float) -> float:
             f"{measures.k_gauss(t_switch):.2g}); the large-t expansion of H_nu "
             f"is not valid at its zeros")
     return _degree_root("dirichlet_halfspace_gauss", L,
-                        max(1.0, 0.5 * (L * L - 1.0)),
+                        max(1.0, _airy_degree_bound(L, AIRY_A1)),
                         0.5 * (L * L + 2.0 * L + math.pi ** 2))
 
 
@@ -140,12 +159,14 @@ def second_dirichlet_halfspace_gauss(L: float, lam1: float) -> float:
     """Second Dirichlet eigenvalue of the Gaussian half-space at offset L,
     given the first, lam1 = dirichlet_halfspace_gauss(L).
 
-    The scan starts at nu* + 1 (consecutive nu-roots lie at least 2 apart)
-    and ends at the second eigenvalue of the box (L, L+1),
-    2 nu_2 <= 4 pi^2 + (L+1)^2 - 1.
+    The scan starts at the larger of nu* + 1 (consecutive nu-roots lie at
+    least 2 apart) and the Airy comparison bound of the second eigenvalue,
+    2 nu_2 >= L^2 - 1 + (2L)^{2/3} |a_2| (see dirichlet_halfspace_gauss;
+    0.89 below nu_2 at L = 4.9, where nu* + 1 is 3.6 below), and ends at the
+    second eigenvalue of the box (L, L+1), 2 nu_2 <= 4 pi^2 + (L+1)^2 - 1.
     """
     return _degree_root("second_dirichlet_halfspace_gauss", L,
-                        0.5 * lam1 + 1.0,
+                        max(0.5 * lam1 + 1.0, _airy_degree_bound(L, AIRY_A2)),
                         0.5 * ((L + 1.0) ** 2 - 1.0 + 4.0 * math.pi ** 2))
 
 

@@ -63,6 +63,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -83,6 +84,10 @@ HERMITE_ASYMPT_RTOL = 1e-9
 # 2^nu / Gamma(-nu/2) overflows near 267.6, 2^nu / Gamma((1-nu)/2)
 # underflows near -268.
 HERMITE_MAX_DEGREE = 267.0
+# The large-t expansion returns (2t)^nu times its sum, so it raises
+# AccuracyError where nu ln(2t) leaves +-700: the normal float range
+# (e^-708.4 to e^709.8) with room for the sum.
+HERMITE_ASYMPT_MAX_LOG = 700.0
 
 # The tail start of a Kummer series lies near 2|z|, so this reaches |z| = 350.
 KUMMER_MAX_TERMS = 700
@@ -94,6 +99,9 @@ SERIES_FLOOR = 1e-300
 # Beyond this argument the ascending Bessel series loses more than ~1e-11
 # relative to cancellation; the solvers never need r that large.
 BESSEL_SERIES_RMAX = 16.0
+# The Bessel series starts at 1/Gamma(order + 1), a normal float up to
+# order 170.35; Gamma itself overflows beyond order 170.62.
+BESSEL_MAX_ORDER = 170.0
 # Grid spacing of the Bessel zero scans.
 ZERO_SCAN_STEP = 0.05
 # McMahon's expansion is used for a zero only where its first omitted term
@@ -312,9 +320,19 @@ def _hermite_asympt(nu: float, t: float) -> float:
     """Large positive-t expansion, summed term by term until a term drops
     below SERIES_RTOL of the sum or, once the terms are past their growing
     phase (2k > nu + 2), grows again; the smallest term then estimates the
-    truncation error, which must stay below HERMITE_ASYMPT_RTOL of the sum."""
+    truncation error, which must stay below HERMITE_ASYMPT_RTOL of the sum.
+    The rounding error, about eps times the largest term, must stay below
+    HERMITE_ASYMPT_RTOL of the larger of the sum and its leading term 1:
+    where t lies well among the zeros of H_nu the terms grow far past the
+    sum before they cancel."""
+    lead = nu * math.log(2.0 * t)
+    if abs(lead) > HERMITE_ASYMPT_MAX_LOG:
+        raise AccuracyError(
+            f"large-t Hermite expansion: the leading factor (2t)^nu = "
+            f"e^{lead:.4g} is beyond e^+-{HERMITE_ASYMPT_MAX_LOG:g}, the "
+            f"float range, at nu={nu:g}, t={t:g}")
     inv = 0.25 / (t * t)
-    total = term = prev = 1.0
+    total = term = prev = big = 1.0
     # The loop ends: past 2k = nu + 2 the term ratio
     # (2k - 2 - nu)(2k - 1 - nu) / (4 t^2 k) increases without bound.
     for k in itertools.count(1):
@@ -332,6 +350,14 @@ def _hermite_asympt(nu: float, t: float) -> float:
         if not mag > SERIES_RTOL * abs(total):
             break
         prev = mag
+        big = max(big, mag)
+    err = big * sys.float_info.epsilon
+    if err > HERMITE_ASYMPT_RTOL * max(abs(total), 1.0):
+        raise AccuracyError(
+            f"large-t Hermite expansion: terms up to {big:.3g} times the "
+            f"leading one leave a rounding error {err:.3g}, above "
+            f"{HERMITE_ASYMPT_RTOL:g} of the sum {total:.3g}, at nu={nu:g}, "
+            f"t={t:g}", estimate=err)
     return (2.0 * t) ** nu * total
 
 
@@ -438,6 +464,10 @@ def _bessel_scaled(order: float, z: float) -> float:
         raise AccuracyError(
             f"bessel series ceiling exceeded: |z| up to {abs(z):g} "
             f"> {BESSEL_SERIES_RMAX:g}")
+    if order > BESSEL_MAX_ORDER:
+        raise AccuracyError(
+            f"bessel series: its leading term 1/Gamma(order + 1) underflows "
+            f"beyond order {BESSEL_MAX_ORDER:g}, got order={order:g}")
     q = -(z * z) / 4.0
     term = total = 1.0 / gamma(order + 1.0)
     comp = 0.0

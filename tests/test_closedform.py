@@ -56,7 +56,7 @@ class TestDirichletGauss:
         # a Hermite function without zeros forces the no-root path
         monkeypatch.setattr(specfun, "hermite_value", lambda nu, t: 1.0)
         with pytest.raises(NumericalError,
-                           match=r"nu \[1.5, 8.9348\] for L=2"):
+                           match=r"nu \[4.44583, 8.9348\] for L=2"):
             closedform.dirichlet_halfspace_gauss(2.0)
 
     def test_second_value_at_origin(self):
@@ -94,6 +94,49 @@ class TestDirichletGauss:
         nus = nus[nus < nu_star - 1e-9]
         vals = [specfun.hermite_value(float(nu), L) for nu in nus]
         assert all(v > 0.0 for v in vals)
+
+    @staticmethod
+    def _check_airy_bounds(L):
+        # k = 1: the bound lies below nu*, and H there is still positive, so
+        # the scan starts before the first sign change.  k = 2: the bound
+        # lies below nu_2, and where it is above nu* H there is negative, so
+        # it lies in (nu*, nu_2) without trusting the second scan.
+        lam1 = closedform.dirichlet_halfspace_gauss(L)
+        lam2 = closedform.second_dirichlet_halfspace_gauss(L, lam1)
+        b1 = closedform._airy_degree_bound(L, closedform.AIRY_A1)
+        b2 = closedform._airy_degree_bound(L, closedform.AIRY_A2)
+        assert b1 < lam1 / 2.0 and specfun.hermite_value(b1, L) > 0.0
+        assert b2 < lam2 / 2.0
+        if b2 > lam1 / 2.0 + 1e-9:
+            assert specfun.hermite_value(b2, L) < 0.0
+
+    def test_airy_bounds_below_roots(self):
+        # the gap nu* - b1 is smallest, 0.2976, as L nears 5
+        for L in np.linspace(0.0, 5.0, 1001)[:-1]:
+            self._check_airy_bounds(float(L))
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=5.0, exclude_max=True))
+    def test_airy_bounds_property(self, L):
+        self._check_airy_bounds(L)
+
+    def test_scan_starts_near_root(self, monkeypatch):
+        # from the Airy bound the scan meets the sign change at its first or
+        # second step: at most 10 Hermite calls per root, Brent included
+        calls = []
+        value = specfun.hermite_value
+
+        def counted(nu, t):
+            calls.append(nu)
+            return value(nu, t)
+
+        monkeypatch.setattr(specfun, "hermite_value", counted)
+        worst = 0
+        for L in np.linspace(0.0, 4.95, 100):
+            calls.clear()
+            closedform.dirichlet_halfspace_gauss(float(L))
+            worst = max(worst, len(calls))
+        assert worst <= 10
 
 
 def _dirichlet_by_fine_scan(L):

@@ -415,6 +415,29 @@ class TestInputEdges:
             assert math.isfinite(specfun.hermite_value(nu, 1.0))
             assert all(map(math.isfinite, specfun.hermite_state(nu, 1.0)))
 
+    # the large-t expansion returns (2t)^nu times its sum, and (2t)^nu is
+    # e^+-1451 at nu = +-100, t = 1e6: beyond e^+-700 it leaves the floats
+    @pytest.mark.parametrize("nu", [100.0, -100.0])
+    def test_asymptotic_leading_factor_range(self, nu):
+        with pytest.raises(AccuracyError,
+                           match=r"e\^-?1451 is beyond e\^\+-700"):
+            specfun.hermite_value(nu, 1e6)
+        # nu ln(2t) = 690.8 is inside the range
+        assert math.isfinite(specfun.hermite_value(nu, 500.0))
+
+    def test_asymptotic_cancellation(self):
+        # t = 6 lies deep among the zeros of H_260 (the largest is near 22):
+        # the terms grow past 1e67 before they cancel to the sum
+        with pytest.raises(AccuracyError, match="above 1e-09 of the sum"):
+            specfun.hermite_value(260.0, 6.0)
+
+    def test_bessel_order_range(self):
+        # the series' leading term 1/Gamma(order + 1) is a normal float up
+        # to order 170.35
+        with pytest.raises(AccuracyError, match=r"beyond order 170\b"):
+            specfun.bessel_j_scaled_vec(200.0, 1.0)
+        assert specfun.bessel_j_scaled_vec(170.0, 1.0) > 0.0
+
 
 class TestDegreeDerivative:
     # 25-digit references of d/dnu H_nu(t) and d/dnu H_nu'(t) from
