@@ -46,8 +46,9 @@ The weighted mean integrals inside D are exact: from
 int_0^X r^{b+1} J_b(f r) dr = X^{b+1} J_{b+1}(f X)/f (DLMF 10.22.1) on the
 power side.  D needs H_nu and H_{nu-1} (or g and Jhat_{b+1}) at both
 boundaries; specfun.hermite_state gives each Hermite pair from one Kummer
-pass, so a gaussian D costs two scalar special-function calls and a power
-D four.  The power normalization is exact as well (Lommel, DLMF 10.22.5),
+pass and specfun.bessel_state each Bessel pair from one series pass, so a
+gaussian D costs two hermite_state calls and a power D two bessel_state
+calls.  The power normalization is exact as well (Lommel, DLMF 10.22.5),
 and so is the gaussian one: the Lagrange identity in the degree,
 int_a^inf H_nu^2 e^{-t^2} dt = e^{-a^2} (H_nu dH_nu' - H_nu' dH_nu)(a) / 2
 with d = d/dnu, needs the Hermite function and its degree derivative at the
@@ -247,9 +248,10 @@ def _g_profile(order: float, freq: float,
 
 
 def _power_state(order: float, freq: float, X: float) -> tuple[float, float]:
-    """(g(X), Jhat_{order+1}(freq X)), Jhat = bessel_j_scaled_vec."""
-    return (_g_profile(order, freq, X),
-            specfun.bessel_j_scaled_vec(order + 1.0, freq * X))
+    """(g(X), Jhat_{order+1}(freq X)), Jhat = bessel_j_scaled_vec, from one
+    specfun.bessel_state pass."""
+    j0, j1 = specfun.bessel_state(order, freq * X)
+    return (freq / 2.0) ** order * j0, j1
 
 
 def _power_mean(order: float, freq: float, X: float, g_X: float,
@@ -486,8 +488,7 @@ def phi_alpha(order: float, s: float) -> float:
     """
     if s < 0:
         raise DomainError("phi_alpha: need s >= 0")
-    num = specfun.bessel_j_scaled_vec(order + 1.0, s)
-    den = specfun.bessel_j_scaled_vec(order, s)
+    den, num = specfun.bessel_state(order, s)
     if den == 0.0 or abs(den) < 1e-300:
         raise DomainError(f"phi_alpha: J_order vanishes at s={s:g}")
     return -(s / 2.0) * num / den

@@ -50,6 +50,11 @@ added; the series stops at the first term past m0 below SERIES_RTOL of the
 sums.  A term that is small before m0 proves nothing: near a terminating
 series the terms pass near zero and grow again.
 
+`bessel_state(order, z)` returns the scaled Bessel functions of orders
+order and order + 1 from one loop over both ascending series, each sum
+taken where its own stop test holds, so both are the bits of the separate
+series.
+
 Each branch (Kummer pair, large-t expansion, Bessel series) is one kernel
 on plain floats; an array argument maps it over its elements, so floats and
 arrays give the same bits.  A non-finite degree, order or argument raises
@@ -364,8 +369,9 @@ def _hermite_asympt(nu: float, t: float) -> float:
 def _elementwise(kernel, p: float,
                  x: float | np.ndarray) -> float | np.ndarray:
     """kernel(p, x) at a float x, as a plain float; at an array x,
-    kernel(p, .) on each element, in the shape of x."""
-    if np.ndim(x) == 0:
+    kernel(p, .) on each element, in the shape of x.  A float (np.float64
+    included) skips np.ndim, which costs about a microsecond on a scalar."""
+    if isinstance(x, float) or np.ndim(x) == 0:
         return kernel(p, float(x))
     xs = np.asarray(x, dtype=float)
     return np.array([kernel(p, v) for v in xs.ravel().tolist()],
@@ -453,21 +459,27 @@ def turan_gap(nu: float, t: float) -> float:
 # Bessel functions of the first kind, real order > -1, ascending series.
 # ----------------------------------------------------------------------
 
-def _bessel_scaled(order: float, z: float) -> float:
-    """(z/2)^{-order} J_order(z) at a float z by the ascending series."""
+def _check_bessel(where: str, order: float, z: float, top: float) -> None:
+    """Typed errors of the ascending series at the orders order..top."""
     if not (math.isfinite(order) and math.isfinite(z)):
         raise DomainError(
-            f"bessel_j: need finite order and z, got {order}, {z}")
+            f"{where}: need finite order and z, got {order}, {z}")
     if order <= -1.0:
         raise DomainError(f"bessel order must be > -1, got {order:g}")
     if abs(z) > BESSEL_SERIES_RMAX:
         raise AccuracyError(
             f"bessel series ceiling exceeded: |z| up to {abs(z):g} "
             f"> {BESSEL_SERIES_RMAX:g}")
-    if order > BESSEL_MAX_ORDER:
+    if top > BESSEL_MAX_ORDER:
         raise AccuracyError(
-            f"bessel series: its leading term 1/Gamma(order + 1) underflows "
-            f"beyond order {BESSEL_MAX_ORDER:g}, got order={order:g}")
+            f"{where}: the series of order {top:g} starts at 1/Gamma("
+            f"{top:g} + 1), which underflows beyond order "
+            f"{BESSEL_MAX_ORDER:g}")
+
+
+def _bessel_scaled(order: float, z: float) -> float:
+    """(z/2)^{-order} J_order(z) at a float z by the ascending series."""
+    _check_bessel("bessel_j", order, z, order)
     q = -(z * z) / 4.0
     term = total = 1.0 / gamma(order + 1.0)
     comp = 0.0
@@ -480,6 +492,45 @@ def _bessel_scaled(order: float, z: float) -> float:
         if m >= 2 and abs(term) <= SERIES_RTOL * (abs(total) + SERIES_FLOOR):
             return total
     raise AccuracyError("bessel series did not converge", estimate=abs(term))
+
+
+def _bessel_pair(order: float, z: float) -> tuple[float, float]:
+    """(Jhat_order(z), Jhat_{order+1}(z)), Jhat = _bessel_scaled, at a float
+    z from one compensated loop.  Each sum runs the recurrence and the stop
+    test of its own _bessel_scaled call and is taken at the term where that
+    test first holds, so both are that call's value to the bit; the loop
+    ends once both have been taken."""
+    up = order + 1.0
+    _check_bessel("bessel_state", order, z, up)
+    q = -(z * z) / 4.0
+    # order > -1: no pole of Gamma
+    t1 = s1 = 1.0 / math.gamma(order + 1.0)
+    t2 = s2 = 1.0 / math.gamma(up + 1.0)
+    c1 = c2 = 0.0
+    r1 = r2 = None
+    # k = m + 1 as a float, as in _kummer_pair
+    k = 1.0
+    for _ in range(BESSEL_MAX_TERMS):
+        t1 = t1 * q / (k * (k + order))
+        t2 = t2 * q / (k * (k + up))
+        y = t1 - c1
+        t = s1 + y
+        c1 = (t - s1) - y
+        s1 = t
+        y = t2 - c2
+        t = s2 + y
+        c2 = (t - s2) - y
+        s2 = t
+        if k >= 3.0:
+            if r1 is None and abs(t1) <= SERIES_RTOL * (abs(s1) + SERIES_FLOOR):
+                r1 = s1
+            if r2 is None and abs(t2) <= SERIES_RTOL * (abs(s2) + SERIES_FLOOR):
+                r2 = s2
+            if r1 is not None and r2 is not None:
+                return r1, r2
+        k += 1.0
+    raise AccuracyError("bessel series did not converge",
+                        estimate=max(abs(t1), abs(t2)))
 
 
 def _bessel_j(order: float, r: float) -> float:
@@ -505,12 +556,28 @@ def bessel_j_value(order: float,
     return _elementwise(_bessel_j, order, r)
 
 
+def bessel_state(order: float, z: float) -> tuple[float, float]:
+    """(Jhat_order(z), Jhat_{order+1}(z)) at a float z from one series pass,
+    Jhat = bessel_j_scaled_vec: both are bessel_j_scaled_vec's values to the
+    bit."""
+    return _bessel_pair(order, float(z))
+
+
+def _bessel_deriv(order: float, r: float) -> float:
+    """J_order'(r) = (order/r) J_order(r) - J_{order+1}(r), r > 0, from one
+    _bessel_pair pass; each J is bessel_j_value's value to the bit."""
+    if r <= 0.0:
+        raise DomainError("bessel_j_deriv: need r > 0")
+    j0, j1 = _bessel_pair(order, r)
+    h = r / 2.0
+    return (order / r) * (j0 * h ** order) - j1 * h ** (order + 1.0)
+
+
 def bessel_j_deriv(order: float,
                    r: float | np.ndarray) -> float | np.ndarray:
-    """J_order' = (order/r) J_order - J_{order+1} at float or array r > 0."""
-    if np.min(r) <= 0.0:
-        raise DomainError("bessel_j_deriv: need r > 0")
-    return (order / r) * bessel_j_value(order, r) - bessel_j_value(order + 1.0, r)
+    """J_order' = (order/r) J_order - J_{order+1} at float (plain float out)
+    or array r > 0, by one float kernel."""
+    return _elementwise(_bessel_deriv, order, r)
 
 
 def _zero_grid(order: float) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twistspec import closedform, measures, oracle, specfun
+from twistspec import closedform, measures, numerics, oracle, specfun
 from twistspec.errors import AccuracyError, DomainError, NumericalError
 from twistspec.measures import MeasureSpec
 
@@ -461,6 +461,28 @@ class TestTwistedPairPower:
             closedform.twisted_pair_power(measures.config_from_split(m, 2.0, s))
         closedform.dirichlet_halfball_power(m, 1.0)
         assert calls == [m.profile_order]
+
+    def test_determinant_sums_two_series(self, monkeypatch):
+        # one power D evaluation: one bessel_state pass per boundary, and no
+        # separate Bessel series
+        determinants = []
+        scan = numerics.scan_sign_change
+
+        def keep(f, *args):
+            determinants.append(f)
+            return scan(f, *args)
+
+        monkeypatch.setattr(numerics, "scan_sign_change", keep)
+        cfg = measures.config_from_split(MeasureSpec.power(3, 2.0), 5.0, 0.37)
+        closedform.twisted_pair_power(cfg)
+        calls = []
+        for name in ("bessel_state", "bessel_j_scaled_vec"):
+            fn = getattr(specfun, name)
+            monkeypatch.setattr(specfun, name, lambda *args, _fn=fn, _name=name:
+                                calls.append(_name) or _fn(*args))
+        (D,) = determinants
+        D(3.2)
+        assert calls == ["bessel_state", "bessel_state"]
 
     def test_lopsided_pair_flagged_but_agrees_with_oracle(self):
         # beyond the monotone-profile window the pair root still matches the

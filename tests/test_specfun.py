@@ -370,6 +370,15 @@ class TestScalarPath:
             empty = fn(np.empty(shape))
             assert empty.shape == shape and empty.dtype == np.float64
 
+    @pytest.mark.parametrize("name", ["hermite_value", "bessel_j_scaled_vec",
+                                      "bessel_j_value", "bessel_j_deriv"])
+    @pytest.mark.parametrize("wrap", [float, np.float64, np.asarray])
+    def test_scalar_gives_plain_float(self, name, wrap):
+        # a Python float, an np.float64 and a 0-d array give a plain float
+        out = getattr(specfun, name)(1.5, wrap(0.7))
+        assert type(out) is float
+        assert out == getattr(specfun, name)(1.5, 0.7)
+
     @pytest.mark.parametrize("wrap", [float, lambda x: np.asarray([1.0, x])])
     def test_errors_on_both_paths(self, wrap):
         with pytest.raises(AccuracyError, match="ceiling"):
@@ -437,6 +446,67 @@ class TestInputEdges:
         with pytest.raises(AccuracyError, match=r"beyond order 170\b"):
             specfun.bessel_j_scaled_vec(200.0, 1.0)
         assert specfun.bessel_j_scaled_vec(170.0, 1.0) > 0.0
+
+
+class TestBesselState:
+    ORDERS = [-0.5, 0.0, 0.5, 1.5, 3.0, 10.5, 169.0]
+    ZS = [0.0, -0.0, 1e-300, 0.05, 1.0, 2.404825557695773, 3.8317, 7.3,
+          11.0, 15.9, 16.0, -16.0, -0.7, -5.52, -13.3]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_bit_identical_to_two_series(self, order):
+        zs = self.ZS + np.linspace(-16.0, 16.0, 129).tolist()
+        for z in zs:
+            j0, j1 = specfun.bessel_state(order, z)
+            assert type(j0) is float and type(j1) is float
+            assert j0.hex() == specfun.bessel_j_scaled_vec(order, z).hex()
+            assert j1.hex() == \
+                specfun.bessel_j_scaled_vec(order + 1.0, z).hex()
+
+    def test_near_zeros(self):
+        # where one sum nears a zero of J_order its own stop test runs
+        # longer than the other's: each sum is still its own call's value
+        for order in (-0.5, 0.0, 1.5):
+            for j in specfun.bessel_zeros(order, 4):
+                for z in j * (1.0 + np.linspace(-1e-6, 1e-6, 41)):
+                    assert specfun.bessel_state(order, z) == (
+                        specfun.bessel_j_scaled_vec(order, z),
+                        specfun.bessel_j_scaled_vec(order + 1.0, z))
+
+    def test_deriv_bit_identical(self):
+        # bessel_j_deriv's kernel keeps the bits of
+        # (order/r) J_order - J_{order+1} from two bessel_j_value calls
+        rs = np.linspace(0.01, 16.0, 97)
+        for order in (-0.5, 0.0, 1.5, 7.25):
+            want = ((order / rs) * specfun.bessel_j_value(order, rs)
+                    - specfun.bessel_j_value(order + 1.0, rs))
+            assert specfun.bessel_j_deriv(order, rs).tolist() == want.tolist()
+            assert [specfun.bessel_j_deriv(order, r)
+                    for r in rs.tolist()] == want.tolist()
+
+    @pytest.mark.parametrize("order,z", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+        (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)])
+    def test_non_finite_raises_domain_error(self, order, z):
+        with pytest.raises(DomainError, match="bessel_state: need finite"):
+            specfun.bessel_state(order, z)
+
+    @pytest.mark.parametrize("order", [-1.0, -1.5])
+    def test_order_range(self, order):
+        with pytest.raises(DomainError, match="must be > -1"):
+            specfun.bessel_state(order, 1.0)
+
+    @pytest.mark.parametrize("z", [16.5, -16.5])
+    def test_ceiling(self, z):
+        with pytest.raises(AccuracyError, match="ceiling"):
+            specfun.bessel_state(1.0, z)
+
+    def test_upper_order_range(self):
+        # the second series starts at 1/Gamma(order + 2): order + 1 <= 170
+        with pytest.raises(AccuracyError,
+                           match=r"order 170\.5 .*beyond order 170\b"):
+            specfun.bessel_state(169.5, 1.0)
+        assert specfun.bessel_state(169.0, 1.0)[1] > 0.0
 
 
 class TestDegreeDerivative:
