@@ -62,22 +62,12 @@ def find_root(f: Callable[[float], float], bracket: Bracket,
 
 def scan_sign_change(f: Callable[[float], float], a: float, b: float,
                      steps: int) -> Optional[Bracket]:
-    """First sign-change sub-interval of f on a uniform scan of [a, b],
-    steps >= 1.
-
-    The points are those of np.linspace(a, b, steps + 1), by numpy's own
-    float arithmetic: i * step + a with step = (b - a) / steps, and b last
-    (i / steps * (b - a) + a where step underflows to 0)."""
-    if steps < 1:
-        raise DomainError(f"scan_sign_change: need steps >= 1, got {steps}")
-    a, b = float(a), float(b)
-    delta = b - a
-    step = delta / steps
-    x_prev = 0.0 * step + a
+    """First sign-change sub-interval of f on a uniform scan of [a, b]."""
+    xs = np.linspace(a, b, steps + 1)
+    x_prev = float(xs[0])
     f_prev = f(x_prev)
-    for i in range(1, steps + 1):
-        x_cur = b if i == steps else (
-            i * step if step else i / steps * delta) + a
+    for x in xs[1:]:
+        x_cur = float(x)
         f_cur = f(x_cur)
         if f_prev * f_cur <= 0.0:
             return Bracket(x_prev, x_cur, f_prev, f_cur)

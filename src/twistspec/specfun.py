@@ -369,9 +369,8 @@ def _hermite_asympt(nu: float, t: float) -> float:
 def _elementwise(kernel, p: float,
                  x: float | np.ndarray) -> float | np.ndarray:
     """kernel(p, x) at a float x, as a plain float; at an array x,
-    kernel(p, .) on each element, in the shape of x.  A float (np.float64
-    included) skips np.ndim, which costs about a microsecond on a scalar."""
-    if isinstance(x, float) or np.ndim(x) == 0:
+    kernel(p, .) on each element, in the shape of x."""
+    if np.ndim(x) == 0:
         return kernel(p, float(x))
     xs = np.asarray(x, dtype=float)
     return np.array([kernel(p, v) for v in xs.ravel().tolist()],
@@ -494,14 +493,17 @@ def _bessel_scaled(order: float, z: float) -> float:
     raise AccuracyError("bessel series did not converge", estimate=abs(term))
 
 
-def _bessel_pair(order: float, z: float) -> tuple[float, float]:
-    """(Jhat_order(z), Jhat_{order+1}(z)), Jhat = _bessel_scaled, at a float
-    z from one compensated loop.  Each sum runs the recurrence and the stop
-    test of its own _bessel_scaled call and is taken at the term where that
-    test first holds, so both are that call's value to the bit; the loop
-    ends once both have been taken."""
+def bessel_state(order: float, z: float, *,
+                 where: str = "bessel_state") -> tuple[float, float]:
+    """(Jhat_order(z), Jhat_{order+1}(z)), Jhat = bessel_j_scaled_vec, at a
+    float z from one compensated loop.  Each sum runs the recurrence and the
+    stop test of its own bessel_j_scaled_vec call and is taken at the term
+    where that test first holds, so both are that call's value to the bit;
+    the loop ends once both have been taken.  `where` names the caller in
+    the argument errors."""
+    z = float(z)
     up = order + 1.0
-    _check_bessel("bessel_state", order, z, up)
+    _check_bessel(where, order, z, up)
     q = -(z * z) / 4.0
     # order > -1: no pole of Gamma
     t1 = s1 = 1.0 / math.gamma(order + 1.0)
@@ -556,19 +558,12 @@ def bessel_j_value(order: float,
     return _elementwise(_bessel_j, order, r)
 
 
-def bessel_state(order: float, z: float) -> tuple[float, float]:
-    """(Jhat_order(z), Jhat_{order+1}(z)) at a float z from one series pass,
-    Jhat = bessel_j_scaled_vec: both are bessel_j_scaled_vec's values to the
-    bit."""
-    return _bessel_pair(order, float(z))
-
-
 def _bessel_deriv(order: float, r: float) -> float:
     """J_order'(r) = (order/r) J_order(r) - J_{order+1}(r), r > 0, from one
-    _bessel_pair pass; each J is bessel_j_value's value to the bit."""
+    bessel_state pass; each J is bessel_j_value's value to the bit."""
     if r <= 0.0:
         raise DomainError("bessel_j_deriv: need r > 0")
-    j0, j1 = _bessel_pair(order, r)
+    j0, j1 = bessel_state(order, r, where="bessel_j_deriv")
     h = r / 2.0
     return (order / r) * (j0 * h ** order) - j1 * h ** (order + 1.0)
 

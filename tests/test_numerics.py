@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from twistspec import numerics, specfun
 from twistspec.errors import DomainError
@@ -45,32 +43,6 @@ class TestBracketAndRoots:
         assert br is not None
         assert br.lo <= math.pi / 2 <= br.hi
         assert numerics.scan_sign_change(lambda x: 1.0 + x * x, 0, 1, 10) is None
-
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(st.floats(min_value=-1e300, max_value=1e300),
-           st.floats(min_value=-1e300, max_value=1e300),
-           st.integers(min_value=1, max_value=60))
-    def test_scan_points_are_linspace(self, a, b, steps):
-        # the scan visits np.linspace(a, b, steps + 1) to the bit, as plain
-        # floats, also where (b - a) / steps underflows
-        assume(a < b)
-        seen = []
-        numerics.scan_sign_change(lambda x: seen.append(x) or 1.0, a, b, steps)
-        assert all(type(x) is float for x in seen)
-        want = np.linspace(a, b, steps + 1)
-        assert np.asarray(seen).view(np.int64).tolist() == \
-            want.view(np.int64).tolist()
-
-    def test_scan_points_in_subnormal_steps(self):
-        a = 2.2250738585072014e-308
-        b = float(np.nextafter(np.nextafter(a, 1.0), 1.0))
-        seen = []
-        numerics.scan_sign_change(lambda x: seen.append(x) or 1.0, a, b, 7)
-        assert seen == np.linspace(a, b, 8).tolist()
-
-    def test_scan_needs_a_step(self):
-        with pytest.raises(DomainError, match="steps >= 1"):
-            numerics.scan_sign_change(math.cos, 0.0, 1.0, 0)
 
     def test_grid_roots_ascending_several(self):
         xs = np.linspace(0.0, 10.0, 41)

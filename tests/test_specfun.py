@@ -669,6 +669,15 @@ class TestBessel:
         with pytest.raises(DomainError):
             specfun.bessel_j_deriv(1.0, 0.0)
 
+    @pytest.mark.parametrize("order,r", [
+        (1.0, math.nan), (1.0, math.inf), (math.nan, 1.0)])
+    @pytest.mark.parametrize("wrap", [float, lambda x: np.asarray([1.0, x])])
+    def test_deriv_non_finite_named(self, order, r, wrap):
+        # the error names the function the caller used
+        with pytest.raises(DomainError,
+                           match="bessel_j_deriv: need finite order and z"):
+            specfun.bessel_j_deriv(order, wrap(r))
+
     def test_series_ceiling(self):
         with pytest.raises(AccuracyError):
             specfun.bessel_j_value(0.0, 25.0)
