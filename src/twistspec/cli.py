@@ -4,10 +4,11 @@
 `_FLAGS` each flag's type and default.  A `--config` file of key=value lines
 goes through the same parser as flags; command-line flags win.
 
-Exit codes: 0 success, 2 domain/usage/file error, 3 numerical failure.  Floats
-are serialized with 17 significant digits so CSV/JSON round-trip losslessly
-(JSON writes a non-finite float as null), and all randomized suites are
-seeded, making reruns byte-identical.
+Exit codes: 0 success, 2 domain/usage/file error, 3 numerical failure, 141
+(128 + SIGPIPE, nothing on stderr) when the reader of a stdout pipe leaves
+first, as `| head` may.  Floats are serialized with 17 significant digits so
+CSV/JSON round-trip losslessly (JSON writes a non-finite float as null), and
+all randomized suites are seeded, making reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .measures import MeasureSpec
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_NUMERICAL = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 def _finite_float(text: str) -> float:
@@ -306,7 +308,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.config:
             tokens = _read_config_file(args.config, args.command)
             args = parser.parse_args([args.command, *tokens, *argv[1:]])
-        return COMMANDS[args.command][0](args)
+        code = COMMANDS[args.command][0](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stop quietly; None keeps the exit-time flush off the closed pipe
+        sys.stdout = None
+        return EXIT_PIPE
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -30,15 +30,15 @@ A profile is single-signed exactly when it is monotone on its component.
 Radial: g' vanishes first at j_{b+1,1}/f, so the test is J_{b+1}(f max(L, R))
 >= 0 (f max(L, R) < j_{b,2} < j_{b+1,2} on the bracket).  Gaussian:
 H_nu' = 2 nu H_{nu-1} has no zero beyond a iff nu - 1 <= nu*(a), i.e.
-lambda <= Lambda_1 + 2.  Beyond that window the determinant root still
-matches the discrete constrained eigenvalue of the reduced 1D problem to
-solver accuracy, but the eigenfunction picks up a thin opposite-sign shell
-near the larger boundary, and in dimension n >= 2 the first tangential
-(dipole) mode of the larger power component - whose eigenvalue is exactly
-the window edge (j_{b+1,1}/max(L,R))^2 - drops below the two-signed pair
-value.  Solutions therefore carry a `single_signed` diagnostic instead of
-failing; split scans run on the fixed window s in [0.3, 0.7]
-(shapeopt.DEFAULT_WINDOW) and report whether every solution was
+lambda <= Lambda_1 + 2.  For n >= 2 a two-signed pair's lambda_T is not the
+root: separating variables on a component (Ornstein-Uhlenbeck modes in x',
+eigenvalues 2m; harmonics of degree l, Bessel order b + l), a mode with
+m, l >= 1 has zero mean by itself, so lambda_T = min(root, tangential value
+Lambda_1 + 2 or (j_{b+1,1}/max(L, R))^2), and that value is the single-sign
+edge: lambda_T is the root on a single-signed pair, the tangential value on a
+two-signed one (n = 1 has none).  `solve` still returns the pair root there,
+with `single_signed` false; split scans run on the fixed window s in
+[0.3, 0.7] (shapeopt.DEFAULT_WINDOW) and report whether every solution was
 single-signed.
 
 The weighted mean integrals inside D are exact: from

@@ -1,8 +1,8 @@
 """Shared 1D numerical kernels.
 
 Bracketed root finding (scipy's Brent behind a bracket-validating wrapper),
-sign-change scans (scalar, or vectorized and refined), the truncation point
-of Gaussian tail integrals, and bounded minimization (scipy's bounded Brent).
+sign-change scans (scalar, or vectorized and refined), and the truncation
+point of Gaussian tail integrals.
 """
 
 from __future__ import annotations
@@ -88,15 +88,3 @@ def grid_roots(f: Callable, xs: np.ndarray, count: int,
             for i in np.flatnonzero(change)[:count])
     return [find_root(f, Bracket(lo, hi, f_lo, f_hi), tol)
             for (lo, f_lo), (hi, f_hi) in ends]
-
-
-def minimize_scalar(F: Callable[[float], float], a: float, b: float,
-                    tol: float = 1e-8) -> tuple[float, float]:
-    """Minimum of a unimodal F on [a, b] to x-tolerance tol by scipy's
-    bounded Brent method (golden sections with parabolic steps)."""
-    if not a < b:
-        raise DomainError(f"minimize_scalar: need a < b, got ({a}, {b})")
-    # scipy passes numpy scalars; F runs on plain floats
-    res = optimize.minimize_scalar(lambda x: F(float(x)), bounds=(a, b),
-                                   method="bounded", options={"xatol": tol})
-    return float(res.x), float(res.fun)

@@ -13,8 +13,8 @@ V.n integrates to the mass flux there (+total_mass on the left component,
 
 `certify_minimum` checks the grid minimum at s = 1/2, the relabeling
 symmetry of the curve, the derivative sign pattern, agreement of the
-analytic derivative with finite differences of the curve itself, and a
-bounded minimization near the center landing at s = 1/2.
+analytic derivative with finite differences of the curve itself, and
+lambda(1/2) bounding the scan's cubic Hermite interpolant from below.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import closedform, measures, numerics
+from . import closedform, measures
 from .closedform import TwistedSolution
 from .errors import DomainError
 from .measures import MeasureSpec
@@ -140,9 +140,11 @@ def certify_minimum(curve: ScanCurve) -> CertificationReport:
     Checks: (a) global grid minimum at s = 1/2; (b) relabeling symmetry
     lambda(s) = lambda(1-s); (c) analytic derivative sign pattern (<= 0
     left of the center, >= 0 right of it); (d) analytic-vs-FD derivative
-    agreement within max(DERIV_TOL, 1e-3 |dlambda/ds|); (e) the bounded
-    minimizer of lambda on the two grid steps either side of 1/2 lands
-    within one grid step of 1/2.
+    agreement within max(DERIV_TOL, 1e-3 |dlambda/ds|); (e) on each cell the
+    cubic Hermite interpolant of (lambda, lambda') is at least its smallest
+    Bernstein control value (lambda_i, lambda_i + h lambda'_i/3, lambda_{i+1}
+    - h lambda'_{i+1}/3, lambda_{i+1}); none may be below lambda(1/2) by more
+    than 1e-8 max(1, max |lambda|).
     """
     s, lam = curve.splits, curve.lambdas
     checks = []
@@ -185,13 +187,14 @@ def certify_minimum(curve: ScanCurve) -> CertificationReport:
         "derivative_fd_agreement", worst <= 1.0,
         f"worst gap / tolerance ratio = {worst:.3g}"))
 
-    h = s[1] - s[0]
-    a, b = max(s[0], 0.5 - 2 * h), min(s[-1], 0.5 + 2 * h)
-    x_star, _ = numerics.minimize_scalar(
-        lambda x: lambda_of_split(curve.measure, curve.total_mass, x).eigenvalue,
-        a, b, tol=min(1e-6, h / 10))
+    h, d = np.diff(s), curve.derivative_analytic
+    cell_low = np.minimum.reduce([lam[:-1], lam[:-1] + h * d[:-1] / 3,
+                                  lam[1:] - h * d[1:] / 3, lam[1:]])
+    i = int(np.argmin(cell_low))
+    margin = cell_low[i] - lam[mid]
     checks.append(CheckOutcome(
-        "refined_minimum_at_half", abs(x_star - 0.5) <= h,
-        f"refined minimizer at s={x_star:.8f} (grid step {h:.3g})"))
+        "interpolant_minimum_at_half", margin >= -eps,
+        f"lowest Hermite control value - lambda(1/2) = {margin:.3g} "
+        f"on cell [{s[i]:.6g}, {s[i + 1]:.6g}]"))
 
     return CertificationReport(checks=checks)

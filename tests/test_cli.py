@@ -1,5 +1,7 @@
+import io
 import json
 import math
+import sys
 
 import pytest
 
@@ -109,6 +111,22 @@ class TestFileErrors:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [err.strip()] and path in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--mass", "0.5", "--split", "0.5"],
+        ["verify", "--suite", "recovery"],
+    ])
+    def test_closed_stdout_is_not_a_file_error(self, argv, monkeypatch,
+                                               capsys):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code, _, err = run(argv, capsys)
+        assert code == cli.EXIT_PIPE == 141
+        assert err == ""
+        # nothing is left for the flush at interpreter exit
+        assert sys.stdout is None
 
 
 class TestScan:

@@ -110,17 +110,3 @@ class TestIntegrate:
             r = quadrature.integrate(f, a, b, tol=1e-10, vectorized=True)
             assert abs(r.value - exact) <= max(r.abs_error_estimate, 2e-14)
             assert abs(r.value - exact) <= 2e-10
-
-
-class TestMinimize:
-    def test_quadratic(self):
-        x, fx = numerics.minimize_scalar(lambda x: (x - 0.5) ** 2, 0.0, 1.0,
-                                         tol=1e-9)
-        assert x == pytest.approx(0.5, abs=1e-8)
-        assert fx == pytest.approx(0.0, abs=1e-15)
-
-    def test_cosine(self):
-        x, fx = numerics.minimize_scalar(math.cos, math.pi / 2, 3 * math.pi / 2,
-                                         tol=1e-9)
-        assert x == pytest.approx(math.pi, abs=1e-7)
-        assert fx == pytest.approx(-1.0, abs=1e-12)

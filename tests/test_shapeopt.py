@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +9,20 @@ from twistspec.measures import MeasureSpec
 
 G1 = MeasureSpec.gaussian(1)
 M30 = MeasureSpec.power(3, 0.0)
+
+
+def parabola_curve(shift_steps: float, points: int = 11) -> shapeopt.ScanCurve:
+    """Stand-in curve lambda = 3 + (s - s_min)^2 with exact derivatives on
+    the gaussian(1) mass-0.5 grid, its minimizer shift_steps grid steps
+    right of 1/2."""
+    s = shapeopt.split_grid(G1, 0.5, points)
+    s_min = 0.5 + shift_steps * (s[1] - s[0])
+    lam = 3.0 + (s - s_min) ** 2
+    return shapeopt.ScanCurve(
+        measure=G1, total_mass=0.5, splits=s, lambdas=lam,
+        derivative_analytic=2.0 * (s - s_min),
+        derivative_fd=shapeopt._fd_derivative(s, lam), solutions=[],
+        window=(float(s[0]), float(s[-1])), all_single_signed=True)
 
 
 class TestLambdaOfSplit:
@@ -101,13 +114,26 @@ class TestCertify:
         rep = shapeopt.certify_minimum(curve)
         assert any(c.name == "curve_symmetry" for c in rep.failures())
 
-    def test_detects_refined_minimum_off_center(self, monkeypatch):
+    def test_stand_in_centered_parabola_passes(self):
+        rep = shapeopt.certify_minimum(parabola_curve(0.0))
+        assert rep.passed, [c.detail for c in rep.failures()]
+
+    @pytest.mark.parametrize("shift", [0.1, 0.5, 0.9, 1.5])
+    def test_detects_minimum_off_center(self, shift):
+        rep = shapeopt.certify_minimum(parabola_curve(shift))
+        assert "interpolant_minimum_at_half" in {
+            c.name for c in rep.failures()}
+
+    def test_calls_no_solver(self, monkeypatch):
         curve = shapeopt.scan(G1, 0.5, points=11)
-        # a stand-in curve whose minimizer sits 1.5 grid steps right of 1/2
-        s_min = 0.5 + 1.5 * (curve.splits[1] - curve.splits[0])
-        monkeypatch.setattr(
-            shapeopt, "lambda_of_split",
-            lambda measure, total_mass, s: SimpleNamespace(
-                eigenvalue=(s - s_min) ** 2))
+
+        def no_solve(*args):
+            raise AssertionError("certification ran a pair solve")
+        monkeypatch.setattr(shapeopt, "lambda_of_split", no_solve)
+        monkeypatch.setattr(closedform, "solve", no_solve)
         rep = shapeopt.certify_minimum(curve)
-        assert "refined_minimum_at_half" in {c.name for c in rep.failures()}
+        assert rep.passed, [c.detail for c in rep.failures()]
+        assert [c.name for c in rep.checks] == [
+            "grid_minimum_at_half", "curve_symmetry",
+            "derivative_sign_pattern", "derivative_fd_agreement",
+            "interpolant_minimum_at_half"]
