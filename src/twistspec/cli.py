@@ -4,11 +4,12 @@
 `_FLAGS` each flag's type and default.  A `--config` file of key=value lines
 goes through the same parser as flags; command-line flags win.
 
-Exit codes: 0 success, 2 domain/usage/file error, 3 numerical failure, 141
-(128 + SIGPIPE, nothing on stderr) when the reader of a stdout pipe leaves
-first, as `| head` may.  Floats are serialized with 17 significant digits so
-CSV/JSON round-trip losslessly (JSON writes a non-finite float as null), and
-all randomized suites are seeded, making reruns byte-identical.
+Exit codes: 0 success, 1 a failed `verify` invariant, 2 domain/usage/file
+error, 3 numerical failure, 141 (128 + SIGPIPE, nothing on stderr) when the
+reader of a stdout pipe leaves first, as `| head` may.  Floats are
+serialized with 17 significant digits so CSV/JSON round-trip losslessly
+(JSON writes a non-finite float as null), and all randomized suites are
+seeded, making reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -185,8 +186,7 @@ def cmd_scan(args) -> int:
 
 def cmd_verify(args) -> int:
     names = [args.suite] if args.suite else None
-    results = verify.run_suites(names=names, seed=args.seed,
-                                inject_fault=args.inject_fault)
+    results = verify.run_suites(names=names, seed=args.seed)
     width = max(len(f"{r.suite}.{r.name}") for r in results)
     lines = []
     for r in results:
@@ -240,7 +240,7 @@ COMMANDS = {
              ("measure", "n", "k", "mass", "grid"),
              {"grid": shapeopt.DEFAULT_POINTS}),
     "verify": (cmd_verify, "run invariant suites",
-               ("seed", "suite", "inject-fault"), {}),
+               ("seed", "suite"), {}),
     "oracle": (cmd_oracle, "compare closed form against the oracle",
                ("measure", "n", "k", "mass", "split", "L", "R", "grid", "tol"),
                {}),
@@ -258,7 +258,6 @@ _FLAGS = {
     "tol": {"type": _finite_float, "default": 1e-3},
     "seed": {"type": _seed, "default": 0},
     "suite": {"choices": sorted(verify.SUITES)},
-    "inject-fault": {"help": argparse.SUPPRESS},
     "out": {},
     "format": {"choices": ("csv", "json"), "default": "csv"},
     "config": {"help": "key=value file of this subcommand's flags"},
@@ -268,8 +267,7 @@ _FLAGS = {
 def _read_config_file(path: str, command: str) -> list[str]:
     """`--key=value` tokens from key=value lines naming the subcommand's
     flags ('#' starts a comment); one token keeps a value starting with '-'."""
-    keys = [f for f in (*COMMANDS[command][2], "out", "format")
-            if _FLAGS[f].get("help") != argparse.SUPPRESS]
+    keys = (*COMMANDS[command][2], "out", "format")
     tokens = []
     with open(path) as fh:
         for raw in fh:

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc, erfcinv
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -55,10 +55,16 @@ def gauss_weight_1d(x) -> np.ndarray:
 def _angular_constant(n: int, k: float) -> float:
     """Integral of x_n^k over the upper unit hemisphere of S^{n-1}:
     pi^{(n-1)/2} Gamma((k+1)/2) / Gamma((n+k)/2), which is 1 for the n = 1
-    hemisphere, the single point {1}.
+    hemisphere, the single point {1}.  Gamma((n+k)/2) overflows a float
+    beyond n + k = 343.24: ResourceError.
     """
-    return (math.pi ** ((n - 1) / 2.0) * math.gamma((k + 1.0) / 2.0)
-            / math.gamma((n + k) / 2.0))
+    try:
+        return (math.pi ** ((n - 1) / 2.0) * math.gamma((k + 1.0) / 2.0)
+                / math.gamma((n + k) / 2.0))
+    except OverflowError:
+        raise ResourceError(
+            f"angular constant of power({n}, {k:g}) needs n + k <= 343.24; "
+            f"beyond it Gamma((n+k)/2) overflows a float") from None
 
 
 @dataclass(frozen=True)

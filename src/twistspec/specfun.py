@@ -77,10 +77,14 @@ from .errors import AccuracyError, DomainError, NumericalError
 
 SQRT_PI = math.sqrt(math.pi)
 
-# Switch from the Kummer combination to the large-t expansion.  z = t^2 = 25
-# keeps the series' cancellation below ~1e-9 relative, while the smallest
-# term of the expansion is already below 1e-15 of its sum for degrees >= 1
-# and 2e-11 for degrees >= -1; the handoff is tested explicitly.
+# Switch from the Kummer combination to the large-t expansion.  Below it the
+# series' cancellation grows like e^{t^2} / |H_nu(t)|.  Against mpmath 1.3.0
+# it stays within a few 1e-9 relative for degrees from about 1 to 30, but
+# reaches 3e-7 at nu = 0.3, t = 4.99, and 5.4e-8 at nu = 40.3, t = 4.5; by
+# nu = 80 the value is wrong in its leading digit, and at nu = 200, t = -20
+# it is -inf.  None of these raises (ROADMAP item 4).  The smallest term of
+# the expansion is already below 1e-15 of its sum for degrees >= 1 and
+# 2e-11 for degrees >= -1; the handoff is tested explicitly.
 HERMITE_SWITCH_T = 5.0
 # The large-t expansion raises AccuracyError where its smallest term exceeds
 # this fraction of its sum: the accuracy of the series at the switch point.

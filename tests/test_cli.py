@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from twistspec import cli
+from twistspec import cli, specfun
 
 
 def run(argv, capsys):
@@ -58,6 +58,16 @@ class TestSolve:
                            capsys)
         assert code == 2
         assert "n+k>2" in err
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_angular_constant_overflow_exit_code(self, command, capsys):
+        # n + k >= 344: Gamma((n+k)/2) overflows a float
+        code, out, err = run([command, "--measure", "power", "--n", "3",
+                              "--k", "400", "--mass", "1", "--split", "0.4"],
+                             capsys)
+        assert code == cli.EXIT_NUMERICAL == 3
+        assert out == ""
+        assert err.splitlines() == [err.strip()] and "343.24" in err
 
     def test_missing_configuration(self, capsys):
         code, _, err = run(["solve", "--measure", "gaussian", "--n", "1"],
@@ -207,12 +217,20 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
 
-    def test_injected_fault_fails_named_invariant(self, capsys):
-        code, out, _ = run(["verify", "--suite", "turan",
-                            "--inject-fault", "turan"], capsys)
-        assert code != 0
-        assert "FAIL" in out
-        assert "turan.positivity_grid" in out
+    def test_injected_fault_fails_named_invariant(self, monkeypatch, capsys):
+        gap = specfun.turan_gap
+        monkeypatch.setattr(specfun, "turan_gap",
+                            lambda nu, t: -gap(nu, t))
+        code, out, _ = run(["verify", "--suite", "turan"], capsys)
+        assert code == 1
+        assert "FAIL  turan.positivity_grid" in out
+
+    def test_inject_fault_flag_is_unknown(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "turan", "--inject-fault", "turan"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --inject-fault" in (
+            capsys.readouterr().err)
 
     def test_json_output_deterministic(self, tmp_path, capsys):
         f1, f2 = tmp_path / "v1.json", tmp_path / "v2.json"

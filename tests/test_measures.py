@@ -5,7 +5,7 @@ import pytest
 import scipy.special as sp
 
 from twistspec import measures
-from twistspec.errors import DomainError
+from twistspec.errors import DomainError, ResourceError
 from twistspec.measures import MeasureSpec
 
 import quadrature
@@ -83,6 +83,18 @@ class TestAngularConstant:
 
     def test_one_dimensional_hemisphere_is_a_point(self):
         assert MeasureSpec.power(1, 2.5).angular_constant == 1.0
+
+    @pytest.mark.parametrize("n,k", [(3, 400.0), (400, 0.0), (3, 340.3),
+                                     (2000, 0.0)])
+    def test_gamma_overflow_is_a_typed_error(self, n, k):
+        with pytest.raises(ResourceError, match=r"n \+ k <= 343\.24"):
+            MeasureSpec.power(n, k).angular_constant
+
+    def test_largest_finite_constants(self):
+        # just inside the limit the closed form still gives a normal float
+        for n, k in [(3, 340.2), (1, 342.2), (343, 0.0)]:
+            c = MeasureSpec.power(n, k).angular_constant
+            assert math.isfinite(c) and c > 0.0
 
 
 class TestHalfball:

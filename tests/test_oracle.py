@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -422,7 +423,17 @@ def test_richardson_agreement(measure, total, s):
     assert abs(extrapolated - sol.eigenvalue) <= 1e-7 * sol.eigenvalue
 
 
-def test_verify_richardson_row_fails_under_fault():
-    rows = {r.name: r.passed for r in verify.run_suites(
-        ["oracle"], inject_fault="oracle")}
+def test_verify_richardson_row_fails_under_fault(monkeypatch):
+    """A closed form 1e-7 off is invisible to the 1e-3 agreement rows and
+    caught by the Richardson row."""
+    solve = closedform.solve
+
+    def solve_off(cfg):
+        sol = solve(cfg)
+        return dataclasses.replace(sol, eigenvalue=sol.eigenvalue * (1 + 1e-7))
+
+    monkeypatch.setattr(closedform, "solve", solve_off)
+    rows = {r.name: r.passed for r in verify.run_suites(["oracle"])}
     assert rows["richardson_agreement"] is False
+    assert rows["gaussian_pairs_agreement"] is True
+    assert rows["power_pairs_agreement"] is True
