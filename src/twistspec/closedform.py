@@ -11,8 +11,16 @@ matching condition (the nonlocal constant must agree across components) and
 the zero-mean condition.  By rank-one interlacing the constrained spectrum
 has exactly one value in (Lambda_1, Lambda_2], where Lambda_1 is the smaller
 component Dirichlet value and Lambda_2 = min(Dirichlet value of the smaller
-component, second Dirichlet value of the larger one); the determinant D
-changes sign there once, and Brent finds the root on that bracket.
+component, second Dirichlet value of the larger one); the determinant
+D = M_L p_R + M_R p_L (M the mean integral, p the boundary profile value)
+changes sign there once.  Divided by p_L p_R it is the secular function
+f = M_L/p_L + M_R/p_R, whose poles are the bracket ends, and the two-pole
+secular step that the oracle also uses (numerics.find_root on a
+PoleBracket) finds its root: near a pole x*, f runs like w/(x* - x) with
+the residue w = -M(x*) / (dp/dx)(x*), which is a^{2b}/f* for power (J_b' =
+-J_{b+1} at a zero) and comes from one Hermite jet for gaussian.  Where the
+power bracket ends at the Bessel series ceiling instead of a pole, f is
+evaluated there and the model keeps one pole.
 
 Gaussian component profiles (x_1-reduced, degree nu, eigenvalue 2 nu):
 
@@ -191,13 +199,25 @@ def _gauss_square_integral(nu: float, a: float, h: float, hm: float) -> float:
         + 0.5 * h * h * math.erfc(a)
 
 
-def _gauss_cap(a: float, lam1: float, lam_hi: float) -> float:
-    """Lambda_2 of a gaussian pair whose larger component (offset a) has
-    Dirichlet value lam1; the second value of that component is at least
-    lam1 + 4, so it is only computed when it can undercut lam_hi."""
-    if lam_hi - lam1 <= 4.0:
-        return lam_hi
-    return min(lam_hi, second_dirichlet_halfspace_gauss(a, lam1))
+def _gauss_top(a: float, other: float, lam1: float,
+               lam_hi: float) -> tuple[float, Optional[float]]:
+    """(Lambda_2, the offset whose profile vanishes there) of a gaussian pair
+    whose larger component (offset a) has Dirichlet value lam1 and whose
+    other component (offset other) has lam_hi.  The second value of a is at
+    least lam1 + 4, so it is only computed when it can undercut lam_hi."""
+    if lam_hi - lam1 > 4.0:
+        lam2 = second_dirichlet_halfspace_gauss(a, lam1)
+        if lam2 < lam_hi:
+            return lam2, a
+    return lam_hi, other
+
+
+def _gauss_residue(nu: float, a: float) -> float:
+    """Residue -M / (d/dnu H_nu(a)) of M / H_nu(a) at a degree root nu of
+    H_nu(a), M the mean integral: one _hermite_jet gives H_nu', hence
+    H_{nu-1} = H_nu' / (2 nu) and M (H_nu(a) = 0), and d/dnu H_nu."""
+    _, hp, dh, _ = specfun._hermite_jet(nu, a)
+    return -_gauss_mean(nu, a, 0.0, hp / (2.0 * nu)) / dh
 
 
 def _gauss_argument(side: str, a: float, x: float) -> float:
@@ -302,20 +322,25 @@ def _power_argument(side: str, a: float, r: float) -> float:
 class _Family:
     """A measure family as the pair solver sees it.
 
-    x is the spectral variable: the Hermite degree nu (eigenvalue 2 nu) or
-    the frequency f (eigenvalue f^2).  A component is given by its boundary
-    parameter a (offset or radius).  `state(x, a)` returns the boundary
-    profile value p and a companion value q (H_{nu-1}(a), or
+    x is the spectral variable `var`: the Hermite degree nu (eigenvalue
+    2 nu) or the frequency f (eigenvalue f^2).  A component is given by its
+    boundary parameter a (offset or radius).  `state(x, a)` returns the
+    boundary profile value p and a companion value q (H_{nu-1}(a), or
     Jhat_{b+1}(f a)); the mean identity, the boundary derivative and the
-    single-sign edge need nothing else.
+    single-sign edge need nothing else.  `top` gives Lambda_2 with the
+    component whose profile vanishes there, or None where Lambda_2 is the
+    end of the series region and no pole; `residue(x, a)` is
+    -M(x) / (dp/dx)(x) at a root x of the profile value p at a.
     """
     name: str
+    var: str
     weight: float                       # angular constant; 1 for gaussian
     lam: Callable[[float], float]       # x -> eigenvalue
     x_of: Callable[[float], float]      # eigenvalue -> x
     labels: Callable[[float], dict]     # x -> family fields of the solution
     dirichlet: Callable[[float], float]               # a -> Dirichlet value
-    cap: Callable[[float, float, float], float]       # (a, Lambda_1, hi) -> Lambda_2
+    top: Callable[..., tuple]           # (a, other, Lambda_1, hi) -> (Lambda_2, a2)
+    residue: Callable[[float, float], float]          # (pole x, a) -> residue
     state: Callable[[float, float], tuple[float, float]]
     profile: Callable[[float, float], float]          # (x, t) -> profile at t
     mean: Callable[..., float]          # (x, a, p, q) -> int (profile - p)
@@ -329,10 +354,11 @@ class _Family:
 # Public functions are looked up when called, so that wrappers installed on
 # the modules (tracing, test doubles) see every call.
 _GAUSS = _Family(
-    name="gaussian", weight=1.0,
+    name="gaussian", var="nu", weight=1.0,
     lam=lambda nu: 2.0 * nu, x_of=lambda lam: lam / 2.0,
     labels=lambda nu: {"nu": nu},
-    dirichlet=lambda a: dirichlet_halfspace_gauss(a), cap=_gauss_cap,
+    dirichlet=lambda a: dirichlet_halfspace_gauss(a), top=_gauss_top,
+    residue=_gauss_residue,
     state=lambda nu, a: specfun.hermite_state(nu, a),
     profile=lambda nu, t: specfun.hermite_value(nu, t),
     mean=_gauss_mean, square=_gauss_square_integral,
@@ -346,14 +372,21 @@ def _power_family(measure: MeasureSpec) -> _Family:
     alpha = 1.0 - (measure.n + measure.k) / 2.0
     j1, j2 = _bessel_zero_pair(b)
 
-    def cap(a: float, lam1: float, lam_hi: float) -> float:
-        return min(lam_hi, (j2 / a) ** 2)
+    def top(a: float, other: float, lam1: float,
+            lam_hi: float) -> tuple[float, Optional[float]]:
+        lam2 = (j2 / a) ** 2
+        if lam2 < lam_hi:       # j2 is j_{b,2}, or else the series ceiling
+            return lam2, a if j2 < specfun.BESSEL_SERIES_RMAX else None
+        return lam_hi, other
 
     return _Family(
-        name="power", weight=measure.angular_constant,
+        name="power", var="freq", weight=measure.angular_constant,
         lam=lambda f: f * f, x_of=math.sqrt,
         labels=lambda f: {"freq": f, "alpha": alpha},
-        dirichlet=lambda a: (j1 / a) ** 2, cap=cap,
+        dirichlet=lambda a: (j1 / a) ** 2, top=top,
+        # J_b' = -J_{b+1} at a zero j of J_b: M = a^{b+1} J_{b+1}(j) / f and
+        # dp/df = -a^{1-b} J_{b+1}(j), with no Bessel call
+        residue=lambda f, a: a ** (2.0 * b) / f,
         state=partial(_power_state, b), profile=partial(_g_profile, b),
         mean=partial(_power_mean, b),
         square=partial(_power_square_integral, b),
@@ -362,20 +395,29 @@ def _power_family(measure: MeasureSpec) -> _Family:
         inside=lambda a: 0.5 * a, argument=_power_argument)
 
 
+# The secular iteration's stop, relative to the top of the bracket: a step
+# of a few ulps, or the rounding floor once the steps are below 1e-14.
+_SECULAR_TOL = 4.0 * math.ulp(1.0)
+_SECULAR_TAU = 1e-14
+
+
 def _solve_pair(config: PairConfig, fam: _Family) -> TwistedSolution:
-    """The pair solve of either family: Brent on the interlacing bracket,
-    then amplitudes, normalization and diagnostics from the values the
-    root search already holds."""
+    """The pair solve of either family: the root of the secular function
+    on the interlacing bracket (module docstring), then amplitudes,
+    normalization and diagnostics from the boundary states the root search
+    already holds.  Where Lambda_2 is the end of the series region and no
+    pole, f is evaluated there once, and f < 0 leaves no root."""
     L, R = config.left_param, config.right_param
     lam_L = fam.dirichlet(L)
     lam_R = lam_L if R == L else fam.dirichlet(R)
     bracket = (min(lam_L, lam_R), max(lam_L, lam_R))
-    big = L if lam_L <= lam_R else R        # the component with Lambda_1
+    # the component with Lambda_1, and the other one
+    big, small = (L, R) if lam_L <= lam_R else (R, L)
     states: dict[float, tuple] = {}
 
-    def D(x: float) -> float:
+    def secular(x: float) -> tuple[float, None]:
         (pL, qL), (pR, qR) = states[x] = fam.state(x, L), fam.state(x, R)
-        return fam.mean(x, L, pL, qL) * pR + fam.mean(x, R, pR, qR) * pL
+        return fam.mean(x, L, pL, qL) / pL + fam.mean(x, R, pR, qR) / pR, None
 
     if config.is_symmetric:
         x = fam.x_of(lam_L)
@@ -383,19 +425,22 @@ def _solve_pair(config: PairConfig, fam: _Family) -> TwistedSolution:
         st_R = st_L if R == L else fam.state(x, R)
         A = B = 1.0
     else:
-        lam2 = fam.cap(big, *bracket)
-        lo = fam.x_of(bracket[0])
-        lo += 1e-10 * max(1.0, abs(lo))
-        hi = fam.x_of(lam2)
-        br = numerics.scan_sign_change(D, lo, hi, 1)
-        if br is None:
-            raise NumericalError(
-                f"no sign change of the {fam.name} determinant on the "
-                f"interlacing bracket ({bracket[0]:g}, {lam2:g}]: "
-                f"D({lo:.6g})={D(lo):.3g}, D({hi:.6g})={D(hi):.3g}")
-        x = numerics.find_root(D, br, tol=1e-13)
-        if x not in states:
-            D(x)
+        lam2, owner = fam.top(big, small, *bracket)
+        poles = (fam.x_of(bracket[0]), fam.x_of(lam2))
+        residues = (fam.residue(poles[0], big),
+                    0.0 if owner is None else fam.residue(poles[1], owner))
+        f_top = math.inf                    # f's limit at a pole
+        if owner is None:                   # the series ceiling
+            f_top = secular(poles[1])[0]
+            if not f_top >= 0.0:
+                raise NumericalError(
+                    f"no sign change of the {fam.name} secular function on "
+                    f"the interlacing bracket ({bracket[0]:g}, {lam2:g}]: "
+                    f"f = {f_top:.3g} at the series ceiling {fam.var} = "
+                    f"{poles[1]:.6g}")
+        x = numerics.find_root(secular, numerics.PoleBracket(
+            *poles, -math.inf, f_top, poles, residues,
+            _SECULAR_TAU * poles[1], fam.var), tol=_SECULAR_TOL * poles[1])
         st_L, st_R = states[x]
         A, B = st_R[0], -st_L[0]
     (pL, qL), (pR, qR) = st_L, st_R

@@ -1,21 +1,29 @@
 """Shared 1D numerical kernels.
 
-Bracketed root finding (scipy's Brent behind a bracket-validating wrapper),
-sign-change scans (scalar, or vectorized and refined), and the truncation
-point of Gaussian tail integrals.
+Bracketed root finding (scipy's Brent behind a bracket-validating wrapper,
+or, on a bracket between two known poles, the two-pole secular step that
+the closed form and the oracle share), sign-change scans (scalar, or
+vectorized and refined), and the truncation point of Gaussian tail
+integrals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import optimize
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 DEFAULT_ROOT_TOL = 1e-10
+
+# Evaluations before the secular step of find_root gives up: bisection
+# alone narrows the widest bracket in use to its stopping step in about 50
+# halvings.
+SECULAR_MAX_ITER = 64
 
 
 @dataclass(frozen=True)
@@ -34,6 +42,28 @@ class Bracket:
             )
 
 
+@dataclass(frozen=True)
+class PoleBracket(Bracket):
+    """A sign bracket of a secular function f between its poles p1 <= lo and
+    hi <= p2: near p_i, f runs like w_i/(p_i - x) with the residue w_i >= 0,
+    so f_lo is -inf at lo = p1 and f_hi +inf at hi = p2.  w2 = 0 says that
+    hi ends the domain and is no pole.  tau is the reach of rounding in x
+    (see find_root), and var names x in error messages."""
+    poles: tuple[float, float]
+    residues: tuple[float, float]
+    tau: float
+    var: str
+
+    def __post_init__(self):
+        super().__post_init__()
+        (p1, p2), (w1, w2) = self.poles, self.residues
+        if not (w1 >= 0.0 and w2 >= 0.0):
+            raise NumericalError(
+                f"PoleBracket: the residues {w1!r} and {w2!r} at the poles "
+                f"{self.var}_1 = {p1!r} and {self.var}_2 = {p2!r} must both "
+                f"be >= 0")
+
+
 def gauss_tail_cut(boundary: float) -> float:
     """Truncation point max(8, boundary + 6) for integrands bounded by a
     polynomial times e^{-t^2} on [boundary, inf): the neglected tail is far
@@ -41,14 +71,19 @@ def gauss_tail_cut(boundary: float) -> float:
     return max(8.0, boundary + 6.0)
 
 
-def find_root(f: Callable[[float], float], bracket: Bracket,
+def find_root(f: Callable, bracket: Bracket,
               tol: float = DEFAULT_ROOT_TOL) -> float:
-    """Root of f inside a validated sign-change bracket (Brent); the end
-    values come from the bracket, so f runs only at interior points."""
+    """Root of f inside a validated sign-change bracket; the end values come
+    from the bracket, so f runs only at interior points.  On a Bracket this
+    is Brent; on a PoleBracket it is the two-pole secular step
+    (`_secular_root`), and f returns (f, f') or, where the slope is not
+    known, (f, None)."""
     if bracket.f_lo == 0.0:
         return bracket.lo
     if bracket.f_hi == 0.0:
         return bracket.hi
+    if isinstance(bracket, PoleBracket):
+        return _secular_root(f, bracket, tol)
     lo, hi = bracket.lo, bracket.hi
 
     def g(x: float) -> float:
@@ -88,3 +123,152 @@ def grid_roots(f: Callable, xs: np.ndarray, count: int,
             for i in np.flatnonzero(change)[:count])
     return [find_root(f, Bracket(lo, hi, f_lo, f_hi), tol)
             for (lo, f_lo), (hi, f_hi) in ends]
+
+
+def _model_root(x: float, g: float, dg: float, lo: float, hi: float,
+                poles: tuple[float, float],
+                residues: tuple[float, float]) -> Optional[float]:
+    """Root in (lo, hi) of the two-pole model of a secular function built
+    at x, an end of the bracket, or None if the model's root lies beyond
+    the other end.
+
+    m(x + u) = w1/(a1 - u) + w2/(a2 - u) + g + dg u,  a_i = pole_i - x,
+    with the remainder g + dg u linear; the model runs from -inf at a pole
+    end with w1 > 0 to +inf at one with w2 > 0 (w2 = 0: the top is no pole).
+    The start is the model's root with the remainder held at g: with
+    d = u - a1 in (0, span), span = a2 - a1, it solves
+    g d^2 - (w1 + w2 + g span) d + w1 span = 0, taken in the form without
+    cancellation.  From there Newton steps on m, kept inside the bracket by
+    bisection, run to convergence.
+    """
+    (a1, a2), (w1, w2) = (poles[0] - x, poles[1] - x), residues
+
+    def model(u: float) -> float:
+        m = g + dg * u
+        if w1:
+            m += w1 / (a1 - u)
+        if w2:
+            m += w2 / (a2 - u)
+        return m
+
+    # x is an end of the bracket, where the model takes f's sign by
+    # construction; at the other end it must take the sign f has there
+    ulo, uhi = lo - x, hi - x
+    if x == lo:
+        if not (uhi == a2 and w2 > 0.0 or model(uhi) > 0.0):
+            return None
+    elif not (ulo == a1 and w1 > 0.0 or model(ulo) < 0.0):
+        return None
+    span = a2 - a1
+    b = w1 + w2 + g * span
+    s = math.sqrt(max(b * b - 4.0 * g * w1 * span, 0.0))
+    if b < 0.0:                 # then g < 0
+        u = a1 + (b - s) / (2.0 * g)
+    elif b + s > 0.0:
+        u = a1 + 2.0 * w1 * span / (b + s)
+    else:
+        u = 0.5 * (ulo + uhi)
+    for _ in range(64):         # bisection alone converges in 64 halvings
+        if not ulo < u < uhi:
+            u = 0.5 * (ulo + uhi)
+        m = model(u)
+        if m == 0.0:
+            break
+        if m < 0.0:
+            ulo = u
+        else:
+            uhi = u
+        dm = w1 / (a1 - u) ** 2 + w2 / (a2 - u) ** 2 + dg
+        if not dm > 0.0:        # the model is not monotone here: bisect
+            u = 0.5 * (ulo + uhi)
+            continue
+        du = m / dm
+        u -= du
+        if abs(du) <= 4.0 * math.ulp(x + u):
+            break
+    # rounding may put the model's sign at x wrong, and its root just
+    # beyond x: then x itself is the root to within rounding
+    root = x + min(max(u, ulo), uhi)
+    return root if root == x or lo < root < hi else None
+
+
+def _secular_root(f: Callable[[float], tuple[float, Optional[float]]],
+                  bracket: PoleBracket, tol: float) -> float:
+    """Root of a secular function on a PoleBracket, as secular solvers find
+    it (Bunch, Nielsen & Sorensen 1978; Li 1994, LAPACK dlaed4).
+
+    Each iterate x sets the sign bracket and builds the two-pole model of f
+    there (`_model_root`): the remainder g = f - w1/(p1 - x) - w2/(p2 - x),
+    with its slope from f', or else the secant of g through the last two
+    iterates (0 at the first).  The next iterate is the model's root inside
+    the bracket, or the bracket's midpoint where it lies beyond.  Where lo is
+    the pole p1 itself, the first iterate is the root of the poles alone,
+    p1 + w1 (p2 - p1)/(w1 + w2), or, where hi is no pole, of the pole p1
+    plus the remainder read at hi.  Otherwise it is the bracket's midpoint:
+    at an end just off its pole the remainder cancels catastrophically.
+
+    The iteration stops at f = 0, at a step of at most tol, or when a model
+    step fails to halve the model step before it while that one was at most
+    tau, the reach of rounding: f has reached its rounding floor.  A model
+    root beyond the bracket after such a step is the same event; a
+    bisection starts the comparison afresh and stops once the bracket is
+    2 tol wide.  It returns the last iterate at which f ran, so the caller
+    may keep what f computed there.  A non-finite f, and SECULAR_MAX_ITER
+    evaluations without a stop, raise NumericalError naming both poles and
+    the last bracket.
+    """
+    (p1, p2), (w1, w2) = bracket.poles, bracket.residues
+    lo, hi, tau, var = bracket.lo, bracket.hi, bracket.tau, bracket.var
+
+    def failure(what: str) -> NumericalError:
+        return NumericalError(
+            f"find_root: {what}; {var}_1 = {p1!r}, {var}_2 = {p2!r}, "
+            f"last bracket [{lo!r}, {hi!r}]")
+
+    x = 0.5 * (lo + hi)
+    if lo == p1 and w2 == 0.0:
+        g_hi = bracket.f_hi - w1 / (p1 - hi)
+        if g_hi > 0.0:
+            x = p1 + w1 / g_hi
+    elif lo == p1 and w1 + w2 > 0.0:
+        x = p1 + w1 * (p2 - p1) / (w1 + w2)
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    prev, last_step = None, math.inf
+    for _ in range(SECULAR_MAX_ITER):
+        value, slope = f(x)
+        if not (math.isfinite(value)
+                and (slope is None or math.isfinite(slope))):
+            raise failure(f"secular function is {value!r} at {var} = {x!r}")
+        if value == 0.0:
+            return x
+        if value < 0.0:
+            lo = x
+        else:
+            hi = x
+        g = value - w1 / (p1 - x) - w2 / (p2 - x)
+        if slope is not None:
+            dg = slope - w1 / (p1 - x) ** 2 - w2 / (p2 - x) ** 2
+        elif prev is None:
+            dg = 0.0
+        else:
+            dg = (g - prev[1]) / (x - prev[0])
+        prev = (x, g)
+        nxt = _model_root(x, g, dg, lo, hi, bracket.poles, bracket.residues)
+        if nxt is None:
+            # a model root beyond the bracket is farther away than the
+            # model step that set the bracket: below tau, the floor
+            if last_step <= tau:
+                break
+            nxt, last_step = 0.5 * (lo + hi), math.inf
+            if hi - lo <= 2.0 * tol:
+                break
+        else:
+            step = abs(nxt - x)
+            if step <= tol or (2.0 * step > last_step and last_step <= tau):
+                break
+            last_step = step
+        x = nxt
+    else:
+        raise failure(f"no secular root after {SECULAR_MAX_ITER} evaluations")
+    return x

@@ -14,10 +14,11 @@ and v the normalized constraint direction M^{1/2} 1 (Golub 1973, "Some
 modified matrix eigenvalue problems").  One tridiagonal solve
 x = (B - lambda)^{-1} v gives both f = v.x and f' = x.x, so Dirichlet and
 twisted eigenvalues share one O(n) path.  The root is found as secular
-solvers do (Bunch, Nielsen & Sorensen 1978; LAPACK dlaed4): f is modelled by
-its two poles, whose residues (v.phi_1)^2 and (v.phi_2)^2 the eigensolve
-already gives, plus a remainder linear through its value and slope, and
-each step goes to the model's root inside the sign bracket.
+solvers do (Bunch, Nielsen & Sorensen 1978; LAPACK dlaed4), by the two-pole
+step that the closed form shares (numerics.find_root on a PoleBracket): f
+is modelled by its two poles, whose residues (v.phi_1)^2 and (v.phi_2)^2
+the eigensolve already gives, plus a remainder linear through its value
+and slope, and each step goes to the model's root inside the sign bracket.
 
 Both solves read one eigensolve per (domain, h, count): assembly,
 symmetrization and the tridiagonal eigensolver run once in `_spectrum`,
@@ -54,9 +55,6 @@ MAX_TOTAL_NODES = 4000
 # resolved only to about 1e-12 relative, so on most domains the iteration
 # ends earlier, when a model step fails to halve the one before it.
 SECULAR_RTOL = 1e-14
-# Secular solves before twisted_eig gives up: bisection alone narrows the
-# widest bracket to SECULAR_RTOL in about 50 steps.
-SECULAR_MAX_ITER = 64
 
 @dataclass(frozen=True)
 class Domain1D:
@@ -251,68 +249,20 @@ def dirichlet_eigs(domain: Domain1D, h: Optional[float] = None,
     )
 
 
-def _model_root(lam: float, f: float, df: float, lo: float, hi: float,
-                poles: tuple[float, float],
-                weights: tuple[float, float]) -> Optional[float]:
-    """Root in (lo, hi) of the two-pole model of f built at lam, or None if
-    the model's root lies outside.
-
-    m(lam + u) = w1/(a1 - u) + w2/(a2 - u) + g + g' u,  a_i = lambda_i - lam,
-    with the remainder g linear through g = f - w1/a1 - w2/a2 and
-    g' = f' - w1/a1^2 - w2/a2^2, so m and m' match f and f' at lam.  The
-    model runs from -inf at lambda_1 to +inf at lambda_2; its root is found
-    by Newton steps kept inside the bracket by bisection.
-    """
-    (a1, a2), (w1, w2) = (poles[0] - lam, poles[1] - lam), weights
-    g = f - w1 / a1 - w2 / a2
-    dg = df - w1 / (a1 * a1) - w2 / (a2 * a2)
-
-    def model(u: float) -> float:
-        return w1 / (a1 - u) + w2 / (a2 - u) + g + dg * u
-
-    ulo, uhi = lo - lam, hi - lam
-    if not model(ulo) < 0.0 < model(uhi):
-        return None
-    u = -f / df                 # the model's first Newton step is f's
-    for _ in range(64):         # bisection alone converges in 64 halvings
-        if not ulo < u < uhi:
-            u = 0.5 * (ulo + uhi)
-        m = model(u)
-        if m == 0.0:
-            break
-        if m < 0.0:
-            ulo = u
-        else:
-            uhi = u
-        dm = w1 / (a1 - u) ** 2 + w2 / (a2 - u) ** 2 + dg
-        if not dm > 0.0:        # the model is not monotone here: bisect
-            u = 0.5 * (ulo + uhi)
-            continue
-        du = m / dm
-        u -= du
-        if abs(du) <= 4.0 * math.ulp(lam + u):
-            break
-    return lam + min(max(u, ulo), uhi)
-
-
 def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
     """Smallest eigenvalue of the Rayleigh quotient restricted to the
     discrete zero-weighted-mean subspace, as the root of the secular
     equation f(lambda) = v . (B - lambda)^{-1} v on (lambda_1, lambda_2].
 
     Each iteration is one tridiagonal solve x = (B - lambda)^{-1} v, which
-    gives f = v.x and f' = x.x.  The first iterate is the middle of the
-    bracket: at its pole end the model's remainder cancels catastrophically.
-    Each next iterate is the root of the two-pole model (`_model_root`)
-    inside the current sign bracket, or the bracket's midpoint where the
-    model's root lies outside it.  The iteration stops at a step of at most
-    SECULAR_RTOL * lambda_2, or when a model step fails to halve the model
-    step before it while that one was within the reach of rounding (the pole
-    guard tau below): f has reached its rounding floor.  A model root
-    beyond the bracket after such a step is the same event; a bisection
-    starts the comparison afresh.  The last resolvent is the eigenvector.
-    After SECULAR_MAX_ITER solves, or at a non-finite f, it raises
-    NumericalError naming both poles and the last bracket.
+    gives f = v.x and f' = x.x.  numerics.find_root runs the two-pole
+    secular step with the residues (v.phi_1)^2 and (v.phi_2)^2 on the sign
+    bracket [lambda_1 + tau, lambda_2 - tau] (the pole guard tau below),
+    from its middle, and stops at a step of at most SECULAR_RTOL * lambda_2
+    or at the rounding floor, within tau.  The last resolvent is the
+    eigenvector.  A non-finite f, or numerics.SECULAR_MAX_ITER solves
+    without a stop, raise NumericalError naming both poles and the last
+    bracket.
     """
     asm, d, e, inv_sqrt, w, phi = _spectrum(domain, h, 2)
     lam1, lam2 = float(w[0]), float(w[1])
@@ -346,47 +296,18 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
             raise NumericalError(
                 f"twisted_eig: secular function is {f_lo:g} >= 0 just above "
                 f"the pole lambda_1 = {lam1!r}")
-        poles = (lam1, lam2)
-        weights = tuple(float(c) ** 2 for c in v @ phi)
-        tol = SECULAR_RTOL * lam2
+        last = []
 
-        def failure(what: str) -> NumericalError:
-            return NumericalError(
-                f"twisted_eig: {what}; lambda_1 = {lam1!r}, lambda_2 = "
-                f"{lam2!r}, last bracket [{lo!r}, {hi!r}]")
+        def secular(lam: float) -> tuple[float, float]:
+            x = resolvent(lam)
+            last[:] = [x]
+            return float(v @ x), float(x @ x)
 
-        lam, last_step = 0.5 * (lo + hi), math.inf
-        for _ in range(SECULAR_MAX_ITER):
-            y = resolvent(lam)
-            f, df = float(v @ y), float(y @ y)
-            if not (math.isfinite(f) and math.isfinite(df)):
-                raise failure(f"secular function is {f!r} at lambda = {lam!r}")
-            if f == 0.0:
-                break
-            if f < 0.0:
-                lo = lam
-            else:
-                hi = lam
-            nxt = _model_root(lam, f, df, lo, hi, poles, weights)
-            if nxt is None:
-                # a model root beyond the bracket is farther away than the
-                # model step that set the bracket: below tau, the floor
-                if last_step <= tau:
-                    break
-                nxt, last_step = 0.5 * (lo + hi), math.inf
-                if hi - lo <= 2.0 * tol:
-                    break
-            else:
-                step = abs(nxt - lam)
-                # rounding moves the root by about eps * ||B|| < tau, so
-                # only a step below tau can stall on it
-                if step <= tol or (2.0 * step > last_step
-                                   and last_step <= tau):
-                    break
-                last_step = step
-            lam = nxt
-        else:
-            raise failure(f"no secular root after {SECULAR_MAX_ITER} solves")
+        residues = tuple(float(c) ** 2 for c in v @ phi)
+        lam = numerics.find_root(secular, numerics.PoleBracket(
+            lo, hi, f_lo, f_hi, (lam1, lam2), residues, tau, "lambda"),
+            tol=SECULAR_RTOL * lam2)
+        y = last[0]
     y -= v * float(v @ y)                       # one projection against v
     gf = _grid_functions(asm, (y * inv_sqrt)[:, None])[0]
     mean = abs(gf.weighted_mean())

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -463,16 +464,16 @@ class TestTwistedPairPower:
         assert calls == [m.profile_order]
 
     def test_determinant_sums_two_series(self, monkeypatch):
-        # one power D evaluation: one bessel_state pass per boundary, and no
-        # separate Bessel series
-        determinants = []
-        scan = numerics.scan_sign_change
+        # one evaluation of the power secular function: one bessel_state
+        # pass per boundary, and no separate Bessel series
+        functions = []
+        root = numerics.find_root
 
-        def keep(f, *args):
-            determinants.append(f)
-            return scan(f, *args)
+        def keep(f, *args, **kwargs):
+            functions.append(f)
+            return root(f, *args, **kwargs)
 
-        monkeypatch.setattr(numerics, "scan_sign_change", keep)
+        monkeypatch.setattr(numerics, "find_root", keep)
         cfg = measures.config_from_split(MeasureSpec.power(3, 2.0), 5.0, 0.37)
         closedform.twisted_pair_power(cfg)
         calls = []
@@ -480,8 +481,8 @@ class TestTwistedPairPower:
             fn = getattr(specfun, name)
             monkeypatch.setattr(specfun, name, lambda *args, _fn=fn, _name=name:
                                 calls.append(_name) or _fn(*args))
-        (D,) = determinants
-        D(3.2)
+        (f,) = functions
+        f(3.2)
         assert calls == ["bessel_state", "bessel_state"]
 
     def test_lopsided_pair_flagged_but_agrees_with_oracle(self):
@@ -596,6 +597,172 @@ class TestInterlacingBracket:
         s = lo + u_split * (hi - lo)
         assume(abs(s - 0.5) > 1e-6)     # symmetric pairs take no root search
         self._check(measures.config_from_split(measure, total, s))
+
+
+SECULAR_FAMILIES = (MeasureSpec.gaussian(1), MeasureSpec.power(3, 0.0),
+                    MeasureSpec.power(2, 1.0), MeasureSpec.power(3, 2.0),
+                    MeasureSpec.power(5, 3.0))
+SECULAR_IDS = ["gauss1", "power30", "power21", "power32", "power53"]
+
+
+def _family(measure):
+    return (closedform._GAUSS if measure.is_gaussian
+            else closedform._power_family(measure))
+
+
+def _secular_configs(measure, count=40):
+    """Asymmetric pairs over the mass and split ranges of the benchmark's
+    pair streams: gaussian total mass log-uniform in [1e-6, 0.8] with both
+    component masses at most 1/2, power total mass in [0.1, 100]; split in
+    [0.3, 0.7], at least 1e-3 away from 1/2."""
+    rng = np.random.default_rng(2026)
+    out = []
+    while len(out) < count:
+        um, us = rng.random(2)
+        if measure.is_gaussian:
+            total = 10.0 ** (-6.0 + um * math.log10(0.8 / 1e-6))
+            lo = max(0.3, 1.0 - 0.5 / total + 1e-9)
+            hi = min(0.7, 0.5 / total - 1e-9)
+        else:
+            total, lo, hi = 10.0 ** (-1.0 + 3.0 * um), 0.3, 0.7
+        s = lo + us * (hi - lo)
+        if abs(s - 0.5) >= 1e-3:
+            out.append(measures.config_from_split(measure, total, s))
+    return out
+
+
+def _floor_root_lambda(cfg, sol):
+    """lambda from the root of D = M_L p_R + M_R p_L on the solution's
+    bracket ends, by scipy's brentq to its rounding floor (rtol 8.9e-16);
+    D has no pole, so its value at the poles of f is finite."""
+    from scipy.optimize import brentq
+    fam = _family(cfg.measure)
+    L, R = cfg.left_param, cfg.right_param
+
+    def D(x):
+        (pL, qL), (pR, qR) = fam.state(x, L), fam.state(x, R)
+        return fam.mean(x, L, pL, qL) * pR + fam.mean(x, R, pR, qR) * pL
+
+    x = sol.nu if cfg.measure.is_gaussian else sol.freq
+    lo, hi = x * (1.0 - 1e-9), x * (1.0 + 1e-9)
+    while D(lo) * D(hi) > 0.0:
+        lo, hi = x - 10.0 * (x - lo), x + 10.0 * (hi - x)
+    return fam.lam(brentq(D, lo, hi, xtol=1e-300, rtol=8.9e-16))
+
+
+class TestSecularPairSolve:
+    """The pair root from the two-pole secular step: accuracy against the
+    rounding floor of D, its cost in evaluations, and its edge cases."""
+
+    @pytest.mark.parametrize("measure", SECULAR_FAMILIES, ids=SECULAR_IDS)
+    def test_root_at_the_rounding_floor(self, measure):
+        worst = 0.0
+        for cfg in _secular_configs(measure):
+            sol = closedform.solve(cfg)
+            want = _floor_root_lambda(cfg, sol)
+            worst = max(worst, abs(sol.eigenvalue - want) / want)
+        assert worst <= 5e-15
+
+    @pytest.mark.parametrize("measure", SECULAR_FAMILIES, ids=SECULAR_IDS)
+    def test_evaluations_per_solve(self, measure, monkeypatch):
+        # the secular function the solve hands to find_root, counted per
+        # asymmetric solve, and for power the Bessel passes behind it
+        evals, states = [], []
+        find_root = numerics.find_root
+
+        def counted_root(f, bracket, *args, **kwargs):
+            def g(x):
+                evals[-1] += 1
+                return f(x)
+            if not isinstance(bracket, numerics.PoleBracket):
+                return find_root(f, bracket, *args, **kwargs)   # zero scans
+            return find_root(g, bracket, *args, **kwargs)
+
+        state = specfun.bessel_state
+
+        def counted_state(*args, **kwargs):
+            states[-1] += 1
+            return state(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "find_root", counted_root)
+        monkeypatch.setattr(specfun, "bessel_state", counted_state)
+        if not measure.is_gaussian:
+            closedform._bessel_zero_pair(measure.profile_order)
+        for cfg in _secular_configs(measure):
+            evals.append(0)
+            states.append(0)
+            closedform.solve(cfg)
+        assert max(evals) <= 6 and np.mean(evals) <= 4.5, evals
+        if not measure.is_gaussian:
+            assert max(states) <= 12, states
+
+    @pytest.mark.parametrize("measure", SECULAR_FAMILIES, ids=SECULAR_IDS)
+    def test_residue_against_central_difference(self, measure):
+        # w = -M / (dp/dx) at a pole: closed form for power (a^{2b}/f),
+        # one Hermite jet for gaussian; dp/dx here by a central difference
+        fam = _family(measure)
+        for a in (0.3, 1.1) if measure.is_gaussian else (0.8, 2.5):
+            x = fam.x_of(fam.dirichlet(a))
+            h = 1e-5 * x
+            p_plus, p_minus = fam.state(x + h, a)[0], fam.state(x - h, a)[0]
+            q = fam.state(x, a)[1]
+            slope = (p_plus - p_minus) / (2.0 * h)
+            want = -fam.mean(x, a, 0.0, q) / slope
+            assert fam.residue(x, a) == pytest.approx(want, rel=1e-8)
+            assert fam.residue(x, a) > 0.0
+
+    def test_ceiling_top_one_pole(self):
+        # power (3,17): j_{9,2} = 17.24 lies beyond the series ceiling 16,
+        # so the bracket top is f = 16 / R_max, no pole.  Reference from
+        # mpmath 1.3.0 at dps = 60 with the pair's float radii:
+        #   b = 9; p = lambda F, a: a**-b * besselj(b, F*a)
+        #   M = lambda F, a: a**(b+1) * besselj(b+1, F*a)/F
+        #                    - a**(2*b+2) * p(F, a)/(2*b+2)
+        #   findroot(lambda F: M(F, L) p(F, R) + M(F, R) p(F, L), 12.72)**2
+        # Near the ceiling the series loses digits: f changes sign back and
+        # forth within about 2e-13 of the root (relative, in F), so the
+        # gate is 1e-12.
+        m = MeasureSpec.power(3, 17.0)
+        cfg = measures.config_from_split(m, 1.0, 0.01)
+        lam2, owner = _family(m).top(cfg.right_param, cfg.left_param,
+                                     *closedform.solve(cfg).bracket_dirichlet)
+        assert owner is None
+        sol = closedform.solve(cfg)
+        ref = 161.8580669299785403526606
+        assert abs(sol.eigenvalue - ref) <= 1e-12 * ref
+        assert sol.bracket_dirichlet[0] < sol.eigenvalue < lam2
+
+    def test_ceiling_without_sign_change_raises(self):
+        m = MeasureSpec.power(3, 21.0)
+        cfg = measures.config_from_split(m, 1.0, 0.05)
+        with pytest.raises(NumericalError, match=r"no sign change of the "
+                           r"power secular function on the interlacing "
+                           r"bracket \(168\.721, 177\.715\]"):
+            closedform.solve(cfg)
+
+    @pytest.mark.parametrize("measure", SECULAR_FAMILIES[:3],
+                             ids=SECULAR_IDS[:3])
+    def test_nearly_symmetric_pair(self, measure):
+        # |L - R| = 2e-9, just past the symmetric branch: the poles lie
+        # about 1e-9 apart and the root between them
+        cfg = measures.PairConfig(measure, 0.9, 0.9 + 2e-9)
+        assert not cfg.is_symmetric
+        sol = closedform.solve(cfg)
+        lo, hi = sol.bracket_dirichlet
+        assert lo < sol.eigenvalue <= hi
+        assert math.isfinite(sol.amp_left) and math.isfinite(sol.amp_right)
+        want = _floor_root_lambda(cfg, sol)
+        assert abs(sol.eigenvalue - want) <= 5e-15 * want
+
+    def test_residues_of_opposite_sign_raise(self, monkeypatch):
+        gauss = closedform._GAUSS
+        signs = iter([1.0, -1.0])
+        monkeypatch.setattr(closedform, "_GAUSS", dataclasses.replace(
+            gauss, residue=lambda x, a: next(signs) * gauss.residue(x, a)))
+        cfg = measures.config_from_split(MeasureSpec.gaussian(1), 0.5, 0.4)
+        with pytest.raises(NumericalError, match=r"residues .* and -.* at "
+                           r"the poles nu_1 = .* and nu_2 = "):
+            closedform.solve(cfg)
 
 
 class TestSingleSignedEdge:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twistspec import numerics, specfun
-from twistspec.errors import DomainError
+from twistspec.errors import DomainError, NumericalError
 
 import quadrature
 
@@ -66,6 +66,86 @@ class TestBracketAndRoots:
         xs = np.arange(-2.0, 4.0)          # f vanishes at the node 0
         roots = numerics.grid_roots(lambda x: x * (x - 2.5), xs, 3)
         assert roots == pytest.approx([0.0, 2.5], abs=1e-9)
+
+
+def _secular(x):
+    """A secular function with poles at 1 and 2 and a curved remainder."""
+    return 0.3 / (1.0 - x) + 0.2 / (2.0 - x) + 0.1 + 0.05 * math.sin(3.0 * x)
+
+
+def _secular_slope(x):
+    return (0.3 / (1.0 - x) ** 2 + 0.2 / (2.0 - x) ** 2
+            + 0.15 * math.cos(3.0 * x))
+
+
+class TestSecularRoot:
+    """The two-pole secular step of find_root on a PoleBracket."""
+
+    @pytest.mark.parametrize("dg", [0.5, -40.0], ids=["monotone", "not"])
+    def test_model_root(self, dg):
+        # m(x) = 0.3/(1 - x) + 0.2/(2 - x) + 0.1 + dg (x - 1.5), built at
+        # 1.5 where m < 0; with dg = -40 its slope is negative on most of
+        # the bracket, where the Newton iteration must bisect
+        poles, weights, lam = (1.0, 2.0), (0.3, 0.2), 1.5
+
+        def model(x):
+            return (weights[0] / (poles[0] - x) + weights[1] / (poles[1] - x)
+                    + 0.1 + dg * (x - lam))
+
+        root = numerics._model_root(lam, 0.1, dg, lam, 2.0 - 1e-9, poles,
+                                    weights)
+        assert lam < root < 2.0 and abs(model(root)) <= 1e-10
+        if dg > 0.0:
+            # the model's root lies beyond hi = 1.52
+            assert numerics._model_root(lam, 0.1, dg, lam, 1.52, poles,
+                                        weights) is None
+
+    @pytest.mark.parametrize("with_slope", [True, False],
+                             ids=["slope", "secant"])
+    def test_root_between_the_poles(self, with_slope):
+        from scipy.optimize import brentq
+        want = brentq(_secular, 1.0 + 1e-9, 2.0 - 1e-9, xtol=1e-300,
+                      rtol=8.9e-16)
+        xs = []
+
+        def f(x):
+            xs.append(x)
+            return _secular(x), _secular_slope(x) if with_slope else None
+
+        br = numerics.PoleBracket(1.0, 2.0, -math.inf, math.inf, (1.0, 2.0),
+                                  (0.3, 0.2), 1e-14, "x")
+        root = numerics.find_root(f, br, tol=4.0 * 2.2e-16)
+        assert abs(root - want) <= 4e-16 * want
+        assert root == xs[-1]           # the last point f ran at
+        assert all(1.0 < x < 2.0 for x in xs)
+        assert len(xs) <= 6
+
+    def test_top_that_is_no_pole(self):
+        # f = 0.3/(1 - x) + 1 + x on (1, 1.2]: one pole, and the end of the
+        # domain at 1.2, where f = 0.7 > 0; the root is sqrt(1.3)
+        def f(x):
+            return 0.3 / (1.0 - x) + 1.0 + x, None
+
+        top = 1.2
+        br = numerics.PoleBracket(1.0, top, -math.inf, f(top)[0], (1.0, top),
+                                  (0.3, 0.0), 1e-14, "x")
+        root = numerics.find_root(f, br, tol=4.0 * 2.2e-16)
+        assert 1.0 < root < top
+        want = math.sqrt(1.3)
+        assert abs(root - want) <= 4e-16 * want
+
+    def test_residues_of_opposite_sign(self):
+        with pytest.raises(NumericalError, match=r"residues 0\.3 and -0\.2 "
+                           r"at the poles x_1 = 1\.0 and x_2 = 2\.0"):
+            numerics.PoleBracket(1.0, 2.0, -math.inf, math.inf, (1.0, 2.0),
+                                 (0.3, -0.2), 1e-14, "x")
+
+    def test_nonfinite_value_raises(self):
+        br = numerics.PoleBracket(1.0, 2.0, -math.inf, math.inf, (1.0, 2.0),
+                                  (0.3, 0.2), 1e-14, "x")
+        with pytest.raises(NumericalError, match=r"secular function is nan "
+                           r"at x = .*x_1 = 1\.0, x_2 = 2\.0, last bracket"):
+            numerics.find_root(lambda x: (math.nan, None), br)
 
 
 class TestIntegrate:

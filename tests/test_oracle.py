@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from twistspec import closedform, measures, oracle, verify
+from twistspec import closedform, measures, numerics, oracle, verify
 from twistspec.errors import DomainError, NumericalError, ResourceError
 from twistspec.measures import MeasureSpec
 
@@ -356,31 +356,11 @@ class TestSecularSolve:
         assert len(counts) == 20
         assert np.median(counts) <= 8, counts
 
-    @pytest.mark.parametrize("dg", [0.5, -40.0], ids=["monotone", "not"])
-    def test_model_root(self, dg):
-        # m(x) = 0.3/(1 - x) + 0.2/(2 - x) + 0.1 + dg (x - 1.5), built at
-        # 1.5 where m < 0; with dg = -40 its slope is negative on most of
-        # the bracket, where the Newton iteration must bisect
-        poles, weights, lam = (1.0, 2.0), (0.3, 0.2), 1.5
-
-        def model(x):
-            return (weights[0] / (poles[0] - x) + weights[1] / (poles[1] - x)
-                    + 0.1 + dg * (x - lam))
-
-        f = model(lam)
-        df = weights[0] / 0.25 + weights[1] / 0.25 + dg
-        root = oracle._model_root(lam, f, df, lam, 2.0 - 1e-9, poles, weights)
-        assert lam < root < 2.0 and abs(model(root)) <= 1e-10
-        if dg > 0.0:
-            # the model's root lies beyond hi = 1.52
-            assert oracle._model_root(lam, f, df, lam, 1.52, poles,
-                                      weights) is None
-
     def test_bisection_fallback_alone_finds_the_root(self, monkeypatch):
         # no sampled domain sends the model's root out of its bracket, so
-        # force every step to bisect
+        # force every step of the shared secular driver to bisect
         want = oracle.twisted_eig(self.PAIR).eigenvalues[0]
-        monkeypatch.setattr(oracle, "_model_root", lambda *args: None)
+        monkeypatch.setattr(numerics, "_model_root", lambda *args: None)
         got = oracle.twisted_eig(self.PAIR).eigenvalues[0]
         assert abs(got - want) <= 1e-10 * want
 
@@ -401,9 +381,9 @@ class TestSecularSolve:
             oracle.twisted_eig(self.PAIR)
 
     def test_iteration_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(oracle, "SECULAR_MAX_ITER", 2)
+        monkeypatch.setattr(numerics, "SECULAR_MAX_ITER", 2)
         with pytest.raises(NumericalError, match=r"no secular root after 2 "
-                           r"solves.*lambda_1 = .*last bracket \["):
+                           r"evaluations.*lambda_1 = .*last bracket \["):
             oracle.twisted_eig(self.PAIR)
 
 
