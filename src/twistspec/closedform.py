@@ -3,7 +3,11 @@
 Single components first: the Dirichlet eigenvalue of a Gaussian half-space
 {x_1 > L} is 2 nu* with nu* the smallest positive degree at which the
 Hermite function vanishes at L; the Dirichlet eigenvalue of a weighted
-half-ball of radius R is (j_{b,1}/R)^2 with b = (n+k)/2 - 1.
+half-ball of radius R is (j_{b,1}/R)^2 with b = (n+k)/2 - 1.  The first two
+Gaussian degree roots start from stored Chebyshev tables of nu_1(L) and
+nu_2(L) on [0, 5], and two Hermite calls a small delta either side of the
+table value certify each by a sign change; only where the signs agree does
+a scan from closed-form bounds run instead.
 
 For a two-component configuration the first zero-weighted-mean eigenvalue is
 pinned by a 2x2 homogeneous system in the component amplitudes (A, B): the
@@ -114,22 +118,93 @@ def _airy_degree_bound(L: float, airy_zero: float) -> float:
     return 0.5 * (L * L - 1.0 + (2.0 * L) ** (2.0 / 3.0) * abs(airy_zero))
 
 
-def _degree_root(what: str, L: float, lo: float, hi: float) -> float:
-    """2 nu for the first root of nu -> H_nu(L) on [lo, hi]: a scan in steps
-    of at most 0.5, refined by Brent."""
+# Chebyshev coefficients of nu_1(L) and nu_2(L), the first two roots of
+# nu -> H_nu(L), in x = 2L/5 - 1 on L in [0, 5] (Trefethen, Approximation
+# Theory and Approximation Practice, ch. 3; Battles & Trefethen 2004).
+# Recipe: mpmath 1.3.0 at dps = 30, mp.findroot(lambda n: mp.hermite(n, L),
+# guess) at the 25 Chebyshev-Lobatto nodes L_k = 5 (1 + cos(pi k / 24)) / 2,
+# then c_j = (2/24) sum'' nu(L_k) cos(pi j k / 24) (ends of the sum halved,
+# c_0 and c_24 halved too).  The coefficients fall to 3e-16, so the
+# interpolant is good to rounding.
+_NU1_CHEB = (
+    7.92669936275543, 8.34341357247333, 1.438457935808868,
+    0.01786814814539262, -0.0031434815185949036, 0.0005925877325007755,
+    -0.00011353507431900454, 2.1402787259065073e-05, -3.85076534123311e-06,
+    6.322550611963892e-07, -8.540971892171337e-08, 5.742240553363406e-09,
+    1.7743805275953058e-09, -1.0577971460940506e-09, 3.6811001261342827e-10,
+    -1.0524249971930997e-10, 2.6539844173794973e-11, -5.992775167223075e-12,
+    1.1910128859533086e-12, -1.9378905960414177e-13, 1.8498291184939303e-14,
+    3.0820530638625958e-15, -2.5748048736473117e-15, 1.0897972191819842e-15,
+    -3.134850634779801e-16)
+_NU2_CHEB = (
+    11.281040338534673, 9.66790468286137, 1.405533174148989,
+    0.016476992651574734, -0.0019561693868118332, 0.00021841905769138373,
+    -1.8081984304158337e-05, -1.7261339311848938e-07, 5.154004905356192e-07,
+    -1.3359592433670075e-07, 1.7204167380259834e-08, 1.987331493970752e-09,
+    -2.213244146528929e-09, 9.38148141762797e-10, -3.0514442418557395e-10,
+    8.525070766746048e-11, -2.1132993891710004e-11, 4.64537833977368e-12,
+    -8.729959465550906e-13, 1.220723173076971e-13, -3.0689835393131204e-15,
+    -6.21610019365723e-15, 3.161634298593229e-15, -1.186212419218065e-15,
+    3.252081184918838e-16)
+
+# Half-widths delta of the sign bracket [g - delta, g + delta] around the
+# table value g.  delta_1 is the root tolerance, so find_root returns the
+# bracket's regula-falsi point without a further Hermite call; the float
+# kernel's sign changes of nu_1 lie within 5e-13 of g.  Those of nu_2 lie up
+# to 4e-12 off g on L in [4, 5) (rounding in the Kummer combination), so
+# delta_2 is wider and Brent refines inside the bracket.
+_DEGREE_ROOT_TOL = 1e-12
+_NU1_DELTA = _DEGREE_ROOT_TOL
+_NU2_DELTA = 1e-11
+
+
+def _chebyshev(coeffs: tuple[float, ...], L: float) -> float:
+    """The Chebyshev series sum c_j T_j(2L/5 - 1) by Clenshaw's recurrence."""
+    x = 0.4 * L - 1.0
+    b1 = b2 = 0.0
+    for c in reversed(coeffs[1:]):
+        b1, b2 = c + 2.0 * x * b1 - b2, b1
+    return coeffs[0] + x * b1 - b2
+
+
+def _degree_root(what: str, L: float, coeffs: tuple[float, ...],
+                 delta: float, lo: float, hi: float) -> float:
+    """2 nu for a root of nu -> H_nu(L), started from the Chebyshev table
+    `coeffs` and certified by a sign bracket.
+
+    Two Hermite calls at g -/+ delta around the table value g: if the signs
+    differ, that bracket goes to find_root.  Consecutive roots lie at least
+    2 apart and the table is good to rounding, so the sign change is the
+    root the table stands for.  Otherwise (a table that does not match the
+    kernel) the first root on [lo, hi] is found by a scan in steps of at
+    most 0.5, refined by Brent.
+    """
     f = lambda nu: specfun.hermite_value(nu, L)  # noqa: E731
-    br = numerics.scan_sign_change(f, lo, hi, math.ceil(2.0 * (hi - lo)))
-    if br is None:
-        raise NumericalError(
-            f"{what}: no Hermite-degree root in nu [{lo:g}, {hi:g}] for L={L:g}")
-    return 2.0 * numerics.find_root(f, br, tol=1e-12)
+    g = _chebyshev(coeffs, L)
+    a, b = g - delta, g + delta
+    f_a, f_b = f(a), f(b)
+    if f_a * f_b <= 0.0:
+        br = numerics.Bracket(a, b, f_a, f_b)
+    else:
+        br = numerics.scan_sign_change(f, lo, hi, math.ceil(2.0 * (hi - lo)))
+        if br is None:
+            raise NumericalError(
+                f"{what}: no Hermite-degree root in nu [{lo:g}, {hi:g}] for "
+                f"L={L:g}")
+    return 2.0 * numerics.find_root(f, br, tol=_DEGREE_ROOT_TOL)
 
 
 def dirichlet_halfspace_gauss(L: float) -> float:
     """First Dirichlet eigenvalue of the Gaussian half-space at offset L.
 
-    2 nu* with nu* the smallest positive root of nu -> H_nu(L), scanned in
-    steps of at most 0.5 between two closed-form bounds and refined by Brent:
+    2 nu* with nu* the smallest positive root of nu -> H_nu(L).  The start
+    is the Chebyshev table _NU1_CHEB, good to 4e-15 against mpmath; two
+    Hermite calls at its value g -/+ delta_1 (delta_1 = 1e-12, the root
+    tolerance) give a sign bracket that certifies the root, since the roots
+    lie at least 2 apart, and find_root returns its regula-falsi point with
+    no further call.  Where the signs agree (a table that does not match
+    the kernel) a scan in steps of at most 0.5 between two closed-form
+    bounds finds the root, refined by Brent:
 
     - lower: with u = e^{t^2/2} w the problem on (L, inf) reads
       -w'' + (t^2 - 1) w = 2 nu w.  For t >= L the potential is
@@ -159,7 +234,7 @@ def dirichlet_halfspace_gauss(L: float) -> float:
             f"Hermite switch point t={t_switch:g} (component mass "
             f"{measures.k_gauss(t_switch):.2g}); the large-t expansion of H_nu "
             f"is not valid at its zeros")
-    return _degree_root("dirichlet_halfspace_gauss", L,
+    return _degree_root("dirichlet_halfspace_gauss", L, _NU1_CHEB, _NU1_DELTA,
                         max(1.0, _airy_degree_bound(L, AIRY_A1)),
                         0.5 * (L * L + 2.0 * L + math.pi ** 2))
 
@@ -168,13 +243,18 @@ def second_dirichlet_halfspace_gauss(L: float, lam1: float) -> float:
     """Second Dirichlet eigenvalue of the Gaussian half-space at offset L,
     given the first, lam1 = dirichlet_halfspace_gauss(L).
 
-    The scan starts at the larger of nu* + 1 (consecutive nu-roots lie at
-    least 2 apart) and the Airy comparison bound of the second eigenvalue,
-    2 nu_2 >= L^2 - 1 + (2L)^{2/3} |a_2| (see dirichlet_halfspace_gauss;
-    0.89 below nu_2 at L = 4.9, where nu* + 1 is 3.6 below), and ends at the
-    second eigenvalue of the box (L, L+1), 2 nu_2 <= 4 pi^2 + (L+1)^2 - 1.
+    As dirichlet_halfspace_gauss, from the table _NU2_CHEB with the wider
+    delta_2 = 1e-11: on L in [4, 5) the kernel's sign changes lie up to
+    4e-12 off the table value, and Brent refines inside the bracket to
+    1e-12.  The fallback scan starts at the larger of nu* + 1 (consecutive nu-roots
+    lie at least 2 apart) and the Airy comparison bound of the second
+    eigenvalue, 2 nu_2 >= L^2 - 1 + (2L)^{2/3} |a_2| (see
+    dirichlet_halfspace_gauss; 0.89 below nu_2 at L = 4.9, where nu* + 1 is
+    3.6 below), and ends at the second eigenvalue of the box (L, L+1),
+    2 nu_2 <= 4 pi^2 + (L+1)^2 - 1.
     """
-    return _degree_root("second_dirichlet_halfspace_gauss", L,
+    return _degree_root("second_dirichlet_halfspace_gauss", L, _NU2_CHEB,
+                        _NU2_DELTA,
                         max(0.5 * lam1 + 1.0, _airy_degree_bound(L, AIRY_A2)),
                         0.5 * ((L + 1.0) ** 2 - 1.0 + 4.0 * math.pi ** 2))
 

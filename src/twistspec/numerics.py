@@ -19,6 +19,9 @@ from scipy import optimize
 from .errors import DomainError, NumericalError
 
 DEFAULT_ROOT_TOL = 1e-10
+# Brent's relative tolerance, at the floor scipy's brentq accepts (4 eps):
+# a root x is final to tol + BRENT_RTOL |x|.
+BRENT_RTOL = 8.9e-16
 
 # Evaluations before the secular step of find_root gives up: bisection
 # alone narrows the widest bracket in use to its stopping step in about 50
@@ -75,9 +78,10 @@ def find_root(f: Callable, bracket: Bracket,
               tol: float = DEFAULT_ROOT_TOL) -> float:
     """Root of f inside a validated sign-change bracket; the end values come
     from the bracket, so f runs only at interior points.  On a Bracket this
-    is Brent; on a PoleBracket it is the two-pole secular step
-    (`_secular_root`), and f returns (f, f') or, where the slope is not
-    known, (f, None)."""
+    is Brent, or, where the bracket is no wider than
+    2 (tol + BRENT_RTOL |x|), its regula-falsi point without a call of f; on
+    a PoleBracket it is the two-pole secular step (`_secular_root`), and f
+    returns (f, f') or, where the slope is not known, (f, None)."""
     if bracket.f_lo == 0.0:
         return bracket.lo
     if bracket.f_hi == 0.0:
@@ -85,6 +89,11 @@ def find_root(f: Callable, bracket: Bracket,
     if isinstance(bracket, PoleBracket):
         return _secular_root(f, bracket, tol)
     lo, hi = bracket.lo, bracket.hi
+    if hi - lo <= 2.0 * (tol + BRENT_RTOL * max(abs(lo), abs(hi))):
+        # no wider than twice Brent's tolerance: the regula-falsi point,
+        # with f_lo / (f_lo - f_hi) in (0, 1)
+        return min(max(lo + (hi - lo) * bracket.f_lo
+                       / (bracket.f_lo - bracket.f_hi), lo), hi)
 
     def g(x: float) -> float:
         if x == lo:
@@ -92,7 +101,7 @@ def find_root(f: Callable, bracket: Bracket,
         if x == hi:
             return bracket.f_hi
         return f(x)
-    return float(optimize.brentq(g, lo, hi, xtol=tol, rtol=8.9e-16))
+    return float(optimize.brentq(g, lo, hi, xtol=tol, rtol=BRENT_RTOL))
 
 
 def scan_sign_change(f: Callable[[float], float], a: float, b: float,

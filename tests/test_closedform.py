@@ -70,6 +70,15 @@ class TestDirichletGauss:
         assert closedform.dirichlet_halfspace_gauss(4.9) == pytest.approx(
             34.31965943626952, rel=1e-10)
 
+    def test_both_roots_at_4_9_against_mpmath(self):
+        # mpmath 1.3.0 at dps = 40, 2 * findroot(lambda n: hermite(n, 4.9),
+        # guess): the top of the table's range, where the Kummer combination
+        # cancels most
+        lam1 = closedform.dirichlet_halfspace_gauss(4.9)
+        lam2 = closedform.second_dirichlet_halfspace_gauss(4.9, lam1)
+        assert abs(lam1 / 34.31965943626942319 - 1.0) <= 1e-14
+        assert abs(lam2 / 43.514883236409316289 - 1.0) <= 1e-13
+
     @pytest.mark.parametrize("L", np.linspace(0.0, 4.95, 100))
     def test_within_closed_form_bounds(self, L):
         # potential bound below, domain monotonicity on (L, L+1) above
@@ -121,9 +130,8 @@ class TestDirichletGauss:
     def test_airy_bounds_property(self, L):
         self._check_airy_bounds(L)
 
-    def test_scan_starts_near_root(self, monkeypatch):
-        # from the Airy bound the scan meets the sign change at its first or
-        # second step: at most 10 Hermite calls per root, Brent included
+    @staticmethod
+    def _counted_hermite(monkeypatch):
         calls = []
         value = specfun.hermite_value
 
@@ -132,12 +140,115 @@ class TestDirichletGauss:
             return value(nu, t)
 
         monkeypatch.setattr(specfun, "hermite_value", counted)
+        return calls
+
+    def test_scan_starts_near_root(self, monkeypatch):
+        # where the table misses, the fallback scan from the Airy bound meets
+        # the sign change at its first or second step: at most 10 Hermite
+        # calls per root, Brent included, after the two table probes
+        coeffs = closedform._NU1_CHEB
+        monkeypatch.setattr(closedform, "_NU1_CHEB",
+                            (coeffs[0] + 1e-9,) + coeffs[1:])
+        calls = self._counted_hermite(monkeypatch)
         worst = 0
         for L in np.linspace(0.0, 4.95, 100):
             calls.clear()
             closedform.dirichlet_halfspace_gauss(float(L))
-            worst = max(worst, len(calls))
+            worst = max(worst, len(calls) - 2)
         assert worst <= 10
+
+    def test_first_root_two_hermite_calls(self, monkeypatch):
+        # the table value's sign bracket, 2 delta_1 = 2 tol wide, is final
+        offsets = np.linspace(0.0, 5.0, 1001)[:-1]
+        calls = self._counted_hermite(monkeypatch)
+        counts = set()
+        for L in offsets:
+            calls.clear()
+            closedform.dirichlet_halfspace_gauss(float(L))
+            counts.add(len(calls))
+        assert counts == {2}
+
+    def test_second_root_few_hermite_calls(self, monkeypatch):
+        # two for the sign bracket, then Brent inside it: two more at most
+        # offsets (measured mean 4.07).  From L = 4.2 on, the kernel's
+        # rounding noise in nu (2e-13 to 1e-12) is as large as Brent's
+        # tolerance, and Brent may creep in half-tolerance steps (measured
+        # at most 7 calls)
+        offsets = np.linspace(0.0, 5.0, 1001)[:-1]
+        lam1 = [closedform.dirichlet_halfspace_gauss(float(L))
+                for L in offsets]
+        calls = self._counted_hermite(monkeypatch)
+        counts = []
+        for L, lam in zip(offsets, lam1):
+            calls.clear()
+            closedform.second_dirichlet_halfspace_gauss(float(L), lam)
+            counts.append(len(calls))
+        assert max(counts) <= 8
+        assert np.mean(counts) <= 4.25
+        assert all(n <= 4 for L, n in zip(offsets, counts) if L < 4.2)
+
+    def test_table_matches_scan_path(self, monkeypatch):
+        # within 5e-13 (nu_1) and 5e-12 (nu_2) of the scan path's roots,
+        # whose Brent tolerance is 1e-12; measured 2.5e-13 and 2.1e-12
+        scans = []
+        scan = numerics.scan_sign_change
+        monkeypatch.setattr(numerics, "scan_sign_change",
+                            lambda *a: scans.append(a) or scan(*a))
+        worst1 = worst2 = 0.0
+        for L in np.linspace(0.0, 5.0, 2001)[:-1]:
+            L = float(L)
+            nu1 = _degree_root_by_scan(L, *_first_root_bounds(L))
+            nu2 = _degree_root_by_scan(L, *_second_root_bounds(L, nu1))
+            worst1 = max(worst1, abs(
+                closedform._chebyshev(closedform._NU1_CHEB, L) - nu1))
+            worst2 = max(worst2, abs(
+                closedform._chebyshev(closedform._NU2_CHEB, L) - nu2))
+            scans.clear()
+            closedform.dirichlet_halfspace_gauss(L)
+            assert not scans, f"nu_1 fell back to the scan at L={L!r}"
+        assert worst1 <= 5e-13
+        assert worst2 <= 5e-12
+
+    @pytest.mark.parametrize("L", [0.0, 1e-10, 0.7, 2.0, 3.45, 4.9, 4.99])
+    def test_spoiled_table_falls_back_to_scan(self, monkeypatch, L):
+        # a table 1e-9 off has no sign change within delta of its value: the
+        # scan runs, and gives the scan path's value bit for bit
+        nu1 = _degree_root_by_scan(L, *_first_root_bounds(L))
+        nu2 = _degree_root_by_scan(L, *_second_root_bounds(L, nu1))
+        for name in ("_NU1_CHEB", "_NU2_CHEB"):
+            coeffs = getattr(closedform, name)
+            monkeypatch.setattr(closedform, name,
+                                (coeffs[0] + 1e-9,) + coeffs[1:])
+        scans = []
+        scan = numerics.scan_sign_change
+        monkeypatch.setattr(numerics, "scan_sign_change",
+                            lambda *a: scans.append(a) or scan(*a))
+        lam1 = closedform.dirichlet_halfspace_gauss(L)
+        lam2 = closedform.second_dirichlet_halfspace_gauss(L, lam1)
+        assert len(scans) == 2
+        assert (lam1, lam2) == (2.0 * nu1, 2.0 * nu2)
+
+
+def _first_root_bounds(L):
+    """The scan interval of nu_1: the Airy bound (at least 1) to the box
+    bound (dirichlet_halfspace_gauss)."""
+    return (max(1.0, closedform._airy_degree_bound(L, closedform.AIRY_A1)),
+            0.5 * (L * L + 2.0 * L + PI2))
+
+
+def _second_root_bounds(L, nu1):
+    """The scan interval of nu_2 (second_dirichlet_halfspace_gauss)."""
+    return (max(nu1 + 1.0,
+                closedform._airy_degree_bound(L, closedform.AIRY_A2)),
+            0.5 * ((L + 1.0) ** 2 - 1.0 + 4.0 * PI2))
+
+
+def _degree_root_by_scan(L, lo, hi):
+    """The scan path: the first sign change of nu -> H_nu(L) on [lo, hi] in
+    steps of at most 0.5, refined by Brent to 1e-12."""
+    f = lambda nu: specfun.hermite_value(nu, L)  # noqa: E731
+    br = numerics.scan_sign_change(f, lo, hi, math.ceil(2.0 * (hi - lo)))
+    return numerics.find_root(f, br, tol=1e-12)
 
 
 def _dirichlet_by_fine_scan(L):

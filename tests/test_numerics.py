@@ -38,6 +38,14 @@ class TestBracketAndRoots:
         x = numerics.find_root(f, br)
         assert 1.0 <= x <= 2.0
 
+    def test_narrow_bracket_needs_no_call(self):
+        # a bracket no wider than 2 tol is already final: its regula-falsi
+        # point, without a call of f
+        def f(x):
+            raise AssertionError("f called")
+        br = numerics.Bracket(1.0, 1.0 + 2e-12, -1.0, 3.0)
+        assert numerics.find_root(f, br, tol=1e-12) == 1.0 + 0.25 * 2e-12
+
     def test_scan_sign_change(self):
         br = numerics.scan_sign_change(math.cos, 0.0, 3.0, 30)
         assert br is not None
