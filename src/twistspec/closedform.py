@@ -22,8 +22,10 @@ f = M_L/p_L + M_R/p_R, whose poles are the bracket ends, and the two-pole
 secular step that the oracle also uses (numerics.find_root on a
 PoleBracket) finds its root: near a pole x*, f runs like w/(x* - x) with
 the residue w = -M(x*) / (dp/dx)(x*), which is a^{2b}/f* for power (J_b' =
--J_{b+1} at a zero) and comes from one Hermite jet for gaussian.  Where the
-power bracket ends at the Bessel series ceiling instead of a pole, f is
+-J_{b+1} at a zero) and e^{-a^2} nu_k'(a) / (2 sqrt(pi) nu_k) for gaussian,
+nu_k' the L-derivative of the degree table of the pole's root (derivation
+beside _NU1_CHEB); neither calls a special function.  Where the power
+bracket ends at the Bessel series ceiling instead of a pole, f is
 evaluated there and the model keeps one pole.
 
 Gaussian component profiles (x_1-reduced, degree nu, eigenvalue 2 nu):
@@ -126,6 +128,22 @@ def _airy_degree_bound(L: float, airy_zero: float) -> float:
 # then c_j = (2/24) sum'' nu(L_k) cos(pi j k / 24) (ends of the sum halved,
 # c_0 and c_24 halved too).  The coefficients fall to 3e-16, so the
 # interpolant is good to rounding.
+#
+# The tables' L-derivatives give the residues of the secular function at
+# the gaussian poles (_gauss_residue).  Along a root curve nu_k(L),
+# H_{nu_k(L)}(L) = 0, so d/dL of it vanishes:
+#     d/dnu H_nu(L) nu_k'(L) + H_nu'(L) = 0,   H_nu' = 2 nu H_{nu-1},
+# hence d/dnu H_nu(a) = -2 nu H_{nu-1}(a) / nu_k'(a) at the pole nu = nu_k(a).
+# There the mean integral is M = e^{-a^2} H_{nu-1}(a) / sqrt(pi) (_gauss_mean
+# with H_nu(a) = 0), and in the residue -M / (d/dnu H_nu(a)) the factor
+# H_{nu-1}(a) cancels:
+#     w_k(a) = e^{-a^2} nu_k'(a) / (2 sqrt(pi) nu_k(a)).
+# With T_j' = j U_{j-1}, nu_k'(L) = (2/5) sum_j j c_j U_{j-1}(2L/5 - 1)
+# (Trefethen, ATAP ch. 11).  Against mpmath 1.3.0 residues -M / mp.diff at
+# 25 offsets in [0.01, 4.99] this w_k is within 2.1e-15 relative for k = 1
+# and 1.3e-15 for k = 2; a complex-step Hermite jet (specfun._hermite_jet)
+# is within 1.2e-13 and 2.7e-12.  The residue only shapes the secular
+# model; the sign bracket decides the root.
 _NU1_CHEB = (
     7.92669936275543, 8.34341357247333, 1.438457935808868,
     0.01786814814539262, -0.0031434815185949036, 0.0005925877325007755,
@@ -165,6 +183,16 @@ def _chebyshev(coeffs: tuple[float, ...], L: float) -> float:
     for c in reversed(coeffs[1:]):
         b1, b2 = c + 2.0 * x * b1 - b2, b1
     return coeffs[0] + x * b1 - b2
+
+
+def _chebyshev_slope(coeffs: tuple[float, ...], L: float) -> float:
+    """d/dL of the Chebyshev series sum c_j T_j(2L/5 - 1): the series
+    (2/5) sum_{j >= 1} j c_j U_{j-1}(2L/5 - 1) by Clenshaw's recurrence."""
+    x = 0.4 * L - 1.0
+    b1 = b2 = 0.0
+    for j in range(len(coeffs) - 1, 0, -1):
+        b1, b2 = j * coeffs[j] + 2.0 * x * b1 - b2, b1
+    return 0.4 * b1
 
 
 def _degree_root(what: str, L: float, coeffs: tuple[float, ...],
@@ -224,6 +252,10 @@ def dirichlet_halfspace_gauss(L: float) -> float:
     pair of them.  Offsets at or beyond specfun.HERMITE_SWITCH_T are
     rejected: there H_nu comes from the large-t expansion, which is not
     valid near its zeros.
+
+    The same table's L-derivative nu_1'(L) gives the pair solver the
+    residue of its secular function at this pole (_gauss_residue), so the
+    pole costs no Hermite call beyond the two above.
     """
     if L < 0:
         raise DomainError(f"dirichlet_halfspace_gauss: need L >= 0, got {L:g}")
@@ -292,12 +324,14 @@ def _gauss_top(a: float, other: float, lam1: float,
     return lam_hi, other
 
 
-def _gauss_residue(nu: float, a: float) -> float:
-    """Residue -M / (d/dnu H_nu(a)) of M / H_nu(a) at a degree root nu of
-    H_nu(a), M the mean integral: one _hermite_jet gives H_nu', hence
-    H_{nu-1} = H_nu' / (2 nu) and M (H_nu(a) = 0), and d/dnu H_nu."""
-    _, hp, dh, _ = specfun._hermite_jet(nu, a)
-    return -_gauss_mean(nu, a, 0.0, hp / (2.0 * nu)) / dh
+def _gauss_residue(nu: float, a: float, k: int) -> float:
+    """Residue -M / (d/dnu H_nu(a)) of M / H_nu(a) at the k-th degree root
+    nu of H_nu(a), M the mean integral: e^{-a^2} nu_k'(a) / (2 sqrt(pi) nu)
+    with nu_k' the slope of the k-th degree table (derivation beside
+    _NU1_CHEB), read from the table at call time, with no Hermite call."""
+    coeffs = _NU1_CHEB if k == 1 else _NU2_CHEB
+    return (math.exp(-a * a) * _chebyshev_slope(coeffs, a)
+            / (2.0 * specfun.SQRT_PI * nu))
 
 
 def _gauss_argument(side: str, a: float, x: float) -> float:
@@ -409,8 +443,8 @@ class _Family:
     Jhat_{b+1}(f a)); the mean identity, the boundary derivative and the
     single-sign edge need nothing else.  `top` gives Lambda_2 with the
     component whose profile vanishes there, or None where Lambda_2 is the
-    end of the series region and no pole; `residue(x, a)` is
-    -M(x) / (dp/dx)(x) at a root x of the profile value p at a.
+    end of the series region and no pole; `residue(x, a, k)` is
+    -M(x) / (dp/dx)(x) at the k-th root x of the profile value p at a.
     """
     name: str
     var: str
@@ -420,7 +454,7 @@ class _Family:
     labels: Callable[[float], dict]     # x -> family fields of the solution
     dirichlet: Callable[[float], float]               # a -> Dirichlet value
     top: Callable[..., tuple]           # (a, other, Lambda_1, hi) -> (Lambda_2, a2)
-    residue: Callable[[float, float], float]          # (pole x, a) -> residue
+    residue: Callable[[float, float, int], float]     # (pole x, a, k) -> w
     state: Callable[[float, float], tuple[float, float]]
     profile: Callable[[float, float], float]          # (x, t) -> profile at t
     mean: Callable[..., float]          # (x, a, p, q) -> int (profile - p)
@@ -466,7 +500,7 @@ def _power_family(measure: MeasureSpec) -> _Family:
         dirichlet=lambda a: (j1 / a) ** 2, top=top,
         # J_b' = -J_{b+1} at a zero j of J_b: M = a^{b+1} J_{b+1}(j) / f and
         # dp/df = -a^{1-b} J_{b+1}(j), with no Bessel call
-        residue=lambda f, a: a ** (2.0 * b) / f,
+        residue=lambda f, a, k: a ** (2.0 * b) / f,
         state=partial(_power_state, b), profile=partial(_g_profile, b),
         mean=partial(_power_mean, b),
         square=partial(_power_square_integral, b),
@@ -507,8 +541,11 @@ def _solve_pair(config: PairConfig, fam: _Family) -> TwistedSolution:
     else:
         lam2, owner = fam.top(big, small, *bracket)
         poles = (fam.x_of(bracket[0]), fam.x_of(lam2))
-        residues = (fam.residue(poles[0], big),
-                    0.0 if owner is None else fam.residue(poles[1], owner))
+        # the top pole is the larger component's second root or the
+        # other component's first
+        residues = (fam.residue(poles[0], big, 1),
+                    0.0 if owner is None else
+                    fam.residue(poles[1], owner, 2 if owner == big else 1))
         f_top = math.inf                    # f's limit at a pole
         if owner is None:                   # the series ceiling
             f_top = secular(poles[1])[0]

@@ -88,6 +88,14 @@ SQRT_PI = math.sqrt(math.pi)
 HERMITE_SWITCH_T = 5.0
 # The large-t expansion raises AccuracyError where its smallest term exceeds
 # this fraction of its sum: the accuracy of the series at the switch point.
+# The smallest term does not bound the truncation error where t lies among
+# the zeros of H_nu, and there the value is silently worse than this, with
+# no error raised.  Against mpmath 1.3.0 (dps 60), hermite_value(nu, t) is
+# off by 1.8e-10 relative at (30.5, 5.2), 2.0e-8 at (40.5, 5.0), 9.7e-8 at
+# (50.25, 6.0) and 3.8e-5 at (54.75, 5.0).  Pair solves stay below t = 5;
+# hermite_largest_zero scans t >= 5 for degrees above about 12.5.  The
+# fixes are ROADMAP items 4 (a Taylor continuation past the switch point)
+# and 12 (computed error bounds in place of this fixed tolerance).
 HERMITE_ASYMPT_RTOL = 1e-9
 # Both Gamma coefficients of H_nu are normal floats within this degree:
 # 2^nu / Gamma(-nu/2) overflows near 267.6, 2^nu / Gamma((1-nu)/2)

@@ -742,6 +742,25 @@ def _secular_configs(measure, count=40):
     return out
 
 
+def _count_secular_evals(monkeypatch):
+    """A list that counts the evaluations of the secular function each
+    find_root call on a PoleBracket makes, into its last entry: append 0
+    before each solve."""
+    evals = []
+    find_root = numerics.find_root
+
+    def counted_root(f, bracket, *args, **kwargs):
+        def g(x):
+            evals[-1] += 1
+            return f(x)
+        if not isinstance(bracket, numerics.PoleBracket):
+            return find_root(f, bracket, *args, **kwargs)   # zero scans
+        return find_root(g, bracket, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "find_root", counted_root)
+    return evals
+
+
 def _floor_root_lambda(cfg, sol):
     """lambda from the root of D = M_L p_R + M_R p_L on the solution's
     bracket ends, by scipy's brentq to its rounding floor (rtol 8.9e-16);
@@ -778,24 +797,13 @@ class TestSecularPairSolve:
     def test_evaluations_per_solve(self, measure, monkeypatch):
         # the secular function the solve hands to find_root, counted per
         # asymmetric solve, and for power the Bessel passes behind it
-        evals, states = [], []
-        find_root = numerics.find_root
-
-        def counted_root(f, bracket, *args, **kwargs):
-            def g(x):
-                evals[-1] += 1
-                return f(x)
-            if not isinstance(bracket, numerics.PoleBracket):
-                return find_root(f, bracket, *args, **kwargs)   # zero scans
-            return find_root(g, bracket, *args, **kwargs)
-
+        evals, states = _count_secular_evals(monkeypatch), []
         state = specfun.bessel_state
 
         def counted_state(*args, **kwargs):
             states[-1] += 1
             return state(*args, **kwargs)
 
-        monkeypatch.setattr(numerics, "find_root", counted_root)
         monkeypatch.setattr(specfun, "bessel_state", counted_state)
         if not measure.is_gaussian:
             closedform._bessel_zero_pair(measure.profile_order)
@@ -809,8 +817,9 @@ class TestSecularPairSolve:
 
     @pytest.mark.parametrize("measure", SECULAR_FAMILIES, ids=SECULAR_IDS)
     def test_residue_against_central_difference(self, measure):
-        # w = -M / (dp/dx) at a pole: closed form for power (a^{2b}/f),
-        # one Hermite jet for gaussian; dp/dx here by a central difference
+        # w = -M / (dp/dx) at a pole: closed form for power (a^{2b}/f), the
+        # degree table's slope for gaussian; dp/dx here by a central
+        # difference
         fam = _family(measure)
         for a in (0.3, 1.1) if measure.is_gaussian else (0.8, 2.5):
             x = fam.x_of(fam.dirichlet(a))
@@ -819,8 +828,88 @@ class TestSecularPairSolve:
             q = fam.state(x, a)[1]
             slope = (p_plus - p_minus) / (2.0 * h)
             want = -fam.mean(x, a, 0.0, q) / slope
-            assert fam.residue(x, a) == pytest.approx(want, rel=1e-8)
-            assert fam.residue(x, a) > 0.0
+            assert fam.residue(x, a, 1) == pytest.approx(want, rel=1e-8)
+            assert fam.residue(x, a, 1) > 0.0
+
+    def test_gauss_residue_against_hermite_jet(self):
+        # the table form e^{-a^2} nu_k'(a) / (2 sqrt(pi) nu_k) against
+        # -M / (d/dnu H_nu(a)) with M and d/dnu H_nu from a complex-step
+        # Hermite jet, for the first and the second degree root
+        for a in np.linspace(0.0, 4.99, 200).tolist():
+            lam1 = closedform.dirichlet_halfspace_gauss(a)
+            lam2 = closedform.second_dirichlet_halfspace_gauss(a, lam1)
+            for k, nu in ((1, 0.5 * lam1), (2, 0.5 * lam2)):
+                _, hp, dh, _ = specfun._hermite_jet(nu, a)
+                mean = closedform._gauss_mean(nu, a, 0.0, hp / (2.0 * nu))
+                want = -mean / dh
+                got = closedform._gauss_residue(nu, a, k)
+                assert abs(got - want) <= 1e-10 * want, (a, k, got, want)
+
+    def test_hermite_jets_per_gauss_solve(self, monkeypatch):
+        # the pole residues call no Hermite function: the jets left are the
+        # normalization's, one per distinct component
+        calls = []
+        jet = specfun._hermite_jet
+
+        def counted_jet(*args):
+            calls[-1] += 1
+            return jet(*args)
+
+        monkeypatch.setattr(specfun, "_hermite_jet", counted_jet)
+        g = MeasureSpec.gaussian(1)
+        # (0.05, 3): the top pole is the larger component's second root
+        cfgs = _secular_configs(g, 10) + [measures.PairConfig(g, 0.05, 3.0)]
+        for cfg in cfgs:
+            calls.append(0)
+            closedform.solve(cfg)
+        assert calls == [2] * 11
+        calls.append(0)
+        closedform.solve(measures.config_from_split(g, 0.5, 0.5))
+        assert calls[-1] == 1
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-6, 1.0 - 1e-6])
+    def test_gauss_root_insensitive_to_residues(self, scale, monkeypatch):
+        # the residues only shape the secular model: scaled by 1 +- 1e-6,
+        # each solve still stops within the secular tolerance of the root,
+        # so the two lambdas agree to twice it (bracket_dirichlet[1] is at
+        # least the top pole), in at most 6 evaluations of f
+        g = MeasureSpec.gaussian(1)
+        cfgs = _secular_configs(g) + [measures.PairConfig(g, 0.05, 3.0)]
+        base = [closedform.solve(cfg) for cfg in cfgs]
+        gauss = closedform._GAUSS
+        monkeypatch.setattr(closedform, "_GAUSS", dataclasses.replace(
+            gauss, residue=lambda x, a, k: scale * gauss.residue(x, a, k)))
+        evals = _count_secular_evals(monkeypatch)
+        for cfg, sol in zip(cfgs, base):
+            evals.append(0)
+            lam = closedform.solve(cfg).eigenvalue
+            tol = 2.0 * closedform._SECULAR_TOL * sol.bracket_dirichlet[1]
+            assert abs(lam - sol.eigenvalue) <= tol, (cfg, lam, sol.eigenvalue)
+        assert max(evals) <= 6, evals
+
+    def test_second_root_pole_against_mpmath(self, monkeypatch):
+        # Lambda_2 of (0.05, 3) is the second Dirichlet value of the offset
+        # 0.05 (6.171 < 16.52), so the top residue comes from _NU2_CHEB.
+        # Reference from mpmath 1.3.0 at dps = 40, the root of D:
+        #   M = lambda n, a: (exp(-a*a) * hermite(n - 1, a) / sqrt(pi)
+        #                     - hermite(n, a) * erfc(a) / 2)
+        #   2 * findroot(lambda n: M(n, L) * hermite(n, R)
+        #                + M(n, R) * hermite(n, L), 2.7558, tol=1e-35)
+        brackets = []
+        find_root = numerics.find_root
+
+        def kept_root(f, bracket, *args, **kwargs):
+            brackets.append(bracket)
+            return find_root(f, bracket, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "find_root", kept_root)
+        sol = closedform.solve(
+            measures.PairConfig(MeasureSpec.gaussian(1), 0.05, 3.0))
+        (br,) = [b for b in brackets if isinstance(b, numerics.PoleBracket)]
+        assert br.residues == (closedform._gauss_residue(br.poles[0], 0.05, 1),
+                               closedform._gauss_residue(br.poles[1], 0.05, 2))
+        ref = 5.511666182089066651062513
+        assert abs(sol.eigenvalue - ref) <= 1e-13 * ref
 
     def test_ceiling_top_one_pole(self):
         # power (3,17): j_{9,2} = 17.24 lies beyond the series ceiling 16,
@@ -869,7 +958,8 @@ class TestSecularPairSolve:
         gauss = closedform._GAUSS
         signs = iter([1.0, -1.0])
         monkeypatch.setattr(closedform, "_GAUSS", dataclasses.replace(
-            gauss, residue=lambda x, a: next(signs) * gauss.residue(x, a)))
+            gauss,
+            residue=lambda x, a, k: next(signs) * gauss.residue(x, a, k)))
         cfg = measures.config_from_split(MeasureSpec.gaussian(1), 0.5, 0.4)
         with pytest.raises(NumericalError, match=r"residues .* and -.* at "
                            r"the poles nu_1 = .* and nu_2 = "):
