@@ -4,10 +4,10 @@ Single components first: the Dirichlet eigenvalue of a Gaussian half-space
 {x_1 > L} is 2 nu* with nu* the smallest positive degree at which the
 Hermite function vanishes at L; the Dirichlet eigenvalue of a weighted
 half-ball of radius R is (j_{b,1}/R)^2 with b = (n+k)/2 - 1.  The first two
-Gaussian degree roots start from stored Chebyshev tables of nu_1(L) and
+Gaussian degree roots come from stored Chebyshev tables of nu_1(L) and
 nu_2(L) on [0, 5], and two Hermite calls a small delta either side of the
-table value certify each by a sign change; only where the signs agree does
-a scan from closed-form bounds run instead.
+table value certify each by a sign change; signs that agree mean the table
+and the Hermite kernel disagree, and raise NumericalError.
 
 For a two-component configuration the first zero-weighted-mean eigenvalue is
 pinned by a 2x2 homogeneous system in the component amplitudes (A, B): the
@@ -108,18 +108,6 @@ class TwistedSolution:
 # Gaussian half-space machinery
 # ----------------------------------------------------------------------
 
-# The first two zeros of the Airy function Ai (DLMF 9.9.1).
-AIRY_A1 = -2.338107410459767
-AIRY_A2 = -4.087949444130971
-
-
-def _airy_degree_bound(L: float, airy_zero: float) -> float:
-    """Lower bound (L^2 - 1 + (2L)^{2/3} |a_k|)/2 on the k-th nu-root of
-    H_nu(L), L >= 0, from the k-th Airy zero a_k; the proof is in
-    dirichlet_halfspace_gauss."""
-    return 0.5 * (L * L - 1.0 + (2.0 * L) ** (2.0 / 3.0) * abs(airy_zero))
-
-
 # Chebyshev coefficients of nu_1(L) and nu_2(L), the first two roots of
 # nu -> H_nu(L), in x = 2L/5 - 1 on L in [0, 5] (Trefethen, Approximation
 # Theory and Approximation Practice, ch. 3; Battles & Trefethen 2004).
@@ -196,99 +184,67 @@ def _chebyshev_slope(coeffs: tuple[float, ...], L: float) -> float:
 
 
 def _degree_root(what: str, L: float, coeffs: tuple[float, ...],
-                 delta: float, lo: float, hi: float) -> float:
-    """2 nu for a root of nu -> H_nu(L), started from the Chebyshev table
-    `coeffs` and certified by a sign bracket.
+                 delta: float) -> float:
+    """2 nu for a root of nu -> H_nu(L), L in [0, specfun.HERMITE_SWITCH_T),
+    from the Chebyshev table `coeffs`, certified by a sign bracket.
 
-    Two Hermite calls at g -/+ delta around the table value g: if the signs
-    differ, that bracket goes to find_root.  Consecutive roots lie at least
-    2 apart and the table is good to rounding, so the sign change is the
-    root the table stands for.  Otherwise (a table that does not match the
-    kernel) the first root on [lo, hi] is found by a scan in steps of at
-    most 0.5, refined by Brent.
+    Two Hermite calls at g -/+ delta around the table value g give the
+    bracket that goes to find_root.  Consecutive roots lie at least 2 apart
+    and the table is good to rounding, so the sign change is the root the
+    table stands for.  Offsets outside [0, HERMITE_SWITCH_T) raise
+    DomainError: beyond the switch point H_nu comes from the large-t
+    expansion, which is not valid near its zeros.  Signs that agree raise
+    NumericalError: the table and the Hermite kernel disagree.
     """
+    if L < 0:
+        raise DomainError(f"{what}: need L >= 0, got {L:g}")
+    t_switch = specfun.HERMITE_SWITCH_T
+    if L >= t_switch:
+        raise DomainError(
+            f"{what}: offset L={L:g} is at or beyond the Hermite switch point "
+            f"t={t_switch:g} (component mass {measures.k_gauss(t_switch):.2g}); "
+            f"the large-t expansion of H_nu is not valid at its zeros")
     f = lambda nu: specfun.hermite_value(nu, L)  # noqa: E731
     g = _chebyshev(coeffs, L)
     a, b = g - delta, g + delta
     f_a, f_b = f(a), f(b)
-    if f_a * f_b <= 0.0:
-        br = numerics.Bracket(a, b, f_a, f_b)
-    else:
-        br = numerics.scan_sign_change(f, lo, hi, math.ceil(2.0 * (hi - lo)))
-        if br is None:
-            raise NumericalError(
-                f"{what}: no Hermite-degree root in nu [{lo:g}, {hi:g}] for "
-                f"L={L:g}")
-    return 2.0 * numerics.find_root(f, br, tol=_DEGREE_ROOT_TOL)
+    if f_a * f_b > 0.0:
+        raise NumericalError(
+            f"{what}: no sign change of H_nu(L) across the degree table value "
+            f"at L={L!r}: H_nu = {f_a!r} at nu = {a!r} and {f_b!r} at "
+            f"nu = {b!r} (table value {g!r}, delta {delta:g})")
+    return 2.0 * numerics.find_root(f, numerics.Bracket(a, b, f_a, f_b),
+                                    tol=_DEGREE_ROOT_TOL)
 
 
 def dirichlet_halfspace_gauss(L: float) -> float:
     """First Dirichlet eigenvalue of the Gaussian half-space at offset L.
 
-    2 nu* with nu* the smallest positive root of nu -> H_nu(L).  The start
-    is the Chebyshev table _NU1_CHEB, good to 4e-15 against mpmath; two
-    Hermite calls at its value g -/+ delta_1 (delta_1 = 1e-12, the root
-    tolerance) give a sign bracket that certifies the root, since the roots
-    lie at least 2 apart, and find_root returns its regula-falsi point with
-    no further call.  Where the signs agree (a table that does not match
-    the kernel) a scan in steps of at most 0.5 between two closed-form
-    bounds finds the root, refined by Brent:
-
-    - lower: with u = e^{t^2/2} w the problem on (L, inf) reads
-      -w'' + (t^2 - 1) w = 2 nu w.  For t >= L the potential is
-      t^2 - 1 >= L^2 - 1 + 2L (t - L), so by min-max the k-th eigenvalue is
-      at least L^2 - 1 plus the k-th Dirichlet eigenvalue of the linear
-      potential 2L s on the half-line s > 0, which is (2L)^{2/3} |a_k| with
-      a_k the k-th zero of Ai (DLMF 9.9(i)): 2 nu* >= L^2 - 1 +
-      (2L)^{2/3} |a_1|.  The gap to nu* is 0.68 at L = 1 and falls to 0.30
-      as L nears 5; where the bound is below 1 (L < 0.6) the start is
-      nu* >= 1 = nu*(0), since nu* increases in L.  Either way the scan finds
-      its sign change at its first or second step;
-    - upper: domain monotonicity on the box (L, L+1), where the potential is
-      <= (L+1)^2 - 1, gives 2 nu* <= pi^2 + (L+1)^2 - 1 = L^2 + 2L + pi^2.
-
-    The first two nu-roots lie at least 2 apart (exactly 2 at L = 0, 4.6 at
-    L = 4.95, measured over 100 offsets), so a 0.5 step cannot step over a
-    pair of them.  Offsets at or beyond specfun.HERMITE_SWITCH_T are
-    rejected: there H_nu comes from the large-t expansion, which is not
-    valid near its zeros.
+    2 nu* with nu* the smallest positive root of nu -> H_nu(L), for L in
+    [0, specfun.HERMITE_SWITCH_T) = [0, 5); other offsets raise DomainError.
+    The start is the Chebyshev table _NU1_CHEB, good to 4e-15 against
+    mpmath; two Hermite calls at its value g -/+ delta_1 (delta_1 = 1e-12,
+    the root tolerance) give a sign bracket that certifies the root, and
+    find_root returns its regula-falsi point with no further call.  A
+    bracket without a sign change raises NumericalError naming L.
 
     The same table's L-derivative nu_1'(L) gives the pair solver the
     residue of its secular function at this pole (_gauss_residue), so the
     pole costs no Hermite call beyond the two above.
     """
-    if L < 0:
-        raise DomainError(f"dirichlet_halfspace_gauss: need L >= 0, got {L:g}")
-    t_switch = specfun.HERMITE_SWITCH_T
-    if L >= t_switch:
-        raise DomainError(
-            f"dirichlet_halfspace_gauss: offset L={L:g} is at or beyond the "
-            f"Hermite switch point t={t_switch:g} (component mass "
-            f"{measures.k_gauss(t_switch):.2g}); the large-t expansion of H_nu "
-            f"is not valid at its zeros")
-    return _degree_root("dirichlet_halfspace_gauss", L, _NU1_CHEB, _NU1_DELTA,
-                        max(1.0, _airy_degree_bound(L, AIRY_A1)),
-                        0.5 * (L * L + 2.0 * L + math.pi ** 2))
+    return _degree_root("dirichlet_halfspace_gauss", L, _NU1_CHEB, _NU1_DELTA)
 
 
-def second_dirichlet_halfspace_gauss(L: float, lam1: float) -> float:
-    """Second Dirichlet eigenvalue of the Gaussian half-space at offset L,
-    given the first, lam1 = dirichlet_halfspace_gauss(L).
+def second_dirichlet_halfspace_gauss(L: float) -> float:
+    """Second Dirichlet eigenvalue of the Gaussian half-space at offset L.
 
-    As dirichlet_halfspace_gauss, from the table _NU2_CHEB with the wider
-    delta_2 = 1e-11: on L in [4, 5) the kernel's sign changes lie up to
-    4e-12 off the table value, and Brent refines inside the bracket to
-    1e-12.  The fallback scan starts at the larger of nu* + 1 (consecutive nu-roots
-    lie at least 2 apart) and the Airy comparison bound of the second
-    eigenvalue, 2 nu_2 >= L^2 - 1 + (2L)^{2/3} |a_2| (see
-    dirichlet_halfspace_gauss; 0.89 below nu_2 at L = 4.9, where nu* + 1 is
-    3.6 below), and ends at the second eigenvalue of the box (L, L+1),
-    2 nu_2 <= 4 pi^2 + (L+1)^2 - 1.
+    As dirichlet_halfspace_gauss, on the same domain [0, 5) and with the
+    same errors, from the table _NU2_CHEB with the wider delta_2 = 1e-11:
+    on L in [4, 5) the kernel's sign changes lie up to 4e-12 off the table
+    value, and Brent refines inside the bracket to 1e-12.
     """
     return _degree_root("second_dirichlet_halfspace_gauss", L, _NU2_CHEB,
-                        _NU2_DELTA,
-                        max(0.5 * lam1 + 1.0, _airy_degree_bound(L, AIRY_A2)),
-                        0.5 * ((L + 1.0) ** 2 - 1.0 + 4.0 * math.pi ** 2))
+                        _NU2_DELTA)
 
 
 def _gauss_mean(nu: float, a: float, h: float, hm: float) -> float:
@@ -318,7 +274,7 @@ def _gauss_top(a: float, other: float, lam1: float,
     other component (offset other) has lam_hi.  The second value of a is at
     least lam1 + 4, so it is only computed when it can undercut lam_hi."""
     if lam_hi - lam1 > 4.0:
-        lam2 = second_dirichlet_halfspace_gauss(a, lam1)
+        lam2 = second_dirichlet_halfspace_gauss(a)
         if lam2 < lam_hi:
             return lam2, a
     return lam_hi, other

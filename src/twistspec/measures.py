@@ -196,7 +196,12 @@ class PairConfig:
 
     @property
     def is_symmetric(self) -> bool:
-        return abs(self.left_param - self.right_param) < 1e-9
+        """Gaussian offsets are translations and compare absolutely; power
+        radii scale with the mass and compare relatively."""
+        L, R = self.left_param, self.right_param
+        if self.measure.is_gaussian:
+            return abs(L - R) < 1e-9
+        return abs(L - R) < 1e-9 * max(L, R)
 
 
 def gaussian_split_window(total_mass: float) -> tuple[float, float]:

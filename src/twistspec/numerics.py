@@ -2,9 +2,8 @@
 
 Bracketed root finding (scipy's Brent behind a bracket-validating wrapper,
 or, on a bracket between two known poles, the two-pole secular step that
-the closed form and the oracle share), sign-change scans (scalar, or
-vectorized and refined), and the truncation point of Gaussian tail
-integrals.
+the closed form and the oracle share), a vectorized sign-change scan
+refined to roots, and the truncation point of Gaussian tail integrals.
 """
 
 from __future__ import annotations
@@ -102,21 +101,6 @@ def find_root(f: Callable, bracket: Bracket,
             return bracket.f_hi
         return f(x)
     return float(optimize.brentq(g, lo, hi, xtol=tol, rtol=BRENT_RTOL))
-
-
-def scan_sign_change(f: Callable[[float], float], a: float, b: float,
-                     steps: int) -> Optional[Bracket]:
-    """First sign-change sub-interval of f on a uniform scan of [a, b]."""
-    xs = np.linspace(a, b, steps + 1)
-    x_prev = float(xs[0])
-    f_prev = f(x_prev)
-    for x in xs[1:]:
-        x_cur = float(x)
-        f_cur = f(x_cur)
-        if f_prev * f_cur <= 0.0:
-            return Bracket(x_prev, x_cur, f_prev, f_cur)
-        x_prev, f_prev = x_cur, f_cur
-    return None
 
 
 def grid_roots(f: Callable, xs: np.ndarray, count: int,

@@ -1,5 +1,6 @@
-"""Adaptive Gauss-Legendre quadrature: the independent reference the tests
-hold the library's exact identities and fixed-grid normalizations against.
+"""Reference numerics for the tests: adaptive Gauss-Legendre quadrature,
+which the library's exact identities and fixed-grid normalizations are
+held against, and a uniform sign-change scan for reference roots.
 """
 
 from __future__ import annotations
@@ -106,3 +107,19 @@ def integrate(f: Callable, a: float, b: float, tol: float = DEFAULT_QUAD_TOL,
                 raise AccuracyError(
                     "integrate: subdivision limit reached", estimate=err + delta)
     return QuadResult(value=value, abs_error_estimate=err, evaluations=evals)
+
+
+def scan_sign_change(f: Callable[[float], float], a: float, b: float,
+                     steps: int) -> Optional[numerics.Bracket]:
+    """First sign-change sub-interval of f on a uniform scan of [a, b], or
+    None where f keeps its sign."""
+    xs = np.linspace(a, b, steps + 1)
+    x_prev = float(xs[0])
+    f_prev = f(x_prev)
+    for x in xs[1:]:
+        x_cur = float(x)
+        f_cur = f(x_cur)
+        if f_prev * f_cur <= 0.0:
+            return numerics.Bracket(x_prev, x_cur, f_prev, f_cur)
+        x_prev, f_prev = x_cur, f_cur
+    return None

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from twistspec import closedform, measures, numerics, oracle, specfun
 from twistspec.errors import AccuracyError, DomainError, NumericalError
 from twistspec.measures import MeasureSpec
 
-from quadrature import gauss_tail, integrate
+from quadrature import gauss_tail, integrate, scan_sign_change
 
 PI2 = math.pi ** 2
 
@@ -54,17 +55,27 @@ class TestDirichletGauss:
             closedform.dirichlet_halfspace_gauss(L)
 
     def test_scan_limit_named(self, monkeypatch):
-        # a Hermite function without zeros forces the no-root path
+        # a Hermite function without zeros: no sign change at the table
+        # value, and the error names L, the table value, delta and both
+        # Hermite values
         monkeypatch.setattr(specfun, "hermite_value", lambda nu, t: 1.0)
         with pytest.raises(NumericalError,
-                           match=r"nu \[4.44583, 8.9348\] for L=2"):
+                           match=r"at L=2\.0: H_nu = 1\.0 at nu = 4\.9\d* "
+                           r"and 1\.0 at nu = 4\.9\d* \(table value "
+                           r"4\.9\d*, delta 1e-12\)"):
             closedform.dirichlet_halfspace_gauss(2.0)
+
+    @pytest.mark.parametrize("L", [-0.5, 5.0, 5.5])
+    def test_second_root_offset_rejected(self, L):
+        # the first root's domain, [0, HERMITE_SWITCH_T)
+        with pytest.raises(DomainError,
+                           match="second_dirichlet_halfspace_gauss"):
+            closedform.second_dirichlet_halfspace_gauss(L)
 
     def test_second_value_at_origin(self):
         # H_nu(0) vanishes at the odd degrees: nu = 1, then nu = 3
-        lam1 = closedform.dirichlet_halfspace_gauss(0.0)
         assert closedform.second_dirichlet_halfspace_gauss(
-            0.0, lam1) == pytest.approx(6.0, abs=1e-10)
+            0.0) == pytest.approx(6.0, abs=1e-10)
 
     def test_offset_just_below_switch(self):
         assert closedform.dirichlet_halfspace_gauss(4.9) == pytest.approx(
@@ -75,7 +86,7 @@ class TestDirichletGauss:
         # guess): the top of the table's range, where the Kummer combination
         # cancels most
         lam1 = closedform.dirichlet_halfspace_gauss(4.9)
-        lam2 = closedform.second_dirichlet_halfspace_gauss(4.9, lam1)
+        lam2 = closedform.second_dirichlet_halfspace_gauss(4.9)
         assert abs(lam1 / 34.31965943626942319 - 1.0) <= 1e-14
         assert abs(lam2 / 43.514883236409316289 - 1.0) <= 1e-13
 
@@ -106,31 +117,6 @@ class TestDirichletGauss:
         assert all(v > 0.0 for v in vals)
 
     @staticmethod
-    def _check_airy_bounds(L):
-        # k = 1: the bound lies below nu*, and H there is still positive, so
-        # the scan starts before the first sign change.  k = 2: the bound
-        # lies below nu_2, and where it is above nu* H there is negative, so
-        # it lies in (nu*, nu_2) without trusting the second scan.
-        lam1 = closedform.dirichlet_halfspace_gauss(L)
-        lam2 = closedform.second_dirichlet_halfspace_gauss(L, lam1)
-        b1 = closedform._airy_degree_bound(L, closedform.AIRY_A1)
-        b2 = closedform._airy_degree_bound(L, closedform.AIRY_A2)
-        assert b1 < lam1 / 2.0 and specfun.hermite_value(b1, L) > 0.0
-        assert b2 < lam2 / 2.0
-        if b2 > lam1 / 2.0 + 1e-9:
-            assert specfun.hermite_value(b2, L) < 0.0
-
-    def test_airy_bounds_below_roots(self):
-        # the gap nu* - b1 is smallest, 0.2976, as L nears 5
-        for L in np.linspace(0.0, 5.0, 1001)[:-1]:
-            self._check_airy_bounds(float(L))
-
-    @settings(derandomize=True, max_examples=40, deadline=None)
-    @given(st.floats(min_value=0.0, max_value=5.0, exclude_max=True))
-    def test_airy_bounds_property(self, L):
-        self._check_airy_bounds(L)
-
-    @staticmethod
     def _counted_hermite(monkeypatch):
         calls = []
         value = specfun.hermite_value
@@ -141,21 +127,6 @@ class TestDirichletGauss:
 
         monkeypatch.setattr(specfun, "hermite_value", counted)
         return calls
-
-    def test_scan_starts_near_root(self, monkeypatch):
-        # where the table misses, the fallback scan from the Airy bound meets
-        # the sign change at its first or second step: at most 10 Hermite
-        # calls per root, Brent included, after the two table probes
-        coeffs = closedform._NU1_CHEB
-        monkeypatch.setattr(closedform, "_NU1_CHEB",
-                            (coeffs[0] + 1e-9,) + coeffs[1:])
-        calls = self._counted_hermite(monkeypatch)
-        worst = 0
-        for L in np.linspace(0.0, 4.95, 100):
-            calls.clear()
-            closedform.dirichlet_halfspace_gauss(float(L))
-            worst = max(worst, len(calls) - 2)
-        assert worst <= 10
 
     def test_first_root_two_hermite_calls(self, monkeypatch):
         # the table value's sign bracket, 2 delta_1 = 2 tol wide, is final
@@ -175,87 +146,81 @@ class TestDirichletGauss:
         # tolerance, and Brent may creep in half-tolerance steps (measured
         # at most 7 calls)
         offsets = np.linspace(0.0, 5.0, 1001)[:-1]
-        lam1 = [closedform.dirichlet_halfspace_gauss(float(L))
-                for L in offsets]
         calls = self._counted_hermite(monkeypatch)
         counts = []
-        for L, lam in zip(offsets, lam1):
+        for L in offsets:
             calls.clear()
-            closedform.second_dirichlet_halfspace_gauss(float(L), lam)
+            closedform.second_dirichlet_halfspace_gauss(float(L))
             counts.append(len(calls))
         assert max(counts) <= 8
         assert np.mean(counts) <= 4.25
         assert all(n <= 4 for L, n in zip(offsets, counts) if L < 4.2)
 
-    def test_table_matches_scan_path(self, monkeypatch):
-        # within 5e-13 (nu_1) and 5e-12 (nu_2) of the scan path's roots,
-        # whose Brent tolerance is 1e-12; measured 2.5e-13 and 2.1e-12
-        scans = []
-        scan = numerics.scan_sign_change
-        monkeypatch.setattr(numerics, "scan_sign_change",
-                            lambda *a: scans.append(a) or scan(*a))
+    def test_table_matches_scan_path(self):
+        # within 5e-13 (nu_1) and 5e-12 (nu_2) of the reference scan's
+        # roots, whose Brent tolerance is 1e-12; measured 2.5e-13 and 1.8e-12
         worst1 = worst2 = 0.0
         for L in np.linspace(0.0, 5.0, 2001)[:-1]:
             L = float(L)
-            nu1 = _degree_root_by_scan(L, *_first_root_bounds(L))
-            nu2 = _degree_root_by_scan(L, *_second_root_bounds(L, nu1))
+            nu1, nu2 = _degree_roots_by_scan(L)
             worst1 = max(worst1, abs(
                 closedform._chebyshev(closedform._NU1_CHEB, L) - nu1))
             worst2 = max(worst2, abs(
                 closedform._chebyshev(closedform._NU2_CHEB, L) - nu2))
-            scans.clear()
-            closedform.dirichlet_halfspace_gauss(L)
-            assert not scans, f"nu_1 fell back to the scan at L={L!r}"
         assert worst1 <= 5e-13
         assert worst2 <= 5e-12
 
+    def test_sign_bracket_sweep(self):
+        # both tables' sign brackets hold at 10,000 offsets across [0, 5),
+        # the ends included, and the roots keep at least 2 apart in nu
+        rng = np.random.default_rng(29)
+        offsets = np.concatenate([
+            np.linspace(0.0, 5.0, 8001)[:-1], rng.uniform(0.0, 5.0, 1996),
+            [5e-324, 1e-12, 1e-10, math.nextafter(5.0, 0.0)]])
+        for L in offsets.tolist():
+            lam1 = closedform.dirichlet_halfspace_gauss(L)
+            lam2 = closedform.second_dirichlet_halfspace_gauss(L)
+            assert lam2 - lam1 >= 4.0 - 1e-9, L
+
     @pytest.mark.parametrize("L", [0.0, 1e-10, 0.7, 2.0, 3.45, 4.9, 4.99])
-    def test_spoiled_table_falls_back_to_scan(self, monkeypatch, L):
-        # a table 1e-9 off has no sign change within delta of its value: the
-        # scan runs, and gives the scan path's value bit for bit
-        nu1 = _degree_root_by_scan(L, *_first_root_bounds(L))
-        nu2 = _degree_root_by_scan(L, *_second_root_bounds(L, nu1))
+    def test_spoiled_table_raises(self, monkeypatch, L):
+        # a table 1e-9 off has no sign change within delta of its value:
+        # both roots, and a solve through the first, raise naming L
         for name in ("_NU1_CHEB", "_NU2_CHEB"):
             coeffs = getattr(closedform, name)
             monkeypatch.setattr(closedform, name,
                                 (coeffs[0] + 1e-9,) + coeffs[1:])
-        scans = []
-        scan = numerics.scan_sign_change
-        monkeypatch.setattr(numerics, "scan_sign_change",
-                            lambda *a: scans.append(a) or scan(*a))
-        lam1 = closedform.dirichlet_halfspace_gauss(L)
-        lam2 = closedform.second_dirichlet_halfspace_gauss(L, lam1)
-        assert len(scans) == 2
-        assert (lam1, lam2) == (2.0 * nu1, 2.0 * nu2)
+        named = rf"at L={re.escape(repr(L))}:"
+        with pytest.raises(NumericalError, match=named):
+            closedform.dirichlet_halfspace_gauss(L)
+        with pytest.raises(NumericalError, match=named):
+            closedform.second_dirichlet_halfspace_gauss(L)
+        cfg = measures.PairConfig(MeasureSpec.gaussian(1), L, 1.0)
+        with pytest.raises(NumericalError, match=named):
+            closedform.solve(cfg)
 
 
-def _first_root_bounds(L):
-    """The scan interval of nu_1: the Airy bound (at least 1) to the box
-    bound (dirichlet_halfspace_gauss)."""
-    return (max(1.0, closedform._airy_degree_bound(L, closedform.AIRY_A1)),
-            0.5 * (L * L + 2.0 * L + PI2))
-
-
-def _second_root_bounds(L, nu1):
-    """The scan interval of nu_2 (second_dirichlet_halfspace_gauss)."""
-    return (max(nu1 + 1.0,
-                closedform._airy_degree_bound(L, closedform.AIRY_A2)),
-            0.5 * ((L + 1.0) ** 2 - 1.0 + 4.0 * PI2))
-
-
-def _degree_root_by_scan(L, lo, hi):
-    """The scan path: the first sign change of nu -> H_nu(L) on [lo, hi] in
-    steps of at most 0.5, refined by Brent to 1e-12."""
+def _degree_roots_by_scan(L):
+    """Reference nu_1(L), nu_2(L): the first sign changes of nu -> H_nu(L)
+    in steps of at most 0.5 from max(1, (L^2 - 1)/2) (the potential bound,
+    nu_1(0) = 1 and nu_1 increasing) and from nu_1 + 1 (the roots lie at
+    least 2 apart) up to the box bounds on (L, L+1), refined by Brent to
+    1e-12."""
     f = lambda nu: specfun.hermite_value(nu, L)  # noqa: E731
-    br = numerics.scan_sign_change(f, lo, hi, math.ceil(2.0 * (hi - lo)))
-    return numerics.find_root(f, br, tol=1e-12)
+
+    def root(lo, hi):
+        br = scan_sign_change(f, lo, hi, math.ceil(2.0 * (hi - lo)))
+        return numerics.find_root(f, br, tol=1e-12)
+
+    nu1 = root(max(1.0, 0.5 * (L * L - 1.0)), 0.5 * (L * L + 2.0 * L + PI2))
+    return nu1, root(nu1 + 1.0, 0.5 * ((L + 1.0) ** 2 - 1.0 + 4.0 * PI2))
 
 
 def _dirichlet_by_fine_scan(L):
     """Reference: 0.05-step scan of nu -> H_nu(L) from 1, then Brent."""
-    from twistspec.numerics import find_root, scan_sign_change
     f = lambda nu: specfun.hermite_value(nu, L)  # noqa: E731
-    return 2.0 * find_root(f, scan_sign_change(f, 1.0, 40.0, 780), tol=1e-12)
+    return 2.0 * numerics.find_root(f, scan_sign_change(f, 1.0, 40.0, 780),
+                                    tol=1e-12)
 
 
 def _gauss_mean_by_quadrature(nu, a):
@@ -505,6 +470,26 @@ class TestTwistedPairPower:
         b = closedform.twisted_pair_power(measures.PairConfig(m, 2.0, 1.6))
         assert a.eigenvalue / b.eigenvalue == pytest.approx(4.0, rel=1e-9)
 
+    def test_homogeneity_across_scales(self):
+        # lambda(c, c (1 + r)) = lambda(1, 1 + r) / c^2 down to radii 1e-8:
+        # the symmetric branch compares radii relatively, so a pair 5e-4
+        # apart at radius 1e-6 is asymmetric.  r = 1e-9 is left out: it
+        # sits on the threshold, where rounding of c (1 + r) picks the
+        # branch at every scale
+        ratios = [0.0] + [10.0 ** e for e in range(-14, 0) if e != -9]
+        scales = [10.0 ** e for e in range(-8, 5)]
+        worst = 0.0
+        for n, k in ((3, 0.0), (3, 2.0), (5, 3.0)):
+            m = MeasureSpec.power(n, k)
+            for r in ratios:
+                ref = closedform.solve(
+                    measures.PairConfig(m, 1.0, 1.0 + r)).eigenvalue
+                for c in scales:
+                    lam = closedform.solve(
+                        measures.PairConfig(m, c, c * (1.0 + r))).eigenvalue
+                    worst = max(worst, abs(c * c * lam / ref - 1.0))
+        assert worst <= 1e-12
+
     def test_asymmetric_against_oracle(self):
         m = MeasureSpec.power(2, 1.0)
         cfg = measures.config_from_split(m, 1.0, 0.6)
@@ -612,7 +597,6 @@ def _progressive_scan_lambda(cfg):
     """Reference: the smallest determinant root on the whole Dirichlet
     bracket by 32-, 192- and 1024-step scans, then Brent (the pair solver's
     root search before the interlacing bracket)."""
-    from twistspec.numerics import find_root, scan_sign_change
     fam = (closedform._GAUSS if cfg.measure.is_gaussian
            else closedform._power_family(cfg.measure))
     L, R = cfg.left_param, cfg.right_param
@@ -627,7 +611,7 @@ def _progressive_scan_lambda(cfg):
     for steps in (32, 192, 1024):
         br = scan_sign_change(D, lo + eps, hi, steps)
         if br is not None:
-            return fam.lam(find_root(D, br, tol=1e-13))
+            return fam.lam(numerics.find_root(D, br, tol=1e-13))
     raise AssertionError(f"no determinant root for {cfg}")
 
 
@@ -837,7 +821,7 @@ class TestSecularPairSolve:
         # Hermite jet, for the first and the second degree root
         for a in np.linspace(0.0, 4.99, 200).tolist():
             lam1 = closedform.dirichlet_halfspace_gauss(a)
-            lam2 = closedform.second_dirichlet_halfspace_gauss(a, lam1)
+            lam2 = closedform.second_dirichlet_halfspace_gauss(a)
             for k, nu in ((1, 0.5 * lam1), (2, 0.5 * lam2)):
                 _, hp, dh, _ = specfun._hermite_jet(nu, a)
                 mean = closedform._gauss_mean(nu, a, 0.0, hp / (2.0 * nu))

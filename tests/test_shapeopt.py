@@ -100,6 +100,15 @@ class TestCertify:
         rep = shapeopt.certify_minimum(curve)
         assert rep.passed, [c.detail for c in rep.failures()]
 
+    def test_tiny_power_mass_certifies_the_center(self):
+        # radii near 6e-10: the symmetric branch compares them relatively,
+        # so only the center takes it and the curve is symmetric about 1/2
+        rep = shapeopt.certify_minimum(shapeopt.scan(M30, 1e-27))
+        passed = {c.name: c.passed for c in rep.checks}
+        assert passed["grid_minimum_at_half"]
+        assert passed["curve_symmetry"]
+        assert passed["interpolant_minimum_at_half"]
+
     def test_detects_injected_minimum_shift(self):
         curve = shapeopt.scan(G1, 0.5, points=11)
         curve.lambdas[0] = curve.lambdas.min() - 1.0
