@@ -1,9 +1,10 @@
 """Shared 1D numerical kernels.
 
-Bracketed root finding (scipy's Brent behind a bracket-validating wrapper,
-or, on a bracket between two known poles, the two-pole secular step that
-the closed form and the oracle share), a vectorized sign-change scan
-refined to roots, and the truncation point of Gaussian tail integrals.
+Bracketed root finding (Brent's method, ported from scipy's brentq so that
+it returns the same float, or, on a bracket between two known poles, the
+two-pole secular step that the closed form and the oracle share), a
+vectorized sign-change scan refined to roots, and the truncation point of
+Gaussian tail integrals.
 """
 
 from __future__ import annotations
@@ -13,14 +14,16 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DomainError, NumericalError
 
 DEFAULT_ROOT_TOL = 1e-10
-# Brent's relative tolerance, at the floor scipy's brentq accepts (4 eps):
-# a root x is final to tol + BRENT_RTOL |x|.
+# Brent's relative tolerance, 4 eps rounded up, the floor of scipy's brentq
+# that _brent reproduces: a root x is final to tol + BRENT_RTOL |x|, and each
+# step, at least half of that, moves x.
 BRENT_RTOL = 8.9e-16
+# Iterations, each one call of f, before Brent gives up (scipy's default).
+BRENT_MAX_ITER = 100
 
 # Evaluations before the secular step of find_root gives up: bisection
 # alone narrows the widest bracket in use to its stopping step in about 50
@@ -38,6 +41,10 @@ class Bracket:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise DomainError(f"Bracket: need lo < hi, got [{self.lo}, {self.hi}]")
+        if math.isnan(self.f_lo) or math.isnan(self.f_hi):
+            raise NumericalError(
+                f"Bracket: f is nan at an end of [{self.lo!r}, {self.hi!r}]: "
+                f"f(lo)={self.f_lo!r}, f(hi)={self.f_hi!r}")
         if self.f_lo * self.f_hi > 0.0:
             raise DomainError(
                 f"Bracket: no sign change, f(lo)={self.f_lo:g}, f(hi)={self.f_hi:g}"
@@ -77,10 +84,14 @@ def find_root(f: Callable, bracket: Bracket,
               tol: float = DEFAULT_ROOT_TOL) -> float:
     """Root of f inside a validated sign-change bracket; the end values come
     from the bracket, so f runs only at interior points.  On a Bracket this
-    is Brent, or, where the bracket is no wider than
+    is Brent (`_brent`), or, where the bracket is no wider than
     2 (tol + BRENT_RTOL |x|), its regula-falsi point without a call of f; on
     a PoleBracket it is the two-pole secular step (`_secular_root`), and f
-    returns (f, f') or, where the slope is not known, (f, None)."""
+    returns (f, f') or, where the slope is not known, (f, None).  A tol that
+    is not > 0 raises DomainError; a NaN from f, and a Brent run without
+    convergence, raise NumericalError."""
+    if not tol > 0.0:
+        raise DomainError(f"find_root: need tol > 0, got {tol!r}")
     if bracket.f_lo == 0.0:
         return bracket.lo
     if bracket.f_hi == 0.0:
@@ -93,14 +104,85 @@ def find_root(f: Callable, bracket: Bracket,
         # with f_lo / (f_lo - f_hi) in (0, 1)
         return min(max(lo + (hi - lo) * bracket.f_lo
                        / (bracket.f_lo - bracket.f_hi), lo), hi)
+    return _brent(f, lo, hi, bracket.f_lo, bracket.f_hi, tol, BRENT_RTOL)
 
-    def g(x: float) -> float:
-        if x == lo:
-            return bracket.f_lo
-        if x == hi:
-            return bracket.f_hi
-        return f(x)
-    return float(optimize.brentq(g, lo, hi, xtol=tol, rtol=BRENT_RTOL))
+
+def _brent(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
+           f_hi: float, xtol: float, rtol: float) -> float:
+    """Root of f on [lo, hi], where f(lo) = f_lo and f(hi) = f_hi are not
+    NaN and do not share a sign, by Brent's method (Brent 1973, Algorithms
+    for Minimization without Derivatives, ch. 4).
+
+    A line-for-line port of the C loop of scipy's brentq, so it returns the
+    same float: xcur is the best iterate, xblk the other end of the sign
+    bracket and xpre the iterate before xcur.  Each step interpolates
+    (secant, where xpre is xblk) or extrapolates (inverse quadratic) where
+    the last step was longer than delta and reduced |f|, and keeps that
+    step only if it is shorter than half the step before last and than
+    about 3/4 of the bracket; otherwise it bisects.  A step is at least
+    delta, and the root is xcur once the bracket is narrower than
+    2 delta = xtol + rtol |xcur|.  Infinite values of f pass through the
+    loop as they do in C (an inf/inf step is NaN, which bisects); a NaN
+    from f, and BRENT_MAX_ITER calls of f without convergence, raise
+    NumericalError naming x and the last bracket.  Needs xtol > 0 and
+    rtol >= 4 eps, so that every step moves x.
+    """
+    def failure(what: str, ends: tuple[float, float]) -> NumericalError:
+        a, b = sorted(ends)
+        return NumericalError(
+            f"find_root: {what}; last bracket [{a!r}, {b!r}]")
+
+    # floats, as the doubles of the C loop
+    xpre, xcur, fpre, fcur = float(lo), float(hi), float(f_lo), float(f_hi)
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    for _ in range(BRENT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate; a denominator that underflows to 0 makes the
+                # C step inf or NaN, which bisects
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / den
+                        if den != 0.0 else math.inf)
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise failure(f"f is nan at x = {xcur!r}", (xpre, xblk))
+    raise failure(f"no Brent root after {BRENT_MAX_ITER} iterations, at "
+                  f"x = {xcur!r}", (xpre, xblk))
 
 
 def grid_roots(f: Callable, xs: np.ndarray, count: int,

@@ -1,10 +1,13 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 
 import pytest
 
+import twistspec
 from twistspec import cli, specfun
 
 
@@ -334,3 +337,19 @@ class TestConfigFile:
         assert out == ""
         rec = json.loads((tmp_path / "-dash.json").read_text())
         assert rec["mass_left"] == pytest.approx(0.2)
+
+
+class TestImportGraph:
+    def test_cli_imports_no_scipy_optimize(self):
+        # a fresh process: scipy.optimize, and scipy.sparse and
+        # scipy.spatial that it pulls in, cost start-up time and memory
+        src = os.path.dirname(os.path.dirname(twistspec.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys, twistspec, twistspec.cli; "
+                "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse', "
+                "'scipy.spatial') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

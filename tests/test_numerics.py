@@ -78,6 +78,144 @@ class TestBracketAndRoots:
         assert roots == pytest.approx([0.0, 2.5], abs=1e-9)
 
 
+def _scipy_brent(f, lo, hi, f_lo, f_hi, xtol, rtol):
+    """numerics._brent's reference: scipy's brentq on f, with the end values
+    given, as find_root called it before it had its own port."""
+    from scipy.optimize import brentq
+
+    def g(x):
+        if x == lo:
+            return f_lo
+        if x == hi:
+            return f_hi
+        return f(x)
+    return brentq(g, lo, hi, xtol=xtol, rtol=rtol)
+
+
+def _flat(x):
+    return (x - 1.3) ** 5
+
+
+# f, and the interval its random brackets take their ends from
+_BRENT_CASES = {
+    "cubic": (lambda x: x ** 3 - 2.0 * x - 5.0, (0.0, 4.0)),
+    "cos_minus_x": (lambda x: math.cos(x) - x, (-1.0, 3.0)),
+    "sin30": (lambda x: math.sin(30.0 * x) + 0.3, (0.0, 2.0)),
+    "flat": (_flat, (0.0, 3.0)),
+    # 0 at the ends 0.5 and 2 of brackets drawn on a grid of 1/8
+    "zero_at_end": (lambda x: (x - 0.5) * (x - 2.0) * (x + 3.0), (-1.0, 3.0)),
+}
+
+
+def _outcome(solve, *args):
+    """solve's float, or the failure that both Brents report without a root
+    (scipy: RuntimeError; numerics: NumericalError, a RuntimeError)."""
+    try:
+        return solve(*args)
+    except RuntimeError:
+        return "no convergence"
+
+
+class TestBrent:
+    """numerics._brent returns scipy's brentq float, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_BRENT_CASES))
+    def test_matches_scipy_on_random_brackets(self, name):
+        f, (a, b) = _BRENT_CASES[name]
+        rng = np.random.default_rng(sorted(_BRENT_CASES).index(name))
+        tols = [10.0 ** -e for e in range(10, 17)]
+        found = 0
+        while found < 420:
+            lo, hi = np.sort(rng.uniform(a, b, 2)).tolist()
+            if name == "zero_at_end":
+                lo, hi = math.floor(8 * lo) / 8, math.ceil(8 * hi) / 8
+            f_lo, f_hi = f(lo), f(hi)
+            if not (lo < hi and f_lo * f_hi <= 0.0):
+                continue
+            tol = tols[found % len(tols)]
+            found += 1
+            args = (f, lo, hi, f_lo, f_hi, tol, numerics.BRENT_RTOL)
+            assert (_outcome(numerics._brent, *args)
+                    == _outcome(_scipy_brent, *args)), (lo, hi, tol)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_matches_scipy_at_extreme_scales(self, scale):
+        # products of f values under- and overflow here
+        f = lambda x: scale * (x - 0.3) ** 3  # noqa: E731
+        for lo, hi in [(0.0, 1.0), (-2.0, 0.31), (0.29999, 5.0)]:
+            args = (f, lo, hi, f(lo), f(hi), 1e-15, numerics.BRENT_RTOL)
+            assert numerics._brent(*args) == _scipy_brent(*args)
+
+    def test_infinite_values_as_scipy_handles_them(self):
+        # -inf below 0.1, +inf above 0.95: interpolation through inf is
+        # NaN or 0 and must bisect or step as scipy's loop does
+        def f(x):
+            if x < 0.1:
+                return -math.inf
+            if x > 0.95:
+                return math.inf
+            return math.sinh(40.0 * (x - 0.6))
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            lo, hi = rng.uniform(-1.0, 0.55), rng.uniform(0.65, 2.0)
+            args = (f, lo, hi, f(lo), f(hi), 1e-14, numerics.BRENT_RTOL)
+            assert numerics._brent(*args) == _scipy_brent(*args)
+
+    def test_no_convergence_raises(self):
+        # the flat quintic creeps: scipy's brentq also stops after 100
+        br = numerics.Bracket(1.0, 2.0, _flat(1.0), _flat(2.0))
+        with pytest.raises(NumericalError, match=r"no Brent root after 100 "
+                           r"iterations, at x = .*; last bracket \[1\.2"):
+            numerics.find_root(_flat, br, tol=1e-13)
+
+    def test_nan_raises(self):
+        f = lambda x: math.nan if x > 1.2 else x - 1.5  # noqa: E731
+        br = numerics.Bracket(1.0, 2.0, -0.5, 0.5)
+        with pytest.raises(NumericalError, match=r"f is nan at x = 1\.5; "
+                           r"last bracket \[1\.0, 2\.0\]"):
+            numerics.find_root(f, br)
+
+    def test_nan_at_an_end_raises(self):
+        with pytest.raises(NumericalError, match=r"f is nan at an end of "
+                           r"\[1\.0, 2\.0\]: f\(lo\)=nan"):
+            numerics.Bracket(1.0, 2.0, math.nan, 1.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    def test_tol_not_positive_raises(self, tol):
+        br = numerics.Bracket(1.0, 2.0, -1.0, 1.0)
+        with pytest.raises(DomainError, match="need tol > 0"):
+            numerics.find_root(lambda x: x - 1.5, br, tol=tol)
+
+    def _same_with_scipy(self, monkeypatch, compute, args_list):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _scipy_brent(*args)
+        ours = [compute(*args) for args in args_list]
+        monkeypatch.setattr(numerics, "_brent", counted)
+        theirs = [compute(*args) for args in args_list]
+        assert calls, "no Brent call to compare"
+        for args, a, b in zip(args_list, ours, theirs):
+            assert np.array_equal(a, b), args
+
+    def test_second_gauss_degree_root_matches_scipy(self, monkeypatch):
+        from twistspec import closedform
+        self._same_with_scipy(
+            monkeypatch, closedform.second_dirichlet_halfspace_gauss,
+            [(L,) for L in np.arange(200) * 0.025])
+
+    def test_bessel_zeros_match_scipy(self, monkeypatch):
+        # every zero below the series ceiling 16, so each one is Brent's
+        self._same_with_scipy(monkeypatch, specfun.bessel_zeros,
+                              [(0.5, 5), (1.5, 4), (3.0, 3), (11.0, 1)])
+
+    def test_largest_hermite_zero_matches_scipy(self, monkeypatch):
+        self._same_with_scipy(monkeypatch,
+                              specfun.hermite_largest_zero.__wrapped__,
+                              [(nu,) for nu in (1.5, 2.0, 3.7, 10.25, 30.0)])
+
+
 def _secular(x):
     """A secular function with poles at 1 and 2 and a curved remainder."""
     return 0.3 / (1.0 - x) + 0.2 / (2.0 - x) + 0.1 + 0.05 * math.sin(3.0 * x)
