@@ -6,8 +6,9 @@ Hermite function vanishes at L; the Dirichlet eigenvalue of a weighted
 half-ball of radius R is (j_{b,1}/R)^2 with b = (n+k)/2 - 1.  The first two
 Gaussian degree roots come from stored Chebyshev tables of nu_1(L) and
 nu_2(L) on [0, 5], and two Hermite calls a small delta either side of the
-table value certify each by a sign change; signs that agree mean the table
-and the Hermite kernel disagree, and raise NumericalError.
+table value give a sign change whose regula-falsi point is the root; signs
+that agree mean the table and the Hermite kernel disagree, and raise
+NumericalError.
 
 For a two-component configuration the first zero-weighted-mean eigenvalue is
 pinned by a 2x2 homogeneous system in the component amplitudes (A, B): the
@@ -19,12 +20,13 @@ component, second Dirichlet value of the larger one); the determinant
 D = M_L p_R + M_R p_L (M the mean integral, p the boundary profile value)
 changes sign there once.  Divided by p_L p_R it is the secular function
 f = M_L/p_L + M_R/p_R, whose poles are the bracket ends, and the two-pole
-secular step that the oracle also uses (numerics.find_root on a
-PoleBracket) finds its root: near a pole x*, f runs like w/(x* - x) with
-the residue w = -M(x*) / (dp/dx)(x*), which is a^{2b}/f* for power (J_b' =
--J_{b+1} at a zero) and e^{-a^2} nu_k'(a) / (2 sqrt(pi) nu_k) for gaussian,
-nu_k' the L-derivative of the degree table of the pole's root (derivation
-beside _NU1_CHEB); neither calls a special function.  Where the power
+secular step that the oracle also uses, numerics.find_root, the only root
+finder of this module, finds its root: near a pole x*, f runs like
+w/(x* - x) with the residue w = -M(x*) / (dp/dx)(x*), which is a^{2b}/f*
+for power (J_b' = -J_{b+1} at a zero) and e^{-a^2} nu_k'(a) /
+(2 sqrt(pi) nu_k) for gaussian, nu_k' the L-derivative of the degree table
+of the pole's root (derivation beside _NU1_CHEB); neither calls a special
+function.  Where the power
 bracket ends at the Bessel series ceiling instead of a pole, f is
 evaluated there and the model keeps one pole.
 
@@ -79,7 +81,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import measures, numerics, specfun
-from .errors import AccuracyError, DomainError, NumericalError
+from .errors import AccuracyError, DomainError, NumericalError, ResourceError
 from .measures import MeasureSpec, PairConfig
 
 
@@ -154,13 +156,11 @@ _NU2_CHEB = (
     3.252081184918838e-16)
 
 # Half-widths delta of the sign bracket [g - delta, g + delta] around the
-# table value g.  delta_1 is the root tolerance, so find_root returns the
-# bracket's regula-falsi point without a further Hermite call; the float
-# kernel's sign changes of nu_1 lie within 5e-13 of g.  Those of nu_2 lie up
-# to 4e-12 off g on L in [4, 5) (rounding in the Kummer combination), so
-# delta_2 is wider and Brent refines inside the bracket.
-_DEGREE_ROOT_TOL = 1e-12
-_NU1_DELTA = _DEGREE_ROOT_TOL
+# table value g, whose regula-falsi point is the root.  The float kernel's
+# sign changes of nu_1 lie within 5e-13 of g; those of nu_2 lie up to 4e-12
+# off g on L in [4, 5) (rounding in the Kummer combination), so delta_2 is
+# wider.
+_NU1_DELTA = 1e-12
 _NU2_DELTA = 1e-11
 
 
@@ -188,11 +188,11 @@ def _degree_root(what: str, L: float, coeffs: tuple[float, ...],
     """2 nu for a root of nu -> H_nu(L), L in [0, specfun.HERMITE_SWITCH_T),
     from the Chebyshev table `coeffs`, certified by a sign bracket.
 
-    Two Hermite calls at g -/+ delta around the table value g give the
-    bracket that goes to find_root.  Consecutive roots lie at least 2 apart
-    and the table is good to rounding, so the sign change is the root the
-    table stands for.  Offsets outside [0, HERMITE_SWITCH_T) raise
-    DomainError: beyond the switch point H_nu comes from the large-t
+    Two Hermite calls at g -/+ delta around the table value g give a sign
+    bracket whose regula-falsi point is the root.  Consecutive roots lie at
+    least 2 apart and the table is good to rounding, so the sign change is
+    the root the table stands for.  Offsets outside [0, HERMITE_SWITCH_T)
+    raise DomainError: beyond the switch point H_nu comes from the large-t
     expansion, which is not valid near its zeros.  Signs that agree raise
     NumericalError: the table and the Hermite kernel disagree.
     """
@@ -204,17 +204,17 @@ def _degree_root(what: str, L: float, coeffs: tuple[float, ...],
             f"{what}: offset L={L:g} is at or beyond the Hermite switch point "
             f"t={t_switch:g} (component mass {measures.k_gauss(t_switch):.2g}); "
             f"the large-t expansion of H_nu is not valid at its zeros")
-    f = lambda nu: specfun.hermite_value(nu, L)  # noqa: E731
     g = _chebyshev(coeffs, L)
     a, b = g - delta, g + delta
-    f_a, f_b = f(a), f(b)
-    if f_a * f_b > 0.0:
+    f_a, f_b = specfun.hermite_value(a, L), specfun.hermite_value(b, L)
+    if not f_a * f_b <= 0.0:
         raise NumericalError(
             f"{what}: no sign change of H_nu(L) across the degree table value "
             f"at L={L!r}: H_nu = {f_a!r} at nu = {a!r} and {f_b!r} at "
             f"nu = {b!r} (table value {g!r}, delta {delta:g})")
-    return 2.0 * numerics.find_root(f, numerics.Bracket(a, b, f_a, f_b),
-                                    tol=_DEGREE_ROOT_TOL)
+    # the regula-falsi point, with f_a / (f_a - f_b) in [0, 1]
+    x = a + (b - a) * f_a / (f_a - f_b) if f_a else a
+    return 2.0 * min(max(x, a), b)
 
 
 def dirichlet_halfspace_gauss(L: float) -> float:
@@ -223,10 +223,9 @@ def dirichlet_halfspace_gauss(L: float) -> float:
     2 nu* with nu* the smallest positive root of nu -> H_nu(L), for L in
     [0, specfun.HERMITE_SWITCH_T) = [0, 5); other offsets raise DomainError.
     The start is the Chebyshev table _NU1_CHEB, good to 4e-15 against
-    mpmath; two Hermite calls at its value g -/+ delta_1 (delta_1 = 1e-12,
-    the root tolerance) give a sign bracket that certifies the root, and
-    find_root returns its regula-falsi point with no further call.  A
-    bracket without a sign change raises NumericalError naming L.
+    mpmath; two Hermite calls at its value g -/+ delta_1 (delta_1 = 1e-12)
+    give a sign bracket that certifies the root, and its regula-falsi point
+    is the root.  A bracket without a sign change raises NumericalError.
 
     The same table's L-derivative nu_1'(L) gives the pair solver the
     residue of its secular function at this pole (_gauss_residue), so the
@@ -238,10 +237,9 @@ def dirichlet_halfspace_gauss(L: float) -> float:
 def second_dirichlet_halfspace_gauss(L: float) -> float:
     """Second Dirichlet eigenvalue of the Gaussian half-space at offset L.
 
-    As dirichlet_halfspace_gauss, on the same domain [0, 5) and with the
-    same errors, from the table _NU2_CHEB with the wider delta_2 = 1e-11:
-    on L in [4, 5) the kernel's sign changes lie up to 4e-12 off the table
-    value, and Brent refines inside the bracket to 1e-12.
+    As dirichlet_halfspace_gauss, with its two Hermite calls, domain [0, 5)
+    and errors, from the table _NU2_CHEB with the wider delta_2 = 1e-11: on
+    L in [4, 5) the kernel's sign changes lie up to 4e-12 off the table.
     """
     return _degree_root("second_dirichlet_halfspace_gauss", L, _NU2_CHEB,
                         _NU2_DELTA)
@@ -555,11 +553,29 @@ def twisted_pair_gauss(config: PairConfig) -> TwistedSolution:
     return _solve_pair(config, _GAUSS)
 
 
+# Component masses at which every power pair solves.  A radius runs like
+# m^{1/(n+k)}, the secular function like m and its slope like
+# m^{1 + 1/(n+k)}, inside [1e-300, 1e300] here for n + k > 2; beyond, that
+# slope underflows and the secular step stalls, or the integrals overflow.
+POWER_MASS_RANGE = (1e-200, 1e200)
+
+
 def twisted_pair_power(config: PairConfig) -> TwistedSolution:
-    """First twisted eigenvalue of a weighted half-ball pair."""
-    if config.measure.is_gaussian:
+    """First twisted eigenvalue of a weighted half-ball pair.  A component
+    mass outside POWER_MASS_RANGE raises ResourceError."""
+    m, L, R = config.measure, config.left_param, config.right_param
+    if m.is_gaussian:
         raise DomainError("twisted_pair_power needs a power PairConfig")
-    return _solve_pair(config, _power_family(config.measure))
+    fam = _power_family(m)
+    # the range's radii: a mass beyond it may not be a float
+    r_lo, r_hi = (measures.radius_from_mass(m, x) for x in POWER_MASS_RANGE)
+    if not (r_lo <= min(L, R) and max(L, R) <= r_hi):
+        raise ResourceError(
+            f"twisted_pair_power: power({m.n}, {m.k:g}) pairs solve for "
+            f"component masses in [{POWER_MASS_RANGE[0]:g}, "
+            f"{POWER_MASS_RANGE[1]:g}], radii [{r_lo:.6g}, {r_hi:.6g}]; got "
+            f"L={L:g}, R={R:g}, beyond which the solve leaves the floats")
+    return _solve_pair(config, fam)
 
 
 def solve(config: PairConfig) -> TwistedSolution:

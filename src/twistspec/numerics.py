@@ -1,10 +1,10 @@
 """Shared 1D numerical kernels.
 
-Bracketed root finding (Brent's method, ported from scipy's brentq so that
-it returns the same float, or, on a bracket between two known poles, the
-two-pole secular step that the closed form and the oracle share), a
-vectorized sign-change scan refined to roots, and the truncation point of
-Gaussian tail integrals.
+One root finder per bracket kind: `find_root` is the two-pole secular step
+on a bracket between two known poles, which the closed form and the oracle
+share, and `grid_roots` refines the sign changes of a vectorized scan with
+Brent's method (`_brent`, ported from scipy's brentq so that it returns the
+same float).  Also the truncation point of Gaussian tail integrals.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 
-DEFAULT_ROOT_TOL = 1e-10
 # Brent's relative tolerance, 4 eps rounded up, the floor of scipy's brentq
 # that _brent reproduces: a root x is final to tol + BRENT_RTOL |x|, and each
 # step, at least half of that, moves x.
@@ -80,33 +79,6 @@ def gauss_tail_cut(boundary: float) -> float:
     return max(8.0, boundary + 6.0)
 
 
-def find_root(f: Callable, bracket: Bracket,
-              tol: float = DEFAULT_ROOT_TOL) -> float:
-    """Root of f inside a validated sign-change bracket; the end values come
-    from the bracket, so f runs only at interior points.  On a Bracket this
-    is Brent (`_brent`), or, where the bracket is no wider than
-    2 (tol + BRENT_RTOL |x|), its regula-falsi point without a call of f; on
-    a PoleBracket it is the two-pole secular step (`_secular_root`), and f
-    returns (f, f') or, where the slope is not known, (f, None).  A tol that
-    is not > 0 raises DomainError; a NaN from f, and a Brent run without
-    convergence, raise NumericalError."""
-    if not tol > 0.0:
-        raise DomainError(f"find_root: need tol > 0, got {tol!r}")
-    if bracket.f_lo == 0.0:
-        return bracket.lo
-    if bracket.f_hi == 0.0:
-        return bracket.hi
-    if isinstance(bracket, PoleBracket):
-        return _secular_root(f, bracket, tol)
-    lo, hi = bracket.lo, bracket.hi
-    if hi - lo <= 2.0 * (tol + BRENT_RTOL * max(abs(lo), abs(hi))):
-        # no wider than twice Brent's tolerance: the regula-falsi point,
-        # with f_lo / (f_lo - f_hi) in (0, 1)
-        return min(max(lo + (hi - lo) * bracket.f_lo
-                       / (bracket.f_lo - bracket.f_hi), lo), hi)
-    return _brent(f, lo, hi, bracket.f_lo, bracket.f_hi, tol, BRENT_RTOL)
-
-
 def _brent(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
            f_hi: float, xtol: float, rtol: float) -> float:
     """Root of f on [lo, hi], where f(lo) = f_lo and f(hi) = f_hi are not
@@ -130,7 +102,7 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
     def failure(what: str, ends: tuple[float, float]) -> NumericalError:
         a, b = sorted(ends)
         return NumericalError(
-            f"find_root: {what}; last bracket [{a!r}, {b!r}]")
+            f"grid_roots: {what}; last bracket [{a!r}, {b!r}]")
 
     # floats, as the doubles of the C loop
     xpre, xcur, fpre, fcur = float(lo), float(hi), float(f_lo), float(f_hi)
@@ -186,17 +158,20 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
 
 
 def grid_roots(f: Callable, xs: np.ndarray, count: int,
-               tol: float = DEFAULT_ROOT_TOL) -> list[float]:
+               tol: float) -> list[float]:
     """Roots at the first `count` sign changes of an f that takes an array,
     along the monotone grid xs (either direction), in grid order: f runs
-    once on xs, then on floats inside the brackets.  A grid value 0 ends one
-    change."""
+    once on xs, then, by Brent (`_brent`) to tol + BRENT_RTOL |x|, on floats
+    inside the brackets.  A grid value 0 ends one change.  A tol that is
+    not > 0 raises DomainError."""
+    if not tol > 0.0:
+        raise DomainError(f"grid_roots: need tol > 0, got {tol!r}")
     v = f(xs)
     change = v[:-1] * v[1:] <= 0.0
     change[1:] &= v[1:-1] != 0.0
     ends = (sorted(zip(xs[i:i + 2].tolist(), v[i:i + 2].tolist()))
             for i in np.flatnonzero(change)[:count])
-    return [find_root(f, Bracket(lo, hi, f_lo, f_hi), tol)
+    return [_brent(f, lo, hi, f_lo, f_hi, tol, BRENT_RTOL)
             for (lo, f_lo), (hi, f_hi) in ends]
 
 
@@ -267,10 +242,12 @@ def _model_root(x: float, g: float, dg: float, lo: float, hi: float,
     return root if root == x or lo < root < hi else None
 
 
-def _secular_root(f: Callable[[float], tuple[float, Optional[float]]],
-                  bracket: PoleBracket, tol: float) -> float:
+def find_root(f: Callable[[float], tuple[float, Optional[float]]],
+              bracket: PoleBracket, tol: float) -> float:
     """Root of a secular function on a PoleBracket, as secular solvers find
-    it (Bunch, Nielsen & Sorensen 1978; Li 1994, LAPACK dlaed4).
+    it (Bunch, Nielsen & Sorensen 1978; Li 1994, LAPACK dlaed4); f returns
+    (f, f') or, where the slope is not known, (f, None).  The end values
+    come from the bracket, so f runs only at interior points.
 
     Each iterate x sets the sign bracket and builds the two-pole model of f
     there (`_model_root`): the remainder g = f - w1/(p1 - x) - w2/(p2 - x),
@@ -288,10 +265,16 @@ def _secular_root(f: Callable[[float], tuple[float, Optional[float]]],
     root beyond the bracket after such a step is the same event; a
     bisection starts the comparison afresh and stops once the bracket is
     2 tol wide.  It returns the last iterate at which f ran, so the caller
-    may keep what f computed there.  A non-finite f, and SECULAR_MAX_ITER
-    evaluations without a stop, raise NumericalError naming both poles and
-    the last bracket.
+    may keep what f computed there.  A tol that is not > 0 raises
+    DomainError; a non-finite f, and SECULAR_MAX_ITER evaluations without a
+    stop, raise NumericalError naming both poles and the last bracket.
     """
+    if not tol > 0.0:
+        raise DomainError(f"find_root: need tol > 0, got {tol!r}")
+    if bracket.f_lo == 0.0:
+        return bracket.lo
+    if bracket.f_hi == 0.0:
+        return bracket.hi
     (p1, p2), (w1, w2) = bracket.poles, bracket.residues
     lo, hi, tau, var = bracket.lo, bracket.hi, bracket.tau, bracket.var
 

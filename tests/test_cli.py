@@ -72,6 +72,18 @@ class TestSolve:
         assert out == ""
         assert err.splitlines() == [err.strip()] and "343.24" in err
 
+    @pytest.mark.parametrize("L, R", [("1e-150", "2e-150"),
+                                      ("1e200", "1.3e200")])
+    def test_power_radii_beyond_float_range_exit_code(self, L, R, capsys):
+        # component masses far outside [1e-200, 1e200]: one line naming
+        # the range, no traceback
+        code, out, err = run(["solve", "--measure", "power", "--n", "3",
+                              "--k", "0", "--L", L, "--R", R], capsys)
+        assert code == cli.EXIT_NUMERICAL == 3
+        assert out == ""
+        assert err.splitlines() == [err.strip()]
+        assert "component masses in [1e-200, 1e+200]" in err
+
     def test_missing_configuration(self, capsys):
         code, _, err = run(["solve", "--measure", "gaussian", "--n", "1"],
                            capsys)

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistspec import closedform, measures, numerics, oracle, specfun
-from twistspec.errors import AccuracyError, DomainError, NumericalError
+from twistspec.errors import (AccuracyError, DomainError, NumericalError,
+                              ResourceError)
 from twistspec.measures import MeasureSpec
 
 from quadrature import gauss_tail, integrate, scan_sign_change
@@ -128,10 +129,17 @@ class TestDirichletGauss:
         monkeypatch.setattr(specfun, "hermite_value", counted)
         return calls
 
+    @staticmethod
+    def _no_find_root(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("find_root called")
+        monkeypatch.setattr(numerics, "find_root", refuse)
+
     def test_first_root_two_hermite_calls(self, monkeypatch):
-        # the table value's sign bracket, 2 delta_1 = 2 tol wide, is final
+        # the table value's sign bracket, and its regula-falsi point
         offsets = np.linspace(0.0, 5.0, 1001)[:-1]
         calls = self._counted_hermite(monkeypatch)
+        self._no_find_root(monkeypatch)
         counts = set()
         for L in offsets:
             calls.clear()
@@ -140,25 +148,43 @@ class TestDirichletGauss:
         assert counts == {2}
 
     def test_second_root_few_hermite_calls(self, monkeypatch):
-        # two for the sign bracket, then Brent inside it: two more at most
-        # offsets (measured mean 4.07).  From L = 4.2 on, the kernel's
-        # rounding noise in nu (2e-13 to 1e-12) is as large as Brent's
-        # tolerance, and Brent may creep in half-tolerance steps (measured
-        # at most 7 calls)
+        # as the first root: the two ends of the sign bracket and no more
         offsets = np.linspace(0.0, 5.0, 1001)[:-1]
         calls = self._counted_hermite(monkeypatch)
-        counts = []
+        self._no_find_root(monkeypatch)
+        counts = set()
         for L in offsets:
             calls.clear()
             closedform.second_dirichlet_halfspace_gauss(float(L))
-            counts.append(len(calls))
-        assert max(counts) <= 8
-        assert np.mean(counts) <= 4.25
-        assert all(n <= 4 for L, n in zip(offsets, counts) if L < 4.2)
+            counts.add(len(calls))
+        assert counts == {2}
+
+    def test_second_root_inside_its_sign_bracket(self):
+        delta = closedform._NU2_DELTA
+        for L in np.linspace(0.0, 5.0, 1001)[:-1].tolist():
+            g = closedform._chebyshev(closedform._NU2_CHEB, L)
+            a, b = g - delta, g + delta
+            assert specfun.hermite_value(a, L) * specfun.hermite_value(
+                b, L) <= 0.0, L
+            assert a <= closedform.second_dirichlet_halfspace_gauss(
+                L) / 2.0 <= b, L
+
+    @pytest.mark.parametrize("L, want", [
+        (4.2, 35.476874771581827189), (4.3, 36.568900447598331101),
+        (4.4, 37.679639855873861899), (4.5, 38.8091177570155303),
+        (4.6, 39.957358142554636674), (4.7, 41.124384266489058094),
+        (4.8, 42.310218675283267363), (4.9, 43.514883236409316289),
+        (4.95, 44.124283478730903089), (4.99, 44.615198669441047669)])
+    def test_second_root_near_switch_against_mpmath(self, L, want):
+        # where the Kummer combination cancels most.  mpmath 1.3.0 at
+        # dps = 40: 2 * mp.findroot(lambda n: mp.hermite(n, L), g) from the
+        # table value g = _chebyshev(_NU2_CHEB, L), at the float L
+        lam = closedform.second_dirichlet_halfspace_gauss(L)
+        assert abs(lam / want - 1.0) <= 2e-13
 
     def test_table_matches_scan_path(self):
         # within 5e-13 (nu_1) and 5e-12 (nu_2) of the reference scan's
-        # roots, whose Brent tolerance is 1e-12; measured 2.5e-13 and 1.8e-12
+        # roots, whose brentq tolerance is 1e-12; measured 2.5e-13 and 1.8e-12
         worst1 = worst2 = 0.0
         for L in np.linspace(0.0, 5.0, 2001)[:-1]:
             L = float(L)
@@ -204,23 +230,26 @@ def _degree_roots_by_scan(L):
     """Reference nu_1(L), nu_2(L): the first sign changes of nu -> H_nu(L)
     in steps of at most 0.5 from max(1, (L^2 - 1)/2) (the potential bound,
     nu_1(0) = 1 and nu_1 increasing) and from nu_1 + 1 (the roots lie at
-    least 2 apart) up to the box bounds on (L, L+1), refined by Brent to
-    1e-12."""
+    least 2 apart) up to the box bounds on (L, L+1), refined by scipy's
+    brentq to 1e-12."""
+    from scipy.optimize import brentq
     f = lambda nu: specfun.hermite_value(nu, L)  # noqa: E731
 
     def root(lo, hi):
         br = scan_sign_change(f, lo, hi, math.ceil(2.0 * (hi - lo)))
-        return numerics.find_root(f, br, tol=1e-12)
+        return brentq(f, br.lo, br.hi, xtol=1e-12)
 
     nu1 = root(max(1.0, 0.5 * (L * L - 1.0)), 0.5 * (L * L + 2.0 * L + PI2))
     return nu1, root(nu1 + 1.0, 0.5 * ((L + 1.0) ** 2 - 1.0 + 4.0 * PI2))
 
 
 def _dirichlet_by_fine_scan(L):
-    """Reference: 0.05-step scan of nu -> H_nu(L) from 1, then Brent."""
+    """Reference: 0.05-step scan of nu -> H_nu(L) from 1, then scipy's
+    brentq."""
+    from scipy.optimize import brentq
     f = lambda nu: specfun.hermite_value(nu, L)  # noqa: E731
-    return 2.0 * numerics.find_root(f, scan_sign_change(f, 1.0, 40.0, 780),
-                                    tol=1e-12)
+    br = scan_sign_change(f, 1.0, 40.0, 780)
+    return 2.0 * brentq(f, br.lo, br.hi, xtol=1e-12)
 
 
 def _gauss_mean_by_quadrature(nu, a):
@@ -470,6 +499,34 @@ class TestTwistedPairPower:
         b = closedform.twisted_pair_power(measures.PairConfig(m, 2.0, 1.6))
         assert a.eigenvalue / b.eigenvalue == pytest.approx(4.0, rel=1e-9)
 
+    @pytest.mark.parametrize("n, k", [(2, 0.5), (3, 0.0), (2, 1.0), (3, 2.0),
+                                      (5, 3.0), (10, 4.0), (3, 7.0)])
+    def test_float_edge_sweep(self, n, k):
+        # radii 10^e with component masses from below 1e-320 to above
+        # 1e310, R/L random in e^(+-3): inside the mass range every pair is
+        # its unit twin scaled by homogeneity, lambda(cL, cR) c^2 =
+        # lambda(L, R); outside it a typed error names the range
+        m = MeasureSpec.power(n, k)
+        r_lo, r_hi = (measures.radius_from_mass(m, mass)
+                      for mass in closedform.POWER_MASS_RANGE)
+        rng = np.random.default_rng([n, round(10 * k)])
+        inside = 0
+        for e in range(math.floor(-330 / (n + k)), math.ceil(315 / (n + k))):
+            ratio = math.exp(rng.uniform(-3.0, 3.0))
+            L = 10.0 ** e
+            cfg = measures.PairConfig(m, L, L * ratio)
+            if not (r_lo <= L <= r_hi and r_lo <= L * ratio <= r_hi):
+                with pytest.raises(ResourceError, match=r"component masses "
+                                   r"in \[1e-200, 1e\+200\]"):
+                    closedform.solve(cfg)
+                continue
+            inside += 1
+            lam = closedform.solve(cfg).eigenvalue
+            twin = closedform.solve(
+                measures.PairConfig(m, 1.0, ratio)).eigenvalue
+            assert abs(lam * L * L / twin - 1.0) <= 1e-12, (L, ratio)
+        assert inside >= 100 / (n + k)
+
     def test_homogeneity_across_scales(self):
         # lambda(c, c (1 + r)) = lambda(1, 1 + r) / c^2 down to radii 1e-8:
         # the symmetric branch compares radii relatively, so a pair 5e-4
@@ -595,8 +652,9 @@ class TestTwistedPairPower:
 
 def _progressive_scan_lambda(cfg):
     """Reference: the smallest determinant root on the whole Dirichlet
-    bracket by 32-, 192- and 1024-step scans, then Brent (the pair solver's
-    root search before the interlacing bracket)."""
+    bracket by 32-, 192- and 1024-step scans, then scipy's brentq (the
+    pair solver's root search before the interlacing bracket)."""
+    from scipy.optimize import brentq
     fam = (closedform._GAUSS if cfg.measure.is_gaussian
            else closedform._power_family(cfg.measure))
     L, R = cfg.left_param, cfg.right_param
@@ -611,7 +669,7 @@ def _progressive_scan_lambda(cfg):
     for steps in (32, 192, 1024):
         br = scan_sign_change(D, lo + eps, hi, steps)
         if br is not None:
-            return fam.lam(numerics.find_root(D, br, tol=1e-13))
+            return fam.lam(brentq(D, br.lo, br.hi, xtol=1e-13))
     raise AssertionError(f"no determinant root for {cfg}")
 
 
@@ -728,8 +786,8 @@ def _secular_configs(measure, count=40):
 
 def _count_secular_evals(monkeypatch):
     """A list that counts the evaluations of the secular function each
-    find_root call on a PoleBracket makes, into its last entry: append 0
-    before each solve."""
+    find_root call makes, into its last entry: append 0 before each
+    solve."""
     evals = []
     find_root = numerics.find_root
 
@@ -737,8 +795,6 @@ def _count_secular_evals(monkeypatch):
         def g(x):
             evals[-1] += 1
             return f(x)
-        if not isinstance(bracket, numerics.PoleBracket):
-            return find_root(f, bracket, *args, **kwargs)   # zero scans
         return find_root(g, bracket, *args, **kwargs)
 
     monkeypatch.setattr(numerics, "find_root", counted_root)
@@ -889,7 +945,7 @@ class TestSecularPairSolve:
         monkeypatch.setattr(numerics, "find_root", kept_root)
         sol = closedform.solve(
             measures.PairConfig(MeasureSpec.gaussian(1), 0.05, 3.0))
-        (br,) = [b for b in brackets if isinstance(b, numerics.PoleBracket)]
+        (br,) = brackets
         assert br.residues == (closedform._gauss_residue(br.poles[0], 0.05, 1),
                                closedform._gauss_residue(br.poles[1], 0.05, 2))
         ref = 5.511666182089066651062513

@@ -18,33 +18,24 @@ class TestBracketAndRoots:
 
     def test_sqrt_two(self):
         f = lambda t: t * t - 2.0  # noqa: E731
-        br = numerics.Bracket(1.0, 2.0, f(1.0), f(2.0))
-        assert numerics.find_root(f, br, tol=1e-12) == pytest.approx(
-            math.sqrt(2), abs=1e-12)
+        assert numerics.grid_roots(f, np.array([1.0, 2.0]), 1,
+                                   tol=1e-12) == pytest.approx(
+            [math.sqrt(2)], abs=1e-12)
 
     def test_pi_from_sin(self):
-        br = numerics.Bracket(3.0, 3.2, math.sin(3.0), math.sin(3.2))
-        assert numerics.find_root(math.sin, br) == pytest.approx(math.pi, abs=1e-10)
+        assert numerics.grid_roots(np.sin, np.array([3.0, 3.2]), 1,
+                                   tol=1e-10) == pytest.approx(
+            [math.pi], abs=1e-10)
 
     def test_hermite_degree_root(self):
         # H_nu(0) vanishes first at nu = 1 (H_1 = 2t)
-        f = lambda nu: specfun.hermite_value(nu, 0.0)  # noqa: E731
-        br = numerics.Bracket(0.5, 1.5, f(0.5), f(1.5))
-        assert numerics.find_root(f, br, tol=1e-11) == pytest.approx(1.0, abs=1e-9)
+        f = np.vectorize(lambda nu: specfun.hermite_value(float(nu), 0.0))
+        assert numerics.grid_roots(f, np.array([0.5, 1.5]), 1,
+                                   tol=1e-11) == pytest.approx([1.0], abs=1e-9)
 
     def test_root_stays_in_bracket(self):
-        f = lambda t: math.cos(t)  # noqa: E731
-        br = numerics.Bracket(1.0, 2.0, f(1.0), f(2.0))
-        x = numerics.find_root(f, br)
+        (x,) = numerics.grid_roots(np.cos, np.array([1.0, 2.0]), 1, tol=1e-10)
         assert 1.0 <= x <= 2.0
-
-    def test_narrow_bracket_needs_no_call(self):
-        # a bracket no wider than 2 tol is already final: its regula-falsi
-        # point, without a call of f
-        def f(x):
-            raise AssertionError("f called")
-        br = numerics.Bracket(1.0, 1.0 + 2e-12, -1.0, 3.0)
-        assert numerics.find_root(f, br, tol=1e-12) == 1.0 + 0.25 * 2e-12
 
     def test_scan_sign_change(self):
         # the reference scan the closed-form tests take their roots from
@@ -68,19 +59,20 @@ class TestBracketAndRoots:
 
     def test_grid_roots_fewer_changes_than_count(self):
         xs = np.linspace(0.0, 5.0, 21)
-        roots = numerics.grid_roots(np.cos, xs, 4)
+        roots = numerics.grid_roots(np.cos, xs, 4, tol=1e-10)
         assert roots == pytest.approx([math.pi / 2, 3 * math.pi / 2], abs=1e-9)
-        assert numerics.grid_roots(lambda x: 1.0 + x * x, xs, 1) == []
+        assert numerics.grid_roots(lambda x: 1.0 + x * x, xs, 1,
+                                   tol=1e-10) == []
 
     def test_grid_roots_zero_on_grid_counted_once(self):
         xs = np.arange(-2.0, 4.0)          # f vanishes at the node 0
-        roots = numerics.grid_roots(lambda x: x * (x - 2.5), xs, 3)
+        roots = numerics.grid_roots(lambda x: x * (x - 2.5), xs, 3, tol=1e-10)
         assert roots == pytest.approx([0.0, 2.5], abs=1e-9)
 
 
 def _scipy_brent(f, lo, hi, f_lo, f_hi, xtol, rtol):
     """numerics._brent's reference: scipy's brentq on f, with the end values
-    given, as find_root called it before it had its own port."""
+    given, as the zero scans called it before the port."""
     from scipy.optimize import brentq
 
     def g(x):
@@ -163,17 +155,17 @@ class TestBrent:
 
     def test_no_convergence_raises(self):
         # the flat quintic creeps: scipy's brentq also stops after 100
-        br = numerics.Bracket(1.0, 2.0, _flat(1.0), _flat(2.0))
-        with pytest.raises(NumericalError, match=r"no Brent root after 100 "
-                           r"iterations, at x = .*; last bracket \[1\.2"):
-            numerics.find_root(_flat, br, tol=1e-13)
+        with pytest.raises(NumericalError, match=r"grid_roots: no Brent root "
+                           r"after 100 iterations, at x = .*; last bracket "
+                           r"\[1\.2"):
+            numerics.grid_roots(_flat, np.array([1.0, 2.0]), 1, tol=1e-13)
 
     def test_nan_raises(self):
+        # f is NaN past 1.2, but the bracket ends hold -0.5 and 0.5
         f = lambda x: math.nan if x > 1.2 else x - 1.5  # noqa: E731
-        br = numerics.Bracket(1.0, 2.0, -0.5, 0.5)
         with pytest.raises(NumericalError, match=r"f is nan at x = 1\.5; "
                            r"last bracket \[1\.0, 2\.0\]"):
-            numerics.find_root(f, br)
+            numerics._brent(f, 1.0, 2.0, -0.5, 0.5, 1e-10, numerics.BRENT_RTOL)
 
     def test_nan_at_an_end_raises(self):
         with pytest.raises(NumericalError, match=r"f is nan at an end of "
@@ -182,9 +174,9 @@ class TestBrent:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
     def test_tol_not_positive_raises(self, tol):
-        br = numerics.Bracket(1.0, 2.0, -1.0, 1.0)
-        with pytest.raises(DomainError, match="need tol > 0"):
-            numerics.find_root(lambda x: x - 1.5, br, tol=tol)
+        with pytest.raises(DomainError, match="grid_roots: need tol > 0"):
+            numerics.grid_roots(lambda x: x - 1.5, np.array([1.0, 2.0]), 1,
+                                tol=tol)
 
     def _same_with_scipy(self, monkeypatch, compute, args_list):
         calls = []
@@ -198,12 +190,6 @@ class TestBrent:
         assert calls, "no Brent call to compare"
         for args, a, b in zip(args_list, ours, theirs):
             assert np.array_equal(a, b), args
-
-    def test_second_gauss_degree_root_matches_scipy(self, monkeypatch):
-        from twistspec import closedform
-        self._same_with_scipy(
-            monkeypatch, closedform.second_dirichlet_halfspace_gauss,
-            [(L,) for L in np.arange(200) * 0.025])
 
     def test_bessel_zeros_match_scipy(self, monkeypatch):
         # every zero below the series ceiling 16, so each one is Brent's
@@ -227,7 +213,7 @@ def _secular_slope(x):
 
 
 class TestSecularRoot:
-    """The two-pole secular step of find_root on a PoleBracket."""
+    """The two-pole secular step, find_root on a PoleBracket."""
 
     @pytest.mark.parametrize("dg", [0.5, -40.0], ids=["monotone", "not"])
     def test_model_root(self, dg):
@@ -293,7 +279,14 @@ class TestSecularRoot:
                                   (0.3, 0.2), 1e-14, "x")
         with pytest.raises(NumericalError, match=r"secular function is nan "
                            r"at x = .*x_1 = 1\.0, x_2 = 2\.0, last bracket"):
-            numerics.find_root(lambda x: (math.nan, None), br)
+            numerics.find_root(lambda x: (math.nan, None), br, tol=1e-15)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    def test_tol_not_positive_raises(self, tol):
+        br = numerics.PoleBracket(1.0, 2.0, -math.inf, math.inf, (1.0, 2.0),
+                                  (0.3, 0.2), 1e-14, "x")
+        with pytest.raises(DomainError, match="find_root: need tol > 0"):
+            numerics.find_root(lambda x: (_secular(x), None), br, tol=tol)
 
 
 class TestIntegrate:
