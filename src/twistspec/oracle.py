@@ -25,6 +25,10 @@ symmetrization and the tridiagonal eigensolver run once in `_spectrum`,
 which keeps its last two results, so a twisted solve followed by
 `dirichlet_eigs(count=2)` on the same grid (or the reverse) solves once.
 The cached arrays are read-only; results hand out copies.
+
+The LAPACK routines (scipy.linalg's eigh_tridiagonal and dgtsv) are imported
+inside `_spectrum` and `twisted_eig`, so scipy loads on the first oracle
+solve, not with the package: the closed-form route never loads it.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgtsv
 
 from . import measures, numerics
 from .errors import DomainError, NumericalError, ResourceError
@@ -227,9 +229,11 @@ def _symmetrized(asm: _Assembly) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _spectrum(domain: Domain1D, h: Optional[float], count: int):
     """Assembly, diagonals (d, e) of B, M^{-1/2}, and the smallest `count`
     eigenpairs (w, phi) of B, all read-only."""
+    from scipy.linalg import eigh_tridiagonal
+
     asm = _assemble(domain, h)
     d, e, inv_sqrt = _symmetrized(asm)
-    w, phi = scipy.linalg.eigh_tridiagonal(
+    w, phi = eigh_tridiagonal(
         d, e, select="i", select_range=(0, min(count, len(d)) - 1))
     for a in (asm.main, asm.off, asm.mass, asm.nodes, d, e, inv_sqrt, w, phi):
         a.flags.writeable = False
@@ -264,6 +268,8 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
     without a stop, raise NumericalError naming both poles and the last
     bracket.
     """
+    from scipy.linalg.lapack import dgtsv
+
     asm, d, e, inv_sqrt, w, phi = _spectrum(domain, h, 2)
     lam1, lam2 = float(w[0]), float(w[1])
     # constraint  meanvec . u = 0  becomes  v . (M^{1/2} u) = 0

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from . import measures, numerics
 from .errors import DomainError
@@ -102,8 +101,12 @@ def _image(measure: MeasureSpec):
     coordinate of the set of mass m (float or array), span(x) the
     coordinate range of the set bounded at x, set_mass(x) its mass and
     weight the reduced weight.  Gaussian: the half-space {x_1 > x}, cut
-    where the tail ends; power: the half-ball of radius x."""
+    where the tail ends, with set_mass on scipy's erfc ufunc (the
+    quadrature grids are arrays of thousands of points; this is where the
+    Gaussian route loads scipy); power: the half-ball of radius x."""
     if measure.is_gaussian:
+        from scipy.special import erfc
+
         return (measures.k_gauss_inv,
                 lambda a: (a, numerics.gauss_tail_cut(a)),
                 lambda x: 0.5 * erfc(x), measures.gauss_weight_1d)

@@ -29,7 +29,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("command", ["solve", "oracle"])
     def test_unit_mass_halflines_print_zero_offsets(self, command, capsys):
-        # erfcinv(1) is -0.0; the offsets print as 0
+        # component masses of 1/2: offsets of 0, which print as 0, not -0
         code, out, _ = run([command, "--mass", "1", "--split", "0.5"], capsys)
         assert code == 0
         assert out.splitlines()[1].startswith("gaussian,1,0,0,0,")
@@ -352,16 +352,40 @@ class TestConfigFile:
 
 
 class TestImportGraph:
-    def test_cli_imports_no_scipy_optimize(self):
-        # a fresh process: scipy.optimize, and scipy.sparse and
-        # scipy.spatial that it pulls in, cost start-up time and memory
+    @staticmethod
+    def _fresh(code: str) -> str:
         src = os.path.dirname(os.path.dirname(twistspec.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    def test_cli_imports_no_scipy_optimize(self):
+        # a fresh process: scipy.optimize, and scipy.sparse and
+        # scipy.spatial that it pulls in, cost start-up time and memory
         code = ("import sys, twistspec, twistspec.cli; "
                 "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse', "
                 "'scipy.spatial') if m in sys.modules))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert self._fresh(code) == "[]"
+
+    def test_closed_form_route_loads_no_scipy(self):
+        # a fresh process: a solve and a scan load no scipy module, and the
+        # first oracle solve loads LAPACK itself; its lambda is the one
+        # from the module-level import it replaces
+        code = "\n".join((
+            "import io, sys, contextlib, twistspec, twistspec.cli",
+            "from twistspec import cli, measures, oracle, shapeopt",
+            "from twistspec.measures import MeasureSpec",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    cli.main(['solve', '--mass', '0.5', '--split', '0.4'])",
+            "shapeopt.scan(MeasureSpec.gaussian(1), 0.5, 11)",
+            "shapeopt.scan(MeasureSpec.power(3, 0.0), 1.0, 11)",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            "cfg = measures.PairConfig(MeasureSpec.gaussian(1), 0.5, 0.8)",
+            "print(repr(float(oracle.twisted_eig(",
+            "    oracle.pair_domain(cfg)).eigenvalues[0])))"))
+        loaded, lam = self._fresh(code).splitlines()
+        assert loaded == "[]"
+        assert float(lam) == 3.98686403624101

@@ -43,7 +43,8 @@ class TestKGauss:
         assert measures.k_gauss_inv(0.25) > 0.0
 
     def test_half_mass_is_positive_zero(self):
-        # scipy's erfcinv(1.0) is -0.0
+        # at m = 1/2 the start is x P(w - 5/2) with x = 1 - 2m = +0.0, and
+        # the Halley step subtracts +0.0 from it
         assert math.copysign(1.0, measures.k_gauss_inv(0.5)) == 1.0
         got = measures.k_gauss_inv(np.array([0.5, 0.2]))
         assert math.copysign(1.0, got[0]) == 1.0
@@ -53,6 +54,90 @@ class TestKGauss:
     def test_inverse_domain(self, m):
         with pytest.raises(DomainError):
             measures.k_gauss_inv(m)
+
+    # References from mpmath 1.3.0 at mp.mp.dps = 40: mp.erfc(t) / 2 at the
+    # float offset t.  On a 0.005 grid of [0, 26.5] math.erfc is within
+    # 2.07 ulp of it (the worst at t = 4.785) and scipy 1.17's erfc within
+    # 34 ulp on [0, 8) and 507 ulp on [8, 26.5]; the last two offsets are
+    # its worst points there.
+    K_GAUSS_MPMATH = (
+        (0.0, 0.5),
+        (0.5, 2.3975006109347673116e-1),
+        (1.0, 7.8649603525142565329e-2),
+        (1.5, 1.6947426762344636467e-2),
+        (2.0, 2.338867490523632919e-3),
+        (3.0, 1.1045248499292720686e-5),
+        (4.0, 7.7086289501400094261e-9),
+        (5.0, 7.6872989721401742509e-13),
+        (6.0, 1.0759868356249456558e-17),
+        (8.0, 5.61214858649146354e-30),
+        (10.0, 1.0442437918812723785e-45),
+        (12.0, 6.7813058460295210639e-65),
+        (14.0, 1.5186149238751558326e-87),
+        (16.0, 1.1642428757857653467e-113),
+        (18.0, 3.0411846159081996538e-143),
+        (20.0, 2.6979328058039504645e-176),
+        (22.0, 8.1095293046673625653e-213),
+        (24.0, 8.2449129157596675711e-253),
+        (25.0, 4.150086285598261376e-274),
+        (26.5, 1.105453832131867138e-307),
+        (24.395, 4.0469177413188215283e-261),
+        (25.91, 3.0374939339484068928e-294),
+    )
+
+    @pytest.mark.parametrize("t,want", K_GAUSS_MPMATH)
+    def test_against_mpmath_within_two_ulp(self, t, want):
+        got = measures.k_gauss(t)
+        assert type(got) is float
+        assert abs(got - want) <= 2.0 * math.ulp(want)
+
+    # References from mpmath 1.3.0 at mp.mp.dps = 40, at the float mass m:
+    # mp.erfinv(1 - 2*m) for 1/4 <= m <= 1/2, minus the value at 1 - m above
+    # 1/2, and below 1/4 y = 2*m, mp.findroot(lambda t: mp.log(mp.erfc(t) /
+    # y), mp.sqrt(-mp.log(y)), tol=1e-60).
+    K_GAUSS_INV_MPMATH = (
+        (1e-300, 2.6196253016549354049e+1),
+        (1e-200, 2.1358580474149676157e+1),
+        (1e-100, 1.5042603272215687812e+1),
+        (1e-50, 1.0559464236596541107e+1),
+        (1e-20, 6.5494634871524695364),
+        (1e-10, 4.4981472895292597375),
+        (1e-06, 3.361178562625649518),
+        (0.001, 2.1851242191330042613),
+        (0.01, 1.6449763571331870447),
+        (0.1, 9.061938024368231977e-1),
+        (0.25, 4.7693627620446987338e-1),
+        (0.3, 3.7080715859355795164e-1),
+        (0.5 - 1e-3, 1.7724557070189316875e-3),
+        (0.5 - 1e-9, 1.7724538991680514638e-9),
+        (0.6, -1.7914345462129163585e-1),
+        (0.75, -4.7693627620446987338e-1),
+        (0.999, -2.1851242191330040792),
+    )
+
+    @pytest.mark.parametrize("m,want", K_GAUSS_INV_MPMATH)
+    def test_inverse_against_mpmath_within_two_ulp(self, m, want):
+        got = measures.k_gauss_inv(m)
+        assert type(got) is float
+        assert abs(got - want) <= 2.0 * math.ulp(want)
+
+    def test_inverse_takes_python_floats_out_of_numpy_scalars(self):
+        # numpy scalars would turn every downstream Kummer loop into
+        # numpy-scalar arithmetic
+        assert type(measures.k_gauss_inv(np.float64(0.3))) is float
+        assert type(measures.k_gauss(np.float64(0.3))) is float
+        cfg = measures.config_from_split(
+            MeasureSpec.gaussian(1), np.float64(0.6), np.float64(0.4))
+        assert type(cfg.left_param) is float
+        assert type(cfg.right_param) is float
+
+    def test_inverse_below_the_normal_range(self):
+        # 2m subnormal: the start alone, still within 1e-8 of mpmath
+        # (the recipe above)
+        for m, want in ((5e-324, 27.200563366536256378),
+                        (1e-310, 26.631805360959569847)):
+            got = measures.k_gauss_inv(m)
+            assert abs(got - want) <= 1e-8 * want
 
     def test_perimeter_is_minus_k_prime(self):
         h = 1e-6
@@ -156,8 +241,10 @@ class TestArrayMassMaps:
         assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want))
 
     def test_float_in_float_out(self):
-        # values of the float-only maps these replace
-        for m, t in ((0.2, 0.5951160814499948), (0.37, 0.23465575162492167),
+        # within 1 ulp of mpmath 1.3.0 (dps = 40, the recipe of
+        # K_GAUSS_INV_MPMATH above): 0.59511608144999482198,
+        # 0.23465575162492161908, 4.2410900125601801973
+        for m, t in ((0.2, 0.5951160814499948), (0.37, 0.23465575162492164),
                      (1e-9, 4.24109001256018)):
             got = measures.k_gauss_inv(m)
             assert type(got) is float and got == t

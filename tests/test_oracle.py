@@ -341,13 +341,14 @@ class TestSecularSolve:
 
     def test_solves_per_root(self, monkeypatch):
         counts = []
-        real = oracle.dgtsv
+        real = scipy.linalg.lapack.dgtsv
 
         def counting(*args):
             counts[-1] += 1
             return real(*args)
 
-        monkeypatch.setattr(oracle, "dgtsv", counting)
+        # twisted_eig imports dgtsv from scipy.linalg.lapack on each call
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counting)
         for measure, total, s in _pair_cases():
             dom = oracle.pair_domain(
                 measures.config_from_split(measure, total, s))
@@ -365,7 +366,7 @@ class TestSecularSolve:
         assert abs(got - want) <= 1e-10 * want
 
     def test_nonfinite_secular_value_raises(self, monkeypatch):
-        real = oracle.dgtsv
+        real = scipy.linalg.lapack.dgtsv
         calls = [0]
 
         def poisoned(*args):
@@ -375,7 +376,7 @@ class TestSecularSolve:
                 x[:] = np.nan
             return (*rest, x, info)
 
-        monkeypatch.setattr(oracle, "dgtsv", poisoned)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", poisoned)
         with pytest.raises(NumericalError, match=r"secular function is nan"
                            r".*lambda_1 = .*lambda_2 = .*last bracket \["):
             oracle.twisted_eig(self.PAIR)
