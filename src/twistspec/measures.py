@@ -101,10 +101,10 @@ def k_gauss(t: float) -> float:
 
 
 def k_gauss_inv(m: float | np.ndarray) -> float | np.ndarray:
-    """The t with k_gauss(t) = m, 0 < m < 1: a plain float for a float m,
-    within 2 ulp of mpmath, and for an array m the same float kernel on
-    each element, so with the same bits."""
-    if isinstance(m, np.ndarray):
+    """The t with k_gauss(t) = m, 0 < m < 1: a plain float for a scalar m
+    (a 0-d array too), within 2 ulp of mpmath, and for an array m the same
+    float kernel on each element, so with the same bits."""
+    if isinstance(m, np.ndarray) and m.ndim > 0:
         ok = (0.0 < m) & (m < 1.0)
         if not ok.all():
             raise DomainError(
@@ -211,12 +211,14 @@ def halfball_mass(measure: MeasureSpec, radius: float) -> float:
 def radius_from_mass(measure: MeasureSpec,
                      m: float | np.ndarray) -> float | np.ndarray:
     """Radius of the upper half-ball of weighted volume m: a plain float
-    for a float m, an array elementwise for an array m.  A float takes
-    Python's pow and an array numpy's, which may round the last bit
-    differently."""
+    for a scalar m (numpy scalars and 0-d arrays too), an array elementwise
+    for an array m.  A scalar takes Python's pow and an array numpy's,
+    which may round the last bit differently."""
     if measure.is_gaussian:
         raise DomainError("radius_from_mass applies to power measures")
-    vec = isinstance(m, np.ndarray)
+    vec = isinstance(m, np.ndarray) and m.ndim > 0
+    if not vec:
+        m = float(m)
     bad = m <= 0
     if bad.any() if vec else bad:
         m_bad = m[np.argmax(bad)] if vec else m

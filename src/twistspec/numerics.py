@@ -2,27 +2,18 @@
 
 One root finder per bracket kind: `find_root` is the two-pole secular step
 on a bracket between two known poles, which the closed form and the oracle
-share, and `grid_roots` refines the sign changes of a vectorized scan with
-Brent's method (`_brent`, ported from scipy's brentq so that it returns the
-same float).  Also the truncation point of Gaussian tail integrals.
+share, and `grid_roots` walks a scan grid with a scalar function and
+bisects each sign change to adjacent floats.  Also the truncation point of
+Gaussian tail integrals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Callable, Iterable, Optional
 
 from .errors import DomainError, NumericalError
-
-# Brent's relative tolerance, 4 eps rounded up, the floor of scipy's brentq
-# that _brent reproduces: a root x is final to tol + BRENT_RTOL |x|, and each
-# step, at least half of that, moves x.
-BRENT_RTOL = 8.9e-16
-# Iterations, each one call of f, before Brent gives up (scipy's default).
-BRENT_MAX_ITER = 100
 
 # Evaluations before the secular step of find_root gives up: bisection
 # alone narrows the widest bracket in use to its stopping step in about 50
@@ -79,100 +70,52 @@ def gauss_tail_cut(boundary: float) -> float:
     return max(8.0, boundary + 6.0)
 
 
-def _brent(f: Callable[[float], float], lo: float, hi: float, f_lo: float,
-           f_hi: float, xtol: float, rtol: float) -> float:
-    """Root of f on [lo, hi], where f(lo) = f_lo and f(hi) = f_hi are not
-    NaN and do not share a sign, by Brent's method (Brent 1973, Algorithms
-    for Minimization without Derivatives, ch. 4).
+def _value(f: Callable[[float], float], x: float) -> float:
+    """f(x) as a float; a NaN raises NumericalError naming x."""
+    v = float(f(x))
+    if math.isnan(v):
+        raise NumericalError(f"grid_roots: f is nan at x = {x!r}")
+    return v
 
-    A line-for-line port of the C loop of scipy's brentq, so it returns the
-    same float: xcur is the best iterate, xblk the other end of the sign
-    bracket and xpre the iterate before xcur.  Each step interpolates
-    (secant, where xpre is xblk) or extrapolates (inverse quadratic) where
-    the last step was longer than delta and reduced |f|, and keeps that
-    step only if it is shorter than half the step before last and than
-    about 3/4 of the bracket; otherwise it bisects.  A step is at least
-    delta, and the root is xcur once the bracket is narrower than
-    2 delta = xtol + rtol |xcur|.  Infinite values of f pass through the
-    loop as they do in C (an inf/inf step is NaN, which bisects); a NaN
-    from f, and BRENT_MAX_ITER calls of f without convergence, raise
-    NumericalError naming x and the last bracket.  Needs xtol > 0 and
-    rtol >= 4 eps, so that every step moves x.
-    """
-    def failure(what: str, ends: tuple[float, float]) -> NumericalError:
-        a, b = sorted(ends)
-        return NumericalError(
-            f"grid_roots: {what}; last bracket [{a!r}, {b!r}]")
 
-    # floats, as the doubles of the C loop
-    xpre, xcur, fpre, fcur = float(lo), float(hi), float(f_lo), float(f_hi)
-    xblk = fblk = spre = scur = 0.0
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    for _ in range(BRENT_MAX_ITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate; a denominator that underflows to 0 makes the
-                # C step inf or NaN, which bisects
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                stry = (-fcur * (fblk * dblk - fpre * dpre) / den
-                        if den != 0.0 else math.inf)
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+def _bisect(f: Callable[[float], float], a: float, fa: float, b: float,
+            fb: float) -> float:
+    """Root of f between a and b (either order), where fa and fb are
+    nonzero with opposite signs: bisection until the ends are adjacent
+    floats, then the end with the smaller |f|, or a point where f is 0."""
+    while True:
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            return a if abs(fa) <= abs(fb) else b
+        fm = _value(f, m)
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = m, fm
         else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-
-        fcur = float(f(xcur))
-        if math.isnan(fcur):
-            raise failure(f"f is nan at x = {xcur!r}", (xpre, xblk))
-    raise failure(f"no Brent root after {BRENT_MAX_ITER} iterations, at "
-                  f"x = {xcur!r}", (xpre, xblk))
+            b, fb = m, fm
 
 
-def grid_roots(f: Callable, xs: np.ndarray, count: int,
-               tol: float) -> list[float]:
-    """Roots at the first `count` sign changes of an f that takes an array,
-    along the monotone grid xs (either direction), in grid order: f runs
-    once on xs, then, by Brent (`_brent`) to tol + BRENT_RTOL |x|, on floats
-    inside the brackets.  A grid value 0 ends one change.  A tol that is
-    not > 0 raises DomainError."""
-    if not tol > 0.0:
-        raise DomainError(f"grid_roots: need tol > 0, got {tol!r}")
-    v = f(xs)
-    change = v[:-1] * v[1:] <= 0.0
-    change[1:] &= v[1:-1] != 0.0
-    ends = (sorted(zip(xs[i:i + 2].tolist(), v[i:i + 2].tolist()))
-            for i in np.flatnonzero(change)[:count])
-    return [_brent(f, lo, hi, f_lo, f_hi, tol, BRENT_RTOL)
-            for (lo, f_lo), (hi, f_hi) in ends]
+def grid_roots(f: Callable[[float], float], xs: Iterable[float],
+               count: int) -> list[float]:
+    """Roots at the first `count` sign changes of a scalar f along the
+    monotone grid xs (either direction), in grid order.  f runs point by
+    point, the walk stops at the count-th change, and each change is
+    bisected to adjacent floats (`_bisect`).  A grid value 0 is a root and
+    ends one change; a run of them counts once.  A NaN from f, on the grid
+    or inside a change, raises NumericalError naming x."""
+    roots: list[float] = []
+    x0 = f0 = math.nan            # no point before the first
+    for x in map(float, xs):
+        fx = _value(f, x)
+        if fx == 0.0 and f0 != 0.0:
+            roots.append(x)
+        elif f0 < 0.0 < fx or fx < 0.0 < f0:
+            roots.append(_bisect(f, x0, f0, x, fx))
+        if len(roots) == count:
+            break
+        x0, f0 = x, fx
+    return roots
 
 
 def _model_root(x: float, g: float, dg: float, lo: float, hi: float,

@@ -58,9 +58,9 @@ series.
 Each branch (Kummer pair, large-t expansion, Bessel series) is one kernel
 on plain floats; an array argument maps it over its elements, so floats and
 arrays give the same bits.  A non-finite degree, order or argument raises
-DomainError.  Every zero finder evaluates its function once on an array
-grid and refines the sign changes with numerics.grid_roots; the Bessel
-grids end at the ceiling.
+DomainError.  Every zero finder walks a grid with its float kernel and
+bisects the sign changes to adjacent floats (numerics.grid_roots), so it
+stops at the last zero it needs; the Bessel grids end at the ceiling.
 """
 
 from __future__ import annotations
@@ -443,14 +443,14 @@ def hermite_largest_zero(nu: float) -> float:
     """Largest positive zero of H_nu, nu > 1, scanned once per degree.
 
     All zeros lie in [-sqrt(2(nu+1)), sqrt(2(nu+1))]; scan downward from the
-    upper bound and refine the first sign change with Brent.
+    upper bound and bisect the first sign change to adjacent floats.
     """
     if not nu > 1.0:
         raise DomainError(f"hermite_largest_zero: need nu > 1, got {nu:g}")
     top = math.sqrt(2.0 * (nu + 1.0))
     step = min(0.05, top / 100.0)
     zeros = numerics.grid_roots(lambda t: hermite_value(nu, t),
-                                np.arange(top, -step / 2, -step), 1, tol=1e-13)
+                                np.arange(top, -step / 2, -step), 1)
     if not zeros:
         raise NumericalError(
             f"hermite_largest_zero: no sign change found for nu={nu:g} on "
@@ -600,7 +600,7 @@ def bessel_jprime_first_zero(order: float) -> float:
     if order == 0.0:
         return 0.0
     zeros = numerics.grid_roots(lambda r: bessel_j_deriv(order, r),
-                                _zero_grid(order), 1, tol=1e-13)
+                                _zero_grid(order), 1)
     if not zeros:
         raise AccuracyError(f"bessel_jprime_first_zero: j'_({order:g},1) "
                             f"lies beyond the series ceiling")
@@ -639,7 +639,7 @@ def bessel_zeros(order: float, count: int) -> np.ndarray:
     anything else raises AccuracyError.
     """
     zeros = numerics.grid_roots(lambda r: bessel_j_value(order, r),
-                                _zero_grid(order), count, tol=1e-13)
+                                _zero_grid(order), count)
     for h in range(len(zeros) + 1, count + 1):
         zero, nxt = _mcmahon_zero(order, h)
         if abs(nxt) > MCMAHON_RTOL * zero:

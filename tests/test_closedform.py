@@ -493,6 +493,12 @@ class TestTwistedPairPower:
         sol = closedform.twisted_pair_power(cfg)
         assert abs(sol.eigenvalue - PI2) <= 1e-12 * PI2
 
+    def test_two_unit_balls_k0_exact(self):
+        # the symmetric pair's value is (j_{1/2,1}/R)^2 = pi^2, and the
+        # zero scan returns j_{1/2,1} as the float pi
+        cfg = measures.PairConfig(MeasureSpec.power(3, 0.0), 1.0, 1.0)
+        assert closedform.twisted_pair_power(cfg).eigenvalue == PI2
+
     def test_scaling(self):
         m = MeasureSpec.power(2, 1.0)
         a = closedform.twisted_pair_power(measures.PairConfig(m, 1.0, 0.8))

@@ -256,10 +256,34 @@ class TestArrayMassMaps:
             got = measures.radius_from_mass(measure, m)
             assert type(got) is float and got == r
 
+    def test_power_takes_python_floats_out_of_numpy_scalars(self):
+        # numpy-scalar radii would turn every downstream Bessel loop into
+        # numpy-scalar arithmetic; arrays stay arrays
+        measure = MeasureSpec.power(3, 2.0)
+        for m in (np.float64(0.7), np.float32(0.7), np.int64(2),
+                  np.array(0.7)):
+            got = measures.radius_from_mass(measure, m)
+            assert type(got) is float
+            assert got == measures.radius_from_mass(measure, float(m))
+        cfg = measures.config_from_split(measure, np.float64(3.0),
+                                         np.float64(0.4))
+        assert type(cfg.left_param) is float
+        assert type(cfg.right_param) is float
+        out = measures.radius_from_mass(measure, np.array([0.7, 2.3]))
+        assert isinstance(out, np.ndarray) and out.shape == (2,)
+
     @pytest.mark.parametrize("bad", [0.0, 1.0])
     def test_gaussian_array_domain(self, bad):
         with pytest.raises(DomainError, match=f"got {bad:g}$"):
             measures.k_gauss_inv(np.array([0.3, bad, 0.4]))
+
+    def test_zero_dim_array_is_a_scalar(self):
+        assert type(measures.k_gauss_inv(np.array(0.3))) is float
+        with pytest.raises(DomainError, match="got 1.5$"):
+            measures.k_gauss_inv(np.array(1.5))
+        with pytest.raises(DomainError, match="got -1$"):
+            measures.radius_from_mass(MeasureSpec.power(3, 0.0),
+                                      np.array(-1.0))
 
     def test_power_array_domain(self):
         with pytest.raises(DomainError, match="got 0$"):

@@ -16,25 +16,30 @@ class TestBracketAndRoots:
         with pytest.raises(DomainError):
             numerics.Bracket(0.0, 1.0, 1.0, 2.0)
 
+    def test_nan_at_an_end_raises(self):
+        with pytest.raises(NumericalError, match=r"f is nan at an end of "
+                           r"\[1\.0, 2\.0\]: f\(lo\)=nan"):
+            numerics.Bracket(1.0, 2.0, math.nan, 1.0)
+
     def test_sqrt_two(self):
+        # f is -4.4e-16 and 4.4e-16 at the floats on either side of
+        # sqrt(2): both ends are a best root
         f = lambda t: t * t - 2.0  # noqa: E731
-        assert numerics.grid_roots(f, np.array([1.0, 2.0]), 1,
-                                   tol=1e-12) == pytest.approx(
-            [math.sqrt(2)], abs=1e-12)
+        (x,) = numerics.grid_roots(f, np.array([1.0, 2.0]), 1)
+        assert abs(x - math.sqrt(2)) <= math.ulp(math.sqrt(2))
 
     def test_pi_from_sin(self):
-        assert numerics.grid_roots(np.sin, np.array([3.0, 3.2]), 1,
-                                   tol=1e-10) == pytest.approx(
-            [math.pi], abs=1e-10)
+        assert numerics.grid_roots(math.sin, np.array([3.0, 3.2]), 1) == [
+            math.pi]
 
     def test_hermite_degree_root(self):
         # H_nu(0) vanishes first at nu = 1 (H_1 = 2t)
-        f = np.vectorize(lambda nu: specfun.hermite_value(float(nu), 0.0))
-        assert numerics.grid_roots(f, np.array([0.5, 1.5]), 1,
-                                   tol=1e-11) == pytest.approx([1.0], abs=1e-9)
+        assert numerics.grid_roots(lambda nu: specfun.hermite_value(nu, 0.0),
+                                   np.array([0.5, 1.5]), 1) == pytest.approx(
+            [1.0], abs=1e-9)
 
     def test_root_stays_in_bracket(self):
-        (x,) = numerics.grid_roots(np.cos, np.array([1.0, 2.0]), 1, tol=1e-10)
+        (x,) = numerics.grid_roots(math.cos, np.array([1.0, 2.0]), 1)
         assert 1.0 <= x <= 2.0
 
     def test_scan_sign_change(self):
@@ -47,41 +52,27 @@ class TestBracketAndRoots:
 
     def test_grid_roots_ascending_several(self):
         xs = np.linspace(0.0, 10.0, 41)
-        roots = numerics.grid_roots(np.cos, xs, 2, tol=1e-13)
+        roots = numerics.grid_roots(math.cos, xs, 2)
         assert roots == pytest.approx([math.pi / 2, 3 * math.pi / 2],
-                                      abs=1e-12)
+                                      abs=1e-15)
 
     def test_grid_roots_descending_in_grid_order(self):
         xs = np.linspace(10.0, 0.0, 41)
-        roots = numerics.grid_roots(np.cos, xs, 2, tol=1e-13)
+        roots = numerics.grid_roots(math.cos, xs, 2)
         assert roots == pytest.approx([5 * math.pi / 2, 3 * math.pi / 2],
-                                      abs=1e-12)
+                                      abs=1e-14)
 
     def test_grid_roots_fewer_changes_than_count(self):
         xs = np.linspace(0.0, 5.0, 21)
-        roots = numerics.grid_roots(np.cos, xs, 4, tol=1e-10)
-        assert roots == pytest.approx([math.pi / 2, 3 * math.pi / 2], abs=1e-9)
-        assert numerics.grid_roots(lambda x: 1.0 + x * x, xs, 1,
-                                   tol=1e-10) == []
+        roots = numerics.grid_roots(math.cos, xs, 4)
+        assert roots == pytest.approx([math.pi / 2, 3 * math.pi / 2],
+                                      abs=1e-15)
+        assert numerics.grid_roots(lambda x: 1.0 + x * x, xs, 1) == []
 
     def test_grid_roots_zero_on_grid_counted_once(self):
         xs = np.arange(-2.0, 4.0)          # f vanishes at the node 0
-        roots = numerics.grid_roots(lambda x: x * (x - 2.5), xs, 3, tol=1e-10)
-        assert roots == pytest.approx([0.0, 2.5], abs=1e-9)
-
-
-def _scipy_brent(f, lo, hi, f_lo, f_hi, xtol, rtol):
-    """numerics._brent's reference: scipy's brentq on f, with the end values
-    given, as the zero scans called it before the port."""
-    from scipy.optimize import brentq
-
-    def g(x):
-        if x == lo:
-            return f_lo
-        if x == hi:
-            return f_hi
-        return f(x)
-    return brentq(g, lo, hi, xtol=xtol, rtol=rtol)
+        roots = numerics.grid_roots(lambda x: x * (x - 2.5), xs, 3)
+        assert roots == [0.0, 2.5]
 
 
 def _flat(x):
@@ -89,7 +80,7 @@ def _flat(x):
 
 
 # f, and the interval its random brackets take their ends from
-_BRENT_CASES = {
+_ROOT_CASES = {
     "cubic": (lambda x: x ** 3 - 2.0 * x - 5.0, (0.0, 4.0)),
     "cos_minus_x": (lambda x: math.cos(x) - x, (-1.0, 3.0)),
     "sin30": (lambda x: math.sin(30.0 * x) + 0.3, (0.0, 2.0)),
@@ -99,48 +90,53 @@ _BRENT_CASES = {
 }
 
 
-def _outcome(solve, *args):
-    """solve's float, or the failure that both Brents report without a root
-    (scipy: RuntimeError; numerics: NumericalError, a RuntimeError)."""
-    try:
-        return solve(*args)
-    except RuntimeError:
-        return "no convergence"
+def _assert_straddles(f, root, lo, hi):
+    """f(root) = 0, or root and its float neighbour toward the side of the
+    change have opposite signs of f, with |f| no larger at root."""
+    assert lo <= root <= hi
+    fr = f(root)
+    if fr == 0.0:
+        return
+    # the change lies on the side whose end has the other sign
+    other = hi if (fr < 0.0) == (f(lo) < 0.0) else lo
+    fn = f(math.nextafter(root, other))
+    assert fn == 0.0 or (fn < 0.0) != (fr < 0.0), (root, fr, fn)
+    assert abs(fr) <= abs(fn), (root, fr, fn)
 
 
-class TestBrent:
-    """numerics._brent returns scipy's brentq float, bit for bit."""
+class TestGridRoots:
+    """grid_roots walks the grid and bisects each change to adjacent
+    floats."""
 
-    @pytest.mark.parametrize("name", sorted(_BRENT_CASES))
-    def test_matches_scipy_on_random_brackets(self, name):
-        f, (a, b) = _BRENT_CASES[name]
-        rng = np.random.default_rng(sorted(_BRENT_CASES).index(name))
-        tols = [10.0 ** -e for e in range(10, 17)]
+    @pytest.mark.parametrize("name", sorted(_ROOT_CASES))
+    def test_root_straddles_sign_change_on_random_brackets(self, name):
+        f, (a, b) = _ROOT_CASES[name]
+        rng = np.random.default_rng(sorted(_ROOT_CASES).index(name))
         found = 0
-        while found < 420:
+        while found < 60:
             lo, hi = np.sort(rng.uniform(a, b, 2)).tolist()
             if name == "zero_at_end":
                 lo, hi = math.floor(8 * lo) / 8, math.ceil(8 * hi) / 8
-            f_lo, f_hi = f(lo), f(hi)
-            if not (lo < hi and f_lo * f_hi <= 0.0):
+            if not (lo < hi and f(lo) * f(hi) <= 0.0):
                 continue
-            tol = tols[found % len(tols)]
             found += 1
-            args = (f, lo, hi, f_lo, f_hi, tol, numerics.BRENT_RTOL)
-            assert (_outcome(numerics._brent, *args)
-                    == _outcome(_scipy_brent, *args)), (lo, hi, tol)
+            (root,) = numerics.grid_roots(f, [lo, hi], 1)
+            _assert_straddles(f, root, lo, hi)
+            # either direction of the grid gives the same root, unless
+            # both ends are roots: then the first in grid order
+            if f(lo) != 0.0 or f(hi) != 0.0:
+                assert numerics.grid_roots(f, [hi, lo], 1) == [root]
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
-    def test_matches_scipy_at_extreme_scales(self, scale):
+    def test_straddles_at_extreme_scales(self, scale):
         # products of f values under- and overflow here
         f = lambda x: scale * (x - 0.3) ** 3  # noqa: E731
         for lo, hi in [(0.0, 1.0), (-2.0, 0.31), (0.29999, 5.0)]:
-            args = (f, lo, hi, f(lo), f(hi), 1e-15, numerics.BRENT_RTOL)
-            assert numerics._brent(*args) == _scipy_brent(*args)
+            (root,) = numerics.grid_roots(f, [lo, hi], 1)
+            _assert_straddles(f, root, lo, hi)
 
-    def test_infinite_values_as_scipy_handles_them(self):
-        # -inf below 0.1, +inf above 0.95: interpolation through inf is
-        # NaN or 0 and must bisect or step as scipy's loop does
+    def test_infinite_values_bisect(self):
+        # -inf below 0.1, +inf above 0.95: bisection reads only signs
         def f(x):
             if x < 0.1:
                 return -math.inf
@@ -148,58 +144,70 @@ class TestBrent:
                 return math.inf
             return math.sinh(40.0 * (x - 0.6))
         rng = np.random.default_rng(7)
-        for _ in range(200):
+        for _ in range(50):
             lo, hi = rng.uniform(-1.0, 0.55), rng.uniform(0.65, 2.0)
-            args = (f, lo, hi, f(lo), f(hi), 1e-14, numerics.BRENT_RTOL)
-            assert numerics._brent(*args) == _scipy_brent(*args)
+            (root,) = numerics.grid_roots(f, [lo, hi], 1)
+            _assert_straddles(f, root, lo, hi)
 
-    def test_no_convergence_raises(self):
-        # the flat quintic creeps: scipy's brentq also stops after 100
-        with pytest.raises(NumericalError, match=r"grid_roots: no Brent root "
-                           r"after 100 iterations, at x = .*; last bracket "
-                           r"\[1\.2"):
-            numerics.grid_roots(_flat, np.array([1.0, 2.0]), 1, tol=1e-13)
-
-    def test_nan_raises(self):
-        # f is NaN past 1.2, but the bracket ends hold -0.5 and 0.5
-        f = lambda x: math.nan if x > 1.2 else x - 1.5  # noqa: E731
-        with pytest.raises(NumericalError, match=r"f is nan at x = 1\.5; "
-                           r"last bracket \[1\.0, 2\.0\]"):
-            numerics._brent(f, 1.0, 2.0, -0.5, 0.5, 1e-10, numerics.BRENT_RTOL)
-
-    def test_nan_at_an_end_raises(self):
-        with pytest.raises(NumericalError, match=r"f is nan at an end of "
-                           r"\[1\.0, 2\.0\]: f\(lo\)=nan"):
-            numerics.Bracket(1.0, 2.0, math.nan, 1.0)
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
-    def test_tol_not_positive_raises(self, tol):
-        with pytest.raises(DomainError, match="grid_roots: need tol > 0"):
-            numerics.grid_roots(lambda x: x - 1.5, np.array([1.0, 2.0]), 1,
-                                tol=tol)
-
-    def _same_with_scipy(self, monkeypatch, compute, args_list):
+    def test_flat_root_in_bounded_steps(self):
+        # the flat quintic: each halving costs one call of f, and the
+        # floats of [1, 2] are 2^52 apart
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return _scipy_brent(*args)
-        ours = [compute(*args) for args in args_list]
-        monkeypatch.setattr(numerics, "_brent", counted)
-        theirs = [compute(*args) for args in args_list]
-        assert calls, "no Brent call to compare"
-        for args, a, b in zip(args_list, ours, theirs):
-            assert np.array_equal(a, b), args
+        def f(x):
+            calls.append(x)
+            return _flat(x)
+        (root,) = numerics.grid_roots(f, [1.0, 2.0], 1)
+        _assert_straddles(_flat, root, 1.0, 2.0)
+        assert abs(root - 1.3) <= math.ulp(1.3)
+        assert len(calls) <= 2 + 52
 
-    def test_bessel_zeros_match_scipy(self, monkeypatch):
-        # every zero below the series ceiling 16, so each one is Brent's
-        self._same_with_scipy(monkeypatch, specfun.bessel_zeros,
-                              [(0.5, 5), (1.5, 4), (3.0, 3), (11.0, 1)])
+    def test_walk_stops_at_the_count_th_change(self):
+        calls = []
 
-    def test_largest_hermite_zero_matches_scipy(self, monkeypatch):
-        self._same_with_scipy(monkeypatch,
-                              specfun.hermite_largest_zero.__wrapped__,
-                              [(nu,) for nu in (1.5, 2.0, 3.7, 10.25, 30.0)])
+        def f(x):
+            calls.append(x)
+            return math.cos(x)
+        xs = np.linspace(0.0, 20.0, 201)   # cos changes sign 6 times
+        roots = numerics.grid_roots(f, xs, 2)
+        assert roots == pytest.approx([math.pi / 2, 3 * math.pi / 2],
+                                      abs=1e-15)
+        # the walk ends at xs[48], the first node past the second change
+        assert xs[47] < 3 * math.pi / 2 < xs[48] == max(calls)
+        assert sum(x in xs for x in calls) == 49
+
+    def test_nan_inside_a_change_raises(self):
+        # f is NaN past 1.2, but the grid values at 1 and 2 are -0.5, 0.5
+        f = lambda x: math.nan if 1.2 < x < 2.0 else x - 1.5  # noqa: E731
+        with pytest.raises(NumericalError,
+                           match=r"grid_roots: f is nan at x = 1\.5$"):
+            numerics.grid_roots(f, [1.0, 2.0], 1)
+
+    def test_nan_on_the_grid_raises(self):
+        # a NaN grid value must not hide the sign change next to it
+        f = lambda x: math.nan if x == 1.5 else x - 1.55  # noqa: E731
+        with pytest.raises(NumericalError,
+                           match=r"grid_roots: f is nan at x = 1\.5$"):
+            numerics.grid_roots(f, np.linspace(1.0, 2.0, 11), 1)
+
+    def test_bessel_zeros_match_mpmath(self):
+        # mpmath 1.3.0 at dps = 40: besseljzero(b, 1), besseljzero(b, 2)
+        for order, want1, want2 in (
+                (0.5, 3.1415926535897932385, 6.2831853071795864769),
+                (1.0, 3.8317059702075123156, 7.0155866698156187535),
+                (1.5, 4.4934094579090641753, 7.7252518369377071642),
+                (3.0, 6.3801618959239835062, 9.7610231299816696785)):
+            j1, j2 = specfun.bessel_zeros(order, 2)
+            assert abs(j1 / want1 - 1.0) <= 2.0 * math.ulp(1.0), order
+            assert abs(j2 / want2 - 1.0) <= 1e-14, order
+
+    def test_largest_hermite_zero_matches_mpmath(self):
+        # H_2 = 4t^2 - 2 and H_3 = 8t^3 - 12t; mpmath 1.3.0 at dps = 40:
+        # sqrt(0.5), sqrt(1.5)
+        for nu, want in ((2.0, 0.7071067811865475244),
+                         (3.0, 1.2247448713915890491)):
+            got = specfun.hermite_largest_zero.__wrapped__(nu)
+            assert abs(got - want) <= math.ulp(want), nu
 
 
 def _secular(x):
