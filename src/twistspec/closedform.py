@@ -377,7 +377,9 @@ def _power_square_integral(order: float, freq: float, X: float, g_X: float,
 
 
 def _power_argument(side: str, a: float, r: float) -> float:
-    if not 0.0 <= r <= a + 1e-12:
+    # radii scale with the mass, so the rounding slack is relative to a;
+    # Gaussian offsets are translations and keep an absolute slack
+    if not 0.0 <= r <= a * (1.0 + 1e-12):
         raise DomainError(f"{side} component lives on 0 <= r <= {a:g}")
     return r
 

@@ -318,7 +318,9 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
     gf = _grid_functions(asm, (y * inv_sqrt)[:, None])[0]
     mean = abs(gf.weighted_mean())
     norm = math.sqrt(float(np.dot(asm.mass, gf.values ** 2)))
-    if mean > 1e-10 * norm:
+    # Cauchy-Schwarz: |sum m u| <= sqrt(sum m) ||u||_m, so the gate scales
+    # with the total mass of the grid
+    if mean > 1e-13 * math.sqrt(float(np.sum(asm.mass))) * norm:
         raise NumericalError(
             f"twisted eigenvector violates the mean constraint: {mean:g}")
     return EigenResult(

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -33,6 +34,11 @@ class TestSolve:
         code, out, _ = run([command, "--mass", "1", "--split", "0.5"], capsys)
         assert code == 0
         assert out.splitlines()[1].startswith("gaussian,1,0,0,0,")
+        code, out, _ = run([command, "--mass", "1", "--split", "0.5",
+                            "--format", "json"], capsys)
+        assert code == 0
+        assert not [ln for ln in out.splitlines()
+                    if re.search(r"-0(\.0+)?,?$", ln)]
 
     def test_component_mass_just_below_half(self, capsys):
         # two half-spaces of mass 0.4999999999 at L = R = 1.77e-10; the
@@ -52,8 +58,59 @@ class TestSolve:
         assert code == 0
         rec = json.loads(out)
         assert rec["lambda"] == pytest.approx(math.pi ** 2, rel=1e-6)
+        # freq is j_{1/2,1} = pi, which the zero scan bisects to the float
+        # pi itself
+        assert rec["freq"] == math.pi
         assert rec["nu"] is None
         assert rec["alpha"] == -0.5
+
+    @pytest.mark.parametrize("argv, lo, hi", [
+        # offsets near 3.4-3.5, read from the Dirichlet degree tables and
+        # certified by a sign bracket
+        (["--mass", "1e-6", "--split", "0.3"],
+         19.796152587263099, 20.789786982755572),
+        # the top of the tables, where the Kummer combination cancels most
+        (["--measure", "gaussian", "--L", "4.9", "--R", "4.95"],
+         34.31965943626942319, 34.881217512714575765),
+    ])
+    def test_gaussian_bracket_ends_against_mpmath(self, argv, lo, hi, capsys):
+        # mpmath 1.3.0 at dps = 40, at each offset L:
+        #   2 * findroot(lambda n: hermite(n, L), guess)
+        # with guess 10 for the first pair and 17 for the second
+        code, out, _ = run(["solve", *argv, "--format", "json"], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert abs(rec["bracket_lo"] / lo - 1) <= 1e-13
+        assert abs(rec["bracket_hi"] / hi - 1) <= 1e-13
+
+    def test_power_secular_root_exact_bytes(self, capsys):
+        # a power pair whose secular function takes both Bessel orders at
+        # each boundary from one series pass, and whose root comes from the
+        # two-pole secular step (mpmath 1.3.0: 10.32859746791964; the
+        # bracket ends (j_{3/2,1}/R)^2 and (j_{3/2,1}/L)^2 at the pair's
+        # float radii, besseljzero(1.5, 1) at dps = 40: 9.008722563161449
+        # and 11.145992398729474)
+        code, out, _ = run(["solve", "--measure", "power", "--n", "3",
+                            "--k", "2", "--mass", "5", "--split", "0.37",
+                            "--format", "json"], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert (rec["lambda"], rec["bracket_lo"], rec["bracket_hi"]) == (
+            10.328597467919643, 9.00872256316145, 11.145992398729476)
+
+    def test_power_homogeneity_at_small_radius(self, capsys):
+        # power radii compare relatively in the symmetry test: a pair 5e-4
+        # apart at radius 1e-6 solves as the unit pair scaled by 1/c^2,
+        # not as the symmetric shortcut
+        lams = []
+        for L, R in (("1e-6", "1.0005e-6"), ("1", "1.0005")):
+            code, out, _ = run(["solve", "--measure", "power", "--n", "3",
+                                "--k", "0", "--L", L, "--R", R,
+                                "--format", "json"], capsys)
+            assert code == 0
+            lams.append(json.loads(out)["lambda"])
+        small, unit = lams
+        assert abs(small * 1e-12 - unit) <= 1e-12
 
     def test_solver_order_guard_exit_code(self, capsys):
         code, _, err = run(["solve", "--measure", "power", "--n", "1",
@@ -216,6 +273,16 @@ class TestScan:
         assert rows[-1]["dlambda_ds_fd"] is None
         assert all(math.isfinite(r["dlambda_ds_fd"]) for r in rows[1:-1])
 
+    def test_tiny_power_mass_mirror_ends(self, capsys):
+        # at mass 1e-27 (radii near 6e-10) only s = 1/2 takes the symmetric
+        # shortcut, so the mirrored ends of the scan agree
+        code, out, _ = run(["scan", "--measure", "power", "--n", "3",
+                            "--k", "0", "--mass", "1e-27", "--grid", "5",
+                            "--format", "json"], capsys)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert abs(rows[0]["lambda"] / rows[-1]["lambda"] - 1) <= 1e-12
+
     def test_csv_keeps_nan(self, capsys):
         code, out, _ = run(["scan", "--measure", "power", "--n", "3",
                             "--k", "0", "--mass", "3.0", "--grid", "5"],
@@ -277,6 +344,18 @@ class TestOracleCommand:
         assert code == 0
         rec = json.loads(out)
         assert rec["relative_gap"] <= 1e-3
+
+    @pytest.mark.parametrize("mass", ["1e16", "1e20", "1e100"])
+    def test_large_power_mass(self, mass, capsys):
+        # the mean-constraint gate scales with sqrt(total mass), so the
+        # homogeneous problem solves at every mass; at mass 1 the same
+        # split reads relative_gap 1.9506731969027696e-07
+        code, out, err = run(["oracle", "--measure", "power", "--n", "3",
+                              "--k", "0", "--mass", mass, "--split", "0.4",
+                              "--format", "json"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["relative_gap"] == pytest.approx(
+            1.9506731969027696e-07, rel=1e-4)
 
     def test_zero_tolerance_fails(self, capsys):
         code, out, err = run(["oracle", "--measure", "power", "--n", "2",

@@ -606,6 +606,19 @@ class TestTwistedPairPower:
         for r in np.linspace(0.05 * cfg.right_param, 0.95 * cfg.right_param, 50):
             assert residual(sol.u_right_at, float(r)) <= 1e-6
 
+    def test_eigenfunction_domain_is_relative_to_the_radius(self):
+        # at radius 1e-13 a point 4e-13 outside is rejected; at radius 1e10
+        # a point one rounding step outside is the boundary
+        m = MeasureSpec.power(3, 0.0)
+        tiny = closedform.solve(measures.PairConfig(m, 1e-13, 1.2e-13))
+        with pytest.raises(DomainError, match="left component"):
+            tiny.u_left_at(5e-13)
+        big = closedform.solve(measures.PairConfig(m, 1e10, 1.2e10))
+        assert abs(big.u_left_at(1e10 * (1 + 1e-15))) <= 1e-12 * abs(
+            big.u_left_at(0.0))
+        with pytest.raises(DomainError, match="left component"):
+            big.u_left_at(1e10 * (1 + 1e-11))
+
     def test_one_zero_scan_per_order(self, monkeypatch):
         calls = []
         scan = specfun.bessel_zeros

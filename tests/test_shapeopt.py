@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,24 @@ from twistspec.measures import MeasureSpec
 
 G1 = MeasureSpec.gaussian(1)
 M30 = MeasureSpec.power(3, 0.0)
+POWER_FAMILIES = ((3, 0.0), (2, 1.0), (3, 2.0), (5, 3.0))
+DECADES = range(-27, 28, 3)
+
+
+@pytest.fixture(scope="module")
+def power_scans():
+    """41-point scans of four power families at total masses 10^e, e = -27,
+    -24, ..., 27, keyed (n, k, e); e = 0 is mass 1."""
+    return {(n, k, e): shapeopt.scan(MeasureSpec.power(n, k), 10.0 ** e)
+            for n, k in POWER_FAMILIES for e in DECADES}
+
+
+def scaled(curve: shapeopt.ScanCurve, factor: float) -> shapeopt.ScanCurve:
+    """The curve with lambda and both derivative columns times factor."""
+    return dataclasses.replace(
+        curve, lambdas=curve.lambdas * factor,
+        derivative_analytic=curve.derivative_analytic * factor,
+        derivative_fd=curve.derivative_fd * factor)
 
 
 def parabola_curve(shift_steps: float, points: int = 11) -> shapeopt.ScanCurve:
@@ -58,8 +77,9 @@ class TestShapeDerivative:
 
     def test_agrees_with_curve_fd(self):
         curve = shapeopt.scan(G1, 0.5, points=21)
+        floor = shapeopt.CERT_RTOL * np.max(np.abs(curve.lambdas))
         for i in range(2, len(curve.splits) - 2):
-            tol = max(1e-4, 1e-3 * abs(curve.derivative_fd[i]))
+            tol = max(floor, 1e-3 * abs(curve.derivative_fd[i]))
             assert abs(curve.derivative_analytic[i]
                        - curve.derivative_fd[i]) <= tol
 
@@ -81,6 +101,17 @@ class TestScan:
     def test_empty_window_rejected(self):
         with pytest.raises(DomainError):
             shapeopt.split_grid(G1, 0.5, points=4)  # even point count
+
+    @pytest.mark.parametrize("n,k", POWER_FAMILIES)
+    def test_power_homogeneity(self, n, k, power_scans):
+        # lambda(m, s) = lambda(1, s) m^(-2/(n+k)): the mass scales as
+        # R^(n+k) and lambda as R^-2
+        unit = power_scans[(n, k, 0)].lambdas
+        for e in DECADES:
+            lam = power_scans[(n, k, e)].lambdas
+            np.testing.assert_allclose(
+                lam * (10.0 ** e) ** (2.0 / (n + k)), unit, rtol=1e-13,
+                atol=0.0, err_msg=f"mass 1e{e}")
 
     def test_monotone_decreasing_into_center(self):
         curve = shapeopt.scan(G1, 0.5, points=21)
@@ -104,10 +135,56 @@ class TestCertify:
         # radii near 6e-10: the symmetric branch compares them relatively,
         # so only the center takes it and the curve is symmetric about 1/2
         rep = shapeopt.certify_minimum(shapeopt.scan(M30, 1e-27))
-        passed = {c.name: c.passed for c in rep.checks}
-        assert passed["grid_minimum_at_half"]
-        assert passed["curve_symmetry"]
-        assert passed["interpolant_minimum_at_half"]
+        assert rep.passed, [c.detail for c in rep.failures()]
+
+    def test_every_power_mass_certifies(self, power_scans):
+        failed = {key: [c.name for c in rep.failures()]
+                  for key, rep in ((key, shapeopt.certify_minimum(curve))
+                                   for key, curve in power_scans.items())
+                  if not rep.passed}
+        assert failed == {}
+
+    def test_upside_down_curve_fails_at_every_mass(self, power_scans):
+        for key, curve in power_scans.items():
+            rep = shapeopt.certify_minimum(scaled(curve, -1.0))
+            assert [c.name for c in rep.failures()] == [
+                "grid_minimum_at_half", "derivative_sign_pattern",
+                "interpolant_minimum_at_half"], key
+
+    def test_one_percent_derivative_error_fails_at_every_mass(
+            self, power_scans):
+        for key, curve in power_scans.items():
+            bad = dataclasses.replace(
+                curve, derivative_analytic=curve.derivative_analytic * 1.01)
+            rep = shapeopt.certify_minimum(bad)
+            assert "derivative_fd_agreement" in {
+                c.name for c in rep.failures()}, key
+
+    def test_verdicts_do_not_depend_on_scale(self):
+        # exact powers of two scale every gap and the tolerance alike
+        curve = shapeopt.scan(G1, 0.5)
+        wrong_slope = dataclasses.replace(
+            curve, derivative_analytic=curve.derivative_analytic * 1.01)
+        for c in (curve, scaled(curve, -1.0), wrong_slope):
+            want = [x.passed for x in shapeopt.certify_minimum(c).checks]
+            for j in range(-200, 201):
+                rep = shapeopt.certify_minimum(scaled(c, 2.0 ** j))
+                assert [x.passed for x in rep.checks] == want, j
+
+    @pytest.mark.parametrize("splits", [
+        [0.3, 0.4, 0.5, 0.6, 0.71],     # not mirror-symmetric
+        [0.3, 0.4, 0.6, 0.7],           # no s = 1/2
+    ])
+    def test_grid_must_be_mirror_symmetric_about_half(self, splits):
+        s = np.asarray(splits)
+        lam = 3.0 + (s - 0.5) ** 2
+        curve = shapeopt.ScanCurve(
+            measure=G1, total_mass=0.5, splits=s, lambdas=lam,
+            derivative_analytic=2.0 * (s - 0.5),
+            derivative_fd=shapeopt._fd_derivative(s, lam), solutions=[],
+            window=(s[0], s[-1]), all_single_signed=True)
+        with pytest.raises(DomainError):
+            shapeopt.certify_minimum(curve)
 
     def test_detects_injected_minimum_shift(self):
         curve = shapeopt.scan(G1, 0.5, points=11)
