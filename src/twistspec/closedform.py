@@ -465,9 +465,8 @@ def _power_family(measure: MeasureSpec) -> _Family:
         inside=lambda a: 0.5 * a, argument=_power_argument)
 
 
-# The secular iteration's stop, relative to the top of the bracket: a step
-# of a few ulps, or the rounding floor once the steps are below 1e-14.
-_SECULAR_TOL = 4.0 * math.ulp(1.0)
+# The reach of rounding in the secular iteration, relative to the top of
+# the bracket: it stops at the rounding floor once the steps are below it.
 _SECULAR_TAU = 1e-14
 
 
@@ -512,8 +511,8 @@ def _solve_pair(config: PairConfig, fam: _Family) -> TwistedSolution:
                     f"f = {f_top:.3g} at the series ceiling {fam.var} = "
                     f"{poles[1]:.6g}")
         x = numerics.find_root(secular, numerics.PoleBracket(
-            *poles, -math.inf, f_top, poles, residues,
-            _SECULAR_TAU * poles[1], fam.var), tol=_SECULAR_TOL * poles[1])
+            *poles, f_top, poles, residues, _SECULAR_TAU * poles[1],
+            fam.var))
         st_L, st_R = states[x]
         A, B = st_R[0], -st_L[0]
     (pL, qL), (pR, qR) = st_L, st_R

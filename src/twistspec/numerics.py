@@ -15,46 +15,36 @@ from typing import Callable, Iterable, Optional
 
 from .errors import DomainError, NumericalError
 
-# Evaluations before the secular step of find_root gives up: bisection
-# alone narrows the widest bracket in use to its stopping step in about 50
-# halvings.
+# Evaluations before find_root gives up: bisection alone narrows the
+# widest bracket in use to its stopping step in about 50 halvings.
 SECULAR_MAX_ITER = 64
 
 
 @dataclass(frozen=True)
-class Bracket:
+class PoleBracket:
+    """A sign bracket [lo, hi] of a secular function f between its poles
+    p1 <= lo and hi <= p2, near which f runs like w_i/(p_i - x), w_i >= 0:
+    f is negative above lo, and f_hi = f(hi) >= 0 (+inf at hi = p2); w2 = 0
+    says that hi ends the domain and is no pole.  tau is the reach of
+    rounding in x (see find_root); var names x in error messages."""
     lo: float
     hi: float
-    f_lo: float
     f_hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise DomainError(f"Bracket: need lo < hi, got [{self.lo}, {self.hi}]")
-        if math.isnan(self.f_lo) or math.isnan(self.f_hi):
-            raise NumericalError(
-                f"Bracket: f is nan at an end of [{self.lo!r}, {self.hi!r}]: "
-                f"f(lo)={self.f_lo!r}, f(hi)={self.f_hi!r}")
-        if self.f_lo * self.f_hi > 0.0:
-            raise DomainError(
-                f"Bracket: no sign change, f(lo)={self.f_lo:g}, f(hi)={self.f_hi:g}"
-            )
-
-
-@dataclass(frozen=True)
-class PoleBracket(Bracket):
-    """A sign bracket of a secular function f between its poles p1 <= lo and
-    hi <= p2: near p_i, f runs like w_i/(p_i - x) with the residue w_i >= 0,
-    so f_lo is -inf at lo = p1 and f_hi +inf at hi = p2.  w2 = 0 says that
-    hi ends the domain and is no pole.  tau is the reach of rounding in x
-    (see find_root), and var names x in error messages."""
     poles: tuple[float, float]
     residues: tuple[float, float]
     tau: float
     var: str
 
     def __post_init__(self):
-        super().__post_init__()
+        if not self.lo < self.hi:
+            raise DomainError(
+                f"PoleBracket: need lo < hi, got [{self.lo}, {self.hi}]")
+        if math.isnan(self.f_hi):
+            raise NumericalError(f"PoleBracket: f is nan at the top of "
+                                 f"[{self.lo!r}, {self.hi!r}]")
+        if self.f_hi < 0.0:
+            raise DomainError(
+                f"PoleBracket: no sign change, f(hi)={self.f_hi:g} < 0")
         (p1, p2), (w1, w2) = self.poles, self.residues
         if not (w1 >= 0.0 and w2 >= 0.0):
             raise NumericalError(
@@ -186,11 +176,11 @@ def _model_root(x: float, g: float, dg: float, lo: float, hi: float,
 
 
 def find_root(f: Callable[[float], tuple[float, Optional[float]]],
-              bracket: PoleBracket, tol: float) -> float:
+              bracket: PoleBracket) -> float:
     """Root of a secular function on a PoleBracket, as secular solvers find
     it (Bunch, Nielsen & Sorensen 1978; Li 1994, LAPACK dlaed4); f returns
-    (f, f') or, where the slope is not known, (f, None).  The end values
-    come from the bracket, so f runs only at interior points.
+    (f, f') or, where the slope is not known, (f, None), and runs only at
+    interior points.
 
     Each iterate x sets the sign bracket and builds the two-pole model of f
     there (`_model_root`): the remainder g = f - w1/(p1 - x) - w2/(p2 - x),
@@ -202,33 +192,38 @@ def find_root(f: Callable[[float], tuple[float, Optional[float]]],
     plus the remainder read at hi.  Otherwise it is the bracket's midpoint:
     at an end just off its pole the remainder cancels catastrophically.
 
-    The iteration stops at f = 0, at a step of at most tol, or when a model
-    step fails to halve the model step before it while that one was at most
-    tau, the reach of rounding: f has reached its rounding floor.  A model
-    root beyond the bracket after such a step is the same event; a
-    bisection starts the comparison afresh and stops once the bracket is
-    2 tol wide.  It returns the last iterate at which f ran, so the caller
-    may keep what f computed there.  A tol that is not > 0 raises
-    DomainError; a non-finite f, and SECULAR_MAX_ITER evaluations without a
-    stop, raise NumericalError naming both poles and the last bracket.
+    The iteration stops at f = 0, at a step of at most 4 ulp(1) p2 (4 ulps
+    of the top pole; both callers' poles are positive), or when a model
+    step fails to halve the one before it while that one was at most tau,
+    the reach of rounding: f has reached its rounding floor.  A model root
+    beyond the bracket after such a step is the same event; a bisection
+    starts the comparison afresh and stops once the bracket is twice the
+    stopping step wide.  It returns the last iterate at which f ran, so the
+    caller may keep what f computed there.  A non-finite f, and
+    SECULAR_MAX_ITER evaluations without a stop, raise NumericalError
+    naming both poles and the last bracket.  x steps in units of 2^ex, the
+    power of two next to p2, and f in units of 2^-ef, next to (w1 + w2)/p2:
+    such scalings are exact, so the steps are the same at every scale of x
+    and of f, and the model's squares stay in range.
     """
-    if not tol > 0.0:
-        raise DomainError(f"find_root: need tol > 0, got {tol!r}")
-    if bracket.f_lo == 0.0:
-        return bracket.lo
     if bracket.f_hi == 0.0:
         return bracket.hi
-    (p1, p2), (w1, w2) = bracket.poles, bracket.residues
-    lo, hi, tau, var = bracket.lo, bracket.hi, bracket.tau, bracket.var
+    ex = math.frexp(bracket.poles[1])[1]
+    ef = ex - math.frexp(bracket.residues[0] + bracket.residues[1])[1]
+    p1, p2, lo, hi, tau = (math.ldexp(v, -ex) for v in (
+        *bracket.poles, bracket.lo, bracket.hi, bracket.tau))
+    w1, w2 = (math.ldexp(w, ef - ex) for w in bracket.residues)
+    stop, var = 4.0 * math.ulp(1.0) * p2, bracket.var
 
     def failure(what: str) -> NumericalError:
         return NumericalError(
-            f"find_root: {what}; {var}_1 = {p1!r}, {var}_2 = {p2!r}, "
-            f"last bracket [{lo!r}, {hi!r}]")
+            f"find_root: {what}; {var}_1 = {bracket.poles[0]!r}, "
+            f"{var}_2 = {bracket.poles[1]!r}, last bracket "
+            f"[{math.ldexp(lo, ex)!r}, {math.ldexp(hi, ex)!r}]")
 
     x = 0.5 * (lo + hi)
     if lo == p1 and w2 == 0.0:
-        g_hi = bracket.f_hi - w1 / (p1 - hi)
+        g_hi = math.ldexp(bracket.f_hi, ef) - w1 / (p1 - hi)
         if g_hi > 0.0:
             x = p1 + w1 / g_hi
     elif lo == p1 and w1 + w2 > 0.0:
@@ -237,39 +232,42 @@ def find_root(f: Callable[[float], tuple[float, Optional[float]]],
         x = 0.5 * (lo + hi)
     prev, last_step = None, math.inf
     for _ in range(SECULAR_MAX_ITER):
-        value, slope = f(x)
+        value, slope = f(math.ldexp(x, ex))
         if not (math.isfinite(value)
                 and (slope is None or math.isfinite(slope))):
-            raise failure(f"secular function is {value!r} at {var} = {x!r}")
+            raise failure(f"secular function is {value!r} at {var} = "
+                          f"{math.ldexp(x, ex)!r}")
+        value = math.ldexp(value, ef)
         if value == 0.0:
-            return x
+            break
         if value < 0.0:
             lo = x
         else:
             hi = x
         g = value - w1 / (p1 - x) - w2 / (p2 - x)
         if slope is not None:
-            dg = slope - w1 / (p1 - x) ** 2 - w2 / (p2 - x) ** 2
+            dg = (math.ldexp(slope, ef + ex) - w1 / (p1 - x) ** 2
+                  - w2 / (p2 - x) ** 2)
         elif prev is None:
             dg = 0.0
         else:
             dg = (g - prev[1]) / (x - prev[0])
         prev = (x, g)
-        nxt = _model_root(x, g, dg, lo, hi, bracket.poles, bracket.residues)
+        nxt = _model_root(x, g, dg, lo, hi, (p1, p2), (w1, w2))
         if nxt is None:
             # a model root beyond the bracket is farther away than the
             # model step that set the bracket: below tau, the floor
             if last_step <= tau:
                 break
             nxt, last_step = 0.5 * (lo + hi), math.inf
-            if hi - lo <= 2.0 * tol:
+            if hi - lo <= 2.0 * stop:
                 break
         else:
             step = abs(nxt - x)
-            if step <= tol or (2.0 * step > last_step and last_step <= tau):
+            if step <= stop or (2.0 * step > last_step and last_step <= tau):
                 break
             last_step = step
         x = nxt
     else:
         raise failure(f"no secular root after {SECULAR_MAX_ITER} evaluations")
-    return x
+    return math.ldexp(x, ex)

@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import measures, numerics
-from .errors import DomainError, NumericalError, ResourceError
+from .errors import AccuracyError, DomainError, NumericalError, ResourceError
 from .grids import GridFunction
 
 COORDINATES = ("cartesian_gauss", "radial_power", "lebesgue")
@@ -53,10 +53,6 @@ COORDINATES = ("cartesian_gauss", "radial_power", "lebesgue")
 DEFAULT_NODES_PER_INTERVAL = 1100
 MAX_TOTAL_NODES = 4000
 
-# Step that ends the secular iteration, relative to lambda_2.  f itself is
-# resolved only to about 1e-12 relative, so on most domains the iteration
-# ends earlier, when a model step fails to halve the one before it.
-SECULAR_RTOL = 1e-14
 
 @dataclass(frozen=True)
 class Domain1D:
@@ -135,7 +131,6 @@ def pair_domain(config: measures.PairConfig) -> Domain1D:
 class EigenResult:
     eigenvalues: np.ndarray
     eigenvectors: list[GridFunction]
-    constrained: bool
     grid_size: int
 
 
@@ -248,7 +243,6 @@ def dirichlet_eigs(domain: Domain1D, h: Optional[float] = None,
     return EigenResult(
         eigenvalues=w.copy(),
         eigenvectors=_grid_functions(asm, u),
-        constrained=False,
         grid_size=len(d),
     )
 
@@ -262,11 +256,19 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
     gives f = v.x and f' = x.x.  numerics.find_root runs the two-pole
     secular step with the residues (v.phi_1)^2 and (v.phi_2)^2 on the sign
     bracket [lambda_1 + tau, lambda_2 - tau] (the pole guard tau below),
-    from its middle, and stops at a step of at most SECULAR_RTOL * lambda_2
-    or at the rounding floor, within tau.  The last resolvent is the
-    eigenvector.  A non-finite f, or numerics.SECULAR_MAX_ITER solves
-    without a stop, raise NumericalError naming both poles and the last
-    bracket.
+    from its middle.  f is resolved only to about eps ||B|| / lambda
+    relative (6e-12 to 1.4e-10 on the default grid of four verify pairs),
+    so the step stops at that rounding floor, where a model step fails to
+    halve the one before it, and digits of lambda past the floor are noise.
+    The last resolvent is the eigenvector.  A non-finite f, or
+    numerics.SECULAR_MAX_ITER solves without a stop, raise NumericalError
+    naming both poles and the last bracket.
+
+    tau comes from the largest entries of B, so on a union whose cells
+    differ much in size the finest cells set it for all.  Where tau reaches
+    lambda_1, or the root lies inside the guard band below lambda_2 (f <= 0
+    at lambda_2 - tau while v.phi_2 is not zero to rounding), no root is
+    resolved: AccuracyError, naming tau and max|d|.
     """
     from scipy.linalg.lapack import dgtsv
 
@@ -286,11 +288,27 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
 
     # eigh_tridiagonal places each pole only to about eps * ||B||; keep the
     # bracket that far away from both so f has its asymptotic sign there.
-    tau = 64.0 * np.finfo(float).eps * float(np.max(np.abs(d))
-                                             + 2.0 * np.max(np.abs(e)))
+    max_d = float(np.max(np.abs(d)))
+    tau = 64.0 * np.finfo(float).eps * (max_d
+                                        + 2.0 * float(np.max(np.abs(e))))
+
+    def unresolved(what: str) -> AccuracyError:
+        return AccuracyError(
+            f"twisted_eig: {what}: the pole guard tau = {tau:.3g} comes from "
+            f"max|d| = {max_d:.3g}, the finest cells of the grid, and leaves "
+            f"the root unresolved", estimate=tau)
+
+    if tau >= lam1:
+        raise unresolved(f"tau reaches lambda_1 = {lam1:.6g}")
+    residues = tuple(float(c) ** 2 for c in v @ phi)
     lo, hi = lam1 + tau, lam2 - tau
     # poles closer than 2 tau: f_hi = 0 takes the lambda_2 branch
     f_hi = float(v @ resolvent(hi)) if hi > lo else 0.0
+    # v.phi_2 is zero to rounding below tau / (lambda_2 - lambda_1), the
+    # eigenvector's error bound (Davis & Kahan 1970)
+    if f_hi <= 0.0 and hi > lo and residues[1] > (tau / (lam2 - lam1)) ** 2:
+        raise unresolved(
+            f"the root lies within tau below lambda_2 = {lam2:.6g}")
     if f_hi <= 0.0:
         # the root sits at lambda_2 (a double pole or v . phi_2 = 0):
         # the mean-zero combination of phi_1 and phi_2 is the eigenvector
@@ -309,10 +327,8 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
             last[:] = [x]
             return float(v @ x), float(x @ x)
 
-        residues = tuple(float(c) ** 2 for c in v @ phi)
         lam = numerics.find_root(secular, numerics.PoleBracket(
-            lo, hi, f_lo, f_hi, (lam1, lam2), residues, tau, "lambda"),
-            tol=SECULAR_RTOL * lam2)
+            lo, hi, f_hi, (lam1, lam2), residues, tau, "lambda"))
         y = last[0]
     y -= v * float(v @ y)                       # one projection against v
     gf = _grid_functions(asm, (y * inv_sqrt)[:, None])[0]
@@ -326,6 +342,5 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
     return EigenResult(
         eigenvalues=np.asarray([lam], dtype=float),
         eigenvectors=[gf],
-        constrained=True,
         grid_size=len(d),
     )

@@ -110,9 +110,9 @@ def integrate(f: Callable, a: float, b: float, tol: float = DEFAULT_QUAD_TOL,
 
 
 def scan_sign_change(f: Callable[[float], float], a: float, b: float,
-                     steps: int) -> Optional[numerics.Bracket]:
-    """First sign-change sub-interval of f on a uniform scan of [a, b], or
-    None where f keeps its sign."""
+                     steps: int) -> Optional[tuple[float, float]]:
+    """First sign-change sub-interval (lo, hi) of f on a uniform scan of
+    [a, b], or None where f keeps its sign."""
     xs = np.linspace(a, b, steps + 1)
     x_prev = float(xs[0])
     f_prev = f(x_prev)
@@ -120,6 +120,6 @@ def scan_sign_change(f: Callable[[float], float], a: float, b: float,
         x_cur = float(x)
         f_cur = f(x_cur)
         if f_prev * f_cur <= 0.0:
-            return numerics.Bracket(x_prev, x_cur, f_prev, f_cur)
+            return x_prev, x_cur
         x_prev, f_prev = x_cur, f_cur
     return None

@@ -357,6 +357,16 @@ class TestOracleCommand:
         assert json.loads(out)["relative_gap"] == pytest.approx(
             1.9506731969027696e-07, rel=1e-4)
 
+    def test_tiny_component_is_a_typed_failure(self, capsys):
+        # R = 1e-4 next to L = 1: the oracle resolves no root (see
+        # test_oracle.TestComponentScale) and says so, instead of reporting
+        # a closed-form vs oracle disagreement
+        code, out, err = run(["oracle", "--measure", "power", "--n", "3",
+                              "--k", "0", "--L", "1", "--R", "1e-4"], capsys)
+        assert code == 3 and out == ""
+        assert "numerical failure: twisted_eig" in err and "tau = " in err
+        assert "disagreement" not in err
+
     def test_zero_tolerance_fails(self, capsys):
         code, out, err = run(["oracle", "--measure", "power", "--n", "2",
                               "--k", "1", "--mass", "1.0", "--split", "0.6",

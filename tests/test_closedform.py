@@ -237,7 +237,7 @@ def _degree_roots_by_scan(L):
 
     def root(lo, hi):
         br = scan_sign_change(f, lo, hi, math.ceil(2.0 * (hi - lo)))
-        return brentq(f, br.lo, br.hi, xtol=1e-12)
+        return brentq(f, *br, xtol=1e-12)
 
     nu1 = root(max(1.0, 0.5 * (L * L - 1.0)), 0.5 * (L * L + 2.0 * L + PI2))
     return nu1, root(nu1 + 1.0, 0.5 * ((L + 1.0) ** 2 - 1.0 + 4.0 * PI2))
@@ -248,8 +248,7 @@ def _dirichlet_by_fine_scan(L):
     brentq."""
     from scipy.optimize import brentq
     f = lambda nu: specfun.hermite_value(nu, L)  # noqa: E731
-    br = scan_sign_change(f, 1.0, 40.0, 780)
-    return 2.0 * brentq(f, br.lo, br.hi, xtol=1e-12)
+    return 2.0 * brentq(f, *scan_sign_change(f, 1.0, 40.0, 780), xtol=1e-12)
 
 
 def _gauss_mean_by_quadrature(nu, a):
@@ -553,6 +552,28 @@ class TestTwistedPairPower:
                     worst = max(worst, abs(c * c * lam / ref - 1.0))
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("n, k", [(3, 0.0), (3, 2.0), (5, 3.0)])
+    def test_homogeneity_exact_under_powers_of_two(self, n, k):
+        # radii scaled by 2^e scale the poles, the residues and f by powers
+        # of two, and find_root steps in units of powers of two: lambda
+        # scales by exactly 2^-2e over the whole mass range.  Stepping in
+        # the caller's units, (5, 3) at (1, 0.31) missed by 2 ulps at
+        # e = +-72 and +-80
+        m = MeasureSpec.power(n, k)
+        r_lo, r_hi = (measures.radius_from_mass(m, mass)
+                      for mass in closedform.POWER_MASS_RANGE)
+        scaled = 0
+        for L, R in ((1.0, 0.31), (1.0, 0.7)):
+            ref = closedform.solve(measures.PairConfig(m, L, R)).eigenvalue
+            for e in range(-200, 201, 8):
+                cL, cR = math.ldexp(L, e), math.ldexp(R, e)
+                if not r_lo <= min(cL, cR) <= max(cL, cR) <= r_hi:
+                    continue
+                scaled += 1
+                lam = closedform.solve(measures.PairConfig(m, cL, cR))
+                assert lam.eigenvalue == math.ldexp(ref, -2 * e), (L, R, e)
+        assert scaled >= 30
+
     def test_asymmetric_against_oracle(self):
         m = MeasureSpec.power(2, 1.0)
         cfg = measures.config_from_split(m, 1.0, 0.6)
@@ -688,7 +709,7 @@ def _progressive_scan_lambda(cfg):
     for steps in (32, 192, 1024):
         br = scan_sign_change(D, lo + eps, hi, steps)
         if br is not None:
-            return fam.lam(brentq(D, br.lo, br.hi, xtol=1e-13))
+            return fam.lam(brentq(D, *br, xtol=1e-13))
     raise AssertionError(f"no determinant root for {cfg}")
 
 
@@ -929,9 +950,10 @@ class TestSecularPairSolve:
     @pytest.mark.parametrize("scale", [1.0 + 1e-6, 1.0 - 1e-6])
     def test_gauss_root_insensitive_to_residues(self, scale, monkeypatch):
         # the residues only shape the secular model: scaled by 1 +- 1e-6,
-        # each solve still stops within the secular tolerance of the root,
-        # so the two lambdas agree to twice it (bracket_dirichlet[1] is at
-        # least the top pole), in at most 6 evaluations of f
+        # each solve still stops within find_root's step, 4 ulps of the
+        # top pole, of the root, so the two lambdas agree to twice it
+        # (bracket_dirichlet[1] is at least the top pole), in at most 6
+        # evaluations of f
         g = MeasureSpec.gaussian(1)
         cfgs = _secular_configs(g) + [measures.PairConfig(g, 0.05, 3.0)]
         base = [closedform.solve(cfg) for cfg in cfgs]
@@ -942,7 +964,7 @@ class TestSecularPairSolve:
         for cfg, sol in zip(cfgs, base):
             evals.append(0)
             lam = closedform.solve(cfg).eigenvalue
-            tol = 2.0 * closedform._SECULAR_TOL * sol.bracket_dirichlet[1]
+            tol = 8.0 * math.ulp(1.0) * sol.bracket_dirichlet[1]
             assert abs(lam - sol.eigenvalue) <= tol, (cfg, lam, sol.eigenvalue)
         assert max(evals) <= 6, evals
 

@@ -11,15 +11,19 @@ import quadrature
 
 class TestBracketAndRoots:
     def test_bracket_validation(self):
-        with pytest.raises(DomainError):
-            numerics.Bracket(2.0, 1.0, -1.0, 1.0)
-        with pytest.raises(DomainError):
-            numerics.Bracket(0.0, 1.0, 1.0, 2.0)
+        with pytest.raises(DomainError, match="need lo < hi"):
+            numerics.PoleBracket(2.0, 1.0, 1.0, (1.0, 2.0), (0.3, 0.2),
+                                 1e-14, "x")
+        # f runs from -inf at the pole p1: f(hi) < 0 is no sign change
+        with pytest.raises(DomainError, match="no sign change"):
+            numerics.PoleBracket(1.0, 2.0, -1.0, (1.0, 2.0), (0.3, 0.2),
+                                 1e-14, "x")
 
     def test_nan_at_an_end_raises(self):
-        with pytest.raises(NumericalError, match=r"f is nan at an end of "
-                           r"\[1\.0, 2\.0\]: f\(lo\)=nan"):
-            numerics.Bracket(1.0, 2.0, math.nan, 1.0)
+        with pytest.raises(NumericalError, match=r"f is nan at the top of "
+                           r"\[1\.0, 2\.0\]"):
+            numerics.PoleBracket(1.0, 2.0, math.nan, (1.0, 2.0), (0.3, 0.2),
+                                 1e-14, "x")
 
     def test_sqrt_two(self):
         # f is -4.4e-16 and 4.4e-16 at the floats on either side of
@@ -44,9 +48,8 @@ class TestBracketAndRoots:
 
     def test_scan_sign_change(self):
         # the reference scan the closed-form tests take their roots from
-        br = quadrature.scan_sign_change(math.cos, 0.0, 3.0, 30)
-        assert br is not None
-        assert br.lo <= math.pi / 2 <= br.hi
+        lo, hi = quadrature.scan_sign_change(math.cos, 0.0, 3.0, 30)
+        assert lo <= math.pi / 2 <= hi
         assert quadrature.scan_sign_change(lambda x: 1.0 + x * x, 0, 1,
                                            10) is None
 
@@ -254,9 +257,9 @@ class TestSecularRoot:
             xs.append(x)
             return _secular(x), _secular_slope(x) if with_slope else None
 
-        br = numerics.PoleBracket(1.0, 2.0, -math.inf, math.inf, (1.0, 2.0),
+        br = numerics.PoleBracket(1.0, 2.0, math.inf, (1.0, 2.0),
                                   (0.3, 0.2), 1e-14, "x")
-        root = numerics.find_root(f, br, tol=4.0 * 2.2e-16)
+        root = numerics.find_root(f, br)
         assert abs(root - want) <= 4e-16 * want
         assert root == xs[-1]           # the last point f ran at
         assert all(1.0 < x < 2.0 for x in xs)
@@ -269,9 +272,9 @@ class TestSecularRoot:
             return 0.3 / (1.0 - x) + 1.0 + x, None
 
         top = 1.2
-        br = numerics.PoleBracket(1.0, top, -math.inf, f(top)[0], (1.0, top),
+        br = numerics.PoleBracket(1.0, top, f(top)[0], (1.0, top),
                                   (0.3, 0.0), 1e-14, "x")
-        root = numerics.find_root(f, br, tol=4.0 * 2.2e-16)
+        root = numerics.find_root(f, br)
         assert 1.0 < root < top
         want = math.sqrt(1.3)
         assert abs(root - want) <= 4e-16 * want
@@ -279,22 +282,39 @@ class TestSecularRoot:
     def test_residues_of_opposite_sign(self):
         with pytest.raises(NumericalError, match=r"residues 0\.3 and -0\.2 "
                            r"at the poles x_1 = 1\.0 and x_2 = 2\.0"):
-            numerics.PoleBracket(1.0, 2.0, -math.inf, math.inf, (1.0, 2.0),
+            numerics.PoleBracket(1.0, 2.0, math.inf, (1.0, 2.0),
                                  (0.3, -0.2), 1e-14, "x")
 
     def test_nonfinite_value_raises(self):
-        br = numerics.PoleBracket(1.0, 2.0, -math.inf, math.inf, (1.0, 2.0),
+        br = numerics.PoleBracket(1.0, 2.0, math.inf, (1.0, 2.0),
                                   (0.3, 0.2), 1e-14, "x")
         with pytest.raises(NumericalError, match=r"secular function is nan "
                            r"at x = .*x_1 = 1\.0, x_2 = 2\.0, last bracket"):
-            numerics.find_root(lambda x: (math.nan, None), br, tol=1e-15)
+            numerics.find_root(lambda x: (math.nan, None), br)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
-    def test_tol_not_positive_raises(self, tol):
-        br = numerics.PoleBracket(1.0, 2.0, -math.inf, math.inf, (1.0, 2.0),
-                                  (0.3, 0.2), 1e-14, "x")
-        with pytest.raises(DomainError, match="find_root: need tol > 0"):
-            numerics.find_root(lambda x: (_secular(x), None), br, tol=tol)
+    @pytest.mark.parametrize("with_slope", [True, False],
+                             ids=["slope", "secant"])
+    def test_root_scales_with_the_bracket(self, with_slope):
+        # x scaled by 2^k (poles, residues, tau and x), or f by 2^k (f, f'
+        # and the residues): the root is 2^k times the unscaled one, or the
+        # same, exactly; an absolute stop, or a square of the model out of
+        # range, breaks it
+        def root(kx, kf):
+            s, c = math.ldexp(1.0, kx), math.ldexp(1.0, kf)
+
+            def f(y):
+                x = y / s
+                return c * _secular(x), (c * _secular_slope(x) / s
+                                         if with_slope else None)
+
+            return numerics.find_root(f, numerics.PoleBracket(
+                s, 2.0 * s, math.inf, (s, 2.0 * s), (0.3 * s * c, 0.2 * s * c),
+                1e-14 * s, "x"))
+
+        want = root(0, 0)
+        for k in range(-600, 601, 100):
+            assert root(k, 0) == math.ldexp(want, k), k
+            assert root(0, k) == want, k
 
 
 class TestIntegrate:

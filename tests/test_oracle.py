@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg
 
 from twistspec import closedform, measures, numerics, oracle, verify
-from twistspec.errors import DomainError, NumericalError, ResourceError
+from twistspec.errors import (AccuracyError, DomainError, NumericalError,
+                             ResourceError)
 from twistspec.measures import MeasureSpec
 
 PI2 = math.pi ** 2
@@ -130,7 +131,6 @@ class TestTwisted:
     def test_unit_interval_second_dirichlet(self):
         dom = oracle.Domain1D(intervals=((0.0, 1.0),), coordinate="lebesgue")
         r = oracle.twisted_eig(dom)
-        assert r.constrained
         assert r.eigenvalues[0] == pytest.approx(4 * PI2, rel=2e-3)
 
     def test_constraint_satisfied(self):
@@ -219,6 +219,32 @@ class TestTwisted:
             want = closedform.twisted_pair_power(cfg).eigenvalue
             assert abs(lam - want) <= 1e-5 * want
             assert lam1 < lam <= lam2
+
+
+class TestComponentScale:
+    """The pole guard tau = 64 eps (max|d| + 2 max|e|) is set by the finest
+    cells of the whole union.  Next to a unit half-ball, a half-ball of
+    radius R <= 1e-4 puts the root inside the guard band below lambda_2
+    (R = 1e-4) or tau past lambda_1 (R <= 1e-5; at 1e-6 the eigensolve's own
+    lambda_1 is 157.9, not 9.87): no root is resolved."""
+
+    @pytest.mark.parametrize("k", [0.0, 2.0], ids=["power30", "power32"])
+    @pytest.mark.parametrize("R", [1e-4, 1e-5, 1e-6])
+    def test_tiny_component_raises(self, k, R):
+        cfg = measures.PairConfig(MeasureSpec.power(3, k), 1.0, R)
+        with pytest.raises(AccuracyError, match=r"tau = \S+ comes from "
+                           r"max\|d\| = \S+, the finest cells"):
+            oracle.twisted_eig(oracle.power_pair_domain(cfg))
+
+    @pytest.mark.parametrize("k", [0.0, 2.0], ids=["power30", "power32"])
+    @pytest.mark.parametrize("R", [1.5e-4, 1e-3])
+    def test_small_component_still_resolved(self, k, R):
+        # tau is 3.4 (power30) at R = 1.5e-4, a third of lambda_1, and the
+        # root still lies well inside the guarded bracket
+        cfg = measures.PairConfig(MeasureSpec.power(3, k), 1.0, R)
+        lam = oracle.twisted_eig(oracle.power_pair_domain(cfg)).eigenvalues[0]
+        want = closedform.twisted_pair_power(cfg).eigenvalue
+        assert abs(lam - want) <= 1e-5 * want
 
 
 class TestSharedSpectrum:
