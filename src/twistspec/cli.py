@@ -68,8 +68,8 @@ def _write_csv(rows: list[dict], stream) -> None:
 
 
 def _strict_json(x):
-    """Non-finite floats (e.g. the scan's one-sided end differences) become
-    null, since strict JSON has no NaN or Infinity token."""
+    """Non-finite floats become null, since strict JSON has no NaN or
+    Infinity token."""
     if isinstance(x, float) and not math.isfinite(x):
         return None
     if isinstance(x, dict):
@@ -168,7 +168,7 @@ def cmd_scan(args) -> int:
             "R": sol.config.right_param,
             "lambda": float(curve.lambdas[i]),
             "dlambda_ds_analytic": float(curve.derivative_analytic[i]),
-            "dlambda_ds_fd": float(curve.derivative_fd[i]),
+            "dlambda_ds_spectral": float(curve.derivative_spectral[i]),
             "c": sol.nonlocal_c,
             "du_left": sol.du_left,
             "du_right": sol.du_right,

@@ -220,25 +220,46 @@ def _symmetrized(asm: _Assembly) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return d, e, inv_sqrt
 
 
+def _unresolved(what: str, tau: float, max_d: float) -> AccuracyError:
+    return AccuracyError(
+        f"{what}: the pole guard tau = {tau:.3g} comes from max|d| = "
+        f"{max_d:.3g}, the finest cells of the grid, and leaves the root "
+        f"unresolved", estimate=tau)
+
+
 @functools.lru_cache(maxsize=2)
 def _spectrum(domain: Domain1D, h: Optional[float], count: int):
-    """Assembly, diagonals (d, e) of B, M^{-1/2}, and the smallest `count`
-    eigenpairs (w, phi) of B, all read-only."""
+    """Assembly, diagonals (d, e) of B, M^{-1/2}, the smallest `count`
+    eigenpairs (w, phi) of B, all read-only, and the pole guard tau with
+    the max|d| that sets it (numpy scalars, immutable).
+
+    eigh_tridiagonal places each eigenvalue only to about eps ||B||, and
+    tau = 64 eps (max|d| + 2 max|e|) is that reach.  It comes from the
+    largest entries of B, so on a union whose cells differ much in size
+    the finest cells set it for all; where it reaches lambda_1, no
+    eigenvalue is resolved (AccuracyError, naming tau and max|d|).
+    """
     from scipy.linalg import eigh_tridiagonal
 
     asm = _assemble(domain, h)
     d, e, inv_sqrt = _symmetrized(asm)
     w, phi = eigh_tridiagonal(
         d, e, select="i", select_range=(0, min(count, len(d)) - 1))
+    max_d = np.max(np.abs(d))
+    tau = 64.0 * np.finfo(float).eps * (max_d + 2.0 * np.max(np.abs(e)))
+    if tau >= w[0]:
+        raise _unresolved(f"oracle: tau reaches lambda_1 = {w[0]:.6g}",
+                          tau, max_d)
     for a in (asm.main, asm.off, asm.mass, asm.nodes, d, e, inv_sqrt, w, phi):
         a.flags.writeable = False
-    return asm, d, e, inv_sqrt, w, phi
+    return asm, d, e, inv_sqrt, w, phi, tau, max_d
 
 
 def dirichlet_eigs(domain: Domain1D, h: Optional[float] = None,
                    count: int = 2) -> EigenResult:
-    """Smallest `count` Dirichlet eigenvalues of the union."""
-    asm, d, _, inv_sqrt, w, v = _spectrum(domain, h, count)
+    """Smallest `count` Dirichlet eigenvalues of the union; AccuracyError
+    where the pole guard tau reaches lambda_1 (see `_spectrum`)."""
+    asm, d, _, inv_sqrt, w, v, *_ = _spectrum(domain, h, count)
     u = v * inv_sqrt[:, None]
     return EigenResult(
         eigenvalues=w.copy(),
@@ -266,13 +287,15 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
 
     tau comes from the largest entries of B, so on a union whose cells
     differ much in size the finest cells set it for all.  Where tau reaches
-    lambda_1, or the root lies inside the guard band below lambda_2 (f <= 0
-    at lambda_2 - tau while v.phi_2 is not zero to rounding), no root is
-    resolved: AccuracyError, naming tau and max|d|.
+    lambda_1 (raised by `_spectrum`), or the root lies inside the guard
+    band below lambda_2 (f <= 0 at lambda_2 - tau while v.phi_2 is not
+    zero to rounding), no root is resolved: AccuracyError, naming tau and
+    max|d|.
     """
     from scipy.linalg.lapack import dgtsv
 
-    asm, d, e, inv_sqrt, w, phi = _spectrum(domain, h, 2)
+    asm, d, e, inv_sqrt, w, phi, tau, max_d = _spectrum(domain, h, 2)
+    tau, max_d = float(tau), float(max_d)
     lam1, lam2 = float(w[0]), float(w[1])
     # constraint  meanvec . u = 0  becomes  v . (M^{1/2} u) = 0
     v = np.sqrt(asm.mass)
@@ -286,20 +309,8 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
                 f"twisted_eig: B - lambda singular at lambda = {lam!r}")
         return x[:, 0]
 
-    # eigh_tridiagonal places each pole only to about eps * ||B||; keep the
-    # bracket that far away from both so f has its asymptotic sign there.
-    max_d = float(np.max(np.abs(d)))
-    tau = 64.0 * np.finfo(float).eps * (max_d
-                                        + 2.0 * float(np.max(np.abs(e))))
-
-    def unresolved(what: str) -> AccuracyError:
-        return AccuracyError(
-            f"twisted_eig: {what}: the pole guard tau = {tau:.3g} comes from "
-            f"max|d| = {max_d:.3g}, the finest cells of the grid, and leaves "
-            f"the root unresolved", estimate=tau)
-
-    if tau >= lam1:
-        raise unresolved(f"tau reaches lambda_1 = {lam1:.6g}")
+    # the bracket keeps tau away from both poles, so that f has its
+    # asymptotic sign there
     residues = tuple(float(c) ** 2 for c in v @ phi)
     lo, hi = lam1 + tau, lam2 - tau
     # poles closer than 2 tau: f_hi = 0 takes the lambda_2 branch
@@ -307,8 +318,9 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
     # v.phi_2 is zero to rounding below tau / (lambda_2 - lambda_1), the
     # eigenvector's error bound (Davis & Kahan 1970)
     if f_hi <= 0.0 and hi > lo and residues[1] > (tau / (lam2 - lam1)) ** 2:
-        raise unresolved(
-            f"the root lies within tau below lambda_2 = {lam2:.6g}")
+        raise _unresolved(
+            f"twisted_eig: the root lies within tau below lambda_2 = "
+            f"{lam2:.6g}", tau, max_d)
     if f_hi <= 0.0:
         # the root sits at lambda_2 (a double pole or v . phi_2 = 0):
         # the mean-zero combination of phi_1 and phi_2 is the eigenvector

@@ -221,7 +221,7 @@ class TestScan:
         lines = out_file.read_text().strip().splitlines()
         header = lines[0].split(",")
         assert header == ["s", "L", "R", "lambda", "dlambda_ds_analytic",
-                          "dlambda_ds_fd", "c", "du_left", "du_right"]
+                          "dlambda_ds_spectral", "c", "du_left", "du_right"]
         assert len(lines) == 12
         rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
         lams = [float(r["lambda"]) for r in rows]
@@ -258,20 +258,27 @@ class TestScan:
         again = json.loads(json.dumps(payload))
         assert again == payload
 
-    def test_json_is_strict(self, capsys):
-        # the one-sided end rows have no finite-difference derivative
+    def test_every_row_is_finite(self, capsys):
+        # the spectral derivative has a value at every node, ends included
         code, out, _ = run(["scan", "--measure", "power", "--n", "3",
                             "--k", "0", "--mass", "3.0", "--grid", "5",
                             "--format", "json"], capsys)
         assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 5
+        assert all(math.isfinite(v) for r in rows for v in r.values())
 
+    def test_json_is_strict(self):
         def reject(token):
             raise ValueError(f"non-standard JSON token {token}")
 
-        rows = json.loads(out, parse_constant=reject)["rows"]
-        assert rows[0]["dlambda_ds_fd"] is None
-        assert rows[-1]["dlambda_ds_fd"] is None
-        assert all(math.isfinite(r["dlambda_ds_fd"]) for r in rows[1:-1])
+        payload = {"rows": [{"a": math.nan, "b": 1.5},
+                            {"a": -math.inf, "b": (math.inf, 2.0)}]}
+        want = {"rows": [{"a": None, "b": 1.5}, {"a": None, "b": [None, 2.0]}]}
+        assert cli._strict_json(payload) == want
+        out = io.StringIO()
+        cli._write_json(payload, out)
+        assert json.loads(out.getvalue(), parse_constant=reject) == want
 
     def test_tiny_power_mass_mirror_ends(self, capsys):
         # at mass 1e-27 (radii near 6e-10) only s = 1/2 takes the symmetric
@@ -283,14 +290,11 @@ class TestScan:
         rows = json.loads(out)["rows"]
         assert abs(rows[0]["lambda"] / rows[-1]["lambda"] - 1) <= 1e-12
 
-    def test_csv_keeps_nan(self, capsys):
-        code, out, _ = run(["scan", "--measure", "power", "--n", "3",
-                            "--k", "0", "--mass", "3.0", "--grid", "5"],
-                           capsys)
-        assert code == 0
-        header, first = out.splitlines()[:2]
-        rec = dict(zip(header.split(","), first.split(",")))
-        assert rec["dlambda_ds_fd"] == "nan"
+    def test_csv_keeps_nan(self):
+        out = io.StringIO()
+        cli._write_csv([{"s": 0.25, "d": math.nan},
+                        {"s": 0.5, "d": math.inf}], out)
+        assert out.getvalue() == "s,d\n0.25,nan\n0.5,inf\n"
 
 
 class TestVerify:

@@ -226,7 +226,8 @@ class TestComponentScale:
     cells of the whole union.  Next to a unit half-ball, a half-ball of
     radius R <= 1e-4 puts the root inside the guard band below lambda_2
     (R = 1e-4) or tau past lambda_1 (R <= 1e-5; at 1e-6 the eigensolve's own
-    lambda_1 is 157.9, not 9.87): no root is resolved."""
+    lambda_1 is 157.9, not 9.87): no root is resolved, and where tau
+    reaches lambda_1 no Dirichlet eigenvalue is either."""
 
     @pytest.mark.parametrize("k", [0.0, 2.0], ids=["power30", "power32"])
     @pytest.mark.parametrize("R", [1e-4, 1e-5, 1e-6])
@@ -245,6 +246,24 @@ class TestComponentScale:
         lam = oracle.twisted_eig(oracle.power_pair_domain(cfg)).eigenvalues[0]
         want = closedform.twisted_pair_power(cfg).eigenvalue
         assert abs(lam - want) <= 1e-5 * want
+
+    @pytest.mark.parametrize("k", [0.0, 2.0], ids=["power30", "power32"])
+    @pytest.mark.parametrize("R", [1e-5, 1e-6])
+    def test_tiny_component_dirichlet_raises(self, k, R):
+        # at R = 1e-6 the eigensolve itself returns [157.9, 246.7]
+        cfg = measures.PairConfig(MeasureSpec.power(3, k), 1.0, R)
+        with pytest.raises(AccuracyError, match=r"tau reaches lambda_1 .* "
+                           r"tau = \S+ comes from max\|d\| = \S+"):
+            oracle.dirichlet_eigs(oracle.power_pair_domain(cfg), count=2)
+
+    @pytest.mark.parametrize("R", [1e-4, 1.5e-4, 1e-3])
+    def test_small_component_dirichlet_resolved(self, R):
+        # the unit half-ball's pi^2 and (2 pi)^2, with tau below pi^2
+        cfg = measures.PairConfig(MeasureSpec.power(3, 0.0), 1.0, R)
+        got = oracle.dirichlet_eigs(oracle.power_pair_domain(cfg),
+                                    count=2).eigenvalues
+        want = np.array([1.0, 4.0]) * math.pi ** 2
+        assert np.all(np.abs(got - want) <= 1e-5 * want)
 
 
 class TestSharedSpectrum:

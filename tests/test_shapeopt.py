@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from twistspec import closedform, measures, shapeopt
+from twistspec import closedform, measures, shapeopt, verify
 from twistspec.errors import DomainError
 from twistspec.measures import MeasureSpec
 
@@ -16,8 +16,8 @@ DECADES = range(-27, 28, 3)
 
 @pytest.fixture(scope="module")
 def power_scans():
-    """41-point scans of four power families at total masses 10^e, e = -27,
-    -24, ..., 27, keyed (n, k, e); e = 0 is mass 1."""
+    """Default 21-point scans of four power families at total masses 10^e,
+    e = -27, -24, ..., 27, keyed (n, k, e); e = 0 is mass 1."""
     return {(n, k, e): shapeopt.scan(MeasureSpec.power(n, k), 10.0 ** e)
             for n, k in POWER_FAMILIES for e in DECADES}
 
@@ -27,20 +27,34 @@ def scaled(curve: shapeopt.ScanCurve, factor: float) -> shapeopt.ScanCurve:
     return dataclasses.replace(
         curve, lambdas=curve.lambdas * factor,
         derivative_analytic=curve.derivative_analytic * factor,
-        derivative_fd=curve.derivative_fd * factor)
+        derivative_spectral=curve.derivative_spectral * factor)
+
+
+@pytest.fixture(scope="module")
+def suite_scans():
+    """Default scans of the 15 cases of the `minimum` verify suite."""
+    return [shapeopt.scan(measure, total)
+            for measure, total in verify._certification_cases()]
+
+
+def spectral_derivative(s: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The scan's spectral derivative of lam on the Lobatto grid s."""
+    half = 0.5 * (s[-1] - s[0])
+    return shapeopt._lobatto_diff_matrix(len(s)) @ lam / half
 
 
 def parabola_curve(shift_steps: float, points: int = 11) -> shapeopt.ScanCurve:
     """Stand-in curve lambda = 3 + (s - s_min)^2 with exact derivatives on
-    the gaussian(1) mass-0.5 grid, its minimizer shift_steps grid steps
-    right of 1/2."""
+    the gaussian(1) mass-0.5 grid, its minimizer shift_steps steps of the
+    grid's center cell right of 1/2."""
     s = shapeopt.split_grid(G1, 0.5, points)
-    s_min = 0.5 + shift_steps * (s[1] - s[0])
+    mid = points // 2
+    s_min = 0.5 + shift_steps * (s[mid + 1] - s[mid])
     lam = 3.0 + (s - s_min) ** 2
     return shapeopt.ScanCurve(
         measure=G1, total_mass=0.5, splits=s, lambdas=lam,
         derivative_analytic=2.0 * (s - s_min),
-        derivative_fd=shapeopt._fd_derivative(s, lam), solutions=[],
+        derivative_spectral=spectral_derivative(s, lam), solutions=[],
         window=(float(s[0]), float(s[-1])), all_single_signed=True)
 
 
@@ -75,13 +89,21 @@ class TestShapeDerivative:
         sol2 = shapeopt.lambda_of_split(G1, 0.5, 0.45)
         assert closedform.boundary_gradient_gap(sol2) * 0.5 < 0.0
 
-    def test_agrees_with_curve_fd(self):
+    def test_agrees_with_curve_spectral(self):
+        # at every node, ends included
         curve = shapeopt.scan(G1, 0.5, points=21)
-        floor = shapeopt.CERT_RTOL * np.max(np.abs(curve.lambdas))
-        for i in range(2, len(curve.splits) - 2):
-            tol = max(floor, 1e-3 * abs(curve.derivative_fd[i]))
-            assert abs(curve.derivative_analytic[i]
-                       - curve.derivative_fd[i]) <= tol
+        tol = shapeopt.CERT_RTOL * np.max(np.abs(curve.lambdas))
+        gap = np.abs(curve.derivative_analytic - curve.derivative_spectral)
+        assert np.all(gap <= tol)
+
+    def test_spectral_derivative_exact_on_polynomials(self):
+        # degree <= N polynomials are differentiated exactly up to rounding
+        s = shapeopt.split_grid(G1, 0.5, 11)
+        for p in (np.ones(1), np.array([2.0, -1.0, 0.5]),
+                  np.arange(1.0, 12.0)):
+            got = spectral_derivative(s, np.polyval(p, s - 0.5))
+            want = np.polyval(np.polyder(p), s - 0.5)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11)
 
 
 class TestScan:
@@ -97,6 +119,34 @@ class TestScan:
         lo, hi = curve.window
         assert lo > 1 - 0.5 / 0.95 - 1e-12
         assert hi < 0.5 / 0.95 + 1e-12
+
+    @pytest.mark.parametrize("measure,total", [
+        (G1, 0.5), (G1, 0.95), (M30, 3.0)])
+    def test_lobatto_grid_keeps_the_window(self, measure, total):
+        # the ends are the uniform grid's ends and the center is exactly
+        # 1/2: the window and lambda(1/2) are the same floats
+        s = shapeopt.split_grid(measure, total)
+        h = shapeopt._half_width(measure, total)
+        assert len(s) == shapeopt.DEFAULT_POINTS == 21
+        assert s[10] == 0.5
+        assert (s[0], s[-1]) == (0.5 - h, 0.5 + h)
+        assert np.all(np.abs(s + s[::-1] - 1.0) <= 1e-15)
+        assert np.all(np.diff(s) > 0.0)
+        x = np.cos(np.pi * np.arange(21) / 20)[::-1]
+        np.testing.assert_allclose(s, 0.5 + h * x, rtol=0.0, atol=1e-16)
+
+    def test_one_solve_per_point(self, monkeypatch):
+        calls = []
+        solve = closedform.solve
+
+        def counted(config):
+            calls.append(config)
+            return solve(config)
+        monkeypatch.setattr(closedform, "solve", counted)
+        for points in (3, 11, shapeopt.DEFAULT_POINTS):
+            calls.clear()
+            shapeopt.scan(M30, 3.0, points=points)
+            assert len(calls) == points
 
     def test_empty_window_rejected(self):
         with pytest.raises(DomainError):
@@ -157,8 +207,33 @@ class TestCertify:
             bad = dataclasses.replace(
                 curve, derivative_analytic=curve.derivative_analytic * 1.01)
             rep = shapeopt.certify_minimum(bad)
-            assert "derivative_fd_agreement" in {
+            assert "derivative_spectral_agreement" in {
                 c.name for c in rep.failures()}, key
+
+    def test_ppm_derivative_error_fails(self, power_scans, suite_scans):
+        scans = [*power_scans.values(), *suite_scans]
+        assert len(scans) == 76 + 15
+        for curve in scans:
+            bad = dataclasses.replace(
+                curve, derivative_analytic=curve.derivative_analytic
+                * (1.0 + 1e-6))
+            rep = shapeopt.certify_minimum(bad)
+            assert [c.name for c in rep.failures()] == [
+                "derivative_spectral_agreement"], curve.total_mass
+
+    def test_raised_center_fails_spectral_agreement(self, suite_scans):
+        # lambda(1/2) one part in 1e9 high bends the interpolating
+        # polynomial at the center far past the gate
+        assert len(suite_scans) == 15
+        for curve in suite_scans:
+            lam = curve.lambdas.copy()
+            lam[len(lam) // 2] *= 1.0 + 1e-9
+            bad = dataclasses.replace(
+                curve, lambdas=lam,
+                derivative_spectral=spectral_derivative(curve.splits, lam))
+            rep = shapeopt.certify_minimum(bad)
+            assert "derivative_spectral_agreement" in {
+                c.name for c in rep.failures()}, curve.total_mass
 
     def test_verdicts_do_not_depend_on_scale(self):
         # exact powers of two scale every gap and the tolerance alike
@@ -181,7 +256,7 @@ class TestCertify:
         curve = shapeopt.ScanCurve(
             measure=G1, total_mass=0.5, splits=s, lambdas=lam,
             derivative_analytic=2.0 * (s - 0.5),
-            derivative_fd=shapeopt._fd_derivative(s, lam), solutions=[],
+            derivative_spectral=2.0 * (s - 0.5), solutions=[],
             window=(s[0], s[-1]), all_single_signed=True)
         with pytest.raises(DomainError):
             shapeopt.certify_minimum(curve)
@@ -211,7 +286,7 @@ class TestCertify:
             c.name for c in rep.failures()}
 
     def test_calls_no_solver(self, monkeypatch):
-        curve = shapeopt.scan(G1, 0.5, points=11)
+        curve = shapeopt.scan(G1, 0.5)
 
         def no_solve(*args):
             raise AssertionError("certification ran a pair solve")
@@ -221,5 +296,5 @@ class TestCertify:
         assert rep.passed, [c.detail for c in rep.failures()]
         assert [c.name for c in rep.checks] == [
             "grid_minimum_at_half", "curve_symmetry",
-            "derivative_sign_pattern", "derivative_fd_agreement",
+            "derivative_sign_pattern", "derivative_spectral_agreement",
             "interpolant_minimum_at_half"]
