@@ -16,13 +16,22 @@ x_j = cos(pi j / N), of the split window [1/2 - h, 1/2 + h], and
 differentiates the curve spectrally: the derivative at the nodes of the
 polynomial through them (Trefethen, Spectral Methods in MATLAB, ch. 6), as
 in Chebfun (Battles & Trefethen 2004).  lambda is analytic in s, so 21
-points resolve it far below the certification tolerance.
+points resolve it far below the certification tolerance.  `split_grid`
+builds the upper half and takes the lower half as 1 - s, exact for s in
+[1/2, 1], so the grid is its own mirror to the bit and the configuration
+at 1 - s is the one at s with the components swapped.  `scan` solves the
+center, then each mirrored pair back to back; the second solve of a pair
+finds the special-function values of the first in specfun's kernel
+caches, and lambda(s) = lambda(1 - s) holds exactly.
 
 `certify_minimum` checks the grid minimum at s = 1/2, the relabeling
 symmetry of the curve, the derivative sign pattern, agreement of the
 analytic derivative with the spectral derivative of the curve itself at
 every node, and lambda(1/2) bounding the scan's cubic Hermite interpolant
-from below, each on the one scale CERT_RTOL * max |lambda|.
+from below, each on the one scale CERT_RTOL * max |lambda|.  The spectral
+check's detail also reports N^2 |c_N| / h, the last Chebyshev term's
+derivative, which estimates the spectral derivative's error: a grid too
+coarse for the curve fails that check, and the estimate says why.
 """
 
 from __future__ import annotations
@@ -68,7 +77,8 @@ class ScanCurve:
 
 def _half_width(measure: MeasureSpec, total_mass: float) -> float:
     """Half-width h of DEFAULT_WINDOW intersected with the family's
-    feasibility limits and centered on 1/2."""
+    feasibility limits and centered on 1/2, rounded so that 1/2 + h is
+    exact: the window ends 1/2 - h and 1/2 + h then sum to 1 exactly."""
     lo, hi = DEFAULT_WINDOW
     if measure.is_gaussian:
         s_min, s_max = measures.gaussian_split_window(total_mass)
@@ -79,7 +89,7 @@ def _half_width(measure: MeasureSpec, total_mass: float) -> float:
         raise DomainError(
             f"empty split window for total mass {total_mass:g}: "
             f"[{lo:g}, {hi:g}]")
-    return min(0.5 - lo, hi - 0.5)
+    return (0.5 + min(0.5 - lo, hi - 0.5)) - 0.5
 
 
 def _lobatto_points(points: int) -> np.ndarray:
@@ -104,30 +114,53 @@ def _lobatto_diff_matrix(points: int) -> np.ndarray:
     return d - np.diag(d.sum(axis=1))
 
 
+def _spectral_resolution(s: np.ndarray, lam: np.ndarray) -> float:
+    """N^2 |c_N| / h, the size of the last Chebyshev term's s-derivative at
+    the window ends (T_N'(+-1) = +-N^2): an estimate of the spectral
+    derivative's truncation error on the Lobatto grid s of half-width h.
+    c_N = (1/N) sum'' (-1)^j lam_j, the ends halved, since T_N = (-1)^j at
+    the nodes and N is even."""
+    n = len(s) - 1
+    signs = np.ones(n + 1)
+    signs[1::2] = -1.0
+    signs[[0, -1]] = 0.5
+    c_n = float(np.sum(signs * lam)) / n
+    return n * n * abs(c_n) / (0.5 * (s[-1] - s[0]))
+
+
 def split_grid(measure: MeasureSpec, total_mass: float,
                points: int = DEFAULT_POINTS) -> np.ndarray:
     """Chebyshev-Lobatto split grid 1/2 + h x_j over DEFAULT_WINDOW
-    intersected with the family's feasibility limits, mirror-symmetric
-    about 1/2 and containing it."""
-    return 0.5 + _half_width(measure, total_mass) * _lobatto_points(points)
+    intersected with the family's feasibility limits, containing 1/2 and
+    mirror-symmetric about it to the bit: the lower half is 1 - s of the
+    upper one, exact by Sterbenz's lemma for s in [1/2, 1], so each lower
+    split's configuration is its mirror's with the components swapped."""
+    x = _lobatto_points(points)
+    upper = 0.5 + _half_width(measure, total_mass) * x[points // 2:]
+    return np.concatenate((1.0 - upper[:0:-1], upper))
 
 
 def scan(measure: MeasureSpec, total_mass: float,
          points: int = DEFAULT_POINTS) -> ScanCurve:
-    """Solve the pair problem on the split grid and collect the curve."""
-    half = _half_width(measure, total_mass)
-    s_grid = 0.5 + half * _lobatto_points(points)
-    sols = []
-    lams = np.empty_like(s_grid)
-    dana = np.empty_like(s_grid)
-    for i, s in enumerate(s_grid):
-        sol = lambda_of_split(measure, total_mass, float(s))
-        sols.append(sol)
-        lams[i] = sol.eigenvalue
-        dana[i] = closedform.boundary_gradient_gap(sol) * total_mass
+    """Solve the pair problem on the split grid and collect the curve.
+
+    The center is solved first, then each mirrored pair of splits back to
+    back: the second solve of a pair repeats the special-function calls
+    of the first, which the kernel caches in specfun still hold."""
+    s_grid = split_grid(measure, total_mass, points)
+    mid = points // 2
+    sols = [None] * points
+    # the center, then (mid + k, mid - k) for k = 1, ..., mid
+    pairs = [j for k in range(1, mid + 1) for j in (mid + k, mid - k)]
+    for i in [mid] + pairs:
+        sols[i] = lambda_of_split(measure, total_mass, float(s_grid[i]))
+    lams = np.array([sol.eigenvalue for sol in sols])
+    dana = np.array([closedform.boundary_gradient_gap(sol) * total_mass
+                     for sol in sols])
     # row sums rather than `@`: a product this small gains nothing from
     # BLAS, whose first call raises the process's resident memory
-    dspec = (_lobatto_diff_matrix(points) * lams).sum(axis=1) / half
+    dspec = ((_lobatto_diff_matrix(points) * lams).sum(axis=1)
+             / _half_width(measure, total_mass))
     return ScanCurve(
         measure=measure, total_mass=total_mass, splits=s_grid,
         lambdas=lams, derivative_analytic=dana, derivative_spectral=dspec,
@@ -200,7 +233,9 @@ def certify_minimum(curve: ScanCurve) -> CertificationReport:
     spec_gap = float(np.max(np.abs(d - curve.derivative_spectral)))
     checks.append(CheckOutcome(
         "derivative_spectral_agreement", spec_gap <= tol,
-        f"max |lambda'(s) - (D lambda)(s)| = {spec_gap:.3g}"))
+        f"max |lambda'(s) - (D lambda)(s)| = {spec_gap:.3g}, resolution "
+        f"N^2 |c_N| / h = {_spectral_resolution(s, lam):.3g}, "
+        f"tolerance {tol:.3g}"))
 
     h = np.diff(s)
     cell_low = np.minimum.reduce([lam[:-1], lam[:-1] + h * d[:-1] / 3,

@@ -61,6 +61,17 @@ arrays give the same bits.  A non-finite degree, order or argument raises
 DomainError.  Every zero finder walks a grid with its float kernel and
 bisects the sign changes to adjacent floats (numerics.grid_roots), so it
 stops at the last zero it needs; the Bessel grids end at the ceiling.
+
+The float kernels a pair solve calls keep their last 32 results
+(functools.lru_cache): _hermite under hermite_value, _hermite_pair under
+hermite_state, _hermite_jet, _bessel_pair under bessel_state and
+_bessel_scaled under bessel_j_scaled_vec.  A split scan solves each
+mirrored pair of splits back to back, and the mirror of a split has the
+same two components, so its solve repeats every boundary state and
+normalization jet of the one before.  The kernels are pure functions of
+floats, so a hit returns the bits a miss computes; the public names stay
+plain functions, so a wrapper installed on one (a test double, a tracer)
+still sees every call.
 """
 
 from __future__ import annotations
@@ -311,6 +322,7 @@ def _rgamma_jet(x: float) -> tuple[float, float]:
     return g * sin_px, g * (math.pi * cos_px - sin_px * _digamma(1.0 - x))
 
 
+@functools.lru_cache(maxsize=32)
 def _hermite_jet(nu: float, t: float) -> tuple[float, float, float, float]:
     """(H_nu, H_nu', d/dnu H_nu, d/dnu H_nu') at a float t < HERMITE_SWITCH_T
     from one Kummer pass at the complex degree nu + i COMPLEX_STEP: h and
@@ -398,6 +410,7 @@ def _check_hermite(where: str, nu: float, t: float) -> None:
             f"beyond |nu| = {HERMITE_MAX_DEGREE:g}, got nu={nu:g}")
 
 
+@functools.lru_cache(maxsize=32)
 def _hermite(nu: float, t: float) -> float:
     _check_hermite("hermite_value", nu, t)
     return (_hermite_asympt(nu, t) if t >= HERMITE_SWITCH_T
@@ -421,6 +434,12 @@ def hermite_state(nu: float, t: float) -> tuple[float, float]:
     nu = 0, where H_nu' / (2 nu) is 0/0."""
     t = float(t)
     _check_hermite("hermite_state", nu, t)
+    return _hermite_pair(nu, t)
+
+
+@functools.lru_cache(maxsize=32)
+def _hermite_pair(nu: float, t: float) -> tuple[float, float]:
+    """hermite_state's float kernel, past its argument checks."""
     if t >= HERMITE_SWITCH_T or nu == 0.0:
         return hermite_value(nu, t), hermite_value(nu - 1.0, t)
     z = t * t
@@ -488,6 +507,7 @@ def _check_bessel(where: str, order: float, z: float, top: float) -> None:
             f"{BESSEL_MAX_ORDER:g}")
 
 
+@functools.lru_cache(maxsize=32)
 def _bessel_scaled(order: float, z: float) -> float:
     """(z/2)^{-order} J_order(z) at a float z by the ascending series."""
     _check_bessel("bessel_j", order, z, order)
@@ -514,8 +534,14 @@ def bessel_state(order: float, z: float, *,
     the loop ends once both have been taken.  `where` names the caller in
     the argument errors."""
     z = float(z)
+    _check_bessel(where, order, z, order + 1.0)
+    return _bessel_pair(order, z)
+
+
+@functools.lru_cache(maxsize=32)
+def _bessel_pair(order: float, z: float) -> tuple[float, float]:
+    """bessel_state's float kernel, past its argument checks."""
     up = order + 1.0
-    _check_bessel(where, order, z, up)
     q = -(z * z) / 4.0
     # order > -1: no pole of Gamma
     t1 = s1 = 1.0 / math.gamma(order + 1.0)

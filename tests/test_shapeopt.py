@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from twistspec import closedform, measures, shapeopt, verify
+from twistspec import closedform, measures, shapeopt, specfun, verify
 from twistspec.errors import DomainError
 from twistspec.measures import MeasureSpec
 
@@ -56,6 +56,36 @@ def parabola_curve(shift_steps: float, points: int = 11) -> shapeopt.ScanCurve:
         derivative_analytic=2.0 * (s - s_min),
         derivative_spectral=spectral_derivative(s, lam), solutions=[],
         window=(float(s[0]), float(s[-1])), all_single_signed=True)
+
+
+def solution_bits(sol: closedform.TwistedSolution) -> dict:
+    """Every field of a solution as exact bits; the two profiles by their
+    values inside each component."""
+    out = {}
+    for f in dataclasses.fields(sol):
+        v = getattr(sol, f.name)
+        out[f.name] = None if callable(v) else repr(v)
+    L, R = sol.config.left_param, sol.config.right_param
+    left, right = ((-L - 0.5, R + 0.5) if sol.config.measure.is_gaussian
+                   else (0.5 * L, 0.5 * R))
+    out["u"] = (sol.u_left_at(left).hex(), sol.u_right_at(right).hex())
+    return out
+
+
+def curve_bits(curve: shapeopt.ScanCurve) -> dict:
+    """Every ScanCurve field as exact bits."""
+    return {
+        "arrays": [a.tobytes() for a in (
+            curve.splits, curve.lambdas, curve.derivative_analytic,
+            curve.derivative_spectral)],
+        "scalars": (curve.measure, curve.total_mass.hex(), curve.window,
+                    curve.all_single_signed),
+        "solutions": [solution_bits(sol) for sol in curve.solutions]}
+
+
+# the memoized special-function kernels behind a pair solve
+CACHES = [f for module in (specfun, closedform) for f in vars(module).values()
+          if hasattr(f, "cache_clear")]
 
 
 class TestLambdaOfSplit:
@@ -124,16 +154,43 @@ class TestScan:
         (G1, 0.5), (G1, 0.95), (M30, 3.0)])
     def test_lobatto_grid_keeps_the_window(self, measure, total):
         # the ends are the uniform grid's ends and the center is exactly
-        # 1/2: the window and lambda(1/2) are the same floats
+        # 1/2: the window and lambda(1/2) are the same floats; the upper
+        # half is 1/2 + h cos(pi j / 20) and the lower half its exact
+        # complement
         s = shapeopt.split_grid(measure, total)
         h = shapeopt._half_width(measure, total)
         assert len(s) == shapeopt.DEFAULT_POINTS == 21
         assert s[10] == 0.5
         assert (s[0], s[-1]) == (0.5 - h, 0.5 + h)
-        assert np.all(np.abs(s + s[::-1] - 1.0) <= 1e-15)
+        assert np.all(s + s[::-1] == 1.0)
         assert np.all(np.diff(s) > 0.0)
         x = np.cos(np.pi * np.arange(21) / 20)[::-1]
-        np.testing.assert_allclose(s, 0.5 + h * x, rtol=0.0, atol=1e-16)
+        np.testing.assert_array_equal(s[10:], 0.5 + h * x[10:])
+        np.testing.assert_array_equal(s[:10], 1.0 - s[:10:-1])
+
+    @pytest.mark.parametrize("points", [3, 5, 11, 21, 41, 101])
+    def test_grid_is_its_own_mirror_to_the_bit(self, points):
+        # 1 - s is exact for s in [1/2, 1] (Sterbenz), so the lower half
+        # is the complement of the upper one, feasibility-cut windows too
+        for measure, total in ((G1, 0.5), (G1, 0.8), (G1, 0.95),
+                               (G1, 1e-6), (M30, 3.0), (M30, 1e-27)):
+            s = shapeopt.split_grid(measure, total, points)
+            assert np.all(s + s[::-1] == 1.0), (measure, total)
+            assert s[points // 2] == 0.5
+            assert np.all(np.diff(s) > 0.0)
+
+    def test_mirrored_splits_swap_the_components(self):
+        # the configuration at 1 - s is the one at s with L and R swapped,
+        # bit for bit, at every split of every suite_minimum grid, whose
+        # ends and center keep their floats
+        for measure, total in verify._certification_cases():
+            s = shapeopt.split_grid(measure, total)
+            assert (s[0], s[10], s[-1]) == (0.30000000000000004, 0.5, 0.7)
+            for a, b in zip(s, s[::-1]):
+                ca = measures.config_from_split(measure, total, float(a))
+                cb = measures.config_from_split(measure, total, float(b))
+                assert (ca.left_param, ca.right_param) == (
+                    cb.right_param, cb.left_param), (measure, total, a)
 
     def test_one_solve_per_point(self, monkeypatch):
         calls = []
@@ -147,6 +204,19 @@ class TestScan:
             calls.clear()
             shapeopt.scan(M30, 3.0, points=points)
             assert len(calls) == points
+
+    def test_center_then_mirrored_pairs(self, monkeypatch):
+        # each mirrored pair of splits is solved back to back, and the
+        # curve is stored in grid order
+        seen = []
+        solve = shapeopt.lambda_of_split
+        monkeypatch.setattr(shapeopt, "lambda_of_split",
+                            lambda m, t, s: seen.append(s) or solve(m, t, s))
+        curve = shapeopt.scan(M30, 3.0, points=7)
+        s = curve.splits
+        assert seen == [s[3], s[4], s[2], s[5], s[1], s[6], s[0]]
+        assert [sol.config for sol in curve.solutions] == [
+            measures.config_from_split(M30, 3.0, float(x)) for x in s]
 
     def test_empty_window_rejected(self):
         with pytest.raises(DomainError):
@@ -168,6 +238,60 @@ class TestScan:
         mid = 10
         left = curve.lambdas[:mid + 1]
         assert np.all(np.diff(left) < 0)
+
+
+class TestKernelCaches:
+    def test_caches_change_no_bit(self, suite_scans, monkeypatch):
+        # every field of every suite_minimum scan against the same scan
+        # with every special-function cache emptied before each solve
+        solve = closedform.solve
+
+        def uncached(config):
+            for cache in CACHES:
+                cache.cache_clear()
+            return solve(config)
+        monkeypatch.setattr(closedform, "solve", uncached)
+        assert len(CACHES) >= 5
+        for curve in suite_scans:
+            again = shapeopt.scan(curve.measure, curve.total_mass)
+            assert curve_bits(again) == curve_bits(curve), curve.total_mass
+
+    @pytest.mark.parametrize("measure,total", [
+        (G1, 0.5), (MeasureSpec.gaussian(3), 0.7), (M30, 3.0),
+        (MeasureSpec.power(3, 2.0), 5.0)])
+    def test_mirror_solve_adds_no_state_miss(self, measure, total):
+        # the second solve of a mirrored pair finds every boundary state
+        # and normalization jet of the first in the kernel caches
+        kernels = (specfun._hermite_pair, specfun._bessel_pair,
+                   specfun._hermite_jet)
+        s = shapeopt.split_grid(measure, total)
+        for k in (1, 5, 10):
+            first = closedform.solve(
+                measures.config_from_split(measure, total, float(s[10 + k])))
+            before = [f.cache_info() for f in kernels]
+            mirror = closedform.solve(
+                measures.config_from_split(measure, total, float(s[10 - k])))
+            after = [f.cache_info() for f in kernels]
+            assert [a.misses for a in after] == [b.misses for b in before]
+            assert sum(a.hits - b.hits for a, b in zip(after, before)) >= 8
+            assert mirror.eigenvalue == first.eigenvalue
+
+    @pytest.mark.parametrize("name,measure", [
+        ("hermite_state", G1), ("bessel_state", M30)])
+    def test_double_on_state_sees_every_call(self, name, measure,
+                                             monkeypatch):
+        # the caches sit under the public names: a solve served from them
+        # still makes every call a test double or tracer installed on
+        # specfun can see
+        calls = []
+        state = getattr(specfun, name)
+        monkeypatch.setattr(specfun, name,
+                            lambda *args: calls.append(args) or state(*args))
+        cfg = measures.config_from_split(measure, 0.5, 0.4)
+        for _ in range(2):
+            closedform.solve(cfg)
+        n = len(calls) // 2
+        assert n >= 4 and calls[:n] == calls[n:]
 
 
 class TestCertify:
@@ -268,6 +392,62 @@ class TestCertify:
         assert not rep.passed
         names = {c.name for c in rep.failures()}
         assert "grid_minimum_at_half" in names
+
+    def test_mirror_gap_is_exactly_zero(self, power_scans, suite_scans):
+        # the mirror of a split solves the same two components: lambda and
+        # the Hadamard derivative repeat to the bit
+        scans = [*power_scans.values(), *suite_scans]
+        assert len(scans) == 76 + 15
+        for curve in scans:
+            lam, d = curve.lambdas, curve.derivative_analytic
+            assert np.all(lam == lam[::-1]), curve.total_mass
+            assert np.all(d == -d[::-1]), curve.total_mass
+            (sym,) = [c for c in shapeopt.certify_minimum(curve).checks
+                      if c.name == "curve_symmetry"]
+            assert sym.detail.endswith("= 0"), sym.detail
+
+    @pytest.mark.parametrize("measure,total", [(G1, 0.5), (M30, 3.0)])
+    def test_one_sided_solve_error_fails_symmetry(self, measure, total,
+                                                  monkeypatch):
+        # lambda 1e-7 high wherever L > R: the mirror solves still differ
+        solve = closedform.solve
+
+        def lopsided(config):
+            sol = solve(config)
+            if config.left_param > config.right_param:
+                sol = dataclasses.replace(
+                    sol, eigenvalue=sol.eigenvalue * (1.0 + 1e-7))
+            return sol
+        monkeypatch.setattr(closedform, "solve", lopsided)
+        rep = shapeopt.certify_minimum(shapeopt.scan(measure, total))
+        assert "curve_symmetry" in {c.name for c in rep.failures()}
+
+    @pytest.mark.parametrize("points,passed", [(11, False), (21, True)])
+    def test_spectral_detail_names_the_resolution(self, points, passed):
+        # N^2 |c_N| / h, the last Chebyshev term's derivative, estimates
+        # the spectral derivative's error: above the gate where 11 points
+        # do not resolve gaussian(1) mass 0.5, far below it at 21
+        curve = shapeopt.scan(G1, 0.5, points=points)
+        tol = shapeopt.CERT_RTOL * np.max(np.abs(curve.lambdas))
+        (chk,) = [c for c in shapeopt.certify_minimum(curve).checks
+                  if c.name == "derivative_spectral_agreement"]
+        res = shapeopt._spectral_resolution(curve.splits, curve.lambdas)
+        assert chk.passed is passed
+        assert (res > tol) is not passed
+        assert res > 10.0 * tol if points == 11 else res < 1e-2 * tol
+        assert f"N^2 |c_N| / h = {res:.3g}" in chk.detail
+        assert f"tolerance {tol:.3g}" in chk.detail
+
+    def test_resolution_is_the_last_chebyshev_term(self):
+        # lambda = T_N(x) on the grid: c_N = 1 and the estimate is N^2 / h
+        s = shapeopt.split_grid(G1, 0.5, 11)
+        h = shapeopt._half_width(G1, 0.5)
+        x = (s - 0.5) / h
+        lam = np.polynomial.chebyshev.chebval(x, [0.0] * 10 + [1.0])
+        assert shapeopt._spectral_resolution(s, lam) == pytest.approx(
+            100.0 / h, rel=1e-12)
+        assert shapeopt._spectral_resolution(s, 1.0 + x * x) == pytest.approx(
+            0.0, abs=1e-13)
 
     def test_detects_asymmetry(self):
         curve = shapeopt.scan(G1, 0.5, points=11)
