@@ -18,11 +18,31 @@ from .shapeopt import ScanCurve, certify_minimum, lambda_of_split, scan
 
 __version__ = "0.1.0"
 
+
+def cached_functions() -> tuple:
+    """Every memoized function of the package: the five special-function
+    kernels of a pair solve, the Hermite zero and Bessel zero-pair tables,
+    the angular constants and the oracle's eigensolve.  Each is a pure
+    function of its arguments, but one computed under a patched helper
+    keeps the patched values; `clear_caches` empties them all."""
+    from . import closedform, measures, oracle, specfun
+    return (specfun._hermite, specfun._hermite_pair, specfun._hermite_jet,
+            specfun._bessel_pair, specfun._bessel_scaled,
+            specfun.hermite_largest_zero, closedform._bessel_zero_pair,
+            measures._angular_constant, oracle._spectrum)
+
+
+def clear_caches() -> None:
+    """Empty every cache of `cached_functions`."""
+    for f in cached_functions():
+        f.cache_clear()
+
+
 __all__ = [
     "AccuracyError", "DomainError", "NumericalError", "ResourceError",
     "TwistspecError", "MeasureSpec", "PairConfig", "config_from_split",
     "TwistedSolution", "dirichlet_halfball_power", "dirichlet_halfspace_gauss",
     "twisted_pair_gauss", "twisted_pair_power", "GridFunction",
     "ScanCurve", "certify_minimum", "lambda_of_split", "scan",
-    "__version__",
+    "cached_functions", "clear_caches", "__version__",
 ]

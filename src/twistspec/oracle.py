@@ -20,15 +20,35 @@ is modelled by its two poles, whose residues (v.phi_1)^2 and (v.phi_2)^2
 the eigensolve already gives, plus a remainder linear through its value
 and slope, and each step goes to the model's root inside the sign bracket.
 
+The Dirichlet eigenpairs come piece by piece.  B is block diagonal, one
+irreducible SPD block per interval, so each block is solved on its own: two
+inverse iterations at shift 0 from the vector of ones, then Rayleigh
+quotient iteration until a step is <= tau, the pole guard below.  Sylvester
+inertia counts certify each value rho as the block's j-th eigenvalue: the
+LDL^T factorization of the block minus a shift has as many negative pivots
+as the block has eigenvalues below the shift (Kahan 1966; Parlett 1998
+section 3.3), and it must find j - 1 of them below rho - eta and j below
+rho + eta, eta = ||B x - rho x|| + tau.  The blocks' values merge into the
+smallest `count`; a block's higher modes (from a deflated start, under the
+same certificate) are found only where they can undercut another block's
+lowest.  The same counts give `constrained_count`, the number of twisted
+eigenvalues below a given lambda, which shares no code with the root search.
+
+tau = 64 eps (max|d| + 2 max|e|) is the reach of rounding in B's
+eigenvalues.  It is global: it comes from the largest entries of B, so on a
+union whose cells differ much in size the finest cells set it for all
+pieces, and where it reaches lambda_1 nothing is resolved (AccuracyError).
+
 Both solves read one eigensolve per (domain, h, count): assembly,
-symmetrization and the tridiagonal eigensolver run once in `_spectrum`,
-which keeps its last two results, so a twisted solve followed by
+symmetrization and the per-piece eigensolve run once in `_spectrum`, which
+keeps its last two results, so a twisted solve followed by
 `dirichlet_eigs(count=2)` on the same grid (or the reverse) solves once.
 The cached arrays are read-only; results hand out copies.
 
-The LAPACK routines (scipy.linalg's eigh_tridiagonal and dgtsv) are imported
-inside `_spectrum` and `twisted_eig`, so scipy loads on the first oracle
-solve, not with the package: the closed-form route never loads it.
+The LAPACK routines (scipy.linalg.lapack's dpttrf, dpttrs and dgtsv) and
+the per-piece solver (`tridiag`) are imported inside the functions that
+call them, so they load on the first oracle solve, not with the package:
+the closed-form route never loads them.
 """
 
 from __future__ import annotations
@@ -233,23 +253,38 @@ def _spectrum(domain: Domain1D, h: Optional[float], count: int):
     eigenpairs (w, phi) of B, all read-only, and the pole guard tau with
     the max|d| that sets it (numpy scalars, immutable).
 
-    eigh_tridiagonal places each eigenvalue only to about eps ||B||, and
-    tau = 64 eps (max|d| + 2 max|e|) is that reach.  It comes from the
-    largest entries of B, so on a union whose cells differ much in size
-    the finest cells set it for all; where it reaches lambda_1, no
-    eigenvalue is resolved (AccuracyError, naming tau and max|d|).
+    B is block diagonal, one irreducible SPD block per piece, and each
+    block is solved on its own (`tridiag`): two inverse iterations at shift
+    0, then Rayleigh quotient iteration until a step is <= tau.  Inertia
+    counts of the block certify each value rho as the block's j-th: j - 1
+    eigenvalues lie below rho - eta and j below rho + eta, eta =
+    ||B x - rho x|| + tau.  The blocks' values merge into the `count`
+    smallest; a block's higher modes (deflated starts, the same
+    certificate) are found only where they can undercut another block's.
+
+    Each value is placed only to about eps ||B||, and tau = 64 eps (max|d|
+    + 2 max|e|) is that reach.  It comes from the largest entries of B, so
+    on a union whose cells differ much in size the finest cells set it for
+    all; where it reaches lambda_1, no eigenvalue is resolved
+    (AccuracyError, naming tau and max|d|), and neither is one whose
+    window [rho - eta, rho + eta] holds a second eigenvalue.
     """
-    from scipy.linalg import eigh_tridiagonal
+    from . import tridiag
 
     asm = _assemble(domain, h)
     d, e, inv_sqrt = _symmetrized(asm)
-    w, phi = eigh_tridiagonal(
-        d, e, select="i", select_range=(0, min(count, len(d)) - 1))
     max_d = np.max(np.abs(d))
     tau = 64.0 * np.finfo(float).eps * (max_d + 2.0 * np.max(np.abs(e)))
-    if tau >= w[0]:
-        raise _unresolved(f"oracle: tau reaches lambda_1 = {w[0]:.6g}",
+    floor = tridiag.pivmin(e)
+    blocks = tridiag.blocks(d, e, asm.pieces, floor)
+    firsts = [tridiag.next_mode(block, tau) for block in blocks]
+    lam1 = min(rho for rho, _ in firsts)
+    if tau >= lam1:
+        raise _unresolved(f"oracle: tau reaches lambda_1 = {lam1:.6g}",
                           tau, max_d)
+    for block, mode in zip(blocks, firsts):
+        tridiag.certify(block, mode, tau, floor)
+    w, phi = tridiag.merge(blocks, min(count, len(d)), tau, floor)
     for a in (asm.main, asm.off, asm.mass, asm.nodes, d, e, inv_sqrt, w, phi):
         a.flags.writeable = False
     return asm, d, e, inv_sqrt, w, phi, tau, max_d
@@ -356,3 +391,32 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
         eigenvectors=[gf],
         grid_size=len(d),
     )
+
+
+def constrained_count(domain: Domain1D, lam: float,
+                      h: Optional[float] = None) -> int:
+    """Number of eigenvalues below lam of the discrete problem restricted
+    to the zero-weighted-mean subspace:
+
+        N(lam) = #{D_i < 0} + [f(lam) > 0] - 1,
+
+    with B - lam = L D L^T (`tridiag.ldl`, Sylvester's law of inertia) and
+    f(lam) = v^T (B - lam)^{-1} v solved with the same factors (Haynsworth
+    1968: the constraint removes one eigenvalue below lam unless f > 0).  A
+    root lam_T is the first twisted eigenvalue if and only if
+    N(lam_T (1 - delta)) = 0 and N(lam_T (1 + delta)) >= 1; delta must lie
+    above the root's rounding floor (see `twisted_eig`).  The count reads
+    the assembly alone: it shares no code with the eigensolve or with
+    numerics.find_root.
+    """
+    from scipy.linalg.lapack import dpttrs
+
+    from . import tridiag
+
+    asm = _assemble(domain, h)
+    d, e, _ = _symmetrized(asm)
+    piv, mult = tridiag.ldl(d, e, float(lam), tridiag.pivmin(e))
+    v = np.sqrt(asm.mass)
+    v /= np.linalg.norm(v)
+    f = float(v @ dpttrs(piv, mult, v[:, None])[0][:, 0])
+    return int(np.count_nonzero(piv < 0.0)) + int(f > 0.0) - 1

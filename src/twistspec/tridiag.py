@@ -1,0 +1,200 @@
+"""Symmetric tridiagonal kernels of the oracle: Sylvester inertia counts
+from an LDL^T factorization, and the smallest eigenpairs of a block-diagonal
+matrix found block by block, each certified by those counts.
+
+A count of the eigenvalues of T below sigma is the number of negative
+pivots of T - sigma = L D L^T (Sylvester's law of inertia; Kahan 1966,
+Parlett 1998 section 3.3).  Each block's eigenpairs come from two inverse
+iterations at shift 0, then Rayleigh quotient iteration until a step is at
+most tau; rho is the block's j-th eigenvalue once j - 1 eigenvalues lie
+below rho - eta and j below rho + eta, eta = ||B x - rho x|| + tau, a
+window that holds an eigenvalue (Parlett 1998, theorem 4.5.1).
+
+`oracle` imports this module on its first solve, as it does LAPACK
+(dpttrf, dpttrs, dgtsv, imported inside the functions that call them), so
+a process that imports the oracle but never solves does not compile it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import AccuracyError, NumericalError
+
+# Rayleigh quotient steps per eigenpair; from the inverse-iterated start a
+# step falls below tau after two or three of them.
+RQI_MAX_ITER = 12
+
+
+def pivmin(e: np.ndarray) -> float:
+    """Smallest pivot magnitude of a count, as LAPACK dstebz sets it."""
+    return np.finfo(float).tiny * max(1.0, float(np.max(e * e, initial=0.0)))
+
+
+def ldl(d: np.ndarray, e: np.ndarray, sigma: float,
+        floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pivots D and multipliers l of T - sigma = L D L^T, T the symmetric
+    tridiagonal with diagonal d and off-diagonal e, L unit lower bidiagonal.
+
+    dpttrf factors in place up to its first pivot <= 0.  That pivot is
+    kept (one above -floor, an exact 0 among them, becomes -floor; floor is
+    `pivmin(e)`), its elimination step is taken here, and dpttrf resumes
+    past it; a tail of one entry, which dpttrf does not take, is its own
+    pivot.
+    """
+    from scipy.linalg.lapack import dpttrf
+
+    n = len(d)
+    piv, mult = d - sigma, np.array(e, dtype=float)
+    start = 0
+    while start < n - 1:
+        # dpttrf stops before it changes mult[i] or piv[i + 1]
+        info = dpttrf(piv[start:], mult[start:],
+                      overwrite_d=1, overwrite_e=1)[2]
+        if info == 0:
+            return piv, mult
+        i = start + info - 1
+        piv[i] = min(piv[i], -floor)
+        if i < n - 1:
+            mult[i] = e[i] / piv[i]
+            piv[i + 1] -= mult[i] * e[i]
+        start = i + 1
+    if start == n - 1 and piv[start] <= 0.0:
+        piv[start] = min(piv[start], -floor)
+    return piv, mult
+
+
+def count_below(d: np.ndarray, e: np.ndarray, sigma: float,
+                floor: float) -> int:
+    """Number of eigenvalues of the tridiagonal (d, e) below sigma: the
+    negative pivots of `ldl`."""
+    return int(np.count_nonzero(ldl(d, e, sigma, floor)[0] < 0.0))
+
+
+def _matvec(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
+    y = d * x
+    y[:-1] += e * x[1:]
+    y[1:] += e * x[:-1]
+    return y
+
+
+@dataclass
+class Block:
+    """One irreducible SPD block, rows `start` on of the whole matrix, with
+    its LDL^T factors at shift 0 and the eigenpairs found so far."""
+    start: int
+    d: np.ndarray
+    e: np.ndarray
+    chol: tuple[np.ndarray, np.ndarray]
+    values: list[float]
+    vectors: list[np.ndarray]
+
+
+def blocks(d: np.ndarray, e: np.ndarray, pieces: list[tuple[int, int]],
+           floor: float) -> list[Block]:
+    """The blocks of (d, e) on the row ranges [a, b) of `pieces`; a block
+    that is not positive definite raises NumericalError."""
+    out = []
+    for a, b in pieces:
+        bd, be = d[a:b], e[a:b - 1]
+        chol = ldl(bd, be, 0.0, floor)
+        if not np.all(chol[0] > 0.0):
+            raise NumericalError(
+                f"oracle: the block of nodes [{a}, {b}) is not positive "
+                f"definite")
+        out.append(Block(a, bd, be, chol, [], []))
+    return out
+
+
+def next_mode(block: Block, tau: float) -> tuple[float, np.ndarray]:
+    """The block's next eigenpair (rho, x), uncertified: two inverse
+    iterations at shift 0, then Rayleigh quotient iteration until a step is
+    <= tau.  The first mode starts from the vector of ones; a later one
+    from the last mode found times the row index, which adds a sign
+    change, deflated against every mode found (each inverse iteration
+    too)."""
+    from scipy.linalg.lapack import dgtsv, dpttrs
+
+    n = len(block.d)
+    lower = block.vectors
+
+    def deflated(x):
+        for q in lower:
+            x -= q * float(q @ x)
+        return x / np.linalg.norm(x)
+
+    x = deflated(lower[-1] * np.arange(n) if lower else np.ones(n))
+    for _ in range(2):
+        x = deflated(dpttrs(*block.chol, x[:, None])[0][:, 0])
+    rho = float(x @ _matvec(block.d, block.e, x))
+    for _ in range(RQI_MAX_ITER):
+        *_, y, info = dgtsv(block.e, block.d - rho, block.e, x[:, None])
+        if info != 0:
+            return rho, x           # B - rho singular: rho is exact
+        x = y[:, 0] / np.linalg.norm(y)
+        rho, last = float(x @ _matvec(block.d, block.e, x)), rho
+        if abs(rho - last) <= tau:
+            return rho, x
+    raise NumericalError(
+        f"oracle: Rayleigh quotient iteration for mode {len(lower) + 1} of "
+        f"the block at node {block.start} took no step <= tau = {tau:.3g} "
+        f"in {RQI_MAX_ITER} steps (last rho = {rho!r})")
+
+
+def certify(block: Block, mode: tuple[float, np.ndarray], tau: float,
+            floor: float) -> None:
+    """Append `mode` to the block's eigenpairs once inertia counts place it
+    at its index j: j - 1 eigenvalues below rho - eta and j below rho +
+    eta, eta = ||B x - rho x|| + tau.  A window that holds two eigenvalues
+    leaves rho unresolved (AccuracyError); other counts mean the iteration
+    found another eigenvalue (NumericalError)."""
+    rho, x = mode
+    j = len(block.values) + 1
+    eta = float(np.linalg.norm(_matvec(block.d, block.e, x) - rho * x)) + tau
+    below = count_below(block.d, block.e, rho - eta, floor)
+    upto = count_below(block.d, block.e, rho + eta, floor)
+    if upto - below > 1:
+        raise AccuracyError(
+            f"oracle: {upto - below} eigenvalues of the block at node "
+            f"{block.start} lie within eta = {eta:.3g} of {rho:.6g} "
+            f"(tau = {tau:.3g}): none is resolved", estimate=eta)
+    if (below, upto) != (j - 1, j):
+        raise NumericalError(
+            f"oracle: the block at node {block.start} has {below} "
+            f"eigenvalues below rho - eta and {upto} below rho + eta for "
+            f"mode {j} at rho = {rho!r}, eta = {eta:.3g}")
+    block.values.append(rho)
+    block.vectors.append(x)
+
+
+def merge(parts: list[Block], count: int, tau: float,
+          floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """The `count` smallest eigenpairs (w, phi) of the block-diagonal
+    matrix, from its blocks' certified eigenpairs (at least one each).  A
+    block's next mode is found only where it can undercut the count-th
+    smallest value found so far: where its own last value lies below that
+    value and its inertia count there exceeds its modes found."""
+    while True:
+        found = sorted(v for block in parts for v in block.values)
+        bar = found[count - 1] if len(found) >= count else math.inf
+        grow = [block for block in parts
+                if len(block.values) < len(block.d)
+                and block.values[-1] < bar
+                and (bar == math.inf or count_below(
+                    block.d, block.e, bar, floor) > len(block.values))]
+        if not grow:
+            break
+        for block in grow:
+            certify(block, next_mode(block, tau), tau, floor)
+    modes = sorted((v, i, j) for i, block in enumerate(parts)
+                   for j, v in enumerate(block.values))[:count]
+    n = parts[-1].start + len(parts[-1].d)
+    w, phi = np.empty(len(modes)), np.zeros((n, len(modes)))
+    for col, (v, i, j) in enumerate(modes):
+        block = parts[i]
+        w[col] = v
+        phi[block.start:block.start + len(block.d), col] = block.vectors[j]
+    return w, phi

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import twistspec
 from twistspec import closedform, measures, numerics, oracle, specfun
 from twistspec.errors import (AccuracyError, DomainError, NumericalError,
                               ResourceError)
@@ -649,7 +650,7 @@ class TestTwistedPairPower:
             return scan(order, count)
 
         monkeypatch.setattr(specfun, "bessel_zeros", counted)
-        closedform._bessel_zero_pair.cache_clear()
+        twistspec.clear_caches()
         m = MeasureSpec.power(3, 2.0)
         for s in (0.35, 0.45, 0.5):
             closedform.twisted_pair_power(measures.config_from_split(m, 2.0, s))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from twistspec import closedform, measures, numerics, oracle, verify
+import twistspec
+from twistspec import closedform, measures, numerics, oracle, tridiag, verify
 from twistspec.errors import (AccuracyError, DomainError, NumericalError,
                              ResourceError)
 from twistspec.measures import MeasureSpec
@@ -225,9 +226,9 @@ class TestComponentScale:
     """The pole guard tau = 64 eps (max|d| + 2 max|e|) is set by the finest
     cells of the whole union.  Next to a unit half-ball, a half-ball of
     radius R <= 1e-4 puts the root inside the guard band below lambda_2
-    (R = 1e-4) or tau past lambda_1 (R <= 1e-5; at 1e-6 the eigensolve's own
-    lambda_1 is 157.9, not 9.87): no root is resolved, and where tau
-    reaches lambda_1 no Dirichlet eigenvalue is either."""
+    (R = 1e-4) or tau past lambda_1 (R <= 1e-5, though the per-piece
+    eigensolve still finds lambda_1 = 9.87): no root is resolved, and where
+    tau reaches lambda_1 no Dirichlet eigenvalue is either."""
 
     @pytest.mark.parametrize("k", [0.0, 2.0], ids=["power30", "power32"])
     @pytest.mark.parametrize("R", [1e-4, 1e-5, 1e-6])
@@ -250,7 +251,8 @@ class TestComponentScale:
     @pytest.mark.parametrize("k", [0.0, 2.0], ids=["power30", "power32"])
     @pytest.mark.parametrize("R", [1e-5, 1e-6])
     def test_tiny_component_dirichlet_raises(self, k, R):
-        # at R = 1e-6 the eigensolve itself returns [157.9, 246.7]
+        # the unit half-ball's lambda_1 is found, but tau (774 at R = 1e-5)
+        # lies past it
         cfg = measures.PairConfig(MeasureSpec.power(3, k), 1.0, R)
         with pytest.raises(AccuracyError, match=r"tau reaches lambda_1 .* "
                            r"tau = \S+ comes from max\|d\| = \S+"):
@@ -287,7 +289,7 @@ class TestSharedSpectrum:
     @pytest.mark.parametrize("twisted_first", [True, False])
     @pytest.mark.parametrize("dom", DOMAINS, ids=IDS)
     def test_shared_solve_bit_identical_to_fresh(self, dom, twisted_first):
-        oracle._spectrum.cache_clear()
+        twistspec.clear_caches()
         if twisted_first:
             tw = oracle.twisted_eig(dom)
             dd = oracle.dirichlet_eigs(dom, count=2)
@@ -296,9 +298,9 @@ class TestSharedSpectrum:
             tw = oracle.twisted_eig(dom)
         info = oracle._spectrum.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        oracle._spectrum.cache_clear()
+        twistspec.clear_caches()
         fresh_tw = oracle.twisted_eig(dom)
-        oracle._spectrum.cache_clear()
+        twistspec.clear_caches()
         fresh_dd = oracle.dirichlet_eigs(dom, count=2)
         assert self._values(tw, dd) == self._values(fresh_tw, fresh_dd)
 
@@ -321,11 +323,123 @@ class TestSharedSpectrum:
     @pytest.mark.parametrize("count", [1, 3])
     @pytest.mark.parametrize("dom", DOMAINS, ids=IDS)
     def test_other_counts_match_direct_eigensolve(self, dom, count):
+        # within tau of LAPACK's bisection, and the j-th value has j - 1
+        # eigenvalues of B below it and j up to it, to tau
         d, e, _ = oracle._symmetrized(oracle._assemble(dom))
         want = scipy.linalg.eigh_tridiagonal(
             d, e, select="i", select_range=(0, count - 1))[0]
         got = oracle.dirichlet_eigs(dom, count=count).eigenvalues
-        assert got.tolist() == want.tolist()
+        tau = oracle._spectrum(dom, None, count)[6]
+        assert np.all(np.abs(got - want) <= tau)
+        floor = tridiag.pivmin(e)
+        counts = [(tridiag.count_below(d, e, w - tau, floor),
+                   tridiag.count_below(d, e, w + tau, floor)) for w in got]
+        assert counts == [(j, j + 1) for j in range(count)]
+
+
+def _dense(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def _union_domains() -> list[tuple[str, oracle.Domain1D]]:
+    """Unions of one to four pieces: the single interval of
+    verify.suite_bracket, a twin pair with an exactly double eigenvalue,
+    a half-ball pair of equal radii, random pairs of the three families
+    and Gaussian unions of three and four intervals."""
+    rng = np.random.default_rng(41)
+    out = [
+        ("unit", oracle.Domain1D(intervals=((0.0, 1.0),),
+                                 coordinate="lebesgue")),
+        ("twin", oracle.Domain1D(intervals=((0.0, 1.0), (1.5, 2.5)),
+                                 coordinate="lebesgue")),
+        ("halfballs", oracle.Domain1D(
+            intervals=((0.0, 0.8), (0.0, 0.8)), coordinate="radial_power",
+            measure=MeasureSpec.power(3, 0.0))),
+    ]
+    for family in ("lebesgue", "cartesian_gauss", "radial_power"):
+        out += [(family, verify._random_two_interval_domain(rng, family))
+                for _ in range(3)]
+    for count in (3, 4, 3, 4):
+        lengths = rng.uniform(0.3, 2.0, count)
+        gaps = rng.uniform(0.1, 1.0, count)
+        starts = -3.0 + np.cumsum(gaps) + np.concatenate(
+            ([0.0], np.cumsum(lengths[:-1])))
+        out.append(("gauss_union", oracle.Domain1D(
+            intervals=tuple(zip(starts, starts + lengths)),
+            coordinate="cartesian_gauss")))
+    return out
+
+
+UNIONS = _union_domains()
+
+
+class TestPerPieceEigenpairs:
+    """The merged per-piece eigenpairs against LAPACK's bisection."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("label,dom", UNIONS,
+                             ids=[label for label, _ in UNIONS])
+    def test_pairs_match_tridiagonal_eigensolve(self, label, dom, count):
+        h = max(b - a for a, b in dom.intervals) / 400.0
+        asm, d, e, _, w, phi, tau, _ = oracle._spectrum(dom, h, count)
+        want = scipy.linalg.eigh_tridiagonal(
+            d, e, select="i", select_range=(0, count - 1))[0]
+        assert w.shape == (count,) and phi.shape == (len(d), count)
+        assert np.all(np.abs(w - want) <= tau)
+        b = _dense(d, e)
+        residual = np.linalg.norm(b @ phi - phi * w, axis=0)
+        assert np.all(residual <= tau)
+        assert np.max(np.abs(phi.T @ phi - np.eye(count))) <= 1e-10
+        # each vector lives on one piece
+        for col in phi.T:
+            assert sum(np.any(col[a:b] != 0.0) for a, b in asm.pieces) == 1
+
+    @pytest.mark.parametrize("label", ["twin", "halfballs"])
+    def test_equal_pieces_give_an_exact_double(self, label):
+        dom = dict(UNIONS)[label]
+        w = oracle.dirichlet_eigs(dom, count=3).eigenvalues
+        assert w[0] == w[1] < w[2]
+
+    def test_a_piece_gives_its_second_mode_before_another_first(self):
+        # next to R = 1e-4, whose lowest value is 1e8 pi^2, both values
+        # come from the unit half-ball
+        cfg = measures.PairConfig(MeasureSpec.power(3, 0.0), 1.0, 1e-4)
+        asm, *_, w, phi, _, _ = oracle._spectrum(
+            oracle.power_pair_domain(cfg), None, 2)
+        (a, b), _ = asm.pieces
+        assert np.all(phi[b:] == 0.0) and np.all(phi[a:b] != 0.0)
+        assert np.all(np.abs(w / PI2 - [1.0, 4.0]) <= 1e-4)
+
+
+class TestConstrainedCount:
+    """N(lambda), the constrained eigenvalues below lambda, by inertia."""
+
+    @pytest.mark.parametrize("measure,total,s", [
+        (MeasureSpec.gaussian(1), 0.5, 0.4),
+        (MeasureSpec.gaussian(1), 0.7, 0.37),
+        (MeasureSpec.power(3, 0.0),
+         2.0 * measures.halfball_mass(MeasureSpec.power(3, 0.0), 1.0), 0.33),
+        (MeasureSpec.power(3, 2.0), 5.0, 0.37)])
+    def test_twisted_root_is_the_first(self, measure, total, s):
+        dom = oracle.pair_domain(measures.config_from_split(measure, total, s))
+        lam = oracle.twisted_eig(dom).eigenvalues[0]
+        counts = [oracle.constrained_count(dom, lam * (1.0 + delta))
+                  for delta in (-1e-8, 1e-8)]
+        assert counts == [0, 1]
+
+    def test_matches_dense_projected_operator(self):
+        # on small grids, against the spectrum of P B P on v-perp (its
+        # null vector v removed), at midpoints between its eigenvalues
+        for label, dom in _small_domains()[::4]:
+            h = sum(b - a for a, b in dom.intervals) / 120.0
+            asm, d, e, *_ = oracle._spectrum(dom, h, 2)
+            v = np.sqrt(asm.mass)
+            v /= np.linalg.norm(v)
+            p = np.eye(len(d)) - np.outer(v, v)
+            w = np.linalg.eigvalsh(p @ _dense(d, e) @ p)[1:]
+            for j in range(4):
+                mid = 0.5 * (w[j - 1] + w[j]) if j else 0.5 * w[0]
+                assert oracle.constrained_count(dom, mid, h) == j, label
 
 
 def _small_domains() -> list[tuple[str, oracle.Domain1D]]:
@@ -360,8 +474,7 @@ def _dense_twisted(dom: oracle.Domain1D, h: float) -> float:
     v = np.sqrt(asm.mass)
     v /= np.linalg.norm(v)
     p = np.eye(len(d)) - np.outer(v, v)
-    b = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    return float(np.linalg.eigvalsh(p @ b @ p)[1])
+    return float(np.linalg.eigvalsh(p @ _dense(d, e) @ p)[1])
 
 
 class TestSecularSolve:
@@ -392,13 +505,17 @@ class TestSecularSolve:
             counts[-1] += 1
             return real(*args)
 
-        # twisted_eig imports dgtsv from scipy.linalg.lapack on each call
-        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counting)
+        # twisted_eig imports dgtsv from scipy.linalg.lapack on each call;
+        # the eigensolve's own Rayleigh quotient steps, which call it too,
+        # run before the count starts
         for measure, total, s in _pair_cases():
             dom = oracle.pair_domain(
                 measures.config_from_split(measure, total, s))
+            oracle._spectrum(dom, None, 2)
             counts.append(0)
-            oracle.twisted_eig(dom)
+            with monkeypatch.context() as patch:
+                patch.setattr(scipy.linalg.lapack, "dgtsv", counting)
+                oracle.twisted_eig(dom)
         assert len(counts) == 20
         assert np.median(counts) <= 8, counts
 
@@ -421,6 +538,9 @@ class TestSecularSolve:
                 x[:] = np.nan
             return (*rest, x, info)
 
+        # the eigensolve, whose Rayleigh quotient steps call dgtsv too, runs
+        # before the patch
+        oracle._spectrum(self.PAIR, None, 2)
         monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", poisoned)
         with pytest.raises(NumericalError, match=r"secular function is nan"
                            r".*lambda_1 = .*lambda_2 = .*last bracket \["):

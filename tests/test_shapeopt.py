@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import twistspec
 from twistspec import closedform, measures, shapeopt, specfun, verify
 from twistspec.errors import DomainError
 from twistspec.measures import MeasureSpec
@@ -81,11 +82,6 @@ def curve_bits(curve: shapeopt.ScanCurve) -> dict:
         "scalars": (curve.measure, curve.total_mass.hex(), curve.window,
                     curve.all_single_signed),
         "solutions": [solution_bits(sol) for sol in curve.solutions]}
-
-
-# the memoized special-function kernels behind a pair solve
-CACHES = [f for module in (specfun, closedform) for f in vars(module).values()
-          if hasattr(f, "cache_clear")]
 
 
 class TestLambdaOfSplit:
@@ -243,15 +239,13 @@ class TestScan:
 class TestKernelCaches:
     def test_caches_change_no_bit(self, suite_scans, monkeypatch):
         # every field of every suite_minimum scan against the same scan
-        # with every special-function cache emptied before each solve
+        # with every cache of the package emptied before each solve
         solve = closedform.solve
 
         def uncached(config):
-            for cache in CACHES:
-                cache.cache_clear()
+            twistspec.clear_caches()
             return solve(config)
         monkeypatch.setattr(closedform, "solve", uncached)
-        assert len(CACHES) >= 5
         for curve in suite_scans:
             again = shapeopt.scan(curve.measure, curve.total_mass)
             assert curve_bits(again) == curve_bits(curve), curve.total_mass

@@ -2,8 +2,8 @@
 
 Every case patches one library function that the suite reaches through its
 module attribute, runs the suite, and expects the named row to FAIL; with the
-patch undone the same suite passes again, so the patch left nothing behind
-(no cached value computed under it).
+patch undone and every cache emptied (a value computed under the patch stays
+in its kernel's cache until then) the same suite passes again.
 """
 
 import dataclasses
@@ -11,6 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import twistspec
 from twistspec import closedform, oracle, rearrange, specfun, verify
 
 
@@ -109,4 +110,5 @@ def test_suite_fails_on_corrupted_computation(suite, monkeypatch):
     failed = {r.name for r in verify.run_suites([suite]) if not r.passed}
     assert row in failed
     monkeypatch.undo()
+    twistspec.clear_caches()
     assert all(r.passed for r in verify.run_suites([suite]))
