@@ -5,10 +5,8 @@ Single components first: the Dirichlet eigenvalue of a Gaussian half-space
 Hermite function vanishes at L; the Dirichlet eigenvalue of a weighted
 half-ball of radius R is (j_{b,1}/R)^2 with b = (n+k)/2 - 1.  The first two
 Gaussian degree roots come from stored Chebyshev tables of nu_1(L) and
-nu_2(L) on [0, 5], and two Hermite calls a small delta either side of the
-table value give a sign change whose regula-falsi point is the root; signs
-that agree mean the table and the Hermite kernel disagree, and raise
-NumericalError.
+nu_2(L) on [0, 5], certified by the sign change of H_nu(L) a small delta
+either side of the table value (`_degree_root`).
 
 For a two-component configuration the first zero-weighted-mean eigenvalue is
 pinned by a 2x2 homogeneous system in the component amplitudes (A, B): the
@@ -22,13 +20,17 @@ changes sign there once.  Divided by p_L p_R it is the secular function
 f = M_L/p_L + M_R/p_R, whose poles are the bracket ends, and the two-pole
 secular step that the oracle also uses, numerics.find_root, the only root
 finder of this module, finds its root: near a pole x*, f runs like
-w/(x* - x) with the residue w = -M(x*) / (dp/dx)(x*), which is a^{2b}/f*
-for power (J_b' = -J_{b+1} at a zero) and e^{-a^2} nu_k'(a) /
-(2 sqrt(pi) nu_k) for gaussian, nu_k' the L-derivative of the degree table
-of the pole's root (derivation beside _NU1_CHEB); neither calls a special
-function.  Where the power
-bracket ends at the Bessel series ceiling instead of a pole, f is
-evaluated there and the model keeps one pole.
+w/(x* - x) with the residue w = -M(x*) / (dp/dx)(x*), in closed form for
+both families (`_Family.residue`) with no special-function call.  Where
+the power bracket ends at the Bessel series ceiling instead of a pole, f
+is evaluated there and the model keeps one pole.
+
+Power pairs are solved at one scale: the measures are homogeneous,
+lambda(cL, cR) = lambda(L, R) / c^2, so a pair is solved at radii times
+2^-e, e the even exponent of max(L, R), and each value is reported times
+its exact power of two.  The floats are the only limit: a reported value
+that is not a normal float raises ResourceError naming it, as does a
+smaller radius whose Dirichlet value leaves the floats at that scale.
 
 Gaussian component profiles (x_1-reduced, degree nu, eigenvalue 2 nu):
 
@@ -61,10 +63,8 @@ The weighted mean integrals inside D are exact: from
 (e^{-t^2} H_{nu-1})' = -e^{-t^2} H_nu on the Gaussian side and from
 int_0^X r^{b+1} J_b(f r) dr = X^{b+1} J_{b+1}(f X)/f (DLMF 10.22.1) on the
 power side.  D needs H_nu and H_{nu-1} (or g and Jhat_{b+1}) at both
-boundaries; specfun.hermite_state gives each Hermite pair from one Kummer
-pass and specfun.bessel_state each Bessel pair from one series pass, so a
-gaussian D costs two hermite_state calls and a power D two bessel_state
-calls.  The power normalization is exact as well (Lommel, DLMF 10.22.5),
+boundaries, one specfun.hermite_state (bessel_state) pass each.  The power
+normalization is exact as well (Lommel, DLMF 10.22.5),
 and so is the gaussian one: the Lagrange identity in the degree,
 int_a^inf H_nu^2 e^{-t^2} dt = e^{-a^2} (H_nu dH_nu' - H_nu' dH_nu)(a) / 2
 with d = d/dnu, needs the Hermite function and its degree derivative at the
@@ -156,10 +156,9 @@ _NU2_CHEB = (
     3.252081184918838e-16)
 
 # Half-widths delta of the sign bracket [g - delta, g + delta] around the
-# table value g, whose regula-falsi point is the root.  The float kernel's
-# sign changes of nu_1 lie within 5e-13 of g; those of nu_2 lie up to 4e-12
-# off g on L in [4, 5) (rounding in the Kummer combination), so delta_2 is
-# wider.
+# table value g, whose regula-falsi point is the root.  The kernel's sign
+# changes of nu_1 lie within 5e-13 of g; those of nu_2 lie up to 4e-12 off
+# g on L in [4, 5) (rounding in the Kummer combination): delta_2 is wider.
 _NU1_DELTA = 1e-12
 _NU2_DELTA = 1e-11
 
@@ -218,29 +217,17 @@ def _degree_root(what: str, L: float, coeffs: tuple[float, ...],
 
 
 def dirichlet_halfspace_gauss(L: float) -> float:
-    """First Dirichlet eigenvalue of the Gaussian half-space at offset L.
-
-    2 nu* with nu* the smallest positive root of nu -> H_nu(L), for L in
-    [0, specfun.HERMITE_SWITCH_T) = [0, 5); other offsets raise DomainError.
-    The start is the Chebyshev table _NU1_CHEB, good to 4e-15 against
-    mpmath; two Hermite calls at its value g -/+ delta_1 (delta_1 = 1e-12)
-    give a sign bracket that certifies the root, and its regula-falsi point
-    is the root.  A bracket without a sign change raises NumericalError.
-
-    The same table's L-derivative nu_1'(L) gives the pair solver the
-    residue of its secular function at this pole (_gauss_residue), so the
-    pole costs no Hermite call beyond the two above.
-    """
+    """First Dirichlet eigenvalue 2 nu_1(L) of the Gaussian half-space at
+    offset L in [0, 5) (DomainError elsewhere): `_degree_root` on the table
+    _NU1_CHEB (4e-15 from mpmath) with delta_1 = 1e-12.  The table's slope
+    gives the pair solver the secular residue at this pole (_gauss_residue)
+    with no Hermite call."""
     return _degree_root("dirichlet_halfspace_gauss", L, _NU1_CHEB, _NU1_DELTA)
 
 
 def second_dirichlet_halfspace_gauss(L: float) -> float:
-    """Second Dirichlet eigenvalue of the Gaussian half-space at offset L.
-
-    As dirichlet_halfspace_gauss, with its two Hermite calls, domain [0, 5)
-    and errors, from the table _NU2_CHEB with the wider delta_2 = 1e-11: on
-    L in [4, 5) the kernel's sign changes lie up to 4e-12 off the table.
-    """
+    """Second Dirichlet eigenvalue 2 nu_2(L), as dirichlet_halfspace_gauss
+    from the table _NU2_CHEB with the wider delta_2 = 1e-11 (_NU2_DELTA)."""
     return _degree_root("second_dirichlet_halfspace_gauss", L, _NU2_CHEB,
                         _NU2_DELTA)
 
@@ -419,6 +406,7 @@ class _Family:
     single_signed: Callable[[float, float, float], bool]  # (Lambda_1, x, q)
     inside: Callable[[float], float]    # a -> interior profile argument
     argument: Callable[[str, float, float], float]    # (side, a, coordinate)
+    degree: float = 0.0     # u scales like length^-degree: power (n+k)/2
 
 
 # Public functions are looked up when called, so that wrappers installed on
@@ -449,11 +437,19 @@ def _power_family(measure: MeasureSpec) -> _Family:
             return lam2, a if j2 < specfun.BESSEL_SERIES_RMAX else None
         return lam_hi, other
 
+    def dirichlet(a: float) -> float:
+        try:    # a scaled radius; one far below the other leaves the floats
+            return (j1 / a) ** 2
+        except (OverflowError, ZeroDivisionError):
+            raise ResourceError(f"power pair: the smaller radius scales to "
+                                f"{a:.3g}, where bracket_dirichlet[1] = "
+                                f"(j_b1 / r)^2 is not a float") from None
+
     return _Family(
         name="power", var="freq", weight=measure.angular_constant,
         lam=lambda f: f * f, x_of=math.sqrt,
         labels=lambda f: {"freq": f, "alpha": alpha},
-        dirichlet=lambda a: (j1 / a) ** 2, top=top,
+        dirichlet=dirichlet, top=top,
         # J_b' = -J_{b+1} at a zero j of J_b: M = a^{b+1} J_{b+1}(j) / f and
         # dp/df = -a^{1-b} J_{b+1}(j), with no Bessel call
         residue=lambda f, a, k: a ** (2.0 * b) / f,
@@ -462,7 +458,8 @@ def _power_family(measure: MeasureSpec) -> _Family:
         square=partial(_power_square_integral, b),
         deriv=partial(_power_deriv, b),
         single_signed=lambda lam1, f, q: q >= 0.0,
-        inside=lambda a: 0.5 * a, argument=_power_argument)
+        inside=lambda a: 0.5 * a, argument=_power_argument,
+        degree=(measure.n + measure.k) / 2.0)
 
 
 # The reach of rounding in the secular iteration, relative to the top of
@@ -470,13 +467,17 @@ def _power_family(measure: MeasureSpec) -> _Family:
 _SECULAR_TAU = 1e-14
 
 
-def _solve_pair(config: PairConfig, fam: _Family) -> TwistedSolution:
+def _solve_pair(config: PairConfig, fam: _Family,
+                e: int = 0) -> TwistedSolution:
     """The pair solve of either family: the root of the secular function
     on the interlacing bracket (module docstring), then amplitudes,
     normalization and diagnostics from the boundary states the root search
     already holds.  Where Lambda_2 is the end of the series region and no
-    pole, f is evaluated there once, and f < 0 leaves no root."""
-    L, R = config.left_param, config.right_param
+    pole, f is evaluated there once, and f < 0 leaves no root.  It runs at
+    the parameters times 2^-e and reports eigenvalue and bracket times 4^-e,
+    x and the amplitudes times 2^-e, u times kappa = 2^(-e degree), du times
+    kappa 2^-e and c times kappa 4^-e (`put`); residuals keep its scale."""
+    L, R = map(math.ldexp, (config.left_param, config.right_param), (-e, -e))
     lam_L = fam.dirichlet(L)
     lam_R = lam_L if R == L else fam.dirichlet(R)
     bracket = (min(lam_L, lam_R), max(lam_L, lam_R))
@@ -524,27 +525,41 @@ def _solve_pair(config: PairConfig, fam: _Family) -> TwistedSolution:
         scale = -scale
     A, B = A * scale, B * scale
     lam = fam.lam(x)
+    i = math.floor(-e * fam.degree)         # kappa = frac 2^i
+    frac = 2.0 ** (-e * fam.degree - i)     # 1.0 where e degree is whole
+    kA, kB = A * frac, B * frac
 
-    def u_left(t: float) -> float:
-        return A * (fam.profile(x, fam.argument("left", L, t)) - pL)
+    def put(name: str, v: float, shift: int) -> float:
+        ex = math.frexp(v)[1] + shift
+        if 0.0 < abs(v) < math.inf and -1021 <= ex <= 1024:
+            return math.ldexp(v, shift)
+        raise ResourceError(
+            f"{fam.name} pair L={config.left_param:g}, "
+            f"R={config.right_param:g}: {name} = {v:.6g} * 2^{shift} is not "
+            f"a normal float")
 
-    def u_right(t: float) -> float:
-        return B * (pR - fam.profile(x, fam.argument("right", R, t)))
+    def u_at(side: str, a: float, amp: float, p: float):
+        return lambda t: math.ldexp(amp * (fam.profile(x, math.ldexp(
+            fam.argument(side, a, t), -e)) - p), i)
 
     return TwistedSolution(
-        eigenvalue=lam, config=config, **fam.labels(x),
-        amp_left=A, amp_right=B,
+        eigenvalue=put("eigenvalue", lam, -2 * e), config=config,
+        **fam.labels(put(fam.var, x, -e)),
+        bracket_dirichlet=(put("bracket_dirichlet[0]", bracket[0], -2 * e),
+                           put("bracket_dirichlet[1]", bracket[1], -2 * e)),
+        amp_left=put("amp_left", A, -e), amp_right=put("amp_right", B, -e),
         # antisymmetric eigenfunction at a symmetric pair: c = 0 exactly
-        nonlocal_c=0.0 if config.is_symmetric else -lam * A * pL,
-        du_left=abs(A * fam.deriv(x, L, pL, qL)),
-        du_right=abs(B * fam.deriv(x, R, pR, qR)),
-        bracket_dirichlet=bracket,
+        nonlocal_c=0.0 if config.is_symmetric else put(
+            "nonlocal_c", -lam * kA * pL, i - 2 * e),
+        du_left=put("du_left", abs(kA * fam.deriv(x, L, pL, qL)), i - e),
+        du_right=put("du_right", abs(kB * fam.deriv(x, R, pR, qR)), i - e),
         mean_residual=fam.weight * abs(A * fam.mean(x, L, pL, qL)
                                        - B * fam.mean(x, R, pR, qR)),
         matching_residual=abs(A * pL + B * pR),
         single_signed=fam.single_signed(
             bracket[0], x, qL if big == L else qR),
-        u_left_at=u_left, u_right_at=u_right)
+        u_left_at=u_at("left", config.left_param, kA, pL),
+        u_right_at=u_at("right", config.right_param, -kB, pR))
 
 
 def twisted_pair_gauss(config: PairConfig) -> TwistedSolution:
@@ -554,29 +569,13 @@ def twisted_pair_gauss(config: PairConfig) -> TwistedSolution:
     return _solve_pair(config, _GAUSS)
 
 
-# Component masses at which every power pair solves.  A radius runs like
-# m^{1/(n+k)}, the secular function like m and its slope like
-# m^{1 + 1/(n+k)}, inside [1e-300, 1e300] here for n + k > 2; beyond, that
-# slope underflows and the secular step stalls, or the integrals overflow.
-POWER_MASS_RANGE = (1e-200, 1e200)
-
-
 def twisted_pair_power(config: PairConfig) -> TwistedSolution:
-    """First twisted eigenvalue of a weighted half-ball pair.  A component
-    mass outside POWER_MASS_RANGE raises ResourceError."""
+    """First twisted eigenvalue of a half-ball pair, solved at unit scale."""
     m, L, R = config.measure, config.left_param, config.right_param
     if m.is_gaussian:
         raise DomainError("twisted_pair_power needs a power PairConfig")
-    fam = _power_family(m)
-    # the range's radii: a mass beyond it may not be a float
-    r_lo, r_hi = (measures.radius_from_mass(m, x) for x in POWER_MASS_RANGE)
-    if not (r_lo <= min(L, R) and max(L, R) <= r_hi):
-        raise ResourceError(
-            f"twisted_pair_power: power({m.n}, {m.k:g}) pairs solve for "
-            f"component masses in [{POWER_MASS_RANGE[0]:g}, "
-            f"{POWER_MASS_RANGE[1]:g}], radii [{r_lo:.6g}, {r_hi:.6g}]; got "
-            f"L={L:g}, R={R:g}, beyond which the solve leaves the floats")
-    return _solve_pair(config, fam)
+    return _solve_pair(config, _power_family(m),
+                       2 * (math.frexp(max(L, R))[1] // 2))
 
 
 def solve(config: PairConfig) -> TwistedSolution:

@@ -199,13 +199,28 @@ class MeasureSpec:
 
 
 def halfball_mass(measure: MeasureSpec, radius: float) -> float:
-    """Weighted volume of the upper half-ball: c_{n,k} r^{n+k}/(n+k)."""
+    """Weighted volume of the upper half-ball: c_{n,k} r^{n+k}/(n+k).
+
+    A mass that is not a normal float raises ResourceError naming n + k and
+    the radius: one that overflows, and one below 2.2e-308, which rounds to
+    a subnormal with fewer than 53 bits, or to 0."""
     if measure.is_gaussian:
         raise DomainError("halfball_mass applies to power measures")
     if radius <= 0:
         raise DomainError(f"radius must be > 0, got {radius:g}")
-    p = measure.n + measure.k
-    return measure.angular_constant * radius ** p / p
+    c, p = measure.angular_constant, measure.n + measure.k
+    try:
+        mass = c * radius ** p / p
+    except OverflowError:
+        mass = math.inf
+    if not sys.float_info.min <= mass < math.inf:
+        raise ResourceError(
+            f"halfball_mass: the half-ball of radius {radius:g} under "
+            f"power({measure.n}, {measure.k:g}) has mass c r^(n+k) / (n+k), "
+            f"n + k = {p:g}, of about 10^"
+            f"{math.log10(c / p) + p * math.log10(radius):.1f}, not a normal "
+            f"float (10^-307.7 to 10^308.3)")
+    return mass
 
 
 def radius_from_mass(measure: MeasureSpec,
@@ -272,11 +287,12 @@ class PairConfig:
     @property
     def is_symmetric(self) -> bool:
         """Gaussian offsets are translations and compare absolutely; power
-        radii scale with the mass and compare relatively."""
+        radii scale with the mass and compare relatively (equal subnormal
+        radii too, where 1e-9 max(L, R) underflows to 0)."""
         L, R = self.left_param, self.right_param
         if self.measure.is_gaussian:
             return abs(L - R) < 1e-9
-        return abs(L - R) < 1e-9 * max(L, R)
+        return L == R or abs(L - R) < 1e-9 * max(L, R)
 
 
 def gaussian_split_window(total_mass: float) -> tuple[float, float]:

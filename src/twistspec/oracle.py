@@ -214,7 +214,8 @@ def _assemble(domain: Domain1D, h: Optional[float] = None) -> _Assembly:
     mass = np.concatenate(mass_parts)
     nodes = np.concatenate(node_parts)
     if np.any(mass <= 0):
-        raise NumericalError("assembly produced non-positive node weights")
+        raise NumericalError(f"oracle: assembly produced non-positive node "
+                             f"weights on the intervals {domain.intervals}")
     return _Assembly(main=main, off=off, mass=mass, nodes=nodes, pieces=pieces)
 
 
@@ -247,7 +248,25 @@ def _unresolved(what: str, tau: float, max_d: float) -> AccuracyError:
         f"unresolved", estimate=tau)
 
 
+def _in_floats(solve):
+    """`solve(domain, ...)` with numpy's overflow, division by zero and
+    invalid operations raising NumericalError that names the domain's
+    intervals, where they would warn and carry inf or NaN on: at radii
+    near 1e-80 or 1e80 the grid's quantities leave the floats."""
+    @functools.wraps(solve)
+    def wrapped(domain: Domain1D, *args, **kwargs):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return solve(domain, *args, **kwargs)
+        except FloatingPointError as exc:
+            raise NumericalError(
+                f"oracle: {exc} on the intervals {domain.intervals}: the "
+                f"discrete problem leaves the floats") from None
+    return wrapped
+
+
 @functools.lru_cache(maxsize=2)
+@_in_floats
 def _spectrum(domain: Domain1D, h: Optional[float], count: int):
     """Assembly, diagonals (d, e) of B, M^{-1/2}, the smallest `count`
     eigenpairs (w, phi) of B, all read-only, and the pole guard tau with
@@ -303,6 +322,7 @@ def dirichlet_eigs(domain: Domain1D, h: Optional[float] = None,
     )
 
 
+@_in_floats
 def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
     """Smallest eigenvalue of the Rayleigh quotient restricted to the
     discrete zero-weighted-mean subspace, as the root of the secular
@@ -393,6 +413,7 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
     )
 
 
+@_in_floats
 def constrained_count(domain: Domain1D, lam: float,
                       h: Optional[float] = None) -> int:
     """Number of eigenvalues below lam of the discrete problem restricted

@@ -30,8 +30,10 @@ RQI_MAX_ITER = 12
 
 
 def pivmin(e: np.ndarray) -> float:
-    """Smallest pivot magnitude of a count, as LAPACK dstebz sets it."""
-    return np.finfo(float).tiny * max(1.0, float(np.max(e * e, initial=0.0)))
+    """Smallest pivot magnitude of a count, tiny max(1, max e^2) as LAPACK
+    dstebz sets it, multiplied out so that e^2 cannot overflow."""
+    m = max(1.0, float(np.max(np.abs(e), initial=0.0)))
+    return np.finfo(float).tiny * m * m
 
 
 def ldl(d: np.ndarray, e: np.ndarray, sigma: float,

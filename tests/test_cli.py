@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -132,14 +133,40 @@ class TestSolve:
     @pytest.mark.parametrize("L, R", [("1e-150", "2e-150"),
                                       ("1e200", "1.3e200")])
     def test_power_radii_beyond_float_range_exit_code(self, L, R, capsys):
-        # component masses far outside [1e-200, 1e200]: one line naming
-        # the range, no traceback
+        # a power pair solves where its reported values are normal floats:
+        # at radius 1e-150 c overflows, at 1e200 lambda underflows, and one
+        # line names that field, no traceback
+        field = {"1e-150": ": nonlocal_c = ", "1e200": ": eigenvalue = "}[L]
         code, out, err = run(["solve", "--measure", "power", "--n", "3",
                               "--k", "0", "--L", L, "--R", R], capsys)
         assert code == cli.EXIT_NUMERICAL == 3
         assert out == ""
         assert err.splitlines() == [err.strip()]
-        assert "component masses in [1e-200, 1e+200]" in err
+        assert field in err and "not a normal float" in err
+
+    def test_power_radii_inside_the_floats_solve(self, capsys):
+        # component masses near 1e-240: lambda(1e-80, 2e-80) is
+        # lambda(1, 2) 1e160
+        lams = []
+        for L, R in (("1e-80", "2e-80"), ("1", "2")):
+            code, out, _ = run(["solve", "--measure", "power", "--n", "3",
+                                "--k", "0", "--L", L, "--R", R,
+                                "--format", "json"], capsys)
+            assert code == 0
+            lams.append(json.loads(out)["lambda"])
+        small, unit = lams
+        assert abs(small * 1e-160 / unit - 1.0) <= 1e-12
+
+    def test_subnormal_component_mass_exit_code(self, capsys):
+        # power(3, 17) solves at radius 1e-16, but its component masses,
+        # which run like r^20, are subnormal: one line naming n + k and the
+        # radius
+        code, out, err = run(["solve", "--measure", "power", "--n", "3",
+                              "--k", "17", "--L", "1e-16", "--R", "2e-16"],
+                             capsys)
+        assert code == 3 and out == ""
+        assert err.splitlines() == [err.strip()]
+        assert "n + k = 20" in err and "radius 1e-16" in err
 
     def test_missing_configuration(self, capsys):
         code, _, err = run(["solve", "--measure", "gaussian", "--n", "1"],
@@ -370,6 +397,23 @@ class TestOracleCommand:
         assert code == 3 and out == ""
         assert "numerical failure: twisted_eig" in err and "tau = " in err
         assert "disagreement" not in err
+
+    @pytest.mark.parametrize("L, R", [("1e-77", "2e-77"),
+                                      ("1e-80", "2e-80")])
+    def test_radii_near_the_float_limit_warn_nothing(self, L, R, capsys):
+        # the closed form solves both; the oracle solves the first and
+        # raises a typed error naming the radii on the second, where its
+        # grid leaves the floats, with no RuntimeWarning on the way
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["oracle", "--measure", "power", "--n",
+                                  "3", "--k", "0", "--L", L, "--R", R],
+                                 capsys)
+        assert [str(w.message) for w in caught] == []
+        if code == 0:
+            assert float(out.splitlines()[1].split(",")[-1]) <= 1e-5
+        else:
+            assert code == 3 and out == "" and R in err
 
     def test_zero_tolerance_fails(self, capsys):
         code, out, err = run(["oracle", "--measure", "power", "--n", "2",

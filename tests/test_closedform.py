@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -481,6 +482,18 @@ class TestTwistedPairGauss:
         assert sol.single_signed
 
 
+def _reported(sol, h):
+    """(name, value, p) of each reported float of a power solution, in the
+    order the solver checks them, the value scaling like length^-p;
+    h = (n + k)/2."""
+    return [("eigenvalue", sol.eigenvalue, 2), ("freq", sol.freq, 1),
+            ("bracket_dirichlet[0]", sol.bracket_dirichlet[0], 2),
+            ("bracket_dirichlet[1]", sol.bracket_dirichlet[1], 2),
+            ("amp_left", sol.amp_left, 1), ("amp_right", sol.amp_right, 1),
+            ("nonlocal_c", sol.nonlocal_c, h + 2),
+            ("du_left", sol.du_left, h + 1), ("du_right", sol.du_right, h + 1)]
+
+
 class TestTwistedPairPower:
     def test_two_unit_balls_k0(self):
         cfg = measures.PairConfig(MeasureSpec.power(3, 0.0), 1.0, 1.0)
@@ -508,30 +521,42 @@ class TestTwistedPairPower:
     @pytest.mark.parametrize("n, k", [(2, 0.5), (3, 0.0), (2, 1.0), (3, 2.0),
                                       (5, 3.0), (10, 4.0), (3, 7.0)])
     def test_float_edge_sweep(self, n, k):
-        # radii 10^e with component masses from below 1e-320 to above
-        # 1e310, R/L random in e^(+-3): inside the mass range every pair is
-        # its unit twin scaled by homogeneity, lambda(cL, cR) c^2 =
-        # lambda(L, R); outside it a typed error names the range
+        # radii 10^e out to where c, which runs like r^-((n+k)/2 + 2), is
+        # 10^+-400, R/L random in e^(+-3): a pair is its unit twin scaled
+        # by homogeneity, lambda(cL, cR) c^2 = lambda(L, R), which predicts
+        # each reported value.  Where every prediction is a normal float
+        # by a factor 1e3 the pair solves; where the first one that is not
+        # lies a factor 1e3 beyond the normal floats the solve raises a
+        # ResourceError naming it
         m = MeasureSpec.power(n, k)
-        r_lo, r_hi = (measures.radius_from_mass(m, mass)
-                      for mass in closedform.POWER_MASS_RANGE)
+        h = (n + k) / 2.0
+        lo, hi = (math.log10(x) for x in (sys.float_info.min,
+                                          sys.float_info.max))
         rng = np.random.default_rng([n, round(10 * k)])
-        inside = 0
-        for e in range(math.floor(-330 / (n + k)), math.ceil(315 / (n + k))):
+        solved = raised = 0
+        reach = math.ceil(800 / (n + k + 4))
+        for e in range(-reach, reach + 1):
             ratio = math.exp(rng.uniform(-3.0, 3.0))
             L = 10.0 ** e
+            twin = closedform.solve(measures.PairConfig(m, 1.0, ratio))
+            size = [(name, math.log10(abs(v)) - p * e)
+                    for name, v, p in _reported(twin, h)]
+            out = [(name, x) for name, x in size
+                   if not lo + 3 < x < hi - 3]
             cfg = measures.PairConfig(m, L, L * ratio)
-            if not (r_lo <= L <= r_hi and r_lo <= L * ratio <= r_hi):
-                with pytest.raises(ResourceError, match=r"component masses "
-                                   r"in \[1e-200, 1e\+200\]"):
+            if not out:
+                solved += 1
+                sol = closedform.solve(cfg)
+                assert all(sys.float_info.min <= abs(v) < math.inf
+                           for _, v, _ in _reported(sol, h)), (L, ratio)
+                assert abs(sol.eigenvalue * L * L / twin.eigenvalue
+                           - 1.0) <= 1e-12, (L, ratio)
+            elif not lo - 3 < out[0][1] < hi + 3:
+                raised += 1
+                with pytest.raises(ResourceError, match=re.escape(
+                        f": {out[0][0]} = ")):
                     closedform.solve(cfg)
-                continue
-            inside += 1
-            lam = closedform.solve(cfg).eigenvalue
-            twin = closedform.solve(
-                measures.PairConfig(m, 1.0, ratio)).eigenvalue
-            assert abs(lam * L * L / twin - 1.0) <= 1e-12, (L, ratio)
-        assert inside >= 100 / (n + k)
+        assert solved >= 600 / (n + k + 4) and raised >= 100 / (n + k + 4)
 
     def test_homogeneity_across_scales(self):
         # lambda(c, c (1 + r)) = lambda(1, 1 + r) / c^2 down to radii 1e-8:
@@ -553,27 +578,99 @@ class TestTwistedPairPower:
                     worst = max(worst, abs(c * c * lam / ref - 1.0))
         assert worst <= 1e-12
 
-    @pytest.mark.parametrize("n, k", [(3, 0.0), (3, 2.0), (5, 3.0)])
+    @pytest.mark.parametrize("n, k", [(3, 0.0), (3, 2.0), (5, 3.0),
+                                      (3, 17.0), (2, 0.5)])
     def test_homogeneity_exact_under_powers_of_two(self, n, k):
-        # radii scaled by 2^e scale the poles, the residues and f by powers
-        # of two, and find_root steps in units of powers of two: lambda
-        # scales by exactly 2^-2e over the whole mass range.  Stepping in
-        # the caller's units, (5, 3) at (1, 0.31) missed by 2 ulps at
-        # e = +-72 and +-80
+        # radii scaled by 2^e, e a multiple of 8, give the same unit-scale
+        # solve, so every reported value scales by its exact power of two
+        # (e (n+k)/2 is an integer): the pair solves exactly where all of
+        # them are normal floats, bit for bit, and raises ResourceError
+        # naming the first one that is not
         m = MeasureSpec.power(n, k)
-        r_lo, r_hi = (measures.radius_from_mass(m, mass)
-                      for mass in closedform.POWER_MASS_RANGE)
-        scaled = 0
+        h = (n + k) / 2.0
+        solved = 0
         for L, R in ((1.0, 0.31), (1.0, 0.7)):
-            ref = closedform.solve(measures.PairConfig(m, L, R)).eigenvalue
-            for e in range(-200, 201, 8):
-                cL, cR = math.ldexp(L, e), math.ldexp(R, e)
-                if not r_lo <= min(cL, cR) <= max(cL, cR) <= r_hi:
+            ref = _reported(closedform.solve(measures.PairConfig(m, L, R)), h)
+            for e in range(-1016, 1017, 8):
+                want = []
+                for name, v, p in ref:
+                    try:
+                        want.append((name, math.ldexp(v, round(-p * e))))
+                    except OverflowError:
+                        want.append((name, math.inf))
+                bad = [name for name, v in want
+                       if not sys.float_info.min <= abs(v) < math.inf]
+                cfg = measures.PairConfig(m, math.ldexp(L, e),
+                                          math.ldexp(R, e))
+                if bad:
+                    with pytest.raises(ResourceError,
+                                       match=re.escape(f": {bad[0]} = ")):
+                        closedform.solve(cfg)
                     continue
-                scaled += 1
-                lam = closedform.solve(measures.PairConfig(m, cL, cR))
-                assert lam.eigenvalue == math.ldexp(ref, -2 * e), (L, R, e)
-        assert scaled >= 30
+                solved += 1
+                got = [(name, v) for name, v, _ in
+                       _reported(closedform.solve(cfg), h)]
+                assert got == want, (L, R, e)
+        assert solved >= 2 * 400 / (n + k + 4)
+
+    @pytest.mark.parametrize("n, k", [(3, 0.0), (2, 0.5), (5, 3.0)])
+    def test_fields_scale_with_the_radii(self, n, k):
+        # scales that are not powers of two: each reported value and u
+        # scale by their power of the radius, also where e (n+k)/2 is not
+        # an integer (kappa = 2^(-e (n+k)/2) is then not a power of two)
+        m = MeasureSpec.power(n, k)
+        h = (n + k) / 2.0
+        ref = closedform.solve(measures.PairConfig(m, 3.0, 2.1))
+        for c in (3.0, 1e-5, 7e6):
+            sol = closedform.solve(measures.PairConfig(m, 3.0 * c, 2.1 * c))
+            for (name, v, p), (_, w, _) in zip(_reported(sol, h),
+                                               _reported(ref, h)):
+                assert v == pytest.approx(w * c ** -p, rel=1e-11), (name, c)
+            for r in (0.5, 1.7):
+                assert sol.u_left_at(r * c) == pytest.approx(
+                    ref.u_left_at(r) * c ** -h, rel=1e-11)
+                assert sol.u_right_at(r * c) == pytest.approx(
+                    ref.u_right_at(r) * c ** -h, rel=1e-11)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.sampled_from([(3, 0.0), (3, 2.0), (5, 3.0), (3, 17.0),
+                            (2, 0.5)]),
+           st.floats(-330.0, 330.0), st.floats(-330.0, 330.0))
+    def test_reported_floats_normal_or_named(self, nk, u, v):
+        # radii 10^u, 10^v (those that are positive floats): a pair solves
+        # with every reported value a normal float (c = 0 only at a
+        # symmetric pair), or raises a ResourceError naming the field that
+        # is not one; no bare OverflowError or ZeroDivisionError, no
+        # silent 0.0
+        assume(max(u, v) < 308.0)
+        L, R = 10.0 ** u, 10.0 ** v
+        assume(L > 0.0 and R > 0.0)
+        m = MeasureSpec.power(*nk)
+        cfg = measures.PairConfig(m, L, R)
+        names = [name for name, *_ in _reported(
+            closedform.solve(measures.PairConfig(m, 1.0, 0.5)), 1.0)]
+        try:
+            sol = closedform.solve(cfg)
+        except ResourceError as exc:
+            assert any(name in str(exc) for name in names), str(exc)
+            return
+        for name, x, _ in _reported(sol, 1.0):
+            if name == "nonlocal_c" and cfg.is_symmetric:
+                assert x == 0.0
+            else:
+                assert sys.float_info.min <= abs(x) < math.inf, name
+
+    @pytest.mark.parametrize("mass", [1e30, 1e100, 1e198])
+    def test_residuals_pass_the_benchmark_gate_at_large_masses(self, mass):
+        # the residuals are taken at the solve's unit scale, so the
+        # benchmark's pair gate, residual <= 1e-9 max(1, |A|, |B|), holds
+        # however large the mass (a residual at the given radii grows with
+        # the mass: 1.42 at 1e30, 2.3e84 at 1e198)
+        sol = closedform.solve(measures.config_from_split(
+            MeasureSpec.power(3, 0.0), mass, 0.37))
+        gate = 1e-9 * max(1.0, abs(sol.amp_left), abs(sol.amp_right))
+        assert sol.mean_residual <= gate
+        assert sol.matching_residual <= gate
 
     def test_asymmetric_against_oracle(self):
         m = MeasureSpec.power(2, 1.0)

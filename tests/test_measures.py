@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -210,6 +212,25 @@ class TestHalfball:
         m21 = MeasureSpec.power(2, 1.0)
         assert measures.radius_from_mass(m21, 2.0 / 3.0) == pytest.approx(
             1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n, k, r, size", [
+        (3, 0.0, 1e120, "10^360.3"), (3, 17.0, 1e-16, "10^-321.8"),
+        (3, 0.0, 1e-103, "10^-308.7"), (3, 0.0, 1e-200, "10^-599.7")])
+    def test_mass_beyond_the_normal_floats_raises(self, n, k, r, size):
+        # overflow raised a bare OverflowError from r ** (n + k); a
+        # subnormal mass, with fewer than 53 bits, or 0 counts as beyond
+        # the floats too
+        with pytest.raises(ResourceError, match=re.escape(
+                f"radius {r:g} under power({n}, {k:g}) has mass c r^"
+                f"(n+k) / (n+k), n + k = {n + k:g}, of about {size}")):
+            measures.halfball_mass(MeasureSpec.power(n, k), r)
+
+    def test_mass_at_the_normal_floats_solves(self):
+        m = MeasureSpec.power(3, 0.0)
+        for mass in (4.0 * sys.float_info.min, sys.float_info.max / 4.0):
+            r = measures.radius_from_mass(m, mass)
+            assert measures.halfball_mass(m, r) == pytest.approx(mass,
+                                                                 rel=1e-12)
 
     def test_bad_inputs(self):
         m = MeasureSpec.power(3, 0.0)

@@ -222,6 +222,27 @@ class TestTwisted:
             assert lam1 < lam <= lam2
 
 
+class TestFloatScale:
+    """A radial pair (L, 2L) far from unit scale: B's entries run like
+    L^-2, its pivot floor like max|e|^2, and the grid's weights like
+    r^(n+k-1).  Each pair solves within 1e-10 of lambda(1, 2) / L^2, or
+    raises one NumericalError naming its radii, with no RuntimeWarning
+    (Tier-1 runs with warnings as errors)."""
+
+    @pytest.mark.parametrize("L", [1e-77, 1e-80, 1e60, 1e100])
+    def test_solves_or_names_the_radii(self, L):
+        m = MeasureSpec.power(3, 0.0)
+        unit = oracle.twisted_eig(oracle.power_pair_domain(
+            measures.PairConfig(m, 1.0, 2.0))).eigenvalues[0]
+        domain = oracle.power_pair_domain(measures.PairConfig(m, L, 2 * L))
+        try:
+            lam = oracle.twisted_eig(domain).eigenvalues[0]
+        except NumericalError as exc:
+            assert repr(2 * L) in str(exc) and L not in (1e-77, 1e60)
+            return
+        assert abs(lam * L * L / unit - 1.0) <= 1e-10
+
+
 class TestComponentScale:
     """The pole guard tau = 64 eps (max|d| + 2 max|e|) is set by the finest
     cells of the whole union.  Next to a unit half-ball, a half-ball of

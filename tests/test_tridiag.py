@@ -72,6 +72,13 @@ def test_count_matches_dense_eigenvalues(case):
         assert np.all(err <= 8.0 * EPS * bound + floor)
 
 
+def test_pivot_floor_does_not_overflow():
+    # max|e| = 1e200: tiny max|e|^2 = 2.2e92, where e * e overflowed
+    e = np.array([1.0, -1e200, 3.0])
+    assert tridiag.pivmin(e) == np.finfo(float).tiny * 1e200 * 1e200
+    assert tridiag.pivmin(np.array([0.5])) == np.finfo(float).tiny
+
+
 def _laplacian(n):
     """The tridiagonal (2, -1) of order n and its eigenpairs."""
     d, e = np.full(n, 2.0), np.full(n - 1, -1.0)
