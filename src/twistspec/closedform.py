@@ -74,6 +74,7 @@ boundary only.  No solve uses quadrature.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Optional
@@ -296,11 +297,12 @@ def _profile_order(measure: MeasureSpec) -> float:
 
 
 def dirichlet_halfball_power(measure: MeasureSpec, R: float) -> float:
-    """First Dirichlet eigenvalue of the weighted half-ball: (j_{b,1}/R)^2."""
+    """First Dirichlet eigenvalue of the weighted half-ball: (j_{b,1}/R)^2,
+    by the pair solver's own definition (ResourceError where it is not a
+    normal float)."""
     if R <= 0:
         raise DomainError(f"dirichlet_halfball_power: need R > 0, got {R:g}")
-    b = _profile_order(measure)
-    return (_bessel_zero_pair(b)[0] / R) ** 2
+    return _power_family(measure).dirichlet(R)
 
 
 @lru_cache(maxsize=64)
@@ -438,12 +440,19 @@ def _power_family(measure: MeasureSpec) -> _Family:
         return lam_hi, other
 
     def dirichlet(a: float) -> float:
-        try:    # a scaled radius; one far below the other leaves the floats
-            return (j1 / a) ** 2
+        # in a pair solve a is a scaled radius, and one far below the
+        # other leaves the floats
+        try:
+            lam = (j1 / a) ** 2
         except (OverflowError, ZeroDivisionError):
-            raise ResourceError(f"power pair: the smaller radius scales to "
-                                f"{a:.3g}, where bracket_dirichlet[1] = "
-                                f"(j_b1 / r)^2 is not a float") from None
+            lam = math.inf
+        if sys.float_info.min <= lam < math.inf:
+            return lam
+        raise ResourceError(
+            f"power half-ball of radius r = {a:.3g} (in a pair solve, the "
+            f"smaller radius at the unit scale): its Dirichlet value "
+            f"(j_b1 / r)^2, a pair's bracket_dirichlet[1], is not a normal "
+            f"float")
 
     return _Family(
         name="power", var="freq", weight=measure.angular_constant,

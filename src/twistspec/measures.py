@@ -198,22 +198,36 @@ class MeasureSpec:
         return self.angular_constant * r ** self.radial_exponent
 
 
+def _normal(x):
+    """Whether x (or each entry of x) is a normal float."""
+    return (sys.float_info.min <= x) & (x < math.inf)
+
+
 def halfball_mass(measure: MeasureSpec, radius: float) -> float:
     """Weighted volume of the upper half-ball: c_{n,k} r^{n+k}/(n+k).
 
-    A mass that is not a normal float raises ResourceError naming n + k and
-    the radius: one that overflows, and one below 2.2e-308, which rounds to
-    a subnormal with fewer than 53 bits, or to 0."""
+    Where r^(n+k) or the mass so taken is not a normal float (c r^(n+k)
+    may overflow on the way), the mass is taken as ((c/(n+k))^(1/(n+k))
+    r)^(n+k) instead, so that only the mass itself meets the float limit.
+    A mass that is not a normal float raises ResourceError naming n + k
+    and the radius: one that overflows, and one below 2.2e-308, which
+    rounds to a subnormal with fewer than 53 bits, or to 0."""
     if measure.is_gaussian:
         raise DomainError("halfball_mass applies to power measures")
     if radius <= 0:
         raise DomainError(f"radius must be > 0, got {radius:g}")
     c, p = measure.angular_constant, measure.n + measure.k
     try:
-        mass = c * radius ** p / p
+        rp = radius ** p
     except OverflowError:
-        mass = math.inf
-    if not sys.float_info.min <= mass < math.inf:
+        rp = math.inf
+    mass = c * rp / p
+    if not (_normal(rp) and _normal(mass)):
+        try:
+            mass = ((c / p) ** (1.0 / p) * radius) ** p
+        except OverflowError:
+            mass = math.inf
+    if not _normal(mass):
         raise ResourceError(
             f"halfball_mass: the half-ball of radius {radius:g} under "
             f"power({measure.n}, {measure.k:g}) has mass c r^(n+k) / (n+k), "
@@ -228,7 +242,9 @@ def radius_from_mass(measure: MeasureSpec,
     """Radius of the upper half-ball of weighted volume m: a plain float
     for a scalar m (numpy scalars and 0-d arrays too), an array elementwise
     for an array m.  A scalar takes Python's pow and an array numpy's,
-    which may round the last bit differently."""
+    which may round the last bit differently.  Where (n+k) m / c is not a
+    normal float, the radius is taken as ((n+k)/c)^(1/(n+k)) m^(1/(n+k))
+    instead, so that only the radius itself meets the float limit."""
     if measure.is_gaussian:
         raise DomainError("radius_from_mass applies to power measures")
     vec = isinstance(m, np.ndarray) and m.ndim > 0
@@ -238,8 +254,18 @@ def radius_from_mass(measure: MeasureSpec,
     if bad.any() if vec else bad:
         m_bad = m[np.argmax(bad)] if vec else m
         raise DomainError(f"mass must be > 0, got {m_bad:g}")
-    p = measure.n + measure.k
-    return (p * m / measure.angular_constant) ** (1.0 / p)
+    p, c = measure.n + measure.k, measure.angular_constant
+    if not vec:
+        t = p * m / c
+        if _normal(t):
+            return t ** (1.0 / p)
+        return (p / c) ** (1.0 / p) * m ** (1.0 / p)
+    with np.errstate(over="ignore", under="ignore"):
+        t = p * m / c
+        r = t ** (1.0 / p)
+    out = ~_normal(t)
+    r[out] = (p / c) ** (1.0 / p) * m[out] ** (1.0 / p)
+    return r
 
 
 @dataclass(frozen=True)

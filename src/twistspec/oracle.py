@@ -23,21 +23,23 @@ and slope, and each step goes to the model's root inside the sign bracket.
 The Dirichlet eigenpairs come piece by piece.  B is block diagonal, one
 irreducible SPD block per interval, so each block is solved on its own: two
 inverse iterations at shift 0 from the vector of ones, then Rayleigh
-quotient iteration until a step is <= tau, the pole guard below.  Sylvester
-inertia counts certify each value rho as the block's j-th eigenvalue: the
-LDL^T factorization of the block minus a shift has as many negative pivots
-as the block has eigenvalues below the shift (Kahan 1966; Parlett 1998
-section 3.3), and it must find j - 1 of them below rho - eta and j below
-rho + eta, eta = ||B x - rho x|| + tau.  The blocks' values merge into the
-smallest `count`; a block's higher modes (from a deflated start, under the
-same certificate) are found only where they can undercut another block's
-lowest.  The same counts give `constrained_count`, the number of twisted
-eigenvalues below a given lambda, which shares no code with the root search.
+quotient iteration until a step is <= tau, the block's pole guard.
+Sylvester inertia counts certify each value rho as the block's j-th
+eigenvalue: the LDL^T factorization of the block minus a shift has as many
+negative pivots as the block has eigenvalues below the shift (Kahan 1966;
+Parlett 1998 section 3.3), and it must find j - 1 of them below rho - eta
+and j below rho + eta, eta = ||B x - rho x|| + tau.  The blocks' values
+merge into the smallest `count`; a block's higher modes (from a deflated
+start, under the same certificate) are found only where they can undercut
+another block's lowest.  The same counts give `constrained_count`, the
+number of twisted eigenvalues below a given lambda, which shares no code
+with the root search.
 
-tau = 64 eps (max|d| + 2 max|e|) is the reach of rounding in B's
-eigenvalues.  It is global: it comes from the largest entries of B, so on a
-union whose cells differ much in size the finest cells set it for all
-pieces, and where it reaches lambda_1 nothing is resolved (AccuracyError).
+tau = 64 eps (max|d| + 2 max|e|) is the reach of rounding in a block's
+eigenvalues, taken over that block's entries alone: each pole is guarded
+on the scale of its own piece, so pieces whose cells differ much in size
+(a half-ball of radius 1e-12 next to a unit one) each resolve their own
+eigenvalues.
 
 Both solves read one eigensolve per (domain, h, count): assembly,
 symmetrization and the per-piece eigensolve run once in `_spectrum`, which
@@ -241,13 +243,6 @@ def _symmetrized(asm: _Assembly) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return d, e, inv_sqrt
 
 
-def _unresolved(what: str, tau: float, max_d: float) -> AccuracyError:
-    return AccuracyError(
-        f"{what}: the pole guard tau = {tau:.3g} comes from max|d| = "
-        f"{max_d:.3g}, the finest cells of the grid, and leaves the root "
-        f"unresolved", estimate=tau)
-
-
 def _in_floats(solve):
     """`solve(domain, ...)` with numpy's overflow, division by zero and
     invalid operations raising NumericalError that names the domain's
@@ -269,51 +264,29 @@ def _in_floats(solve):
 @_in_floats
 def _spectrum(domain: Domain1D, h: Optional[float], count: int):
     """Assembly, diagonals (d, e) of B, M^{-1/2}, the smallest `count`
-    eigenpairs (w, phi) of B, all read-only, and the pole guard tau with
-    the max|d| that sets it (numpy scalars, immutable).
-
-    B is block diagonal, one irreducible SPD block per piece, and each
-    block is solved on its own (`tridiag`): two inverse iterations at shift
-    0, then Rayleigh quotient iteration until a step is <= tau.  Inertia
-    counts of the block certify each value rho as the block's j-th: j - 1
-    eigenvalues lie below rho - eta and j below rho + eta, eta =
-    ||B x - rho x|| + tau.  The blocks' values merge into the `count`
-    smallest; a block's higher modes (deflated starts, the same
-    certificate) are found only where they can undercut another block's.
-
-    Each value is placed only to about eps ||B||, and tau = 64 eps (max|d|
-    + 2 max|e|) is that reach.  It comes from the largest entries of B, so
-    on a union whose cells differ much in size the finest cells set it for
-    all; where it reaches lambda_1, no eigenvalue is resolved
-    (AccuracyError, naming tau and max|d|), and neither is one whose
-    window [rho - eta, rho + eta] holds a second eigenvalue.
+    eigenpairs (w, phi) of B and the pole guard tau of the block that
+    carries each, all read-only.  Each block of B, one per piece, is solved
+    and certified on its own (`tridiag`, and the module docstring above)
+    with its own tau = 64 eps (max|d_b| + 2 max|e_b|); a certificate window
+    that holds a second eigenvalue leaves it unresolved (AccuracyError).
     """
     from . import tridiag
 
     asm = _assemble(domain, h)
     d, e, inv_sqrt = _symmetrized(asm)
-    max_d = np.max(np.abs(d))
-    tau = 64.0 * np.finfo(float).eps * (max_d + 2.0 * np.max(np.abs(e)))
-    floor = tridiag.pivmin(e)
-    blocks = tridiag.blocks(d, e, asm.pieces, floor)
-    firsts = [tridiag.next_mode(block, tau) for block in blocks]
-    lam1 = min(rho for rho, _ in firsts)
-    if tau >= lam1:
-        raise _unresolved(f"oracle: tau reaches lambda_1 = {lam1:.6g}",
-                          tau, max_d)
-    for block, mode in zip(blocks, firsts):
-        tridiag.certify(block, mode, tau, floor)
-    w, phi = tridiag.merge(blocks, min(count, len(d)), tau, floor)
-    for a in (asm.main, asm.off, asm.mass, asm.nodes, d, e, inv_sqrt, w, phi):
+    w, phi, tau = tridiag.merge(tridiag.blocks(d, e, asm.pieces),
+                                min(count, len(d)))
+    for a in (asm.main, asm.off, asm.mass, asm.nodes, d, e, inv_sqrt, w, phi,
+              tau):
         a.flags.writeable = False
-    return asm, d, e, inv_sqrt, w, phi, tau, max_d
+    return asm, d, e, inv_sqrt, w, phi, tau
 
 
 def dirichlet_eigs(domain: Domain1D, h: Optional[float] = None,
                    count: int = 2) -> EigenResult:
-    """Smallest `count` Dirichlet eigenvalues of the union; AccuracyError
-    where the pole guard tau reaches lambda_1 (see `_spectrum`)."""
-    asm, d, _, inv_sqrt, w, v, *_ = _spectrum(domain, h, count)
+    """Smallest `count` Dirichlet eigenvalues of the union, each certified
+    on its own piece (see `_spectrum`)."""
+    asm, d, _, inv_sqrt, w, v, _ = _spectrum(domain, h, count)
     u = v * inv_sqrt[:, None]
     return EigenResult(
         eigenvalues=w.copy(),
@@ -331,27 +304,25 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
     Each iteration is one tridiagonal solve x = (B - lambda)^{-1} v, which
     gives f = v.x and f' = x.x.  numerics.find_root runs the two-pole
     secular step with the residues (v.phi_1)^2 and (v.phi_2)^2 on the sign
-    bracket [lambda_1 + tau, lambda_2 - tau] (the pole guard tau below),
-    from its middle.  f is resolved only to about eps ||B|| / lambda
-    relative (6e-12 to 1.4e-10 on the default grid of four verify pairs),
-    so the step stops at that rounding floor, where a model step fails to
-    halve the one before it, and digits of lambda past the floor are noise.
+    bracket [lambda_1 + tau_1, lambda_2 - tau_2], from its middle; tau_i is
+    the pole guard of the piece that carries lambda_i (see `_spectrum`).
+    f is resolved only to about eps ||B|| / lambda relative (6e-12 to
+    1.4e-10 on the default grid of four verify pairs), so the step stops at
+    that rounding floor, where a model step fails to halve the one before
+    it, and digits of lambda past the floor are noise.
     The last resolvent is the eigenvector.  A non-finite f, or
     numerics.SECULAR_MAX_ITER solves without a stop, raise NumericalError
     naming both poles and the last bracket.
 
-    tau comes from the largest entries of B, so on a union whose cells
-    differ much in size the finest cells set it for all.  Where tau reaches
-    lambda_1 (raised by `_spectrum`), or the root lies inside the guard
-    band below lambda_2 (f <= 0 at lambda_2 - tau while v.phi_2 is not
-    zero to rounding), no root is resolved: AccuracyError, naming tau and
-    max|d|.
+    Where the root lies inside the guard band below lambda_2 (f <= 0 at
+    lambda_2 - tau_2 while v.phi_2 is not zero to rounding), no root is
+    resolved: AccuracyError, naming tau_2.
     """
     from scipy.linalg.lapack import dgtsv
 
-    asm, d, e, inv_sqrt, w, phi, tau, max_d = _spectrum(domain, h, 2)
-    tau, max_d = float(tau), float(max_d)
+    asm, d, e, inv_sqrt, w, phi, tau = _spectrum(domain, h, 2)
     lam1, lam2 = float(w[0]), float(w[1])
+    tau1, tau2 = map(float, tau)
     # constraint  meanvec . u = 0  becomes  v . (M^{1/2} u) = 0
     v = np.sqrt(asm.mass)
     v /= np.linalg.norm(v)
@@ -364,18 +335,19 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
                 f"twisted_eig: B - lambda singular at lambda = {lam!r}")
         return x[:, 0]
 
-    # the bracket keeps tau away from both poles, so that f has its
+    # the bracket keeps each pole's tau away from it, so that f has its
     # asymptotic sign there
     residues = tuple(float(c) ** 2 for c in v @ phi)
-    lo, hi = lam1 + tau, lam2 - tau
-    # poles closer than 2 tau: f_hi = 0 takes the lambda_2 branch
+    lo, hi = lam1 + tau1, lam2 - tau2
+    # poles closer than their guards: f_hi = 0 takes the lambda_2 branch
     f_hi = float(v @ resolvent(hi)) if hi > lo else 0.0
-    # v.phi_2 is zero to rounding below tau / (lambda_2 - lambda_1), the
+    # v.phi_2 is zero to rounding below tau_2 / (lambda_2 - lambda_1), the
     # eigenvector's error bound (Davis & Kahan 1970)
-    if f_hi <= 0.0 and hi > lo and residues[1] > (tau / (lam2 - lam1)) ** 2:
-        raise _unresolved(
-            f"twisted_eig: the root lies within tau below lambda_2 = "
-            f"{lam2:.6g}", tau, max_d)
+    if f_hi <= 0.0 and hi > lo and residues[1] > (tau2 / (lam2 - lam1)) ** 2:
+        raise AccuracyError(
+            f"twisted_eig: the root lies within the pole guard tau = "
+            f"{tau2:.3g} below lambda_2 = {lam2:.6g} and is not resolved",
+            estimate=tau2)
     if f_hi <= 0.0:
         # the root sits at lambda_2 (a double pole or v . phi_2 = 0):
         # the mean-zero combination of phi_1 and phi_2 is the eigenvector
@@ -395,7 +367,8 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
             return float(v @ x), float(x @ x)
 
         lam = numerics.find_root(secular, numerics.PoleBracket(
-            lo, hi, f_hi, (lam1, lam2), residues, tau, "lambda"))
+            lo, hi, f_hi, (lam1, lam2), residues, max(tau1, tau2),
+            "lambda"))
         y = last[0]
     y -= v * float(v @ y)                       # one projection against v
     gf = _grid_functions(asm, (y * inv_sqrt)[:, None])[0]

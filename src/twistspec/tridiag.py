@@ -6,9 +6,11 @@ A count of the eigenvalues of T below sigma is the number of negative
 pivots of T - sigma = L D L^T (Sylvester's law of inertia; Kahan 1966,
 Parlett 1998 section 3.3).  Each block's eigenpairs come from two inverse
 iterations at shift 0, then Rayleigh quotient iteration until a step is at
-most tau; rho is the block's j-th eigenvalue once j - 1 eigenvalues lie
-below rho - eta and j below rho + eta, eta = ||B x - rho x|| + tau, a
-window that holds an eigenvalue (Parlett 1998, theorem 4.5.1).
+most the block's own tau = 64 eps (max|d| + 2 max|e|), the reach of
+rounding in its eigenvalues; rho is the block's j-th eigenvalue once j - 1
+eigenvalues lie below rho - eta and j below rho + eta, eta = ||B x - rho
+x|| + tau, a window that holds an eigenvalue (Parlett 1998, theorem
+4.5.1).
 
 `oracle` imports this module on its first solve, as it does LAPACK
 (dpttrf, dpttrs, dgtsv, imported inside the functions that call them), so
@@ -86,37 +88,45 @@ def _matvec(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
 @dataclass
 class Block:
     """One irreducible SPD block, rows `start` on of the whole matrix, with
-    its LDL^T factors at shift 0 and the eigenpairs found so far."""
+    its pole guard tau = 64 eps (max|d| + 2 max|e|), the reach of rounding
+    in its eigenvalues, its pivot floor `pivmin(e)`, its LDL^T factors at
+    shift 0 and the eigenpairs found so far."""
     start: int
     d: np.ndarray
     e: np.ndarray
+    tau: float
+    floor: float
     chol: tuple[np.ndarray, np.ndarray]
     values: list[float]
     vectors: list[np.ndarray]
 
 
-def blocks(d: np.ndarray, e: np.ndarray, pieces: list[tuple[int, int]],
-           floor: float) -> list[Block]:
-    """The blocks of (d, e) on the row ranges [a, b) of `pieces`; a block
-    that is not positive definite raises NumericalError."""
+def blocks(d: np.ndarray, e: np.ndarray,
+           pieces: list[tuple[int, int]]) -> list[Block]:
+    """The blocks of (d, e) on the row ranges [a, b) of `pieces`, each with
+    the tau and pivot floor of its own entries; a block that is not
+    positive definite raises NumericalError."""
     out = []
     for a, b in pieces:
         bd, be = d[a:b], e[a:b - 1]
+        tau = 64.0 * np.finfo(float).eps * float(
+            np.max(np.abs(bd)) + 2.0 * np.max(np.abs(be), initial=0.0))
+        floor = pivmin(be)
         chol = ldl(bd, be, 0.0, floor)
         if not np.all(chol[0] > 0.0):
             raise NumericalError(
                 f"oracle: the block of nodes [{a}, {b}) is not positive "
                 f"definite")
-        out.append(Block(a, bd, be, chol, [], []))
+        out.append(Block(a, bd, be, tau, floor, chol, [], []))
     return out
 
 
-def next_mode(block: Block, tau: float) -> tuple[float, np.ndarray]:
+def next_mode(block: Block) -> tuple[float, np.ndarray]:
     """The block's next eigenpair (rho, x), uncertified: two inverse
     iterations at shift 0, then Rayleigh quotient iteration until a step is
-    <= tau.  The first mode starts from the vector of ones; a later one
-    from the last mode found times the row index, which adds a sign
-    change, deflated against every mode found (each inverse iteration
+    <= the block's tau.  The first mode starts from the vector of ones; a
+    later one from the last mode found times the row index, which adds a
+    sign change, deflated against every mode found (each inverse iteration
     too)."""
     from scipy.linalg.lapack import dgtsv, dpttrs
 
@@ -138,16 +148,15 @@ def next_mode(block: Block, tau: float) -> tuple[float, np.ndarray]:
             return rho, x           # B - rho singular: rho is exact
         x = y[:, 0] / np.linalg.norm(y)
         rho, last = float(x @ _matvec(block.d, block.e, x)), rho
-        if abs(rho - last) <= tau:
+        if abs(rho - last) <= block.tau:
             return rho, x
     raise NumericalError(
         f"oracle: Rayleigh quotient iteration for mode {len(lower) + 1} of "
-        f"the block at node {block.start} took no step <= tau = {tau:.3g} "
-        f"in {RQI_MAX_ITER} steps (last rho = {rho!r})")
+        f"the block at node {block.start} took no step <= tau = "
+        f"{block.tau:.3g} in {RQI_MAX_ITER} steps (last rho = {rho!r})")
 
 
-def certify(block: Block, mode: tuple[float, np.ndarray], tau: float,
-            floor: float) -> None:
+def certify(block: Block, mode: tuple[float, np.ndarray]) -> None:
     """Append `mode` to the block's eigenpairs once inertia counts place it
     at its index j: j - 1 eigenvalues below rho - eta and j below rho +
     eta, eta = ||B x - rho x|| + tau.  A window that holds two eigenvalues
@@ -155,14 +164,15 @@ def certify(block: Block, mode: tuple[float, np.ndarray], tau: float,
     found another eigenvalue (NumericalError)."""
     rho, x = mode
     j = len(block.values) + 1
-    eta = float(np.linalg.norm(_matvec(block.d, block.e, x) - rho * x)) + tau
-    below = count_below(block.d, block.e, rho - eta, floor)
-    upto = count_below(block.d, block.e, rho + eta, floor)
+    eta = float(np.linalg.norm(_matvec(block.d, block.e, x) - rho * x)
+                ) + block.tau
+    below = count_below(block.d, block.e, rho - eta, block.floor)
+    upto = count_below(block.d, block.e, rho + eta, block.floor)
     if upto - below > 1:
         raise AccuracyError(
             f"oracle: {upto - below} eigenvalues of the block at node "
             f"{block.start} lie within eta = {eta:.3g} of {rho:.6g} "
-            f"(tau = {tau:.3g}): none is resolved", estimate=eta)
+            f"(tau = {block.tau:.3g}): none is resolved", estimate=eta)
     if (below, upto) != (j - 1, j):
         raise NumericalError(
             f"oracle: the block at node {block.start} has {below} "
@@ -172,31 +182,32 @@ def certify(block: Block, mode: tuple[float, np.ndarray], tau: float,
     block.vectors.append(x)
 
 
-def merge(parts: list[Block], count: int, tau: float,
-          floor: float) -> tuple[np.ndarray, np.ndarray]:
+def merge(parts: list[Block],
+          count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The `count` smallest eigenpairs (w, phi) of the block-diagonal
-    matrix, from its blocks' certified eigenpairs (at least one each).  A
-    block's next mode is found only where it can undercut the count-th
-    smallest value found so far: where its own last value lies below that
-    value and its inertia count there exceeds its modes found."""
-    while True:
+    matrix, with the tau of the block that carries each.  Every block
+    gives its first mode; a block's next mode is found only where it can
+    undercut the count-th smallest value found so far: where its own last
+    value lies below that value and its inertia count there exceeds its
+    modes found."""
+    grow = [block for block in parts if not block.values]
+    while grow:
+        for block in grow:
+            certify(block, next_mode(block))
         found = sorted(v for block in parts for v in block.values)
         bar = found[count - 1] if len(found) >= count else math.inf
         grow = [block for block in parts
                 if len(block.values) < len(block.d)
                 and block.values[-1] < bar
                 and (bar == math.inf or count_below(
-                    block.d, block.e, bar, floor) > len(block.values))]
-        if not grow:
-            break
-        for block in grow:
-            certify(block, next_mode(block, tau), tau, floor)
+                    block.d, block.e, bar, block.floor) > len(block.values))]
     modes = sorted((v, i, j) for i, block in enumerate(parts)
                    for j, v in enumerate(block.values))[:count]
     n = parts[-1].start + len(parts[-1].d)
-    w, phi = np.empty(len(modes)), np.zeros((n, len(modes)))
+    w, tau = np.empty(len(modes)), np.empty(len(modes))
+    phi = np.zeros((n, len(modes)))
     for col, (v, i, j) in enumerate(modes):
         block = parts[i]
-        w[col] = v
+        w[col], tau[col] = v, block.tau
         phi[block.start:block.start + len(block.d), col] = block.vectors[j]
-    return w, phi
+    return w, phi, tau

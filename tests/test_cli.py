@@ -144,6 +144,19 @@ class TestSolve:
         assert err.splitlines() == [err.strip()]
         assert field in err and "not a normal float" in err
 
+    def test_mass_near_the_float_limit_names_a_field(self, capsys):
+        # the radii of masses 4e307 and 6e307 are floats (2.7e102, 3.1e102):
+        # (n+k) m / c overflowed on the way to them, and the solve exited 2
+        # with "R=inf"; now c is the value that leaves the floats
+        code, out, err = run(["solve", "--measure", "power", "--n", "3",
+                              "--k", "0", "--mass", "1e308", "--split",
+                              "0.4"], capsys)
+        assert code == cli.EXIT_NUMERICAL == 3
+        assert out == ""
+        assert err.splitlines() == [err.strip()]
+        assert ": nonlocal_c = " in err and "not a normal float" in err
+        assert "R=3.05983e+102" in err
+
     def test_power_radii_inside_the_floats_solve(self, capsys):
         # component masses near 1e-240: lambda(1e-80, 2e-80) is
         # lambda(1, 2) 1e160
@@ -388,14 +401,29 @@ class TestOracleCommand:
         assert json.loads(out)["relative_gap"] == pytest.approx(
             1.9506731969027696e-07, rel=1e-4)
 
-    def test_tiny_component_is_a_typed_failure(self, capsys):
-        # R = 1e-4 next to L = 1: the oracle resolves no root (see
-        # test_oracle.TestComponentScale) and says so, instead of reporting
-        # a closed-form vs oracle disagreement
+    @pytest.mark.parametrize("R", ["1e-4", "1e-5", "1e-12"])
+    def test_tiny_component_solves(self, R, capsys):
+        # each piece has its own pole guard, so the unit half-ball's
+        # values are resolved next to a tiny one (see
+        # test_oracle.TestComponentScale); the default grid's gap to the
+        # closed form is the one it has at R = 1e-3
         code, out, err = run(["oracle", "--measure", "power", "--n", "3",
-                              "--k", "0", "--L", "1", "--R", "1e-4"], capsys)
+                              "--k", "0", "--L", "1", "--R", R,
+                              "--format", "json"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["relative_gap"] == pytest.approx(
+            7.4944e-07, rel=1e-4)
+
+    def test_tiny_component_is_a_typed_failure(self, capsys):
+        # R = 1e-100 next to L = 1: the tiny piece's grid leaves the
+        # floats, and the oracle says so, instead of reporting a
+        # closed-form vs oracle disagreement
+        code, out, err = run(["oracle", "--measure", "power", "--n", "3",
+                              "--k", "0", "--L", "1", "--R", "1e-100"],
+                             capsys)
         assert code == 3 and out == ""
-        assert "numerical failure: twisted_eig" in err and "tau = " in err
+        assert "numerical failure: oracle: " in err
+        assert "the discrete problem leaves the floats" in err
         assert "disagreement" not in err
 
     @pytest.mark.parametrize("L, R", [("1e-77", "2e-77"),
@@ -525,4 +553,4 @@ class TestImportGraph:
             "    oracle.pair_domain(cfg)).eigenvalues[0])))"))
         loaded, lam = self._fresh(code).splitlines()
         assert loaded == "[]"
-        assert float(lam) == 3.986864036240945
+        assert float(lam) == 3.986864036241222

@@ -324,6 +324,26 @@ class TestDirichletPower:
         with pytest.raises(DomainError):
             closedform.dirichlet_halfball_power(MeasureSpec.power(1, 0.5), 1.0)
 
+    @pytest.mark.parametrize("R", [1e-160, 1e-310, 1e300])
+    def test_value_beyond_the_normal_floats_raises(self, R):
+        # (j_b1 / R)^2 overflows at 1e-160 (a bare OverflowError), is inf
+        # at 1e-310 and 0.0 at 1e300 (both returned as values)
+        with pytest.raises(ResourceError, match=re.escape(
+                f"power half-ball of radius r = {R:.3g} ") + r".*"
+                r"\(j_b1 / r\)\^2, a pair's bracket_dirichlet\[1\], is "
+                r"not a normal float"):
+            closedform.dirichlet_halfball_power(MeasureSpec.power(3, 0.0), R)
+
+    @pytest.mark.parametrize("R", [0.3, 1.0, 7.0, 1e-30, 1e30])
+    def test_one_definition_with_the_pair_solver(self, R):
+        # a pair's lower bracket end is its larger half-ball's Dirichlet
+        # value, solved at the unit scale and scaled back exactly
+        for m in (MeasureSpec.power(3, 0.0), MeasureSpec.power(5, 3.0)):
+            sol = closedform.twisted_pair_power(
+                measures.PairConfig(m, R, 0.6 * R))
+            assert closedform.dirichlet_halfball_power(m, R) == \
+                sol.bracket_dirichlet[0]
+
     def test_first_zero_beyond_series_ceiling_named(self):
         # (3,22) has profile order 11.5 and j_{11.5,1} = 16.1 > 16
         with pytest.raises(AccuracyError, match="zero 1 of J_11.5"):

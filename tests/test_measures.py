@@ -232,6 +232,42 @@ class TestHalfball:
             assert measures.halfball_mass(m, r) == pytest.approx(mass,
                                                                  rel=1e-12)
 
+    @pytest.mark.parametrize("n, k", [(3, 0.0), (5, 3.0), (2, 0.5)])
+    def test_maps_meet_the_float_limit_only_in_their_results(self, n, k):
+        # (n+k) m / c overflowed in radius_from_mass (the scalar map gave
+        # inf, the array map warned and gave inf), and c r^(n+k) in
+        # halfball_mass (a ResourceError for a mass that is a float), near
+        # the top of the floats; at the bottom, (n+k) m / c fell below the
+        # normal floats and lost bits
+        m = MeasureSpec.power(n, k)
+        masses = [sys.float_info.max / 1.01, 1e308, 6e307,
+                  1.01 * sys.float_info.min, 2.5e-308]
+        radii = measures.radius_from_mass(m, np.array(masses + [1.0]))
+        for mass, r_vec in zip(masses, radii):
+            r = measures.radius_from_mass(m, mass)
+            assert 0.0 < r < math.inf
+            assert r_vec == pytest.approx(r, rel=1e-15)
+            assert measures.halfball_mass(m, r) == pytest.approx(mass,
+                                                                 rel=1e-12)
+
+    def test_half_ball_of_a_mass_near_the_float_max(self):
+        # c r^3 = 1.8e308 overflowed, and the error called the mass of
+        # about 10^307.8 not a normal float (10^-307.7 to 10^308.3)
+        m = MeasureSpec.power(3, 0.0)
+        assert measures.halfball_mass(m, 3.06e102) == pytest.approx(
+            2.0 * math.pi / 3.0 * 3.06e102 ** 3, rel=1e-14)
+
+    @pytest.mark.parametrize("n, k", [(3, 0.0), (3, 2.0), (2, 0.5)])
+    def test_maps_keep_their_bits_inside_the_floats(self, n, k):
+        # where the intermediates are normal floats, both maps are the
+        # plain formulas, bit for bit
+        m = MeasureSpec.power(n, k)
+        c, p = m.angular_constant, n + k
+        for x in (1e-300, 1e-30, 0.37, 1.0, 2.5, 1e30, 1e300):
+            assert measures.radius_from_mass(m, x) == (p * x / c) ** (1.0 / p)
+        for r in (1e-60, 1e-5, 0.3, 1.0, 7.0, 1e60):
+            assert measures.halfball_mass(m, r) == c * r ** p / p
+
     def test_bad_inputs(self):
         m = MeasureSpec.power(3, 0.0)
         with pytest.raises(DomainError):

@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg
 
 import twistspec
-from twistspec import closedform, measures, numerics, oracle, tridiag, verify
+from twistspec import (closedform, measures, numerics, oracle, specfun,
+                       tridiag, verify)
 from twistspec.errors import (AccuracyError, DomainError, NumericalError,
                              ResourceError)
 from twistspec.measures import MeasureSpec
@@ -244,49 +245,55 @@ class TestFloatScale:
 
 
 class TestComponentScale:
-    """The pole guard tau = 64 eps (max|d| + 2 max|e|) is set by the finest
-    cells of the whole union.  Next to a unit half-ball, a half-ball of
-    radius R <= 1e-4 puts the root inside the guard band below lambda_2
-    (R = 1e-4) or tau past lambda_1 (R <= 1e-5, though the per-piece
-    eigensolve still finds lambda_1 = 9.87): no root is resolved, and where
-    tau reaches lambda_1 no Dirichlet eigenvalue is either."""
+    """Each block of B has its own pole guard tau = 64 eps (max|d_b| + 2
+    max|e_b|), so a half-ball of radius R next to a unit one leaves the
+    unit half-ball's poles guarded on its own scale: the root agrees with
+    the closed form, the inertia count places it first, and the two
+    Dirichlet values are the unit half-ball's."""
 
     @pytest.mark.parametrize("k", [0.0, 2.0], ids=["power30", "power32"])
-    @pytest.mark.parametrize("R", [1e-4, 1e-5, 1e-6])
-    def test_tiny_component_raises(self, k, R):
-        cfg = measures.PairConfig(MeasureSpec.power(3, k), 1.0, R)
-        with pytest.raises(AccuracyError, match=r"tau = \S+ comes from "
-                           r"max\|d\| = \S+, the finest cells"):
-            oracle.twisted_eig(oracle.power_pair_domain(cfg))
-
-    @pytest.mark.parametrize("k", [0.0, 2.0], ids=["power30", "power32"])
-    @pytest.mark.parametrize("R", [1.5e-4, 1e-3])
+    @pytest.mark.parametrize("R", [1e-12, 1e-8, 1e-6, 1e-5, 1e-4, 1.5e-4,
+                                   1e-3])
     def test_small_component_still_resolved(self, k, R):
-        # tau is 3.4 (power30) at R = 1.5e-4, a third of lambda_1, and the
-        # root still lies well inside the guarded bracket
         cfg = measures.PairConfig(MeasureSpec.power(3, k), 1.0, R)
-        lam = oracle.twisted_eig(oracle.power_pair_domain(cfg)).eigenvalues[0]
+        dom = oracle.power_pair_domain(cfg)
+        lam = oracle.twisted_eig(dom).eigenvalues[0]
         want = closedform.twisted_pair_power(cfg).eigenvalue
         assert abs(lam - want) <= 1e-5 * want
+        assert [oracle.constrained_count(dom, lam * (1.0 + delta))
+                for delta in (-1e-8, 1e-8)] == [0, 1]
 
-    @pytest.mark.parametrize("k", [0.0, 2.0], ids=["power30", "power32"])
-    @pytest.mark.parametrize("R", [1e-5, 1e-6])
-    def test_tiny_component_dirichlet_raises(self, k, R):
-        # the unit half-ball's lambda_1 is found, but tau (774 at R = 1e-5)
-        # lies past it
-        cfg = measures.PairConfig(MeasureSpec.power(3, k), 1.0, R)
-        with pytest.raises(AccuracyError, match=r"tau reaches lambda_1 .* "
-                           r"tau = \S+ comes from max\|d\| = \S+"):
-            oracle.dirichlet_eigs(oracle.power_pair_domain(cfg), count=2)
-
-    @pytest.mark.parametrize("R", [1e-4, 1.5e-4, 1e-3])
+    @pytest.mark.parametrize("R", [1e-12, 1e-8, 1e-6, 1e-5, 1e-4, 1.5e-4,
+                                   1e-3])
     def test_small_component_dirichlet_resolved(self, R):
-        # the unit half-ball's pi^2 and (2 pi)^2, with tau below pi^2
-        cfg = measures.PairConfig(MeasureSpec.power(3, 0.0), 1.0, R)
-        got = oracle.dirichlet_eigs(oracle.power_pair_domain(cfg),
-                                    count=2).eigenvalues
-        want = np.array([1.0, 4.0]) * math.pi ** 2
-        assert np.all(np.abs(got - want) <= 1e-5 * want)
+        # the unit half-ball's (j_b1)^2 and (j_b2)^2, b = (n+k)/2 - 1:
+        # pi^2 and (2 pi)^2 for power (3,0)
+        for k in (0.0, 2.0):
+            m = MeasureSpec.power(3, k)
+            got = oracle.dirichlet_eigs(oracle.power_pair_domain(
+                measures.PairConfig(m, 1.0, R)), count=2).eigenvalues
+            want = np.asarray(specfun.bessel_zeros(m.profile_order, 2)) ** 2
+            assert np.all(np.abs(got - want) <= 1e-5 * want), k
+
+    @pytest.mark.parametrize("right", [0.8, 0.5],
+                             ids=["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("eps", [10.0 ** -j for j in range(3, 10)])
+    def test_gaussian_union_with_a_piece_of_mass_eps(self, eps, right):
+        # (-8, -0.8), a piece of Gaussian mass eps at 0.1, (right, 8): as
+        # eps -> 0 the twisted value tends to that of the two outer pieces
+        # alone (the symmetric union's is its double pole).  One tau for
+        # the union raised from eps = 1e-5 on, and at eps = 1e-4 gave the
+        # asymmetric union lambda_2 = 4.3248 for its root 3.9869
+        b = float(measures.k_gauss_inv(measures.k_gauss(0.1) - eps))
+        outer = ((-8.0, -0.8), (right, 8.0))
+        dom = oracle.Domain1D(intervals=(outer[0], (0.1, b), outer[1]),
+                              coordinate="cartesian_gauss")
+        want = oracle.twisted_eig(oracle.Domain1D(
+            intervals=outer, coordinate="cartesian_gauss")).eigenvalues[0]
+        lam = oracle.twisted_eig(dom).eigenvalues[0]
+        assert abs(lam / want - 1.0) <= 1e-9
+        assert [oracle.constrained_count(dom, lam * (1.0 + delta))
+                for delta in (-1e-8, 1e-8)] == [0, 1]
 
 
 class TestSharedSpectrum:
@@ -353,8 +360,9 @@ class TestSharedSpectrum:
         tau = oracle._spectrum(dom, None, count)[6]
         assert np.all(np.abs(got - want) <= tau)
         floor = tridiag.pivmin(e)
-        counts = [(tridiag.count_below(d, e, w - tau, floor),
-                   tridiag.count_below(d, e, w + tau, floor)) for w in got]
+        counts = [(tridiag.count_below(d, e, w - t, floor),
+                   tridiag.count_below(d, e, w + t, floor))
+                  for w, t in zip(got, tau)]
         assert counts == [(j, j + 1) for j in range(count)]
 
 
@@ -402,7 +410,7 @@ class TestPerPieceEigenpairs:
                              ids=[label for label, _ in UNIONS])
     def test_pairs_match_tridiagonal_eigensolve(self, label, dom, count):
         h = max(b - a for a, b in dom.intervals) / 400.0
-        asm, d, e, _, w, phi, tau, _ = oracle._spectrum(dom, h, count)
+        asm, d, e, _, w, phi, tau = oracle._spectrum(dom, h, count)
         want = scipy.linalg.eigh_tridiagonal(
             d, e, select="i", select_range=(0, count - 1))[0]
         assert w.shape == (count,) and phi.shape == (len(d), count)
@@ -425,11 +433,16 @@ class TestPerPieceEigenpairs:
         # next to R = 1e-4, whose lowest value is 1e8 pi^2, both values
         # come from the unit half-ball
         cfg = measures.PairConfig(MeasureSpec.power(3, 0.0), 1.0, 1e-4)
-        asm, *_, w, phi, _, _ = oracle._spectrum(
+        asm, *_, w, phi, tau = oracle._spectrum(
             oracle.power_pair_domain(cfg), None, 2)
         (a, b), _ = asm.pieces
         assert np.all(phi[b:] == 0.0) and np.all(phi[a:b] != 0.0)
         assert np.all(np.abs(w / PI2 - [1.0, 4.0]) <= 1e-4)
+        # both carry the unit half-ball's tau, not the tiny one's
+        d, e, _ = oracle._symmetrized(asm)
+        assert tau[0] == tau[1] == 64.0 * np.finfo(float).eps * (
+            np.max(np.abs(d[a:b])) + 2.0 * np.max(np.abs(e[a:b - 1])))
+        assert tau[0] < 1e-7 * w[0]
 
 
 class TestConstrainedCount:
@@ -566,6 +579,31 @@ class TestSecularSolve:
         with pytest.raises(NumericalError, match=r"secular function is nan"
                            r".*lambda_1 = .*lambda_2 = .*last bracket \["):
             oracle.twisted_eig(self.PAIR)
+
+    def test_root_inside_the_guard_band_raises(self, monkeypatch):
+        # with each pole guarded by its own piece's tau no domain puts the
+        # root within tau_2 below lambda_2, so tau_2 is widened in a
+        # patched spectrum: just past lambda_2 - root the bracket top falls
+        # below the root (f <= 0 there) while v.phi_2 is well above the
+        # Davis-Kahan bound tau_2 / (lambda_2 - lambda_1), and no root is
+        # resolved; just short of it the root is the same
+        dom = oracle.power_pair_domain(
+            measures.PairConfig(MeasureSpec.power(3, 0.0), 1.0, 1e-4))
+        lam = oracle.twisted_eig(dom).eigenvalues[0]
+        *rest, tau = oracle._spectrum(dom, None, 2)
+        gap = float(rest[4][1]) - lam
+        for scale, raises in ((1.01, True), (0.99, False)):
+            wide = np.array([tau[0], scale * gap])
+            monkeypatch.setattr(oracle, "_spectrum",
+                                lambda *args: (*rest, wide))
+            if raises:
+                with pytest.raises(AccuracyError, match=r"twisted_eig: the "
+                                   r"root lies within the pole guard tau = "
+                                   r"6\.3\d* below lambda_2 = 39\.478"):
+                    oracle.twisted_eig(dom)
+            else:
+                got = oracle.twisted_eig(dom).eigenvalues[0]
+                assert abs(got - lam) <= 1e-10 * lam
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(numerics, "SECULAR_MAX_ITER", 2)

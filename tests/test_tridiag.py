@@ -96,17 +96,35 @@ def test_restarts_cover_every_negative_pivot():
 
 
 def _block(d, e):
-    return tridiag.blocks(d, e, [(0, len(d))], tridiag.pivmin(e))[0]
+    return tridiag.blocks(d, e, [(0, len(d))])[0]
 
 
 def test_modes_in_order():
     d, e, w, _ = _laplacian(20)
     block = _block(d, e)
-    tau = 64.0 * EPS * _scale(d, e)
+    assert block.tau == 64.0 * EPS * _scale(d, e)
+    assert block.floor == tridiag.pivmin(e)
     for _ in range(4):
-        tridiag.certify(block, tridiag.next_mode(block, tau), tau,
-                        tridiag.pivmin(e))
-    assert np.all(np.abs(np.array(block.values) - w[:4]) <= tau)
+        tridiag.certify(block, tridiag.next_mode(block))
+    assert np.all(np.abs(np.array(block.values) - w[:4]) <= block.tau)
+
+
+def test_each_block_has_its_own_guard():
+    # a coarse and a fine Laplacian side by side: each block's tau and
+    # pivot floor come from its own entries, and the first two modes of
+    # the union are the coarse block's, with its tau
+    d, e, w, _ = _laplacian(20)
+    scale = 1e12
+    d2 = np.concatenate((d, scale * d))
+    e2 = np.concatenate((e, [0.0], scale * e))
+    coarse, fine = tridiag.blocks(d2, e2, [(0, 20), (20, 40)])
+    assert coarse.tau == 64.0 * EPS * _scale(d, e)
+    assert fine.tau == 64.0 * EPS * _scale(scale * d, scale * e)
+    assert fine.floor == tridiag.pivmin(scale * e) > coarse.floor
+    got, phi, tau = tridiag.merge([coarse, fine], 2)
+    assert np.all(np.abs(got - w[:2]) <= coarse.tau)
+    assert tau.tolist() == [coarse.tau] * 2
+    assert np.all(phi[20:] == 0.0)
 
 
 def test_wrong_index_fails_the_certificate():
@@ -115,17 +133,17 @@ def test_wrong_index_fails_the_certificate():
     block = _block(d, e)
     with pytest.raises(NumericalError, match=r"1 eigenvalues below rho - eta "
                        r"and 2 below rho \+ eta for mode 1"):
-        tridiag.certify(block, (w[1], v[:, 1]), 1e-12, tridiag.pivmin(e))
+        tridiag.certify(block, (w[1], v[:, 1]))
     assert block.values == []
 
 
 def test_window_holding_two_eigenvalues_is_unresolved():
     d, e, w, v = _laplacian(20)
     block = _block(d, e)
+    block.tau = w[1] - w[0]
     with pytest.raises(AccuracyError, match=r"2 eigenvalues of the block at "
                        r"node 0 lie within eta = .* \(tau = "):
-        tridiag.certify(block, (w[0], v[:, 0]), w[1] - w[0],
-                        tridiag.pivmin(e))
+        tridiag.certify(block, (w[0], v[:, 0]))
 
 
 def test_iteration_cap_raises(monkeypatch):
@@ -133,7 +151,7 @@ def test_iteration_cap_raises(monkeypatch):
     d, e, *_ = _laplacian(20)
     with pytest.raises(NumericalError, match=r"Rayleigh quotient iteration "
                        r"for mode 1 .* in 0 steps"):
-        tridiag.next_mode(_block(d, e), 1e-12)
+        tridiag.next_mode(_block(d, e))
 
 
 def test_indefinite_block_raises():
