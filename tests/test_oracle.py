@@ -263,17 +263,26 @@ class TestComponentScale:
         assert [oracle.constrained_count(dom, lam * (1.0 + delta))
                 for delta in (-1e-8, 1e-8)] == [0, 1]
 
-    @pytest.mark.parametrize("R", [1e-12, 1e-8, 1e-6, 1e-5, 1e-4, 1.5e-4,
-                                   1e-3])
-    def test_small_component_dirichlet_resolved(self, R):
+    @staticmethod
+    def _assert_unit_dirichlet(k, R):
         # the unit half-ball's (j_b1)^2 and (j_b2)^2, b = (n+k)/2 - 1:
         # pi^2 and (2 pi)^2 for power (3,0)
+        m = MeasureSpec.power(3, k)
+        got = oracle.dirichlet_eigs(oracle.power_pair_domain(
+            measures.PairConfig(m, 1.0, R)), count=2).eigenvalues
+        want = np.asarray(specfun.bessel_zeros(m.profile_order, 2)) ** 2
+        assert np.all(np.abs(got - want) <= 1e-5 * want), k
+
+    @pytest.mark.parametrize("R", [1e-4, 1.5e-4, 1e-3])
+    def test_small_component_dirichlet_resolved(self, R):
         for k in (0.0, 2.0):
-            m = MeasureSpec.power(3, k)
-            got = oracle.dirichlet_eigs(oracle.power_pair_domain(
-                measures.PairConfig(m, 1.0, R)), count=2).eigenvalues
-            want = np.asarray(specfun.bessel_zeros(m.profile_order, 2)) ** 2
-            assert np.all(np.abs(got - want) <= 1e-5 * want), k
+            self._assert_unit_dirichlet(k, R)
+
+    @pytest.mark.parametrize("k", [0.0, 2.0], ids=["power30", "power32"])
+    @pytest.mark.parametrize("R", [1e-12, 1e-8, 1e-6, 1e-5])
+    def test_tiny_component_dirichlet_resolved(self, k, R):
+        # radii at which one tau for the whole union would pass lambda_1
+        self._assert_unit_dirichlet(k, R)
 
     @pytest.mark.parametrize("right", [0.8, 0.5],
                              ids=["symmetric", "asymmetric"])
