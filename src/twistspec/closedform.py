@@ -23,7 +23,18 @@ finder of this module, finds its root: near a pole x*, f runs like
 w/(x* - x) with the residue w = -M(x*) / (dp/dx)(x*), in closed form for
 both families (`_Family.residue`) with no special-function call.  Where
 the power bracket ends at the Bessel series ceiling instead of a pole, f
-is evaluated there and the model keeps one pole.
+is evaluated there and the model keeps one pole.  A power f comes with its
+exact slope f', a closed-form combination of the boundary states f already
+holds (`_power_slope`), and the secular step builds its model from it; a
+gaussian f' would need d/dnu H_nu, a complex-step jet per component that
+costs more than the steps it saves, so the model's remainder takes the
+secant slope there.
+
+The pair roots depend on the measure only through its family and, for
+power measures, through n + k: the angular constant c_{n,k} scales the
+normalization alone.  So every power measure with one n + k shares one
+cached record (`_power_family`), and every gaussian measure the record
+_GAUSS.
 
 Power pairs are solved at one scale: the measures are homogeneous,
 lambda(cL, cR) = lambda(L, R) / c^2, so a pair is solved at radii times
@@ -291,18 +302,14 @@ def _gauss_argument(side: str, a: float, x: float) -> float:
 # Power half-ball machinery
 # ----------------------------------------------------------------------
 
-def _profile_order(measure: MeasureSpec) -> float:
-    measure.require_solver_order()
-    return measure.profile_order
-
-
 def dirichlet_halfball_power(measure: MeasureSpec, R: float) -> float:
     """First Dirichlet eigenvalue of the weighted half-ball: (j_{b,1}/R)^2,
     by the pair solver's own definition (ResourceError where it is not a
     normal float)."""
     if R <= 0:
         raise DomainError(f"dirichlet_halfball_power: need R > 0, got {R:g}")
-    return _power_family(measure).dirichlet(R)
+    measure.require_solver_order()
+    return _power_family(measure.n + measure.k).dirichlet(R)
 
 
 @lru_cache(maxsize=64)
@@ -338,6 +345,22 @@ def _power_mean(order: float, freq: float, X: float, g_X: float,
     b = order, f = freq; 2b+2 = n+k."""
     p = 2.0 * order + 2.0
     return X ** p * ((freq / 2.0) ** (order + 1.0) * j_next / freq - g_X / p)
+
+
+def _power_slope(order: float, freq: float, X: float, g_X: float,
+                 j_next: float, mean: float) -> float:
+    """d/df of mean / g_X, the power component's term of the secular
+    function, from the state alone: with s = (f/2)^b, z = f X, P = 2b + 2,
+    dJhat_b/dz = -(z/2) Jhat_{b+1} gives f g' = b g_X - s z^2 j_next / 2,
+    and Jhat_b - (b+1) Jhat_{b+1} = -(z^2/4) Jhat_{b+2} gives
+    f M' = X^P s z^2 j_next / (2P) - (b+2) M; in (M' - M g'/g_X) / g_X the
+    terms in M collect to
+        (s z^2 j_next (X^P / P + M / g_X) / 2 - P M) / (f g_X),
+    b = order, f = freq, M = mean."""
+    p = 2.0 * order + 2.0
+    s_zz = (freq / 2.0) ** order * (freq * X) ** 2
+    return ((0.5 * s_zz * j_next * (X ** p / p + mean / g_X) - p * mean)
+            / (freq * g_X))
 
 
 def _power_deriv(order: float, freq: float, X: float, g_X: float,
@@ -385,15 +408,20 @@ class _Family:
     2 nu) or the frequency f (eigenvalue f^2).  A component is given by its
     boundary parameter a (offset or radius).  `state(x, a)` returns the
     boundary profile value p and a companion value q (H_{nu-1}(a), or
-    Jhat_{b+1}(f a)); the mean identity, the boundary derivative and the
-    single-sign edge need nothing else.  `top` gives Lambda_2 with the
-    component whose profile vanishes there, or None where Lambda_2 is the
-    end of the series region and no pole; `residue(x, a, k)` is
-    -M(x) / (dp/dx)(x) at the k-th root x of the profile value p at a.
+    Jhat_{b+1}(f a)); the mean identity, the boundary derivative, the
+    single-sign edge and the power slope need nothing else.  `slope(x, a,
+    p, q, M)` is d/dx of the component's secular term M/p, M = mean(x, a,
+    p, q), or None where the family has no slope from its state (gaussian).
+    `top` gives Lambda_2 with the component whose profile vanishes there,
+    or None where Lambda_2 is the end of the series region and no pole;
+    `residue(x, a, k)` is -M(x) / (dp/dx)(x) at the k-th root x of the
+    profile value p at a.  `weight(measure)` is the measure's angular
+    constant, which scales the normalization and nothing else, so one
+    record serves every measure of a family with the same n + k.
     """
     name: str
     var: str
-    weight: float                       # angular constant; 1 for gaussian
+    weight: Callable[[MeasureSpec], float]  # angular constant; 1 for gaussian
     lam: Callable[[float], float]       # x -> eigenvalue
     x_of: Callable[[float], float]      # eigenvalue -> x
     labels: Callable[[float], dict]     # x -> family fields of the solution
@@ -403,6 +431,7 @@ class _Family:
     state: Callable[[float, float], tuple[float, float]]
     profile: Callable[[float, float], float]          # (x, t) -> profile at t
     mean: Callable[..., float]          # (x, a, p, q) -> int (profile - p)
+    slope: Optional[Callable[..., float]]   # (x, a, p, q, M) -> d(M/p)/dx
     square: Callable[..., float]        # (x, a, p, q) -> int (profile - p)^2
     deriv: Callable[..., float]         # (x, a, p, q) -> profile'(a)
     single_signed: Callable[[float, float, float], bool]  # (Lambda_1, x, q)
@@ -414,22 +443,27 @@ class _Family:
 # Public functions are looked up when called, so that wrappers installed on
 # the modules (tracing, test doubles) see every call.
 _GAUSS = _Family(
-    name="gaussian", var="nu", weight=1.0,
+    name="gaussian", var="nu", weight=lambda measure: 1.0,
     lam=lambda nu: 2.0 * nu, x_of=lambda lam: lam / 2.0,
     labels=lambda nu: {"nu": nu},
     dirichlet=lambda a: dirichlet_halfspace_gauss(a), top=_gauss_top,
     residue=_gauss_residue,
     state=lambda nu, a: specfun.hermite_state(nu, a),
     profile=lambda nu, t: specfun.hermite_value(nu, t),
-    mean=_gauss_mean, square=_gauss_square_integral,
+    mean=_gauss_mean, slope=None, square=_gauss_square_integral,
     deriv=lambda nu, a, h, hm: 2.0 * nu * hm,
     single_signed=lambda lam1, nu, hm: 2.0 * nu <= lam1 + 2.0,
     inside=lambda a: a + 0.5, argument=_gauss_argument)
 
 
-def _power_family(measure: MeasureSpec) -> _Family:
-    b = _profile_order(measure)
-    alpha = 1.0 - (measure.n + measure.k) / 2.0
+@lru_cache(maxsize=64)
+def _power_family(degree_sum: float) -> _Family:
+    """The record of every power measure with n + k = degree_sum > 2: the
+    pair roots depend on (n, k) only through n + k, and the angular
+    constant c_{n,k}, which scales the normalization alone, is read from
+    the measure at solve time (`weight`)."""
+    b = degree_sum / 2.0 - 1.0
+    alpha = 1.0 - degree_sum / 2.0
     j1, j2 = _bessel_zero_pair(b)
 
     def top(a: float, other: float, lam1: float,
@@ -455,7 +489,8 @@ def _power_family(measure: MeasureSpec) -> _Family:
             f"float")
 
     return _Family(
-        name="power", var="freq", weight=measure.angular_constant,
+        name="power", var="freq",
+        weight=lambda measure: measure.angular_constant,
         lam=lambda f: f * f, x_of=math.sqrt,
         labels=lambda f: {"freq": f, "alpha": alpha},
         dirichlet=dirichlet, top=top,
@@ -463,12 +498,12 @@ def _power_family(measure: MeasureSpec) -> _Family:
         # dp/df = -a^{1-b} J_{b+1}(j), with no Bessel call
         residue=lambda f, a, k: a ** (2.0 * b) / f,
         state=partial(_power_state, b), profile=partial(_g_profile, b),
-        mean=partial(_power_mean, b),
+        mean=partial(_power_mean, b), slope=partial(_power_slope, b),
         square=partial(_power_square_integral, b),
         deriv=partial(_power_deriv, b),
         single_signed=lambda lam1, f, q: q >= 0.0,
         inside=lambda a: 0.5 * a, argument=_power_argument,
-        degree=(measure.n + measure.k) / 2.0)
+        degree=degree_sum / 2.0)
 
 
 # The reach of rounding in the secular iteration, relative to the top of
@@ -494,9 +529,13 @@ def _solve_pair(config: PairConfig, fam: _Family,
     big, small = (L, R) if lam_L <= lam_R else (R, L)
     states: dict[float, tuple] = {}
 
-    def secular(x: float) -> tuple[float, None]:
+    def secular(x: float) -> tuple[float, Optional[float]]:
         (pL, qL), (pR, qR) = states[x] = fam.state(x, L), fam.state(x, R)
-        return fam.mean(x, L, pL, qL) / pL + fam.mean(x, R, pR, qR) / pR, None
+        mL, mR = fam.mean(x, L, pL, qL), fam.mean(x, R, pR, qR)
+        value = mL / pL + mR / pR
+        if fam.slope is None:
+            return value, None
+        return value, fam.slope(x, L, pL, qL, mL) + fam.slope(x, R, pR, qR, mR)
 
     if config.is_symmetric:
         x = fam.x_of(lam_L)
@@ -528,7 +567,8 @@ def _solve_pair(config: PairConfig, fam: _Family,
     (pL, qL), (pR, qR) = st_L, st_R
     sL = fam.square(x, L, pL, qL)
     sR = sL if st_R is st_L else fam.square(x, R, pR, qR)
-    scale = 1.0 / math.sqrt(fam.weight * (A * A * sL + B * B * sR))
+    weight = fam.weight(config.measure)
+    scale = 1.0 / math.sqrt(weight * (A * A * sL + B * B * sR))
     # orient the left component positive
     if A * (fam.profile(x, fam.inside(L)) - pL) < 0:
         scale = -scale
@@ -562,8 +602,8 @@ def _solve_pair(config: PairConfig, fam: _Family,
             "nonlocal_c", -lam * kA * pL, i - 2 * e),
         du_left=put("du_left", abs(kA * fam.deriv(x, L, pL, qL)), i - e),
         du_right=put("du_right", abs(kB * fam.deriv(x, R, pR, qR)), i - e),
-        mean_residual=fam.weight * abs(A * fam.mean(x, L, pL, qL)
-                                       - B * fam.mean(x, R, pR, qR)),
+        mean_residual=weight * abs(A * fam.mean(x, L, pL, qL)
+                                   - B * fam.mean(x, R, pR, qR)),
         matching_residual=abs(A * pL + B * pR),
         single_signed=fam.single_signed(
             bracket[0], x, qL if big == L else qR),
@@ -583,7 +623,8 @@ def twisted_pair_power(config: PairConfig) -> TwistedSolution:
     m, L, R = config.measure, config.left_param, config.right_param
     if m.is_gaussian:
         raise DomainError("twisted_pair_power needs a power PairConfig")
-    return _solve_pair(config, _power_family(m),
+    m.require_solver_order()
+    return _solve_pair(config, _power_family(m.n + m.k),
                        2 * (math.frexp(max(L, R))[1] // 2))
 
 

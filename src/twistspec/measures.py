@@ -237,14 +237,33 @@ def halfball_mass(measure: MeasureSpec, radius: float) -> float:
     return mass
 
 
+def _pth_root(t: float | np.ndarray, p: float) -> float | np.ndarray:
+    """t^(1/p) for a float or an array t > 0, with one Newton step on
+    r^p = t: pow takes the rounded exponent 1/p, whose error ln(t) scales
+    (1.3e-14 relative near t = 1e300 for p = 3), and the step takes r to
+    within rounding.  Where r^p is not a normal float, pow's r stands."""
+    if isinstance(t, np.ndarray):
+        with np.errstate(all="ignore"):
+            r = t ** (1.0 / p)
+            rp = r ** p
+            return np.where(_normal(rp), r + r * (t / rp - 1.0) / p, r)
+    r = t ** (1.0 / p)
+    try:
+        rp = r ** p
+    except OverflowError:
+        return r
+    return r + r * (t / rp - 1.0) / p if _normal(rp) else r
+
+
 def radius_from_mass(measure: MeasureSpec,
                      m: float | np.ndarray) -> float | np.ndarray:
     """Radius of the upper half-ball of weighted volume m: a plain float
     for a scalar m (numpy scalars and 0-d arrays too), an array elementwise
     for an array m.  A scalar takes Python's pow and an array numpy's,
-    which may round the last bit differently.  Where (n+k) m / c is not a
-    normal float, the radius is taken as ((n+k)/c)^(1/(n+k)) m^(1/(n+k))
-    instead, so that only the radius itself meets the float limit."""
+    each root followed by one Newton step (`_pth_root`), so both are within
+    rounding of the radius.  Where (n+k) m / c is not a normal float, the
+    radius is taken as ((n+k)/c)^(1/(n+k)) m^(1/(n+k)) instead, so that
+    only the radius itself meets the float limit."""
     if measure.is_gaussian:
         raise DomainError("radius_from_mass applies to power measures")
     vec = isinstance(m, np.ndarray) and m.ndim > 0
@@ -258,13 +277,13 @@ def radius_from_mass(measure: MeasureSpec,
     if not vec:
         t = p * m / c
         if _normal(t):
-            return t ** (1.0 / p)
-        return (p / c) ** (1.0 / p) * m ** (1.0 / p)
+            return _pth_root(t, p)
+        return _pth_root(p / c, p) * _pth_root(m, p)
     with np.errstate(over="ignore", under="ignore"):
         t = p * m / c
-        r = t ** (1.0 / p)
+    r = _pth_root(t, p)
     out = ~_normal(t)
-    r[out] = (p / c) ** (1.0 / p) * m[out] ** (1.0 / p)
+    r[out] = _pth_root(p / c, p) * _pth_root(m[out], p)
     return r
 
 

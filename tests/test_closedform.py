@@ -813,8 +813,9 @@ def _progressive_scan_lambda(cfg):
     bracket by 32-, 192- and 1024-step scans, then scipy's brentq (the
     pair solver's root search before the interlacing bracket)."""
     from scipy.optimize import brentq
-    fam = (closedform._GAUSS if cfg.measure.is_gaussian
-           else closedform._power_family(cfg.measure))
+    m = cfg.measure
+    fam = (closedform._GAUSS if m.is_gaussian
+           else closedform._power_family(m.n + m.k))
     L, R = cfg.left_param, cfg.right_param
     lams = (fam.dirichlet(L), fam.dirichlet(R))
     lo, hi = fam.x_of(min(lams)), fam.x_of(max(lams))
@@ -918,15 +919,15 @@ SECULAR_IDS = ["gauss1", "power30", "power21", "power32", "power53"]
 
 def _family(measure):
     return (closedform._GAUSS if measure.is_gaussian
-            else closedform._power_family(measure))
+            else closedform._power_family(measure.n + measure.k))
 
 
-def _secular_configs(measure, count=40):
+def _secular_configs(measure, count=40, seed=2026):
     """Asymmetric pairs over the mass and split ranges of the benchmark's
     pair streams: gaussian total mass log-uniform in [1e-6, 0.8] with both
     component masses at most 1/2, power total mass in [0.1, 100]; split in
     [0.3, 0.7], at least 1e-3 away from 1/2."""
-    rng = np.random.default_rng(2026)
+    rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
         um, us = rng.random(2)
@@ -1012,6 +1013,54 @@ class TestSecularPairSolve:
         assert max(evals) <= 6 and np.mean(evals) <= 4.5, evals
         if not measure.is_gaussian:
             assert max(states) <= 12, states
+
+    def test_power_state_passes_per_solve(self, monkeypatch):
+        # the secular step takes the exact slope from the boundary states:
+        # 300 asymmetric pairs of the benchmark's three power families take
+        # 6.22 bessel_state passes per solve on average (a secant remainder
+        # took 7.91)
+        families = (MeasureSpec.power(3, 0.0), MeasureSpec.power(3, 2.0),
+                    MeasureSpec.power(5, 3.0))
+        cfgs = [cfg for m in families
+                for cfg in _secular_configs(m, count=100, seed=1)]
+        for m in families:
+            closedform._power_family(m.n + m.k)
+        passes = []
+        state = specfun.bessel_state
+        monkeypatch.setattr(specfun, "bessel_state",
+                            lambda *args: passes.append(args) or state(*args))
+        for cfg in cfgs:
+            closedform.solve(cfg)
+        assert len(passes) / len(cfgs) <= 6.6
+
+    @pytest.mark.parametrize("n,k,L,R", [
+        (3, 0.0, 1.0, 1.3), (2, 1.0, 0.6, 1.0), (3, 2.0, 1.0, 0.45),
+        (5, 3.0, 1.7, 1.0), (3, 0.0, 1.0, 1e-12), (3, 2.0, 1e-12, 1.0),
+        (3, 17.0, 1.0, 1.3), (3, 17.0, 1.0, 1e-12)])
+    def test_power_slope_against_central_difference(self, n, k, L, R,
+                                                    monkeypatch):
+        # the slope the power secular function hands to find_root, against
+        # a central difference of its value (step 1e-6 relative) across the
+        # bracket between its poles; at n + k = 20 the difference carries
+        # the value's rounding, up to 5e-7 of the slope (1e-8 at step 1e-5)
+        functions, brackets = [], []
+        root = numerics.find_root
+
+        def keep(f, bracket):
+            functions.append(f)
+            brackets.append(bracket)
+            return root(f, bracket)
+
+        monkeypatch.setattr(numerics, "find_root", keep)
+        closedform.solve(measures.PairConfig(MeasureSpec.power(n, k), L, R))
+        (f,), (bracket,) = functions, brackets
+        p1, p2 = bracket.poles
+        for u in (0.05, 0.2, 0.5, 0.8, 0.95):
+            x = p1 + u * (p2 - p1)
+            h = 1e-6 * x
+            slope = f(x)[1]
+            diff = (f(x + h)[0] - f(x - h)[0]) / (2.0 * h)
+            assert abs(slope - diff) <= 1e-6 * abs(diff), (u, slope, diff)
 
     @pytest.mark.parametrize("measure", SECULAR_FAMILIES, ids=SECULAR_IDS)
     def test_residue_against_central_difference(self, measure):
@@ -1163,6 +1212,36 @@ class TestSecularPairSolve:
         with pytest.raises(NumericalError, match=r"residues .* and -.* at "
                            r"the poles nu_1 = .* and nu_2 = "):
             closedform.solve(cfg)
+
+
+class TestOneRecordPerDegreeSum:
+    """Pair roots depend on (n, k) only through n + k (power) and not on n
+    at all (gaussian): the measures share one family record, and the
+    angular constant enters the normalization alone."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.floats(min_value=-30.0, max_value=30.0),
+           st.floats(min_value=-3.0, max_value=3.0))
+    def test_power_roots_bitwise_across_n_and_k(self, log_l, log_ratio):
+        L = 10.0 ** log_l
+        R = L * 10.0 ** log_ratio
+        before = closedform._power_family.cache_info()
+        sols = [closedform.solve(measures.PairConfig(
+            MeasureSpec.power(n, k), L, R))
+            for n, k in ((3, 0.0), (2, 1.0), (1, 2.0))]
+        after = closedform._power_family.cache_info()
+        assert after.misses - before.misses <= 1
+        assert after.hits + after.misses - before.hits - before.misses == 3
+        assert len({(s.eigenvalue, s.freq, s.alpha) for s in sols}) == 1
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=4.5),
+           st.floats(min_value=0.0, max_value=4.5))
+    def test_gauss_roots_bitwise_across_n(self, L, R):
+        # every gaussian measure solves over the one record _GAUSS
+        sols = [closedform.solve(measures.PairConfig(
+            MeasureSpec.gaussian(n), L, R)) for n in (1, 2, 3)]
+        assert len({(s.eigenvalue, s.nu) for s in sols}) == 1
 
 
 class TestSingleSignedEdge:

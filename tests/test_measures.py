@@ -259,14 +259,39 @@ class TestHalfball:
 
     @pytest.mark.parametrize("n, k", [(3, 0.0), (3, 2.0), (2, 0.5)])
     def test_maps_keep_their_bits_inside_the_floats(self, n, k):
-        # where the intermediates are normal floats, both maps are the
-        # plain formulas, bit for bit
+        # where the intermediates are normal floats, the mass map is the
+        # plain formula, bit for bit
         m = MeasureSpec.power(n, k)
         c, p = m.angular_constant, n + k
-        for x in (1e-300, 1e-30, 0.37, 1.0, 2.5, 1e30, 1e300):
-            assert measures.radius_from_mass(m, x) == (p * x / c) ** (1.0 / p)
         for r in (1e-60, 1e-5, 0.3, 1.0, 7.0, 1e60):
             assert measures.halfball_mass(m, r) == c * r ** p / p
+
+    # ((n+k) m / c_{n,k})^(1/(n+k)) by mpmath 1.3.0 at dps = 50, c_{n,k} =
+    # pi^((n-1)/2) gamma((k+1)/2) / gamma((n+k)/2), the mass converted
+    # exactly from its float.  The plain (p m / c) ** (1/p) was off by up
+    # to 110 ulps here (1.3e-14 relative at 1e300 under power(3, 0)): pow
+    # rounds 1/p.  At 2.5e-308 under power(3, 0) and 1e308 under
+    # power(3, 2), p m / c is not a normal float, and the map takes its
+    # fallback.
+    @pytest.mark.parametrize("n, k, mass, radius", [
+        (3, 0.0, 2.5e-308, 2.2853907486704160869e-103),
+        (3, 0.0, 1e-300, 7.8159264179677203606e-101),
+        (3, 0.0, 1e-200, 1.6838903009606296627e-67),
+        (3, 0.0, 1e-30, 7.8159264179677205124e-11),
+        (3, 0.0, 0.37, 0.56110960566356908934),
+        (3, 0.0, 1e+30, 7815926417.9677203471),
+        (3, 0.0, 1e+200, 3.6278316785978095445e+66),
+        (3, 0.0, 1e+308, 3.6278316785978095943e+102),
+        (3, 2.0, 1e-300, 1.1900967745148000325e-60),
+        (3, 2.0, 1e+300, 1.190096774514800039e+60),
+        (3, 2.0, 1e+308, 4.7378605958693045557e+61),
+        (2, 0.5, 1e-300, 1.0170936531013221685e-120),
+        (2, 0.5, 1e+300, 1.0170936531013221796e+120)])
+    def test_radius_within_two_ulp_of_mpmath(self, n, k, mass, radius):
+        m = MeasureSpec.power(n, k)
+        for r in (measures.radius_from_mass(m, mass),
+                  measures.radius_from_mass(m, np.array([mass]))[0]):
+            assert abs(r - radius) <= 2.0 * math.ulp(radius), (r, radius)
 
     def test_bad_inputs(self):
         m = MeasureSpec.power(3, 0.0)
