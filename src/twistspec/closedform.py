@@ -26,9 +26,10 @@ the power bracket ends at the Bessel series ceiling instead of a pole, f
 is evaluated there and the model keeps one pole.  A power f comes with its
 exact slope f', a closed-form combination of the boundary states f already
 holds (`_power_slope`), and the secular step builds its model from it; a
-gaussian f' would need d/dnu H_nu, a complex-step jet per component that
-costs more than the steps it saves, so the model's remainder takes the
-secant slope there.
+gaussian f' needs d/dnu H_nu, a complex-step jet per component
+(`_gauss_slope`) that costs more than the steps it saves, so the model's
+remainder takes the secant slope there, and the jet runs once, at the root,
+for the normalization.
 
 The pair roots depend on the measure only through its family and, for
 power measures, through n + k: the angular constant c_{n,k} scales the
@@ -65,21 +66,27 @@ eigenvalues 2m; harmonics of degree l, Bessel order b + l), a mode with
 m, l >= 1 has zero mean by itself, so lambda_T = min(root, tangential value
 Lambda_1 + 2 or (j_{b+1,1}/max(L, R))^2), and that value is the single-sign
 edge: lambda_T is the root on a single-signed pair, the tangential value on a
-two-signed one (n = 1 has none).  `solve` still returns the pair root there,
-with `single_signed` false; split scans run on the fixed window s in
-[0.3, 0.7] (shapeopt.DEFAULT_WINDOW) and report whether every solution was
+two-signed one (n = 1 has none).  `solve` returns lambda_T as `eigenvalue`,
+the root as `pair_root`, and which of the two it took as `branch`; the
+tangential level (`_Family.tangential`) needs j_{b+1,1} only on a
+two-signed power pair, where it lies below f max(L, R) and so below the
+series ceiling.  Split scans run on the fixed window s in [0.3, 0.7]
+(shapeopt.DEFAULT_WINDOW) and report whether every solution was
 single-signed.
 
 The weighted mean integrals inside D are exact: from
 (e^{-t^2} H_{nu-1})' = -e^{-t^2} H_nu on the Gaussian side and from
 int_0^X r^{b+1} J_b(f r) dr = X^{b+1} J_{b+1}(f X)/f (DLMF 10.22.1) on the
 power side.  D needs H_nu and H_{nu-1} (or g and Jhat_{b+1}) at both
-boundaries, one specfun.hermite_state (bessel_state) pass each.  The power
-normalization is exact as well (Lommel, DLMF 10.22.5),
-and so is the gaussian one: the Lagrange identity in the degree,
-int_a^inf H_nu^2 e^{-t^2} dt = e^{-a^2} (H_nu dH_nu' - H_nu' dH_nu)(a) / 2
-with d = d/dnu, needs the Hermite function and its degree derivative at the
-boundary only.  No solve uses quadrature.
+boundaries, one specfun.hermite_state (bessel_state) pass each.  The
+normalization is the slope of f (Golub 1973: ||(T - lambda)^{-1} v||^2 =
+d/dlambda <v, (T - lambda)^{-1} v>): profile - p = lambda p (T - lambda)^{-1} 1
+on a component with Dirichlet operator T, so int (profile - p)^2 =
+p^2 lambda d(M/p)/dlambda - M p.  At an asymmetric root D = 0, A = p_R and
+B = -p_L, so A^2 S_L + B^2 S_R = (p_L p_R)^2 lambda f'(x) / lambda'(x); at a
+symmetric pair the root is the pole (p = 0), and the sum is
+lambda (M_L^2/w_L + M_R^2/w_R) / lambda'(x), w the residues.  No solve uses
+quadrature.
 """
 
 from __future__ import annotations
@@ -99,9 +106,17 @@ from .measures import MeasureSpec, PairConfig
 
 @dataclass
 class TwistedSolution:
-    """First twisted eigenpair of a two-component configuration."""
+    """First twisted eigenpair of a two-component configuration.
+
+    `eigenvalue` is lambda_T.  The other fields describe the pair
+    eigenfunction and its secular root `pair_root`, which is lambda_T
+    unless `branch` is "tangential": n >= 2 and a two-signed pair, whose
+    lambda_T is the larger component's first tangential mode (module
+    docstring)."""
     eigenvalue: float
     config: PairConfig
+    pair_root: float = 0.0
+    branch: str = "pair"               # "pair" or "tangential"
     nu: Optional[float] = None         # gaussian: eigenvalue = 2 nu
     freq: Optional[float] = None       # power: eigenvalue = freq^2
     alpha: Optional[float] = None      # power: 1 - (n+k)/2
@@ -250,18 +265,13 @@ def _gauss_mean(nu: float, a: float, h: float, hm: float) -> float:
     return math.exp(-a * a) / specfun.SQRT_PI * hm - 0.5 * math.erfc(a) * h
 
 
-def _gauss_square_integral(nu: float, a: float, h: float, hm: float) -> float:
-    """int_a^inf (H_nu(t) - H_nu(a))^2 d gamma_1, with h = H_nu(a) and
-    hm = H_{nu-1}(a): S_2 - 2 h m_1 + h^2 erfc(a)/2, where m_1 is the mean
-    integral e^{-a^2} hm / sqrt(pi) and S_2 = int_a^inf H_nu^2 d gamma_1
-    comes from the Lagrange identity: differentiating
-    (e^{-t^2} H_nu')' = -2 nu e^{-t^2} H_nu in nu gives
-    (e^{-t^2} (H_nu' dH_nu - H_nu dH_nu'))' = 2 e^{-t^2} H_nu^2, d = d/dnu,
-    so S_2 = e^{-a^2} (H_nu dH_nu' - H_nu' dH_nu)(a) / (2 sqrt(pi))."""
-    H, Hp, dH, dHp = specfun._hermite_jet(nu, a)
-    w = math.exp(-a * a) / specfun.SQRT_PI
-    return 0.5 * w * (H * dHp - Hp * dH) - 2.0 * h * w * hm \
-        + 0.5 * h * h * math.erfc(a)
+def _gauss_slope(nu: float, a: float, h: float, hm: float) -> float:
+    """d/dnu of the secular term M/h = e^{-a^2} H_nu' / (2 nu sqrt(pi) h) -
+    erfc(a)/2, h = H_nu(a), hm = H_{nu-1}(a), H_nu' = 2 nu hm, with the
+    degree derivatives dH_nu, dH_nu' of one complex-step Hermite jet."""
+    _, _, dh, dhp = specfun._hermite_jet(nu, a)
+    return (math.exp(-a * a) / specfun.SQRT_PI
+            * ((dhp - 2.0 * hm) / (2.0 * nu) - hm * dh / h) / h)
 
 
 def _gauss_top(a: float, other: float, lam1: float,
@@ -369,25 +379,6 @@ def _power_deriv(order: float, freq: float, X: float, g_X: float,
     return -freq * X * (freq / 2.0) ** (order + 1.0) * j_next
 
 
-def _power_square_integral(order: float, freq: float, X: float, g_X: float,
-                           j_next: float) -> float:
-    """int_0^X (g - g(X))^2 r^{2b+1} dr in closed form, b = order, z = f X.
-
-    Lommel (DLMF 10.22.5, J_{b-1} eliminated by the recurrence) gives
-    int_0^X r J_b(fr)^2 dr = X^2/2 (J_b^2 + J_{b+1}^2 - (2b/z) J_b J_{b+1})(z),
-    DLMF 10.22.1 the cross term.  With Jhat_b - (b+1) Jhat_{b+1} =
-    -(z^2/4) Jhat_{b+2} the O(1) parts cancel exactly and the sum is
-    X^{2b+2} (f/2)^{2b} (z^2/8) (Jhat_{b+1}^2 - (b+2)/(b+1) Jhat_b Jhat_{b+2}),
-    which loses digits only like z^{-2} as z -> 0.
-    """
-    z = freq * X
-    j0 = g_X / (freq / 2.0) ** order
-    j2 = specfun.bessel_j_scaled_vec(order + 2.0, z)
-    return (X ** (2.0 * order + 2.0) * (freq / 2.0) ** (2.0 * order)
-            * (z * z / 8.0)
-            * (j_next * j_next - (order + 2.0) / (order + 1.0) * j0 * j2))
-
-
 def _power_argument(side: str, a: float, r: float) -> float:
     # radii scale with the mass, so the rounding slack is relative to a;
     # Gaussian offsets are translations and keep an absolute slack
@@ -409,20 +400,25 @@ class _Family:
     boundary parameter a (offset or radius).  `state(x, a)` returns the
     boundary profile value p and a companion value q (H_{nu-1}(a), or
     Jhat_{b+1}(f a)); the mean identity, the boundary derivative, the
-    single-sign edge and the power slope need nothing else.  `slope(x, a,
+    tangential level and the power slope need nothing else.  `slope(x, a,
     p, q, M)` is d/dx of the component's secular term M/p, M = mean(x, a,
-    p, q), or None where the family has no slope from its state (gaussian).
+    p, q), which normalizes the eigenfunction; the secular steps take it
+    only where `step_slope` is set (a gaussian one takes a Hermite jet).
     `top` gives Lambda_2 with the component whose profile vanishes there,
     or None where Lambda_2 is the end of the series region and no pole;
     `residue(x, a, k)` is -M(x) / (dp/dx)(x) at the k-th root x of the
-    profile value p at a.  `weight(measure)` is the measure's angular
-    constant, which scales the normalization and nothing else, so one
-    record serves every measure of a family with the same n + k.
+    profile value p at a.  `tangential(Lambda_1, q, a)` is the first
+    zero-mean Dirichlet value of the larger component a (module docstring),
+    or inf where q shows that it lies above the pair root.
+    `weight(measure)` is the measure's angular constant, which scales the
+    normalization and nothing else, so one record serves every measure of a
+    family with the same n + k.
     """
     name: str
     var: str
     weight: Callable[[MeasureSpec], float]  # angular constant; 1 for gaussian
     lam: Callable[[float], float]       # x -> eigenvalue
+    dlam: Callable[[float], float]      # x -> d(eigenvalue)/dx
     x_of: Callable[[float], float]      # eigenvalue -> x
     labels: Callable[[float], dict]     # x -> family fields of the solution
     dirichlet: Callable[[float], float]               # a -> Dirichlet value
@@ -431,10 +427,10 @@ class _Family:
     state: Callable[[float, float], tuple[float, float]]
     profile: Callable[[float, float], float]          # (x, t) -> profile at t
     mean: Callable[..., float]          # (x, a, p, q) -> int (profile - p)
-    slope: Optional[Callable[..., float]]   # (x, a, p, q, M) -> d(M/p)/dx
-    square: Callable[..., float]        # (x, a, p, q) -> int (profile - p)^2
+    slope: Callable[..., float]         # (x, a, p, q, M) -> d(M/p)/dx
+    step_slope: bool                    # the secular steps take `slope`
     deriv: Callable[..., float]         # (x, a, p, q) -> profile'(a)
-    single_signed: Callable[[float, float, float], bool]  # (Lambda_1, x, q)
+    tangential: Callable[[float, float, float], float]  # (Lambda_1, q, a)
     inside: Callable[[float], float]    # a -> interior profile argument
     argument: Callable[[str, float, float], float]    # (side, a, coordinate)
     degree: float = 0.0     # u scales like length^-degree: power (n+k)/2
@@ -444,15 +440,16 @@ class _Family:
 # the modules (tracing, test doubles) see every call.
 _GAUSS = _Family(
     name="gaussian", var="nu", weight=lambda measure: 1.0,
-    lam=lambda nu: 2.0 * nu, x_of=lambda lam: lam / 2.0,
+    lam=lambda nu: 2.0 * nu, dlam=lambda nu: 2.0, x_of=lambda lam: lam / 2.0,
     labels=lambda nu: {"nu": nu},
     dirichlet=lambda a: dirichlet_halfspace_gauss(a), top=_gauss_top,
     residue=_gauss_residue,
     state=lambda nu, a: specfun.hermite_state(nu, a),
     profile=lambda nu, t: specfun.hermite_value(nu, t),
-    mean=_gauss_mean, slope=None, square=_gauss_square_integral,
+    mean=_gauss_mean, step_slope=False,
+    slope=lambda nu, a, h, hm, mean: _gauss_slope(nu, a, h, hm),
     deriv=lambda nu, a, h, hm: 2.0 * nu * hm,
-    single_signed=lambda lam1, nu, hm: 2.0 * nu <= lam1 + 2.0,
+    tangential=lambda lam1, hm, a: lam1 + 2.0,
     inside=lambda a: a + 0.5, argument=_gauss_argument)
 
 
@@ -488,10 +485,18 @@ def _power_family(degree_sum: float) -> _Family:
             f"(j_b1 / r)^2, a pair's bracket_dirichlet[1], is not a normal "
             f"float")
 
+    def tangential(lam1: float, q: float, a: float) -> float:
+        # q < 0 puts j_{b+1,1} below f a, which the bracket keeps below the
+        # series ceiling; where q >= 0 the level lies above the root, and
+        # j_{b+1,1} may lie beyond the ceiling, so it is not computed
+        if q >= 0.0:
+            return math.inf
+        return (_bessel_zero_pair(b + 1.0)[0] / a) ** 2
+
     return _Family(
         name="power", var="freq",
         weight=lambda measure: measure.angular_constant,
-        lam=lambda f: f * f, x_of=math.sqrt,
+        lam=lambda f: f * f, dlam=lambda f: 2.0 * f, x_of=math.sqrt,
         labels=lambda f: {"freq": f, "alpha": alpha},
         dirichlet=dirichlet, top=top,
         # J_b' = -J_{b+1} at a zero j of J_b: M = a^{b+1} J_{b+1}(j) / f and
@@ -499,9 +504,7 @@ def _power_family(degree_sum: float) -> _Family:
         residue=lambda f, a, k: a ** (2.0 * b) / f,
         state=partial(_power_state, b), profile=partial(_g_profile, b),
         mean=partial(_power_mean, b), slope=partial(_power_slope, b),
-        square=partial(_power_square_integral, b),
-        deriv=partial(_power_deriv, b),
-        single_signed=lambda lam1, f, q: q >= 0.0,
+        step_slope=True, deriv=partial(_power_deriv, b), tangential=tangential,
         inside=lambda a: 0.5 * a, argument=_power_argument,
         degree=degree_sum / 2.0)
 
@@ -533,7 +536,7 @@ def _solve_pair(config: PairConfig, fam: _Family,
         (pL, qL), (pR, qR) = states[x] = fam.state(x, L), fam.state(x, R)
         mL, mR = fam.mean(x, L, pL, qL), fam.mean(x, R, pR, qR)
         value = mL / pL + mR / pR
-        if fam.slope is None:
+        if not fam.step_slope:
             return value, None
         return value, fam.slope(x, L, pL, qL, mL) + fam.slope(x, R, pR, qR, mR)
 
@@ -565,15 +568,25 @@ def _solve_pair(config: PairConfig, fam: _Family,
         st_L, st_R = states[x]
         A, B = st_R[0], -st_L[0]
     (pL, qL), (pR, qR) = st_L, st_R
-    sL = fam.square(x, L, pL, qL)
-    sR = sL if st_R is st_L else fam.square(x, R, pR, qR)
+    mL = fam.mean(x, L, pL, qL)
+    mR = mL if st_R is st_L else fam.mean(x, R, pR, qR)
+    # the squared norm A^2 S_L + B^2 S_R from the secular slope (module
+    # docstring): at a pole root (p = 0) p^2 d(M/p)/dx -> M^2 / w
+    if config.is_symmetric:
+        norm = mL * mL / fam.residue(x, L, 1) + mR * mR / fam.residue(x, R, 1)
+    else:
+        norm = (pL * pR) ** 2 * (fam.slope(x, L, pL, qL, mL)
+                                 + fam.slope(x, R, pR, qR, mR))
+    root = fam.lam(x)
     weight = fam.weight(config.measure)
-    scale = 1.0 / math.sqrt(weight * (A * A * sL + B * B * sR))
+    scale = 1.0 / math.sqrt(weight * root / fam.dlam(x) * norm)
     # orient the left component positive
     if A * (fam.profile(x, fam.inside(L)) - pL) < 0:
         scale = -scale
     A, B = A * scale, B * scale
-    lam = fam.lam(x)
+    tangential = fam.tangential(bracket[0], qL if big == L else qR, big)
+    # n = 1 has no tangential mode
+    lam = min(root, tangential) if config.measure.n >= 2 else root
     i = math.floor(-e * fam.degree)         # kappa = frac 2^i
     frac = 2.0 ** (-e * fam.degree - i)     # 1.0 where e degree is whole
     kA, kB = A * frac, B * frac
@@ -593,20 +606,20 @@ def _solve_pair(config: PairConfig, fam: _Family,
 
     return TwistedSolution(
         eigenvalue=put("eigenvalue", lam, -2 * e), config=config,
+        pair_root=put("pair_root", root, -2 * e),
+        branch="pair" if lam == root else "tangential",
         **fam.labels(put(fam.var, x, -e)),
         bracket_dirichlet=(put("bracket_dirichlet[0]", bracket[0], -2 * e),
                            put("bracket_dirichlet[1]", bracket[1], -2 * e)),
         amp_left=put("amp_left", A, -e), amp_right=put("amp_right", B, -e),
         # antisymmetric eigenfunction at a symmetric pair: c = 0 exactly
         nonlocal_c=0.0 if config.is_symmetric else put(
-            "nonlocal_c", -lam * kA * pL, i - 2 * e),
+            "nonlocal_c", -root * kA * pL, i - 2 * e),
         du_left=put("du_left", abs(kA * fam.deriv(x, L, pL, qL)), i - e),
         du_right=put("du_right", abs(kB * fam.deriv(x, R, pR, qR)), i - e),
-        mean_residual=weight * abs(A * fam.mean(x, L, pL, qL)
-                                   - B * fam.mean(x, R, pR, qR)),
+        mean_residual=weight * abs(A * mL - B * mR),
         matching_residual=abs(A * pL + B * pR),
-        single_signed=fam.single_signed(
-            bracket[0], x, qL if big == L else qR),
+        single_signed=root <= tangential,
         u_left_at=u_at("left", config.left_param, kA, pL),
         u_right_at=u_at("right", config.right_param, -kB, pR))
 

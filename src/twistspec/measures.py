@@ -198,9 +198,9 @@ class MeasureSpec:
         return self.angular_constant * r ** self.radial_exponent
 
 
-def _normal(x):
-    """Whether x (or each entry of x) is a normal float."""
-    return (sys.float_info.min <= x) & (x < math.inf)
+def _normal(x: float) -> bool:
+    """Whether x is a normal float."""
+    return sys.float_info.min <= x < math.inf
 
 
 def halfball_mass(measure: MeasureSpec, radius: float) -> float:
@@ -237,16 +237,11 @@ def halfball_mass(measure: MeasureSpec, radius: float) -> float:
     return mass
 
 
-def _pth_root(t: float | np.ndarray, p: float) -> float | np.ndarray:
-    """t^(1/p) for a float or an array t > 0, with one Newton step on
-    r^p = t: pow takes the rounded exponent 1/p, whose error ln(t) scales
-    (1.3e-14 relative near t = 1e300 for p = 3), and the step takes r to
-    within rounding.  Where r^p is not a normal float, pow's r stands."""
-    if isinstance(t, np.ndarray):
-        with np.errstate(all="ignore"):
-            r = t ** (1.0 / p)
-            rp = r ** p
-            return np.where(_normal(rp), r + r * (t / rp - 1.0) / p, r)
+def _pth_root(t: float, p: float) -> float:
+    """t^(1/p) for a float t > 0, with one Newton step on r^p = t: pow
+    takes the rounded exponent 1/p, whose error ln(t) scales (1.3e-14
+    relative near t = 1e300 for p = 3), and the step takes r to within
+    rounding.  Where r^p is not a normal float, pow's r stands."""
     r = t ** (1.0 / p)
     try:
         rp = r ** p
@@ -258,33 +253,26 @@ def _pth_root(t: float | np.ndarray, p: float) -> float | np.ndarray:
 def radius_from_mass(measure: MeasureSpec,
                      m: float | np.ndarray) -> float | np.ndarray:
     """Radius of the upper half-ball of weighted volume m: a plain float
-    for a scalar m (numpy scalars and 0-d arrays too), an array elementwise
-    for an array m.  A scalar takes Python's pow and an array numpy's,
-    each root followed by one Newton step (`_pth_root`), so both are within
+    for a scalar m (numpy scalars and 0-d arrays too), and for an array m
+    the same float path on each element, so with the same bits.  The root
+    is Python's pow followed by one Newton step (`_pth_root`), within
     rounding of the radius.  Where (n+k) m / c is not a normal float, the
     radius is taken as ((n+k)/c)^(1/(n+k)) m^(1/(n+k)) instead, so that
     only the radius itself meets the float limit."""
     if measure.is_gaussian:
         raise DomainError("radius_from_mass applies to power measures")
-    vec = isinstance(m, np.ndarray) and m.ndim > 0
-    if not vec:
-        m = float(m)
-    bad = m <= 0
-    if bad.any() if vec else bad:
-        m_bad = m[np.argmax(bad)] if vec else m
-        raise DomainError(f"mass must be > 0, got {m_bad:g}")
+    if isinstance(m, np.ndarray) and m.ndim > 0:
+        return np.array([radius_from_mass(measure, v)
+                         for v in m.ravel().tolist()],
+                        dtype=float).reshape(m.shape)
+    m = float(m)
+    if m <= 0:
+        raise DomainError(f"mass must be > 0, got {m:g}")
     p, c = measure.n + measure.k, measure.angular_constant
-    if not vec:
-        t = p * m / c
-        if _normal(t):
-            return _pth_root(t, p)
-        return _pth_root(p / c, p) * _pth_root(m, p)
-    with np.errstate(over="ignore", under="ignore"):
-        t = p * m / c
-    r = _pth_root(t, p)
-    out = ~_normal(t)
-    r[out] = _pth_root(p / c, p) * _pth_root(m[out], p)
-    return r
+    t = p * m / c
+    if _normal(t):
+        return _pth_root(t, p)
+    return _pth_root(p / c, p) * _pth_root(m, p)
 
 
 @dataclass(frozen=True)

@@ -37,11 +37,11 @@ t >= HERMITE_SWITCH_T, the series below it.
 series also sums its term-by-term derivative (DLMF 13.3.15), which gives
 H_nu' = 2 nu H_{nu-1} from the same terms.
 
-The degree derivatives d/dnu H_nu and d/dnu H_nu', which the Lagrange
-identity for int H_nu^2 e^{-t^2} needs, are taken by a complex step in the
-degree: one Kummer pass with derivative sums runs at nu + i d, and the
-imaginary parts of H and H' over d are the derivatives, exact to round-off
-with no difference to cancel.  The Gamma coefficients go through 1/Gamma,
+The degree derivatives d/dnu H_nu and d/dnu H_nu', which the slope of a
+gaussian pair's secular function needs (its normalization), are taken by a
+complex step in the degree: one Kummer pass with derivative sums runs at
+nu + i d, and the imaginary parts of H and H' over d are the derivatives,
+exact to round-off with no difference to cancel.  The Gamma coefficients go through 1/Gamma,
 which is entire, so integer degrees need no special case.
 
 A Kummer series stops on a proven tail bound.  From a closed-form index m0

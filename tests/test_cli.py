@@ -41,6 +41,27 @@ class TestSolve:
         assert not [ln for ln in out.splitlines()
                     if re.search(r"-0(\.0+)?,?$", ln)]
 
+    def test_two_signed_pair_prints_the_tangential_branch(self, capsys):
+        # gaussian n = 2: lambda_T is Lambda_1 + 2, below the pair root
+        code, out, _ = run(["solve", "--n", "2", "--mass", "0.5", "--split",
+                            "0.15", "--format", "json"], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["branch"] == "tangential"
+        assert rec["lambda"] == rec["bracket_lo"] + 2.0
+        assert rec["lambda"] == pytest.approx(4.31587, rel=2e-6)
+        assert rec["pair_root"] == pytest.approx(4.7124735265115341,
+                                                 rel=1e-13)
+
+    def test_n_one_prints_the_pair_branch(self, capsys):
+        code, out, _ = run(["solve", "--mass", "0.5", "--split", "0.15"],
+                           capsys)
+        assert code == 0
+        header, row = out.strip().splitlines()
+        rec = dict(zip(header.split(","), row.split(",")))
+        assert rec["branch"] == "pair"
+        assert rec["lambda"] == rec["pair_root"]
+
     def test_component_mass_just_below_half(self, capsys):
         # two half-spaces of mass 0.4999999999 at L = R = 1.77e-10; the
         # symmetric pair's lambda is the half-space Dirichlet value, 2 nu*
@@ -388,6 +409,18 @@ class TestOracleCommand:
         assert code == 0
         rec = json.loads(out)
         assert rec["relative_gap"] <= 1e-3
+
+    def test_tangential_branch_checks_the_pair_root(self, capsys):
+        # the 1D oracle sees the radial pair mode only: on a two-signed
+        # n = 2 pair it agrees with the pair root, not with lambda_T
+        code, out, err = run(["oracle", "--measure", "power", "--n", "2",
+                              "--k", "1", "--mass", "1", "--split", "0.2",
+                              "--format", "json"], capsys)
+        assert code == 0, err
+        rec = json.loads(out)
+        assert rec["branch"] == "tangential"
+        assert rec["relative_gap"] <= 1e-3
+        assert rec["lambda"] < rec["lambda_oracle"] * (1.0 - 1e-2)
 
     @pytest.mark.parametrize("mass", ["1e16", "1e20", "1e100"])
     def test_large_power_mass(self, mass, capsys):

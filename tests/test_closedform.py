@@ -805,7 +805,7 @@ class TestTwistedPairPower:
         sol = closedform.twisted_pair_power(cfg)
         assert not sol.single_signed
         lam_o = oracle.twisted_eig(oracle.power_pair_domain(cfg))
-        assert sol.eigenvalue == pytest.approx(lam_o.eigenvalues[0], rel=1e-3)
+        assert sol.pair_root == pytest.approx(lam_o.eigenvalues[0], rel=1e-3)
 
 
 def _progressive_scan_lambda(cfg):
@@ -872,9 +872,9 @@ class TestInterlacingBracket:
         sol = closedform.solve(cfg)
         lam1, lam_hi = sol.bracket_dirichlet
         lam2 = min(lam_hi, _second_dirichlet_value(cfg))
-        assert lam1 < sol.eigenvalue <= lam2 * (1.0 + 1e-14)
-        assert sol.eigenvalue == pytest.approx(_progressive_scan_lambda(cfg),
-                                               rel=1e-12)
+        assert lam1 < sol.pair_root <= lam2 * (1.0 + 1e-14)
+        assert sol.pair_root == pytest.approx(_progressive_scan_lambda(cfg),
+                                              rel=1e-12)
         return lam2 < lam_hi
 
     def test_lemma_pair_needs_the_cap(self):
@@ -1033,6 +1033,24 @@ class TestSecularPairSolve:
             closedform.solve(cfg)
         assert len(passes) / len(cfgs) <= 6.6
 
+    def test_power_normalization_takes_no_bessel_value(self, monkeypatch):
+        # the norm is the secular slope at the root: the one Bessel value
+        # a power solve takes besides its states is the profile at order b
+        # that orients the sign, and none at order b + 2
+        m = MeasureSpec.power(3, 2.0)
+        cfgs = _secular_configs(m, count=20, seed=1) + [
+            measures.PairConfig(m, 1.0, 1.0)]
+        closedform._power_family(m.n + m.k)
+        orders = []
+        scaled = specfun.bessel_j_scaled_vec
+        monkeypatch.setattr(
+            specfun, "bessel_j_scaled_vec",
+            lambda order, z: orders.append(order) or scaled(order, z))
+        for cfg in cfgs:
+            closedform.solve(cfg)
+        assert len(orders) == len(cfgs)
+        assert set(orders) == {m.profile_order}
+
     @pytest.mark.parametrize("n,k,L,R", [
         (3, 0.0, 1.0, 1.3), (2, 1.0, 0.6, 1.0), (3, 2.0, 1.0, 0.45),
         (5, 3.0, 1.7, 1.0), (3, 0.0, 1.0, 1e-12), (3, 2.0, 1e-12, 1.0),
@@ -1094,7 +1112,8 @@ class TestSecularPairSolve:
 
     def test_hermite_jets_per_gauss_solve(self, monkeypatch):
         # the pole residues call no Hermite function: the jets left are the
-        # normalization's, one per distinct component
+        # normalization's slope, one per component of an asymmetric pair; a
+        # symmetric pair normalizes from its pole residue with none
         calls = []
         jet = specfun._hermite_jet
 
@@ -1112,7 +1131,7 @@ class TestSecularPairSolve:
         assert calls == [2] * 11
         calls.append(0)
         closedform.solve(measures.config_from_split(g, 0.5, 0.5))
-        assert calls[-1] == 1
+        assert calls[-1] == 0
 
     @pytest.mark.parametrize("scale", [1.0 + 1e-6, 1.0 - 1e-6])
     def test_gauss_root_insensitive_to_residues(self, scale, monkeypatch):
@@ -1177,8 +1196,8 @@ class TestSecularPairSolve:
         assert owner is None
         sol = closedform.solve(cfg)
         ref = 161.8580669299785403526606
-        assert abs(sol.eigenvalue - ref) <= 1e-12 * ref
-        assert sol.bracket_dirichlet[0] < sol.eigenvalue < lam2
+        assert abs(sol.pair_root - ref) <= 1e-12 * ref
+        assert sol.bracket_dirichlet[0] < sol.pair_root < lam2
 
     def test_ceiling_without_sign_change_raises(self):
         m = MeasureSpec.power(3, 21.0)
@@ -1232,7 +1251,7 @@ class TestOneRecordPerDegreeSum:
         after = closedform._power_family.cache_info()
         assert after.misses - before.misses <= 1
         assert after.hits + after.misses - before.hits - before.misses == 3
-        assert len({(s.eigenvalue, s.freq, s.alpha) for s in sols}) == 1
+        assert len({(s.pair_root, s.freq, s.alpha) for s in sols}) == 1
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(st.floats(min_value=0.0, max_value=4.5),
@@ -1241,7 +1260,7 @@ class TestOneRecordPerDegreeSum:
         # every gaussian measure solves over the one record _GAUSS
         sols = [closedform.solve(measures.PairConfig(
             MeasureSpec.gaussian(n), L, R)) for n in (1, 2, 3)]
-        assert len({(s.eigenvalue, s.nu) for s in sols}) == 1
+        assert len({(s.pair_root, s.nu) for s in sols}) == 1
 
 
 class TestSingleSignedEdge:
@@ -1288,6 +1307,116 @@ class TestSingleSignedEdge:
             assert np.all(vals < 0.0) is not two_signed
 
 
+class TestTangentialBranch:
+    """For n >= 2 a two-signed pair's lambda_T is the larger component's
+    first tangential mode, which lies below the pair root: Lambda_1 + 2
+    (gaussian) or (j_{b+1,1}/R_max)^2 (power)."""
+
+    # (measure, total mass, split, lambda_T to the printed digits, pair root)
+    CASES = [
+        (MeasureSpec.gaussian(2), 0.5, 0.15, 4.31587, 4.7124735265115341),
+        (MeasureSpec.power(2, 1.0), 1.0, 0.2, 17.8799, 18.868448606992018),
+        (MeasureSpec.power(3, 2.0), 3.0, 0.15, 16.1282, 17.638062855513997),
+        (MeasureSpec.gaussian(3), 0.2, 0.15, 5.89016, 6.0402018273386009),
+    ]
+
+    @pytest.mark.parametrize("measure,total,s,lam_t,root", CASES)
+    def test_two_signed_pair_reports_the_tangential_value(
+            self, measure, total, s, lam_t, root):
+        sol = closedform.solve(measures.config_from_split(measure, total, s))
+        assert sol.branch == "tangential" and not sol.single_signed
+        assert sol.eigenvalue == pytest.approx(lam_t, rel=2e-6)
+        assert sol.eigenvalue < sol.pair_root
+        assert sol.pair_root == pytest.approx(root, rel=1e-13)
+        if measure.is_gaussian:
+            assert sol.eigenvalue == sol.bracket_dirichlet[0] + 2.0
+
+    @pytest.mark.parametrize("measure,total,s,lam_t,root", CASES)
+    def test_tangential_value_against_the_oracle(
+            self, measure, total, s, lam_t, root):
+        # the first tangential mode separates: a Dirichlet mode of the
+        # larger component at one more Ornstein-Uhlenbeck level (gaussian,
+        # + 2) or at profile order b + 1, the radial problem of
+        # power(n, k + 2)
+        cfg = measures.config_from_split(measure, total, s)
+        sol = closedform.solve(cfg)
+        if measure.is_gaussian:
+            a = min(cfg.left_param, cfg.right_param)
+            dom = oracle.Domain1D(((a, numerics.gauss_tail_cut(a)),),
+                                  "cartesian_gauss")
+            shift = 2.0
+        else:
+            a = max(cfg.left_param, cfg.right_param)
+            dom = oracle.Domain1D(((0.0, a),), "radial_power",
+                                  MeasureSpec.power(measure.n, measure.k + 2))
+            shift = 0.0
+        ref = oracle.dirichlet_eigs(dom, count=1).eigenvalues[0] + shift
+        assert sol.eigenvalue == pytest.approx(ref, rel=1e-5)
+
+    @pytest.mark.parametrize("measure,total,s,lam_t,root", CASES)
+    def test_n_one_keeps_the_pair_root(self, measure, total, s, lam_t, root):
+        # the same pair root in one dimension, where no tangential mode
+        # exists (power (1, n + k - 1) shares the record of n + k)
+        one = (MeasureSpec.gaussian(1) if measure.is_gaussian
+               else MeasureSpec.power(1, measure.n + measure.k - 1.0))
+        cfg = measures.config_from_split(measure, total, s)
+        sol = closedform.solve(measures.PairConfig(
+            one, cfg.left_param, cfg.right_param))
+        assert sol.branch == "pair" and not sol.single_signed
+        assert sol.eigenvalue == sol.pair_root
+        assert sol.pair_root == closedform.solve(cfg).pair_root
+
+    @pytest.mark.parametrize("measure,total", [
+        (MeasureSpec.gaussian(2), 0.5), (MeasureSpec.power(3, 2.0), 3.0)])
+    def test_single_signed_pairs_keep_the_pair_root(self, measure, total):
+        sol = closedform.solve(measures.config_from_split(measure, total, 0.4))
+        assert sol.single_signed and sol.branch == "pair"
+        assert sol.eigenvalue == sol.pair_root
+
+
+class TestUnitNorm:
+    """The profiles a solution hands out have unit weighted norm, by
+    quadrature, on asymmetric and symmetric pairs of both families."""
+
+    @settings(derandomize=True, max_examples=24, deadline=None)
+    @given(st.sampled_from((MeasureSpec.gaussian(1), MeasureSpec.power(3, 0.0),
+                            MeasureSpec.power(2, 1.0),
+                            MeasureSpec.power(3, 2.0))),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.one_of(st.just(0.5), st.floats(min_value=0.3, max_value=0.7)))
+    def test_unit_weighted_norm(self, measure, u_mass, s):
+        if measure.is_gaussian:
+            total = 0.05 + 0.75 * u_mass
+            lo, hi = measures.gaussian_split_window(total)
+            assume(lo < s < hi)
+        else:
+            total = 10.0 ** (2.0 * u_mass - 1.0)
+        cfg = measures.config_from_split(measure, total, s)
+        sol = closedform.solve(cfg)
+        L, R = cfg.left_param, cfg.right_param
+        if measure.is_gaussian:
+            w = measures.gauss_weight_1d
+            parts = [integrate(lambda t: sol.u_left_at(-t) ** 2 * w(t),
+                               L, math.inf, tol=1e-13, tail=gauss_tail(L)),
+                     integrate(lambda t: sol.u_right_at(t) ** 2 * w(t),
+                               R, math.inf, tol=1e-13, tail=gauss_tail(R))]
+        else:
+            w = measure.radial_weight
+            parts = [integrate(lambda r: u(r) ** 2 * w(r), 0.0, a, tol=1e-13)
+                     for u, a in ((sol.u_left_at, L), (sol.u_right_at, R))]
+        assert abs(parts[0].value + parts[1].value - 1.0) <= 1e-12
+
+
+def _square_integral(fam, x, a):
+    """int (profile - p)^2 over one component from the family record by the
+    resolvent identity S = p^2 lambda d(M/p)/dlambda - M p, the form per
+    component of the pair solve's normalization."""
+    p, q = fam.state(x, a)
+    mean = fam.mean(x, a, p, q)
+    return (p * p * fam.lam(x) / fam.dlam(x) * fam.slope(x, a, p, q, mean)
+            - mean * p)
+
+
 class TestPowerNormalization:
     # 30-digit references of int_0^X (g(r) - g(X))^2 r^{2b+1} dr at b = 1/4
     # (n=2, k=1/2), g(r) = r^{-b} J_b(f r), computed with mpmath 1.3.0:
@@ -1302,13 +1431,13 @@ class TestPowerNormalization:
         (1.5, 1.3, 0.0732695752407275443862492548677),
     ])
     def test_lommel_square_integral_order_quarter(self, f, X, ref):
-        state = closedform._power_state(0.25, f, X)
-        got = closedform._power_square_integral(0.25, f, X, *state)
+        got = _square_integral(closedform._power_family(2.5), f, X)
         assert abs(got - ref) <= 1e-14 * ref
 
     @pytest.mark.parametrize("order", [0.5, 1.5, 3.0])
     def test_lommel_against_quadrature(self, order):
         # smooth weights: the adaptive reference is exact to round-off
+        fam = closedform._power_family(2.0 * order + 2.0)
         j1 = specfun.bessel_zeros(order, 1)[0]
         for X in (0.3, 1.0, 2.5):
             for freq in (0.2 * j1 / X, j1 / X, 1.4 * j1 / X):
@@ -1319,8 +1448,7 @@ class TestPowerNormalization:
                     lambda r: (closedform._g_profile(order, freq, r) - g_X) ** 2
                     * r ** (2 * order + 1),
                     0.0, X, tol=1e-14 * scale, vectorized=True)
-                state = closedform._power_state(order, freq, X)
-                got = closedform._power_square_integral(order, freq, X, *state)
+                got = _square_integral(fam, freq, X)
                 assert got == pytest.approx(ref.value, rel=1e-11)
 
 
@@ -1331,7 +1459,7 @@ class TestGaussNormalization:
     #   mp.quad(lambda t: (mp.hermite(nu, t) - ha)**2 * mp.exp(-t*t),
     #           [a, a+0.5, a+1, a+2, a+4, mp.inf]) / mp.sqrt(mp.pi)
     # a = 4.9 sits just below the Hermite switch point, where the Kummer
-    # series that the identity differentiates cancels most.
+    # series that the degree derivatives differentiate cancels most.
     @pytest.mark.parametrize("nu,a,ref", [
         (1.6660196809439405, 0.5, 2.03381597162955776763426392391),
         (1.9972263907419867, 0.5, 4.32950026021912309817648104192),
@@ -1345,8 +1473,7 @@ class TestGaussNormalization:
         (20.591795661761783, 4.9, 4841955710830712833645149.80616),
     ])
     def test_lagrange_square_integral(self, nu, a, ref):
-        h, hm = specfun.hermite_state(nu, a)
-        got = closedform._gauss_square_integral(nu, a, h, hm)
+        got = _square_integral(closedform._GAUSS, nu, a)
         assert abs(got - ref) <= 1e-11 * ref
 
     def test_unit_norm_at_tiny_mass(self):

@@ -258,7 +258,8 @@ class TestComponentScale:
         cfg = measures.PairConfig(MeasureSpec.power(3, k), 1.0, R)
         dom = oracle.power_pair_domain(cfg)
         lam = oracle.twisted_eig(dom).eigenvalues[0]
-        want = closedform.twisted_pair_power(cfg).eigenvalue
+        # lopsided pairs are two-signed: the 1D oracle sees the pair root
+        want = closedform.twisted_pair_power(cfg).pair_root
         assert abs(lam - want) <= 1e-5 * want
         assert [oracle.constrained_count(dom, lam * (1.0 + delta))
                 for delta in (-1e-8, 1e-8)] == [0, 1]
@@ -644,7 +645,7 @@ def test_verify_richardson_row_fails_under_fault(monkeypatch):
 
     def solve_off(cfg):
         sol = solve(cfg)
-        return dataclasses.replace(sol, eigenvalue=sol.eigenvalue * (1 + 1e-7))
+        return dataclasses.replace(sol, pair_root=sol.pair_root * (1 + 1e-7))
 
     monkeypatch.setattr(closedform, "solve", solve_off)
     rows = {r.name: r.passed for r in verify.run_suites(["oracle"])}

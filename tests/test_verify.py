@@ -27,10 +27,10 @@ def _hermite_coeffs_off(coeffs):
     return wrong
 
 
-def _with_eigenvalue(solve, move):
+def _with_eigenvalue(solve, move, field="eigenvalue"):
     def wrong(config):
         sol = solve(config)
-        return dataclasses.replace(sol, eigenvalue=move(sol))
+        return dataclasses.replace(sol, **{field: move(sol)})
     return wrong
 
 
@@ -79,8 +79,9 @@ CORRUPTIONS = {
                "first_zero_values"),
     "bracket": (oracle, "twisted_eig", _twisted_below_dirichlet,
                 "chain_lebesgue"),
+    # the 1D oracle rows check the pair root
     "oracle": (closedform, "solve", lambda f: _with_eigenvalue(
-        f, lambda sol: sol.eigenvalue * (1.0 + 1e-7)),
+        f, lambda sol: sol.pair_root * (1.0 + 1e-7), "pair_root"),
         "richardson_agreement"),
     "lemma": (closedform, "twisted_pair_gauss", lambda f: _with_eigenvalue(
         f, lambda sol: sol.eigenvalue * 1.2), "union_to_pair_reduction"),
