@@ -21,7 +21,7 @@ import sys
 from typing import Optional
 
 from . import closedform, measures, oracle, shapeopt, verify
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, ResourceError
 from .measures import MeasureSpec
 
 EXIT_OK = 0
@@ -222,6 +222,10 @@ def cmd_oracle(args) -> int:
     if args.grid is not None:
         if args.grid < 1:
             raise DomainError("oracle needs --grid >= 1")
+        # checked as an integer: a --grid past the float range has no h
+        if args.grid > oracle.MAX_TOTAL_NODES:
+            raise ResourceError(f"oracle: --grid exceeds the "
+                                f"{oracle.MAX_TOTAL_NODES}-node cap")
         h = max(b - a for a, b in dom.intervals) / args.grid
     lam_oracle = float(oracle.twisted_eig(dom, h=h).eigenvalues[0])
     rec = _solution_record(measure, sol)

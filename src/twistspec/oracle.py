@@ -19,6 +19,9 @@ step that the closed form shares (numerics.find_root on a PoleBracket): f
 is modelled by its two poles, whose residues (v.phi_1)^2 and (v.phi_2)^2
 the eigensolve already gives, plus a remainder linear through its value
 and slope, and each step goes to the model's root inside the sign bracket.
+f increases between its poles, so f <= 0 at the bracket top lambda_2 - tau_2
+puts the root within tau_2, lambda_2's own rounding reach, below lambda_2,
+and lambda_2 is the answer.
 
 The Dirichlet eigenpairs come piece by piece.  B is block diagonal, one
 irreducible SPD block per interval, so each block is solved on its own: two
@@ -63,17 +66,20 @@ from typing import Optional
 import numpy as np
 
 from . import measures, numerics
-from .errors import AccuracyError, DomainError, NumericalError, ResourceError
+from .errors import DomainError, NumericalError, ResourceError
 from .grids import GridFunction
 
 COORDINATES = ("cartesian_gauss", "radial_power", "lebesgue")
 
 # Nodes per interval at the default grid.  (Second-order scheme: the
 # resulting relative discretization error is ~1e-5, two orders below the
-# 1e-3 agreement gates.)  Default grids of unions with more than three
-# intervals are scaled down to the node cap; an explicit h beyond it raises.
+# 1e-3 agreement gates.)
 DEFAULT_NODES_PER_INTERVAL = 1100
-MAX_TOTAL_NODES = 4000
+# The one cap on a grid, explicit or default, set by memory: a solve holds
+# about 170 bytes per node (3.9e5 nodes peaked at 120 MB of RSS, 2.0e6 at
+# 361 MB), so 2^20 nodes stay near 180 MB.  It is checked on length / h in
+# floats, before any array or integer is made.
+MAX_TOTAL_NODES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -166,21 +172,17 @@ class _Assembly:
 
 
 def _resolve_counts(domain: Domain1D, h: Optional[float]) -> list[int]:
-    lengths = [b - a for a, b in domain.intervals]
-    if h is not None:
-        if h <= 0:
-            raise DomainError("grid spacing must be > 0")
-        counts = [max(8, int(round(length / h))) for length in lengths]
+    if h is None:
+        cells = [float(DEFAULT_NODES_PER_INTERVAL)] * len(domain.intervals)
+    elif not (math.isfinite(h) and h > 0):
+        raise DomainError(f"grid spacing must be finite and > 0, got {h!r}")
     else:
-        counts = [DEFAULT_NODES_PER_INTERVAL for _ in lengths]
-    total = sum(counts)
-    if total > MAX_TOTAL_NODES:
-        if h is not None:
-            raise ResourceError(
-                f"grid of {total} nodes exceeds the {MAX_TOTAL_NODES} cap")
-        scale = MAX_TOTAL_NODES / total
-        counts = [max(8, int(c * scale)) for c in counts]
-    return counts
+        cells = [max(8.0, (b - a) / h) for a, b in domain.intervals]
+    total = sum(cells)
+    if not total <= MAX_TOTAL_NODES:
+        raise ResourceError(f"oracle: a grid of {total:.4g} nodes exceeds "
+                            f"the {MAX_TOTAL_NODES}-node cap")
+    return [int(round(c)) for c in cells]
 
 
 def _assemble(domain: Domain1D, h: Optional[float] = None) -> _Assembly:
@@ -314,9 +316,10 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
     numerics.SECULAR_MAX_ITER solves without a stop, raise NumericalError
     naming both poles and the last bracket.
 
-    Where the root lies inside the guard band below lambda_2 (f <= 0 at
-    lambda_2 - tau_2 while v.phi_2 is not zero to rounding), no root is
-    resolved: AccuracyError, naming tau_2.
+    Where f <= 0 at lambda_2 - tau_2 the root lies within tau_2 below
+    lambda_2 (f increases between its poles), or at lambda_2 itself (a
+    double pole, or v.phi_2 = 0), and lambda_2 is the answer, with the
+    mean-zero combination of phi_1 and phi_2 as its eigenvector.
     """
     from scipy.linalg.lapack import dgtsv
 
@@ -341,16 +344,9 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
     lo, hi = lam1 + tau1, lam2 - tau2
     # poles closer than their guards: f_hi = 0 takes the lambda_2 branch
     f_hi = float(v @ resolvent(hi)) if hi > lo else 0.0
-    # v.phi_2 is zero to rounding below tau_2 / (lambda_2 - lambda_1), the
-    # eigenvector's error bound (Davis & Kahan 1970)
-    if f_hi <= 0.0 and hi > lo and residues[1] > (tau2 / (lam2 - lam1)) ** 2:
-        raise AccuracyError(
-            f"twisted_eig: the root lies within the pole guard tau = "
-            f"{tau2:.3g} below lambda_2 = {lam2:.6g} and is not resolved",
-            estimate=tau2)
     if f_hi <= 0.0:
-        # the root sits at lambda_2 (a double pole or v . phi_2 = 0):
-        # the mean-zero combination of phi_1 and phi_2 is the eigenvector
+        # the root lies in [lambda_2 - tau_2, lambda_2]: lambda_2 answers,
+        # and the mean-zero combination of phi_1 and phi_2 is the eigenvector
         lam = lam2
         y = (v @ phi[:, 1]) * phi[:, 0] - (v @ phi[:, 0]) * phi[:, 1]
     else:

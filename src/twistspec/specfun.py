@@ -64,8 +64,9 @@ stops at the last zero it needs; the Bessel grids end at the ceiling.
 
 The float kernels a pair solve calls keep their last 32 results
 (functools.lru_cache): _hermite under hermite_value, _hermite_pair under
-hermite_state, _hermite_jet, _bessel_pair under bessel_state and
-_bessel_scaled under bessel_j_scaled_vec.  A split scan solves each
+hermite_state, _hermite_jet and _bessel_pair under bessel_state.
+(_bessel_scaled, under bessel_j_scaled_vec, keeps none: no workload
+repeats its arguments.)  A split scan solves each
 mirrored pair of splits back to back, and the mirror of a split has the
 same two components, so its solve repeats every boundary state and
 normalization jet of the one before.  The kernels are pure functions of
@@ -507,7 +508,6 @@ def _check_bessel(where: str, order: float, z: float, top: float) -> None:
             f"{BESSEL_MAX_ORDER:g}")
 
 
-@functools.lru_cache(maxsize=32)
 def _bessel_scaled(order: float, z: float) -> float:
     """(z/2)^{-order} J_order(z) at a float z by the ascending series."""
     _check_bessel("bessel_j", order, z, order)

@@ -490,6 +490,18 @@ class TestOracleCommand:
         assert code == 2
         assert "--grid" in err
 
+    @pytest.mark.parametrize("grid", [str(10 ** 400), "3000000", "600000"])
+    def test_grid_past_the_cap_names_it(self, grid, capsys):
+        # past the float range (no h), past the cap on the longest piece
+        # alone, and past it over both pieces (about 1.2e6 nodes): one
+        # typed line naming the cap, exit 3
+        code, out, err = run(["oracle", "--mass", "0.5", "--split", "0.4",
+                              "--grid", grid], capsys)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "exceeds the 1048576-node cap" in err
+
 
 class TestConfigFile:
     def test_file_supplies_values_flags_override(self, tmp_path, capsys):

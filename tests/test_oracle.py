@@ -8,8 +8,7 @@ import scipy.linalg
 import twistspec
 from twistspec import (closedform, measures, numerics, oracle, specfun,
                        tridiag, verify)
-from twistspec.errors import (AccuracyError, DomainError, NumericalError,
-                             ResourceError)
+from twistspec.errors import DomainError, NumericalError, ResourceError
 from twistspec.measures import MeasureSpec
 
 PI2 = math.pi ** 2
@@ -124,9 +123,35 @@ class TestAssembleSurface:
             1.0, abs=2e-3)
 
     def test_grid_cap(self):
+        # one cap, by memory, on explicit and default grids alike
+        cap = r"exceeds the 1048576-node cap"
+        assert oracle.MAX_TOTAL_NODES == 2 ** 20
         dom = oracle.Domain1D(intervals=((0.0, 1.0),), coordinate="lebesgue")
-        with pytest.raises(ResourceError):
-            oracle.twisted_eig(dom, h=1e-5)
+        with pytest.raises(ResourceError, match=cap):
+            oracle.twisted_eig(dom, h=1.0 / (oracle.MAX_TOTAL_NODES + 1))
+        many = oracle.Domain1D(
+            intervals=tuple((2.0 * i, 2.0 * i + 1.0) for i in range(954)),
+            coordinate="lebesgue")
+        with pytest.raises(ResourceError, match=cap):
+            oracle.dirichlet_eigs(many)
+
+    @pytest.mark.parametrize("h,error,match", [
+        (math.nan, DomainError, "finite and > 0, got nan"),
+        (math.inf, DomainError, "finite and > 0, got inf"),
+        (-1e-3, DomainError, "finite and > 0"),
+        (0.0, DomainError, "finite and > 0"),
+        (1e-320, ResourceError, "grid of inf nodes exceeds the 1048576-node"),
+    ])
+    @pytest.mark.parametrize("solve", [
+        oracle.twisted_eig,
+        lambda dom, h: oracle.dirichlet_eigs(dom, h=h),
+        lambda dom, h: oracle.constrained_count(dom, 10.0, h=h),
+    ], ids=["twisted_eig", "dirichlet_eigs", "constrained_count"])
+    def test_spacing_outside_the_grid_raises_typed(self, solve, h, error,
+                                                   match):
+        dom = oracle.Domain1D(intervals=((0.0, 1.0),), coordinate="lebesgue")
+        with pytest.raises(error, match=match):
+            solve(dom, h)
 
 
 class TestTwisted:
@@ -590,30 +615,21 @@ class TestSecularSolve:
                            r".*lambda_1 = .*lambda_2 = .*last bracket \["):
             oracle.twisted_eig(self.PAIR)
 
-    def test_root_inside_the_guard_band_raises(self, monkeypatch):
-        # with each pole guarded by its own piece's tau no domain puts the
-        # root within tau_2 below lambda_2, so tau_2 is widened in a
-        # patched spectrum: just past lambda_2 - root the bracket top falls
-        # below the root (f <= 0 there) while v.phi_2 is well above the
-        # Davis-Kahan bound tau_2 / (lambda_2 - lambda_1), and no root is
-        # resolved; just short of it the root is the same
-        dom = oracle.power_pair_domain(
-            measures.PairConfig(MeasureSpec.power(3, 0.0), 1.0, 1e-4))
+    def test_root_inside_the_guard_band_answers_lambda_2(self):
+        # an interval covering most of the line: phi_2 is nearly odd, so
+        # v.phi_2 is small and the root lies within tau_2 below lambda_2
+        # (f <= 0 at the bracket top); lambda_2 answers, within 1e-8 of
+        # eigvalsh of B compressed to v-perp on the default grid
+        dom = oracle.Domain1D(
+            intervals=((-11.494191493346614, 4.268969005615425),),
+            coordinate="cartesian_gauss")
+        *_, w, _, _ = oracle._spectrum(dom, None, 2)
         lam = oracle.twisted_eig(dom).eigenvalues[0]
-        *rest, tau = oracle._spectrum(dom, None, 2)
-        gap = float(rest[4][1]) - lam
-        for scale, raises in ((1.01, True), (0.99, False)):
-            wide = np.array([tau[0], scale * gap])
-            monkeypatch.setattr(oracle, "_spectrum",
-                                lambda *args: (*rest, wide))
-            if raises:
-                with pytest.raises(AccuracyError, match=r"twisted_eig: the "
-                                   r"root lies within the pole guard tau = "
-                                   r"6\.3\d* below lambda_2 = 39\.478"):
-                    oracle.twisted_eig(dom)
-            else:
-                got = oracle.twisted_eig(dom).eigenvalues[0]
-                assert abs(got - lam) <= 1e-10 * lam
+        assert lam == float(w[1])
+        assert abs(lam - 2.000001947156572) <= 1e-8 * lam
+        counts = [oracle.constrained_count(dom, lam * (1.0 + delta))
+                  for delta in (-1e-8, 1e-8)]
+        assert counts[0] == 0 and counts[1] >= 1
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(numerics, "SECULAR_MAX_ITER", 2)
@@ -636,6 +652,18 @@ def test_richardson_agreement(measure, total, s):
     _, sol, dom = verify._solve_pair(measure, total, s)
     extrapolated = verify._richardson(dom)
     assert abs(extrapolated - sol.eigenvalue) <= 1e-7 * sol.eigenvalue
+
+
+def test_richardson_on_a_three_piece_union():
+    """Richardson at 1000/2000 cells on the longest piece of a gaussian
+    union (5474 nodes at 2000) matches the 4000/8000 value within 1e-9."""
+    dom = oracle.Domain1D(intervals=((-4.0, -2.5), (-1.0, 0.8), (2.0, 3.9)),
+                          coordinate="cartesian_gauss")
+    coarse = verify._richardson(dom)
+    lam_h, lam_h2 = (oracle.twisted_eig(dom, h=1.9 / cells).eigenvalues[0]
+                     for cells in (4000, 8000))
+    fine = (4.0 * lam_h2 - lam_h) / 3.0
+    assert abs(coarse - fine) <= 1e-9 * fine
 
 
 def test_verify_richardson_row_fails_under_fault(monkeypatch):
