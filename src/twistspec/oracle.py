@@ -44,11 +44,25 @@ on the scale of its own piece, so pieces whose cells differ much in size
 (a half-ball of radius 1e-12 next to a unit one) each resolve their own
 eigenvalues.
 
-Both solves read one eigensolve per (domain, h, count): assembly,
-symmetrization and the per-piece eigensolve run once in `_spectrum`, which
+Each piece's block comes from a record (`_record`) kept between solves
+and keyed by the piece's shape without its scale.  A half-ball piece (a, b)
+is the dilation by b of (a/b, 1): its block of B is the unit piece's times
+b^-2, and its node weights are the unit piece's times c_{n,k} b^(n+k).  So
+every half-ball of one n + k on the same cells reads one record, keyed by
+(n + k, cells, a/b).  A Gaussian or Lebesgue piece is its own record, at
+scale 1, so its arithmetic is that of a direct assembly.  A record holds
+the piece's node weights (over c_{n,k}, which cancels in B and in v), its
+block of B with tau, and the modes found so far, all at its own scale.  A
+scaled block's eigenvalues and tau are the record's times the scale, and
+its eigenvectors are the record's.  Modes are found and certified on the
+record alone, so a record's j-th mode is the same whichever solve asks for
+it first, and a solve from warm records gives the bits of a cold one.
+
+Both solves read one eigensolve per (domain, h, count): the assembly from
+the records and the merge of their modes run once in `_spectrum`, which
 keeps its last two results, so a twisted solve followed by
-`dirichlet_eigs(count=2)` on the same grid (or the reverse) solves once.
-The cached arrays are read-only; results hand out copies.
+`dirichlet_eigs(count=2)` on the same grid (or the reverse) reads the
+records once.  The cached arrays are read-only; results hand out copies.
 
 The LAPACK routines (scipy.linalg.lapack's dpttrf, dpttrs and dgtsv) and
 the per-piece solver (`tridiag`) are imported inside the functions that
@@ -60,6 +74,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,6 +95,12 @@ DEFAULT_NODES_PER_INTERVAL = 1100
 # 361 MB), so 2^20 nodes stay near 180 MB.  It is checked on length / h in
 # floats, before any array or integer is made.
 MAX_TOTAL_NODES = 2 ** 20
+# Piece records kept between solves (`_record`), the most recently read:
+# a record holds 32 bytes a node, 8 more per mode past the first, and only
+# pieces of at most MAX_RECORD_NODES cells are kept, so the records stay
+# near 25 MB at most.
+RECORDS = 12
+MAX_RECORD_NODES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -113,14 +134,6 @@ class Domain1D:
             for (a1, b1), (a2, b2) in zip(srt, srt[1:]):
                 if a2 < b1:
                     raise DomainError("cartesian intervals must be disjoint")
-
-    def weight(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.coordinate == "cartesian_gauss":
-            return measures.gauss_weight_1d(x)
-        if self.coordinate == "lebesgue":
-            return np.ones_like(x)
-        return self.measure.radial_weight(x)
 
 
 def gaussian_pair_domain(config: measures.PairConfig) -> Domain1D:
@@ -164,11 +177,20 @@ class EigenResult:
 
 @dataclass
 class _Assembly:
-    main: np.ndarray          # tridiagonal stiffness, main diagonal
-    off: np.ndarray           # super/sub diagonal (zeros across pieces)
-    mass: np.ndarray          # diagonal node weights (gamma * h)
+    d: np.ndarray             # diagonal of B = M^{-1/2} K M^{-1/2}
+    e: np.ndarray             # its off-diagonal (zeros across pieces)
+    weights: np.ndarray       # node weights over the angular constant
+    mass: np.ndarray          # node weights (gamma * h)
     nodes: np.ndarray
     pieces: list[tuple[int, int]]
+    parts: list             # (tridiag.Block, scale) per piece, in order
+
+
+@dataclass(frozen=True)
+class _Record:
+    """One piece at its own scale (see the module docstring)."""
+    weights: np.ndarray       # node weights (over c_{n,k} on a half-ball)
+    block: object             # tridiag.Block of B, with the modes found
 
 
 def _resolve_counts(domain: Domain1D, h: Optional[float]) -> list[int]:
@@ -185,42 +207,91 @@ def _resolve_counts(domain: Domain1D, h: Optional[float]) -> list[int]:
     return [int(round(c)) for c in cells]
 
 
+@functools.lru_cache(maxsize=RECORDS)
+def _record(coordinate: str, exponent: Optional[float], a: float, b: float,
+            cells: int) -> _Record:
+    """The record of the interval (a, b) on `cells` cells, with the weight
+    of `coordinate` (for `radial_power`, r^exponent); its arrays are
+    read-only.  Interior nodes a+h .. b-h; Dirichlet rows at both ends are
+    eliminated, except that a radial origin keeps no condition: the flux
+    through the innermost face is dropped (the weight vanishes like
+    r^{n+k-1}).
+    """
+    from . import tridiag
+
+    if coordinate == "cartesian_gauss":
+        weight = measures.gauss_weight_1d
+    elif coordinate == "lebesgue":
+        weight = np.ones_like
+    else:
+        def weight(x):
+            return x ** exponent
+    step = (b - a) / cells
+    weights = weight(a + step * np.arange(1, cells)) * step
+    w_faces = weight(a + step * (np.arange(0, cells) + 0.5))
+    main = (w_faces[:-1] + w_faces[1:]) / step
+    if coordinate == "radial_power" and a == 0.0:
+        main[0] -= w_faces[0] / step
+    inv_sqrt = 1.0 / np.sqrt(weights)
+    d = main * inv_sqrt * inv_sqrt
+    e = -w_faces[1:-1] / step * inv_sqrt[:-1] * inv_sqrt[1:]
+    for x in (weights, d, e):
+        x.flags.writeable = False
+    return _Record(weights, tridiag.block(d, e))
+
+
+def _piece(domain: Domain1D, a: float, b: float,
+           cells: int) -> tuple[_Record, float, float]:
+    """The record of the interval (a, b) of `domain` on `cells` cells, and
+    the factors that take it to the interval, B's and the node weights':
+    b^-2 and b^(n+k) for the half-ball piece (a/b, 1), 1 and 1 for any
+    other piece.  A piece past MAX_RECORD_NODES is built and not kept.
+    """
+    build = _record if cells <= MAX_RECORD_NODES else _record.__wrapped__
+    if domain.coordinate != "radial_power":
+        return build(domain.coordinate, None, a, b, cells), 1.0, 1.0
+    m = domain.measure
+    rec = build(domain.coordinate, m.radial_exponent, a / b, 1.0, cells)
+    radius = np.float64(b)
+    scales = (1.0 / (radius * radius), radius ** (m.n + m.k))
+    if not all(sys.float_info.min <= x < math.inf for x in scales):
+        raise NumericalError(
+            f"oracle: a half-ball of radius {b!r} scales B by {scales[0]:.3g} "
+            f"and its node weights by {scales[1]:.3g}, on the intervals "
+            f"{domain.intervals}: the discrete problem leaves the floats")
+    return rec, float(scales[0]), float(scales[1])
+
+
 def _assemble(domain: Domain1D, h: Optional[float] = None) -> _Assembly:
-    counts = _resolve_counts(domain, h)
-    main_parts, off_parts, mass_parts, node_parts = [], [], [], []
-    pieces = []
+    """The union's B, node weights and nodes, built from the record of each
+    piece (`_piece`) times its scales."""
+    d_parts, e_parts, w_parts, node_parts = [], [], [], []
+    pieces, parts = [], []
     start = 0
-    radial = domain.coordinate == "radial_power"
-    for (a, b), n_cells in zip(domain.intervals, counts):
-        step = (b - a) / n_cells
-        natural_inner = radial and a == 0.0
-        # interior nodes a+h .. b-h; Dirichlet rows at both ends eliminated,
-        # except that a radial origin keeps no condition: the flux through
-        # the innermost face is dropped (the weight vanishes like r^{n+k-1}).
-        nodes = a + step * np.arange(1, n_cells)
-        w_nodes = domain.weight(nodes) * step
-        w_faces = domain.weight(a + step * (np.arange(0, n_cells) + 0.5))
-        main = (w_faces[:-1] + w_faces[1:]) / step
-        if natural_inner:
-            main[0] -= w_faces[0] / step
-        off = -w_faces[1:-1] / step
-        main_parts.append(main)
-        off_parts.append(off)
-        if len(off_parts) > 1:
+    for (a, b), cells in zip(domain.intervals,
+                             _resolve_counts(domain, h)):
+        rec, scale, w_scale = _piece(domain, a, b, cells)
+        if e_parts:
             # zero coupling across pieces
-            off_parts.insert(-1, np.zeros(1))
-        mass_parts.append(w_nodes)
-        node_parts.append(nodes)
-        pieces.append((start, start + len(nodes)))
-        start += len(nodes)
-    main = np.concatenate(main_parts)
-    off = np.concatenate(off_parts) if len(off_parts) > 1 else off_parts[0]
-    mass = np.concatenate(mass_parts)
-    nodes = np.concatenate(node_parts)
+            e_parts.append(np.zeros(1))
+        d_parts.append(rec.block.d * scale)
+        e_parts.append(rec.block.e * scale)
+        w_parts.append(rec.weights * w_scale)
+        node_parts.append(a + (b - a) / cells * np.arange(1, cells))
+        pieces.append((start, start + cells - 1))
+        parts.append((rec.block, scale))
+        start += cells - 1
+    weights = np.concatenate(w_parts)
+    mass = weights
+    if domain.coordinate == "radial_power":
+        mass = weights * domain.measure.angular_constant
     if np.any(mass <= 0):
         raise NumericalError(f"oracle: assembly produced non-positive node "
                              f"weights on the intervals {domain.intervals}")
-    return _Assembly(main=main, off=off, mass=mass, nodes=nodes, pieces=pieces)
+    return _Assembly(d=np.concatenate(d_parts), e=np.concatenate(e_parts),
+                     weights=weights, mass=mass,
+                     nodes=np.concatenate(node_parts), pieces=pieces,
+                     parts=parts)
 
 
 def _grid_functions(asm: _Assembly, vectors: np.ndarray) -> list[GridFunction]:
@@ -237,19 +308,11 @@ def _grid_functions(asm: _Assembly, vectors: np.ndarray) -> list[GridFunction]:
     return out
 
 
-def _symmetrized(asm: _Assembly) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonals (d, e) of B = M^{-1/2} K M^{-1/2}, and M^{-1/2}."""
-    inv_sqrt = 1.0 / np.sqrt(asm.mass)
-    d = asm.main * inv_sqrt * inv_sqrt
-    e = asm.off * inv_sqrt[:-1] * inv_sqrt[1:]
-    return d, e, inv_sqrt
-
-
 def _in_floats(solve):
     """`solve(domain, ...)` with numpy's overflow, division by zero and
     invalid operations raising NumericalError that names the domain's
     intervals, where they would warn and carry inf or NaN on: at radii
-    near 1e-80 or 1e80 the grid's quantities leave the floats."""
+    near 1e-100 or 1e80 the grid's quantities leave the floats."""
     @functools.wraps(solve)
     def wrapped(domain: Domain1D, *args, **kwargs):
         try:
@@ -265,35 +328,35 @@ def _in_floats(solve):
 @functools.lru_cache(maxsize=2)
 @_in_floats
 def _spectrum(domain: Domain1D, h: Optional[float], count: int):
-    """Assembly, diagonals (d, e) of B, M^{-1/2}, the smallest `count`
-    eigenpairs (w, phi) of B and the pole guard tau of the block that
-    carries each, all read-only.  Each block of B, one per piece, is solved
-    and certified on its own (`tridiag`, and the module docstring above)
-    with its own tau = 64 eps (max|d_b| + 2 max|e_b|); a certificate window
-    that holds a second eigenvalue leaves it unresolved (AccuracyError).
+    """Assembly and the smallest `count` eigenpairs (w, phi) of B, with the
+    pole guard tau of the block that carries each, all read-only.  Each
+    block of B, one per piece, is its piece's record times the piece's
+    scale, and is solved and certified at the record's own scale
+    (`tridiag`, and the module docstring above), with its own tau = 64 eps
+    (max|d_b| + 2 max|e_b|); a certificate window that holds a second
+    eigenvalue leaves it unresolved (AccuracyError).  A record keeps the
+    modes found, so a solve that reads it again, at any scale, finds no
+    mode twice.
     """
     from . import tridiag
 
     asm = _assemble(domain, h)
-    d, e, inv_sqrt = _symmetrized(asm)
-    w, phi, tau = tridiag.merge(tridiag.blocks(d, e, asm.pieces),
-                                min(count, len(d)))
-    for a in (asm.main, asm.off, asm.mass, asm.nodes, d, e, inv_sqrt, w, phi,
-              tau):
+    w, phi, tau = tridiag.merge(asm.parts, min(count, len(asm.d)))
+    for a in (asm.d, asm.e, asm.weights, asm.mass, asm.nodes, w, phi, tau):
         a.flags.writeable = False
-    return asm, d, e, inv_sqrt, w, phi, tau
+    return asm, w, phi, tau
 
 
 def dirichlet_eigs(domain: Domain1D, h: Optional[float] = None,
                    count: int = 2) -> EigenResult:
     """Smallest `count` Dirichlet eigenvalues of the union, each certified
     on its own piece (see `_spectrum`)."""
-    asm, d, _, inv_sqrt, w, v, _ = _spectrum(domain, h, count)
-    u = v * inv_sqrt[:, None]
+    asm, w, phi, _ = _spectrum(domain, h, count)
+    u = phi * (1.0 / np.sqrt(asm.weights))[:, None]
     return EigenResult(
         eigenvalues=w.copy(),
         eigenvectors=_grid_functions(asm, u),
-        grid_size=len(d),
+        grid_size=len(asm.d),
     )
 
 
@@ -323,12 +386,13 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
     """
     from scipy.linalg.lapack import dgtsv
 
-    asm, d, e, inv_sqrt, w, phi, tau = _spectrum(domain, h, 2)
+    asm, w, phi, tau = _spectrum(domain, h, 2)
+    d, e = asm.d, asm.e
     lam1, lam2 = float(w[0]), float(w[1])
     tau1, tau2 = map(float, tau)
     # constraint  meanvec . u = 0  becomes  v . (M^{1/2} u) = 0
-    v = np.sqrt(asm.mass)
-    v /= np.linalg.norm(v)
+    root = np.sqrt(asm.weights)
+    v = root / np.linalg.norm(root)
 
     def resolvent(lam: float) -> np.ndarray:
         """(B - lam)^{-1} v by one tridiagonal solve."""
@@ -367,7 +431,10 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
             "lambda"))
         y = last[0]
     y -= v * float(v @ y)                       # one projection against v
-    gf = _grid_functions(asm, (y * inv_sqrt)[:, None])[0]
+    # to unit scale by a power of two, which moves no bit of the normalized
+    # vector, so that its weighted norm cannot underflow
+    y = np.ldexp(y, -math.frexp(float(np.max(np.abs(y))))[1])
+    gf = _grid_functions(asm, (y * (1.0 / root))[:, None])[0]
     mean = abs(gf.weighted_mean())
     norm = math.sqrt(float(np.dot(asm.mass, gf.values ** 2)))
     # Cauchy-Schwarz: |sum m u| <= sqrt(sum m) ||u||_m, so the gate scales
@@ -404,9 +471,8 @@ def constrained_count(domain: Domain1D, lam: float,
     from . import tridiag
 
     asm = _assemble(domain, h)
-    d, e, _ = _symmetrized(asm)
-    piv, mult = tridiag.ldl(d, e, float(lam), tridiag.pivmin(e))
-    v = np.sqrt(asm.mass)
+    piv, mult = tridiag.ldl(asm.d, asm.e, float(lam), tridiag.pivmin(asm.e))
+    v = np.sqrt(asm.weights)
     v /= np.linalg.norm(v)
     f = float(v @ dpttrs(piv, mult, v[:, None])[0][:, 0])
     return int(np.count_nonzero(piv < 0.0)) + int(f > 0.0) - 1

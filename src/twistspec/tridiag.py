@@ -10,7 +10,9 @@ most the block's own tau = 64 eps (max|d| + 2 max|e|), the reach of
 rounding in its eigenvalues; rho is the block's j-th eigenvalue once j - 1
 eigenvalues lie below rho - eta and j below rho + eta, eta = ||B x - rho
 x|| + tau, a window that holds an eigenvalue (Parlett 1998, theorem
-4.5.1).
+4.5.1).  A block keeps the modes found, and a matrix may hold it times a
+scale: `merge` reads the modes at that scale, so a block is solved once for
+every matrix that holds it.
 
 `oracle` imports this module on its first solve, as it does LAPACK
 (dpttrf, dpttrs, dgtsv, imported inside the functions that call them), so
@@ -19,6 +21,7 @@ a process that imports the oracle but never solves does not compile it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -87,38 +90,27 @@ def _matvec(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Block:
-    """One irreducible SPD block, rows `start` on of the whole matrix, with
-    its pole guard tau = 64 eps (max|d| + 2 max|e|), the reach of rounding
-    in its eigenvalues, its pivot floor `pivmin(e)`, its LDL^T factors at
-    shift 0 and the eigenpairs found so far."""
-    start: int
+    """One irreducible SPD block, with its pole guard tau = 64 eps (max|d| +
+    2 max|e|), the reach of rounding in its eigenvalues, its pivot floor
+    `pivmin(e)` and the eigenpairs found so far, in order.
+
+    A matrix may hold the block times a scale s > 0.  That block has the
+    eigenpairs (s rho, x) and the guard s tau, so the modes are found and
+    kept at the block's own scale and read at any other (`merge`)."""
     d: np.ndarray
     e: np.ndarray
     tau: float
     floor: float
-    chol: tuple[np.ndarray, np.ndarray]
     values: list[float]
     vectors: list[np.ndarray]
 
 
-def blocks(d: np.ndarray, e: np.ndarray,
-           pieces: list[tuple[int, int]]) -> list[Block]:
-    """The blocks of (d, e) on the row ranges [a, b) of `pieces`, each with
-    the tau and pivot floor of its own entries; a block that is not
-    positive definite raises NumericalError."""
-    out = []
-    for a, b in pieces:
-        bd, be = d[a:b], e[a:b - 1]
-        tau = 64.0 * np.finfo(float).eps * float(
-            np.max(np.abs(bd)) + 2.0 * np.max(np.abs(be), initial=0.0))
-        floor = pivmin(be)
-        chol = ldl(bd, be, 0.0, floor)
-        if not np.all(chol[0] > 0.0):
-            raise NumericalError(
-                f"oracle: the block of nodes [{a}, {b}) is not positive "
-                f"definite")
-        out.append(Block(a, bd, be, tau, floor, chol, [], []))
-    return out
+def block(d: np.ndarray, e: np.ndarray) -> Block:
+    """The block (d, e), with the tau and pivot floor of its own
+    entries."""
+    tau = 64.0 * np.finfo(float).eps * float(
+        np.max(np.abs(d)) + 2.0 * np.max(np.abs(e), initial=0.0))
+    return Block(d, e, tau, pivmin(e), [], [])
 
 
 def next_mode(block: Block) -> tuple[float, np.ndarray]:
@@ -127,11 +119,15 @@ def next_mode(block: Block) -> tuple[float, np.ndarray]:
     <= the block's tau.  The first mode starts from the vector of ones; a
     later one from the last mode found times the row index, which adds a
     sign change, deflated against every mode found (each inverse iteration
-    too)."""
+    too).  A block that is not positive definite raises NumericalError."""
     from scipy.linalg.lapack import dgtsv, dpttrs
 
     n = len(block.d)
     lower = block.vectors
+    chol = ldl(block.d, block.e, 0.0, block.floor)
+    if not np.all(chol[0] > 0.0):
+        raise NumericalError(
+            f"oracle: a block of {n} rows is not positive definite")
 
     def deflated(x):
         for q in lower:
@@ -140,7 +136,7 @@ def next_mode(block: Block) -> tuple[float, np.ndarray]:
 
     x = deflated(lower[-1] * np.arange(n) if lower else np.ones(n))
     for _ in range(2):
-        x = deflated(dpttrs(*block.chol, x[:, None])[0][:, 0])
+        x = deflated(dpttrs(*chol, x[:, None])[0][:, 0])
     rho = float(x @ _matvec(block.d, block.e, x))
     for _ in range(RQI_MAX_ITER):
         *_, y, info = dgtsv(block.e, block.d - rho, block.e, x[:, None])
@@ -152,62 +148,73 @@ def next_mode(block: Block) -> tuple[float, np.ndarray]:
             return rho, x
     raise NumericalError(
         f"oracle: Rayleigh quotient iteration for mode {len(lower) + 1} of "
-        f"the block at node {block.start} took no step <= tau = "
-        f"{block.tau:.3g} in {RQI_MAX_ITER} steps (last rho = {rho!r})")
+        f"a block of {n} rows took no step <= tau = {block.tau:.3g} in "
+        f"{RQI_MAX_ITER} steps (last rho = {rho!r})")
 
 
 def certify(block: Block, mode: tuple[float, np.ndarray]) -> None:
-    """Append `mode` to the block's eigenpairs once inertia counts place it
-    at its index j: j - 1 eigenvalues below rho - eta and j below rho +
-    eta, eta = ||B x - rho x|| + tau.  A window that holds two eigenvalues
-    leaves rho unresolved (AccuracyError); other counts mean the iteration
-    found another eigenvalue (NumericalError)."""
+    """Append `mode` to the block's eigenpairs, its vector read-only, once
+    inertia counts place it at its index j: j - 1 eigenvalues below rho -
+    eta and j below rho + eta, eta = ||B x - rho x|| + tau.  A window that
+    holds two eigenvalues leaves rho unresolved (AccuracyError); other
+    counts mean the iteration found another eigenvalue (NumericalError)."""
     rho, x = mode
     j = len(block.values) + 1
+    n = len(block.d)
     eta = float(np.linalg.norm(_matvec(block.d, block.e, x) - rho * x)
                 ) + block.tau
     below = count_below(block.d, block.e, rho - eta, block.floor)
     upto = count_below(block.d, block.e, rho + eta, block.floor)
     if upto - below > 1:
         raise AccuracyError(
-            f"oracle: {upto - below} eigenvalues of the block at node "
-            f"{block.start} lie within eta = {eta:.3g} of {rho:.6g} "
-            f"(tau = {block.tau:.3g}): none is resolved", estimate=eta)
+            f"oracle: {upto - below} eigenvalues of a block of {n} rows lie "
+            f"within eta = {eta:.3g} of {rho:.6g} (tau = {block.tau:.3g}): "
+            f"none is resolved", estimate=eta)
     if (below, upto) != (j - 1, j):
         raise NumericalError(
-            f"oracle: the block at node {block.start} has {below} "
-            f"eigenvalues below rho - eta and {upto} below rho + eta for "
-            f"mode {j} at rho = {rho!r}, eta = {eta:.3g}")
+            f"oracle: a block of {n} rows has {below} eigenvalues below rho "
+            f"- eta and {upto} below rho + eta for mode {j} at rho = "
+            f"{rho!r}, eta = {eta:.3g}")
+    x.flags.writeable = False
     block.values.append(rho)
     block.vectors.append(x)
 
 
-def merge(parts: list[Block],
+def merge(parts: list[tuple[Block, float]],
           count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The `count` smallest eigenpairs (w, phi) of the block-diagonal
-    matrix, with the tau of the block that carries each.  Every block
-    gives its first mode; a block's next mode is found only where it can
-    undercut the count-th smallest value found so far: where its own last
-    value lies below that value and its inertia count there exceeds its
-    modes found."""
-    grow = [block for block in parts if not block.values]
-    while grow:
-        for block in grow:
-            certify(block, next_mode(block))
-        found = sorted(v for block in parts for v in block.values)
+    matrix whose diagonal blocks, in order, are each part's block times its
+    scale, with the guard (scale times tau) of the block that carries each.
+
+    Every block gives its first mode; a block's next mode is found only
+    where it can undercut the count-th smallest value found so far: where
+    its last value, scaled, lies below that value and its inertia count
+    there exceeds its modes found.  A block that several parts hold is
+    solved once for them all, and one that already holds modes gives them
+    without a solve; either way its j-th mode is the same."""
+    blocks = {id(b): b for b, _ in parts}
+    grow = [b for b in blocks.values() if not b.values]
+    while True:
+        for b in grow:
+            certify(b, next_mode(b))
+        found = sorted(s * v for b, s in parts for v in b.values)
         bar = found[count - 1] if len(found) >= count else math.inf
-        grow = [block for block in parts
-                if len(block.values) < len(block.d)
-                and block.values[-1] < bar
-                and (bar == math.inf or count_below(
-                    block.d, block.e, bar, block.floor) > len(block.values))]
-    modes = sorted((v, i, j) for i, block in enumerate(parts)
-                   for j, v in enumerate(block.values))[:count]
-    n = parts[-1].start + len(parts[-1].d)
+        grow = list({id(b): b for b, s in parts
+                     if len(b.values) < len(b.d)
+                     and s * b.values[-1] < bar
+                     and (bar == math.inf or count_below(
+                         b.d, b.e, bar / s, b.floor) > len(b.values))
+                     }.values())
+        if not grow:
+            break
+    modes = sorted((s * v, i, j) for i, (b, s) in enumerate(parts)
+                   for j, v in enumerate(b.values))[:count]
+    starts = list(itertools.accumulate((len(b.d) for b, _ in parts),
+                                       initial=0))
     w, tau = np.empty(len(modes)), np.empty(len(modes))
-    phi = np.zeros((n, len(modes)))
+    phi = np.zeros((starts[-1], len(modes)))
     for col, (v, i, j) in enumerate(modes):
-        block = parts[i]
-        w[col], tau[col] = v, block.tau
-        phi[block.start:block.start + len(block.d), col] = block.vectors[j]
+        b, s = parts[i]
+        w[col], tau[col] = v, s * b.tau
+        phi[starts[i]:starts[i + 1], col] = b.vectors[j]
     return w, phi, tau

@@ -5,7 +5,7 @@ import importlib
 import pkgutil
 
 import twistspec
-from twistspec import specfun
+from twistspec import measures, oracle, specfun
 
 # a key no other test reads
 NU, T = 2.718281828, 0.3183098862
@@ -47,3 +47,28 @@ class TestPatchLeavesNoValue:
     def test_value_after_the_patch(self):
         fresh = specfun._hermite.__wrapped__(NU, T)
         assert specfun.hermite_value(NU, T) == fresh
+
+
+class TestPatchLeavesNoRecord:
+    """The same pair for the oracle's piece records: the first test fills
+    the record of a Gaussian interval under a patched weight, and the
+    second reads that record afterwards."""
+
+    DOMAIN = oracle.Domain1D(intervals=((0.2718281828, 2.718281828),),
+                             coordinate="cartesian_gauss")
+    KEY = ("cartesian_gauss", None, 0.2718281828, 2.718281828, 1100)
+
+    def _weights(self):
+        oracle.dirichlet_eigs(self.DOMAIN, count=1)
+        return oracle._piece(self.DOMAIN, *self.KEY[2:])[0].weights
+
+    def test_record_under_a_patch(self, monkeypatch):
+        fresh = oracle._record.__wrapped__(*self.KEY).weights
+        weight = measures.gauss_weight_1d
+        monkeypatch.setattr(measures, "gauss_weight_1d",
+                            lambda x: weight(x) * (1.0 + 1e-6 * x))
+        assert self._weights().tolist() != fresh.tolist()
+
+    def test_record_after_the_patch(self):
+        fresh = oracle._record.__wrapped__(*self.KEY).weights
+        assert self._weights().tolist() == fresh.tolist()

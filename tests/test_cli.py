@@ -426,20 +426,24 @@ class TestOracleCommand:
     def test_large_power_mass(self, mass, capsys):
         # the mean-constraint gate scales with sqrt(total mass), so the
         # homogeneous problem solves at every mass; at mass 1 the same
-        # split reads relative_gap 1.9506731969027696e-07
+        # split reads relative_gap 1.9506731969027696e-07.  The oracle's
+        # root is resolved to eps ||B|| / lambda, about 1e-10 relative on
+        # this grid (see oracle.twisted_eig), and the gap moves with it
         code, out, err = run(["oracle", "--measure", "power", "--n", "3",
                               "--k", "0", "--mass", mass, "--split", "0.4",
                               "--format", "json"], capsys)
         assert code == 0, err
         assert json.loads(out)["relative_gap"] == pytest.approx(
-            1.9506731969027696e-07, rel=1e-4)
+            1.9506731969027696e-07, abs=1e-10)
 
-    @pytest.mark.parametrize("R", ["1e-4", "1e-5", "1e-12"])
+    @pytest.mark.parametrize("R", ["1e-4", "1e-5", "1e-12", "1e-100"])
     def test_tiny_component_solves(self, R, capsys):
         # each piece has its own pole guard, so the unit half-ball's
         # values are resolved next to a tiny one (see
         # test_oracle.TestComponentScale); the default grid's gap to the
-        # closed form is the one it has at R = 1e-3
+        # closed form is the one it has at R = 1e-3.  The tiny piece is
+        # the unit record scaled by R^-2, so its grid's floats do not
+        # leave the range down to R = 1e-102
         code, out, err = run(["oracle", "--measure", "power", "--n", "3",
                               "--k", "0", "--L", "1", "--R", R,
                               "--format", "json"], capsys)
@@ -448,11 +452,11 @@ class TestOracleCommand:
             7.4944e-07, rel=1e-4)
 
     def test_tiny_component_is_a_typed_failure(self, capsys):
-        # R = 1e-100 next to L = 1: the tiny piece's grid leaves the
-        # floats, and the oracle says so, instead of reporting a
-        # closed-form vs oracle disagreement
+        # R = 1e-110 next to L = 1: the tiny piece's node weights, R^3
+        # times the unit record's, leave the floats, and the oracle says
+        # so, instead of reporting a closed-form vs oracle disagreement
         code, out, err = run(["oracle", "--measure", "power", "--n", "3",
-                              "--k", "0", "--L", "1", "--R", "1e-100"],
+                              "--k", "0", "--L", "1", "--R", "1e-110"],
                              capsys)
         assert code == 3 and out == ""
         assert "numerical failure: oracle: " in err

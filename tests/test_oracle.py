@@ -8,7 +8,8 @@ import scipy.linalg
 import twistspec
 from twistspec import (closedform, measures, numerics, oracle, specfun,
                        tridiag, verify)
-from twistspec.errors import DomainError, NumericalError, ResourceError
+from twistspec.errors import (DomainError, NumericalError, ResourceError,
+                              TwistspecError)
 from twistspec.measures import MeasureSpec
 
 PI2 = math.pi ** 2
@@ -269,6 +270,141 @@ class TestFloatScale:
         assert abs(lam * L * L / unit - 1.0) <= 1e-10
 
 
+class TestEveryRadiusTyped:
+    """Power pairs (L, 1.3 L), L = 10^e for e = -100, -90, ..., 100: every
+    solve returns, within 1e-10 of lambda(1, 1.3) / L^2, or raises a
+    TwistspecError; an untyped error (an OverflowError from a scale such as
+    L^(n+k)) fails.  The exponents that solve cover SOLVED: beyond it the
+    node weights' scale L^(n+k), or the secular step's x.x, leaves the
+    floats."""
+
+    SOLVED = {(3, 0.0): (-100, 70), (2, 1.0): (-100, 70), (5, 3.0): (-30, 30),
+              (40, 19.0): (0, 0)}
+
+    @pytest.mark.parametrize("n,k", list(SOLVED),
+                             ids=[f"power{n}{k:g}" for n, k in SOLVED])
+    def test_solves_or_raises_typed(self, n, k):
+        m = MeasureSpec.power(n, k)
+        unit = oracle.twisted_eig(oracle.power_pair_domain(
+            measures.PairConfig(m, 1.0, 1.3))).eigenvalues[0]
+        solved = set()
+        for e in range(-100, 101, 10):
+            L = 10.0 ** e
+            dom = oracle.power_pair_domain(measures.PairConfig(m, L, 1.3 * L))
+            try:
+                lam = oracle.twisted_eig(dom).eigenvalues[0]
+            except TwistspecError:
+                continue
+            assert abs(lam * L * L / unit - 1.0) <= 1e-10, L
+            solved.add(e)
+        lo, hi = self.SOLVED[n, k]
+        assert set(range(lo, hi + 1, 10)) <= solved
+
+
+def _power_pairs(count: int) -> list[measures.PairConfig]:
+    """Power pairs drawn as the benchmark draws them: the types (3,0),
+    (3,2) and (5,3) in turn, total mass log-uniform in [0.1, 100], split
+    uniform in [0.3, 0.7]."""
+    rng = np.random.default_rng(1)
+    types = [MeasureSpec.power(3, 0.0), MeasureSpec.power(3, 2.0),
+             MeasureSpec.power(5, 3.0)]
+    return [measures.config_from_split(
+        types[i % 3], 10.0 ** rng.uniform(-1.0, 2.0), rng.uniform(0.3, 0.7))
+        for i in range(count)]
+
+
+class TestPieceRecords:
+    """A half-ball is its piece record, solved once at unit radius, scaled
+    by R^-2: one record serves every half-ball of one n + k on one grid,
+    and what a record holds moves no bit of any solve."""
+
+    @staticmethod
+    def _solve(cfg):
+        dom = oracle.power_pair_domain(cfg)
+        tw, dd = oracle.twisted_eig(dom), oracle.dirichlet_eigs(dom, count=2)
+        return (tw.eigenvalues.tolist(), dd.eigenvalues.tolist(),
+                [gf.values.tolist() for gf in tw.eigenvectors
+                 + dd.eigenvectors])
+
+    @pytest.mark.parametrize("L,R", [(0.7, 1.3), (1.0, 1.0), (2.5, 0.4)])
+    def test_one_record_per_degree_sum(self, L, R):
+        twistspec.clear_caches()
+        values = []
+        for n, k in [(3, 0.0), (2, 1.0), (1, 2.0)]:
+            dom = oracle.power_pair_domain(
+                measures.PairConfig(MeasureSpec.power(n, k), L, R))
+            values.append(oracle.twisted_eig(dom).eigenvalues.tolist()
+                          + oracle.dirichlet_eigs(dom, count=2)
+                          .eigenvalues.tolist())
+        assert values[0] == values[1] == values[2]
+        assert oracle._record.cache_info().misses == 1
+
+    def test_warm_records_give_the_cold_bits(self):
+        pairs = _power_pairs(20)
+        twistspec.clear_caches()
+        warm = [self._solve(cfg) for cfg in pairs]
+        cold = []
+        for cfg in pairs:
+            twistspec.clear_caches()
+            cold.append(self._solve(cfg))
+        assert warm == cold
+
+    def test_a_seen_degree_finds_no_mode(self, monkeypatch):
+        # tridiag.next_mode is the per-piece eigensolve
+        twistspec.clear_caches()
+        self._solve(measures.PairConfig(MeasureSpec.power(3, 0.0), 0.8, 1.1))
+        calls, real = [], tridiag.next_mode
+        monkeypatch.setattr(tridiag, "next_mode",
+                            lambda block: calls.append(block) or real(block))
+        self._solve(measures.PairConfig(MeasureSpec.power(2, 1.0), 1.3, 0.9))
+        assert calls == []
+
+    @pytest.mark.parametrize("cfg", [
+        measures.PairConfig(MeasureSpec.power(3, 0.0), 0.8, 1.1),
+        measures.PairConfig(MeasureSpec.power(3, 2.0), 1.0, 0.6),
+        measures.PairConfig(MeasureSpec.power(5, 3.0), 0.5, 0.9)],
+        ids=["power30", "power32", "power53"])
+    @pytest.mark.parametrize("t,rel", [(2.0, 1e-13), (0.5, 1e-13),
+                                       (2.0 ** 20, 1e-13),
+                                       (2.0 ** -20, 1e-13), (1.7, 1e-10)])
+    def test_dilation_scales_every_eigenvalue(self, cfg, t, rel):
+        # a pair dilated by t has every eigenvalue times t^-2: exactly
+        # the unit record's at a power of two, and within the root's
+        # rounding floor otherwise
+        base = self._solve(cfg)
+        scaled = self._solve(dataclasses.replace(
+            cfg, left_param=t * cfg.left_param,
+            right_param=t * cfg.right_param))
+        want = np.array(base[0] + base[1]) / (t * t)
+        got = np.array(scaled[0] + scaled[1])
+        assert np.all(np.abs(got / want - 1.0) <= rel)
+
+    def test_second_mode_of_the_larger_piece(self):
+        # next to R = 0.4, whose lowest value is pi^2 / 0.16, the unit
+        # half-ball's second mode (2 pi)^2 is lambda_2: the record gains
+        # it, the root is the first constrained eigenvalue, and a pair of
+        # the same degree solved next reads the bits it reads cold
+        twistspec.clear_caches()
+        dom = oracle.power_pair_domain(
+            measures.PairConfig(MeasureSpec.power(3, 0.0), 1.0, 0.4))
+        dd = oracle.dirichlet_eigs(dom, count=2)
+        assert np.all(np.abs(dd.eigenvalues / PI2 - [1.0, 4.0]) <= 1e-4)
+        (a, b), _ = dd.eigenvectors[1].pieces
+        assert np.all(dd.eigenvectors[1].values[b:] == 0.0)
+        lam = oracle.twisted_eig(dom).eigenvalues[0]
+        counts = [oracle.constrained_count(dom, lam * (1.0 + delta))
+                  for delta in (-1e-8, 1e-8)]
+        assert counts[0] == 0 and counts[1] >= 1
+        record = oracle._piece(dom, 0.0, 1.0, 1100)[0]
+        assert len(record.block.values) == 2
+        after = measures.PairConfig(MeasureSpec.power(2, 1.0), 0.9, 1.1)
+        warm = self._solve(after)
+        twistspec.clear_caches()
+        assert self._solve(after) == warm
+        # cold, the record holds the first mode alone
+        assert len(oracle._piece(dom, 0.0, 1.0, 1100)[0].block.values) == 1
+
+
 class TestComponentScale:
     """Each block of B has its own pole guard tau = 64 eps (max|d_b| + 2
     max|e_b|), so a half-ball of radius R next to a unit one leaves the
@@ -380,19 +516,25 @@ class TestSharedSpectrum:
         tw = oracle.twisted_eig(dom)
         assert want[0] < tw.eigenvalues[0] <= want[1]
         asm, *arrays = oracle._spectrum(dom, None, 2)
-        assert not any(a.flags.writeable for a in
-                       [asm.main, asm.off, asm.mass, asm.nodes, *arrays])
+        assert not any(a.flags.writeable for a in [
+            asm.d, asm.e, asm.weights, asm.mass, asm.nodes, *arrays])
+        # and so are the piece records that solves share
+        for a, b in dom.intervals:
+            rec = oracle._piece(dom, a, b, 1100)[0]
+            assert not any(x.flags.writeable for x in (
+                rec.weights, rec.block.d, rec.block.e, *rec.block.vectors))
 
     @pytest.mark.parametrize("count", [1, 3])
     @pytest.mark.parametrize("dom", DOMAINS, ids=IDS)
     def test_other_counts_match_direct_eigensolve(self, dom, count):
         # within tau of LAPACK's bisection, and the j-th value has j - 1
         # eigenvalues of B below it and j up to it, to tau
-        d, e, _ = oracle._symmetrized(oracle._assemble(dom))
+        asm = oracle._assemble(dom)
+        d, e = asm.d, asm.e
         want = scipy.linalg.eigh_tridiagonal(
             d, e, select="i", select_range=(0, count - 1))[0]
         got = oracle.dirichlet_eigs(dom, count=count).eigenvalues
-        tau = oracle._spectrum(dom, None, count)[6]
+        tau = oracle._spectrum(dom, None, count)[3]
         assert np.all(np.abs(got - want) <= tau)
         floor = tridiag.pivmin(e)
         counts = [(tridiag.count_below(d, e, w - t, floor),
@@ -445,7 +587,8 @@ class TestPerPieceEigenpairs:
                              ids=[label for label, _ in UNIONS])
     def test_pairs_match_tridiagonal_eigensolve(self, label, dom, count):
         h = max(b - a for a, b in dom.intervals) / 400.0
-        asm, d, e, _, w, phi, tau = oracle._spectrum(dom, h, count)
+        asm, w, phi, tau = oracle._spectrum(dom, h, count)
+        d, e = asm.d, asm.e
         want = scipy.linalg.eigh_tridiagonal(
             d, e, select="i", select_range=(0, count - 1))[0]
         assert w.shape == (count,) and phi.shape == (len(d), count)
@@ -468,13 +611,13 @@ class TestPerPieceEigenpairs:
         # next to R = 1e-4, whose lowest value is 1e8 pi^2, both values
         # come from the unit half-ball
         cfg = measures.PairConfig(MeasureSpec.power(3, 0.0), 1.0, 1e-4)
-        asm, *_, w, phi, tau = oracle._spectrum(
+        asm, w, phi, tau = oracle._spectrum(
             oracle.power_pair_domain(cfg), None, 2)
         (a, b), _ = asm.pieces
         assert np.all(phi[b:] == 0.0) and np.all(phi[a:b] != 0.0)
         assert np.all(np.abs(w / PI2 - [1.0, 4.0]) <= 1e-4)
         # both carry the unit half-ball's tau, not the tiny one's
-        d, e, _ = oracle._symmetrized(asm)
+        d, e = asm.d, asm.e
         assert tau[0] == tau[1] == 64.0 * np.finfo(float).eps * (
             np.max(np.abs(d[a:b])) + 2.0 * np.max(np.abs(e[a:b - 1])))
         assert tau[0] < 1e-7 * w[0]
@@ -501,7 +644,8 @@ class TestConstrainedCount:
         # null vector v removed), at midpoints between its eigenvalues
         for label, dom in _small_domains()[::4]:
             h = sum(b - a for a, b in dom.intervals) / 120.0
-            asm, d, e, *_ = oracle._spectrum(dom, h, 2)
+            asm = oracle._assemble(dom, h)
+            d, e = asm.d, asm.e
             v = np.sqrt(asm.mass)
             v /= np.linalg.norm(v)
             p = np.eye(len(d)) - np.outer(v, v)
@@ -539,7 +683,8 @@ def _dense_twisted(dom: oracle.Domain1D, h: float) -> float:
     """The twisted value from the dense projected operator P B P with
     P = I - v v^T: v is its null vector, and the rest of its spectrum is
     the spectrum of B on the mean-zero subspace."""
-    asm, d, e, *_ = oracle._spectrum(dom, h, 2)
+    asm = oracle._assemble(dom, h)
+    d, e = asm.d, asm.e
     v = np.sqrt(asm.mass)
     v /= np.linalg.norm(v)
     p = np.eye(len(d)) - np.outer(v, v)
@@ -623,7 +768,7 @@ class TestSecularSolve:
         dom = oracle.Domain1D(
             intervals=((-11.494191493346614, 4.268969005615425),),
             coordinate="cartesian_gauss")
-        *_, w, _, _ = oracle._spectrum(dom, None, 2)
+        _, w, _, _ = oracle._spectrum(dom, None, 2)
         lam = oracle.twisted_eig(dom).eigenvalues[0]
         assert lam == float(w[1])
         assert abs(lam - 2.000001947156572) <= 1e-8 * lam

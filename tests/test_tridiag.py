@@ -96,7 +96,7 @@ def test_restarts_cover_every_negative_pivot():
 
 
 def _block(d, e):
-    return tridiag.blocks(d, e, [(0, len(d))])[0]
+    return tridiag.block(d, e)
 
 
 def test_modes_in_order():
@@ -115,16 +115,33 @@ def test_each_block_has_its_own_guard():
     # the union are the coarse block's, with its tau
     d, e, w, _ = _laplacian(20)
     scale = 1e12
-    d2 = np.concatenate((d, scale * d))
-    e2 = np.concatenate((e, [0.0], scale * e))
-    coarse, fine = tridiag.blocks(d2, e2, [(0, 20), (20, 40)])
+    coarse, fine = _block(d, e), _block(scale * d, scale * e)
     assert coarse.tau == 64.0 * EPS * _scale(d, e)
     assert fine.tau == 64.0 * EPS * _scale(scale * d, scale * e)
     assert fine.floor == tridiag.pivmin(scale * e) > coarse.floor
-    got, phi, tau = tridiag.merge([coarse, fine], 2)
+    got, phi, tau = tridiag.merge([(coarse, 1.0), (fine, 1.0)], 2)
     assert np.all(np.abs(got - w[:2]) <= coarse.tau)
     assert tau.tolist() == [coarse.tau] * 2
     assert np.all(phi[20:] == 0.0)
+
+
+def test_a_block_held_at_two_scales_is_solved_once(monkeypatch):
+    # one block at scales 1 and 4 (4 w_0 lies just above w_1): its modes
+    # are found once, at its own scale, and read at both; the scaled
+    # block's value and guard are 4 times the block's, its vector the
+    # block's.  Merged again, the block's modes suffice: nothing is solved
+    d, e, w, _ = _laplacian(20)
+    block = _block(d, e)
+    got, phi, tau = tridiag.merge([(block, 1.0), (block, 4.0)], 3)
+    assert len(block.values) == 2
+    assert np.all(np.abs(np.array(block.values) - w[:2]) <= block.tau)
+    assert got.tolist() == [*block.values, 4.0 * block.values[0]]
+    assert tau.tolist() == [block.tau, block.tau, 4.0 * block.tau]
+    assert np.all(phi[20:, 2] == block.vectors[0])
+    assert np.all(phi[:20, 2] == 0.0)
+    monkeypatch.setattr(tridiag, "next_mode", None)
+    again = tridiag.merge([(block, 4.0), (block, 1.0)], 3)
+    assert again[0].tolist() == got.tolist()
 
 
 def test_wrong_index_fails_the_certificate():
@@ -141,8 +158,8 @@ def test_window_holding_two_eigenvalues_is_unresolved():
     d, e, w, v = _laplacian(20)
     block = _block(d, e)
     block.tau = w[1] - w[0]
-    with pytest.raises(AccuracyError, match=r"2 eigenvalues of the block at "
-                       r"node 0 lie within eta = .* \(tau = "):
+    with pytest.raises(AccuracyError, match=r"2 eigenvalues of a block of "
+                       r"20 rows lie within eta = .* \(tau = "):
         tridiag.certify(block, (w[0], v[:, 0]))
 
 
@@ -157,4 +174,4 @@ def test_iteration_cap_raises(monkeypatch):
 def test_indefinite_block_raises():
     d, e, w, _ = _laplacian(20)
     with pytest.raises(NumericalError, match="not positive definite"):
-        _block(d - 0.5 * (w[0] + w[1]), e)
+        tridiag.next_mode(_block(d - 0.5 * (w[0] + w[1]), e))
