@@ -20,19 +20,18 @@ __version__ = "0.1.0"
 
 
 def cached_functions() -> tuple:
-    """Every memoized function of the package, ten in all: the four
+    """Every memoized function of the package, nine in all: the four
     special-function kernels of a pair solve, the Hermite zero and Bessel
     zero-pair tables, the power family records (one per n + k), the angular
-    constants, the oracle's piece records (one per n + k and grid for
-    half-balls) and its eigensolve.  Each is a pure function of its
+    constants and the oracle's piece records (one per n + k and grid for
+    half-balls, with the modes found).  Each is a pure function of its
     arguments, but one computed under a patched helper keeps the patched
     values; `clear_caches` empties them all."""
     from . import closedform, measures, oracle, specfun
     return (specfun._hermite, specfun._hermite_pair, specfun._hermite_jet,
             specfun._bessel_pair, specfun.hermite_largest_zero,
             closedform._bessel_zero_pair, closedform._power_family,
-            measures._angular_constant, oracle._record,
-            oracle._spectrum)
+            measures._angular_constant, oracle._record)
 
 
 def clear_caches() -> None:

@@ -21,12 +21,14 @@ the eigensolve already gives, plus a remainder linear through its value
 and slope, and each step goes to the model's root inside the sign bracket.
 f increases between its poles, so f <= 0 at the bracket top lambda_2 - tau_2
 puts the root within tau_2, lambda_2's own rounding reach, below lambda_2,
-and lambda_2 is the answer.
+and lambda_2 is the answer; f >= 0 at the bracket bottom lambda_1 + tau_1
+puts it within tau_1 above lambda_1, and lambda_1 is the answer.
 
 The Dirichlet eigenpairs come piece by piece.  B is block diagonal, one
-irreducible SPD block per interval, so each block is solved on its own: two
-inverse iterations at shift 0 from the vector of ones, then Rayleigh
-quotient iteration until a step is <= tau, the block's pole guard.
+irreducible SPD block per interval, so each block is solved on its own:
+eight inverse iterations on the factors of the block plus tau from the
+vector of ones, then Rayleigh quotient iteration until a step is <= tau,
+the block's pole guard.
 Sylvester inertia counts certify each value rho as the block's j-th
 eigenvalue: the LDL^T factorization of the block minus a shift has as many
 negative pivots as the block has eigenvalues below the shift (Kahan 1966;
@@ -57,12 +59,10 @@ scaled block's eigenvalues and tau are the record's times the scale, and
 its eigenvectors are the record's.  Modes are found and certified on the
 record alone, so a record's j-th mode is the same whichever solve asks for
 it first, and a solve from warm records gives the bits of a cold one.
-
-Both solves read one eigensolve per (domain, h, count): the assembly from
-the records and the merge of their modes run once in `_spectrum`, which
-keeps its last two results, so a twisted solve followed by
-`dirichlet_eigs(count=2)` on the same grid (or the reverse) reads the
-records once.  The cached arrays are read-only; results hand out copies.
+The records are the oracle's one cache: each solve assembles the union
+from them and merges the modes they hold, so a twisted solve followed by
+`dirichlet_eigs(count=2)` on the same grid (or the reverse) finds no mode
+twice.
 
 The LAPACK routines (scipy.linalg.lapack's dpttrf, dpttrs and dgtsv) and
 the per-piece solver (`tridiag`) are imported inside the functions that
@@ -325,36 +325,23 @@ def _in_floats(solve):
     return wrapped
 
 
-@functools.lru_cache(maxsize=2)
 @_in_floats
-def _spectrum(domain: Domain1D, h: Optional[float], count: int):
-    """Assembly and the smallest `count` eigenpairs (w, phi) of B, with the
-    pole guard tau of the block that carries each, all read-only.  Each
-    block of B, one per piece, is its piece's record times the piece's
-    scale, and is solved and certified at the record's own scale
-    (`tridiag`, and the module docstring above), with its own tau = 64 eps
-    (max|d_b| + 2 max|e_b|); a certificate window that holds a second
-    eigenvalue leaves it unresolved (AccuracyError).  A record keeps the
-    modes found, so a solve that reads it again, at any scale, finds no
-    mode twice.
-    """
+def dirichlet_eigs(domain: Domain1D, h: Optional[float] = None,
+                   count: int = 2) -> EigenResult:
+    """Smallest `count` Dirichlet eigenvalues of the union: each block of
+    B, one per piece, is its piece's record times the piece's scale, and is
+    solved and certified at the record's own scale (`tridiag`), with its
+    own tau = 64 eps (max|d_b| + 2 max|e_b|); a certificate window that
+    holds a second eigenvalue leaves it unresolved (AccuracyError).  A
+    record keeps the modes found, so a solve that reads it again, at any
+    scale, finds no mode twice."""
     from . import tridiag
 
     asm = _assemble(domain, h)
-    w, phi, tau = tridiag.merge(asm.parts, min(count, len(asm.d)))
-    for a in (asm.d, asm.e, asm.weights, asm.mass, asm.nodes, w, phi, tau):
-        a.flags.writeable = False
-    return asm, w, phi, tau
-
-
-def dirichlet_eigs(domain: Domain1D, h: Optional[float] = None,
-                   count: int = 2) -> EigenResult:
-    """Smallest `count` Dirichlet eigenvalues of the union, each certified
-    on its own piece (see `_spectrum`)."""
-    asm, w, phi, _ = _spectrum(domain, h, count)
+    w, phi, _ = tridiag.merge(asm.parts, min(count, len(asm.d)))
     u = phi * (1.0 / np.sqrt(asm.weights))[:, None]
     return EigenResult(
-        eigenvalues=w.copy(),
+        eigenvalues=w,
         eigenvectors=_grid_functions(asm, u),
         grid_size=len(asm.d),
     )
@@ -370,7 +357,7 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
     gives f = v.x and f' = x.x.  numerics.find_root runs the two-pole
     secular step with the residues (v.phi_1)^2 and (v.phi_2)^2 on the sign
     bracket [lambda_1 + tau_1, lambda_2 - tau_2], from its middle; tau_i is
-    the pole guard of the piece that carries lambda_i (see `_spectrum`).
+    the pole guard of the piece that carries lambda_i (`dirichlet_eigs`).
     f is resolved only to about eps ||B|| / lambda relative (6e-12 to
     1.4e-10 on the default grid of four verify pairs), so the step stops at
     that rounding floor, where a model step fails to halve the one before
@@ -382,11 +369,17 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
     Where f <= 0 at lambda_2 - tau_2 the root lies within tau_2 below
     lambda_2 (f increases between its poles), or at lambda_2 itself (a
     double pole, or v.phi_2 = 0), and lambda_2 is the answer, with the
-    mean-zero combination of phi_1 and phi_2 as its eigenvector.
+    mean-zero combination of phi_1 and phi_2 as its eigenvector.  Where
+    f >= 0 at lambda_1 + tau_1 the root lies within tau_1 above lambda_1
+    (a pole of tiny residue), and lambda_1 is the answer, with phi_1
+    projected onto v-perp as its eigenvector.
     """
     from scipy.linalg.lapack import dgtsv
 
-    asm, w, phi, tau = _spectrum(domain, h, 2)
+    from . import tridiag
+
+    asm = _assemble(domain, h)
+    w, phi, tau = tridiag.merge(asm.parts, 2)
     d, e = asm.d, asm.e
     lam1, lam2 = float(w[0]), float(w[1])
     tau1, tau2 = map(float, tau)
@@ -413,12 +406,11 @@ def twisted_eig(domain: Domain1D, h: Optional[float] = None) -> EigenResult:
         # and the mean-zero combination of phi_1 and phi_2 is the eigenvector
         lam = lam2
         y = (v @ phi[:, 1]) * phi[:, 0] - (v @ phi[:, 0]) * phi[:, 1]
+    elif float(v @ resolvent(lo)) >= 0.0:
+        # the root lies in (lambda_1, lambda_1 + tau_1]: lambda_1 answers,
+        # and phi_1, projected below, is the eigenvector
+        lam, y = lam1, phi[:, 0]
     else:
-        f_lo = float(v @ resolvent(lo))
-        if not f_lo < 0.0:
-            raise NumericalError(
-                f"twisted_eig: secular function is {f_lo:g} >= 0 just above "
-                f"the pole lambda_1 = {lam1!r}")
         last = []
 
         def secular(lam: float) -> tuple[float, float]:

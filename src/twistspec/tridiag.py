@@ -4,15 +4,16 @@ matrix found block by block, each certified by those counts.
 
 A count of the eigenvalues of T below sigma is the number of negative
 pivots of T - sigma = L D L^T (Sylvester's law of inertia; Kahan 1966,
-Parlett 1998 section 3.3).  Each block's eigenpairs come from two inverse
-iterations at shift 0, then Rayleigh quotient iteration until a step is at
-most the block's own tau = 64 eps (max|d| + 2 max|e|), the reach of
-rounding in its eigenvalues; rho is the block's j-th eigenvalue once j - 1
-eigenvalues lie below rho - eta and j below rho + eta, eta = ||B x - rho
-x|| + tau, a window that holds an eigenvalue (Parlett 1998, theorem
-4.5.1).  A block keeps the modes found, and a matrix may hold it times a
-scale: `merge` reads the modes at that scale, so a block is solved once for
-every matrix that holds it.
+Parlett 1998 section 3.3).  Each block's eigenpairs come from eight
+inverse iterations on the factors of the block plus tau (positive definite
+even where lambda_1 lies below rounding), then Rayleigh quotient iteration
+until a step is at most the block's own tau = 64 eps (max|d| + 2 max|e|),
+the reach of rounding in its eigenvalues; rho is the block's j-th
+eigenvalue once j - 1 eigenvalues lie below rho - eta and j below rho +
+eta, eta = ||B x - rho x|| + tau, a window that holds an eigenvalue
+(Parlett 1998, theorem 4.5.1).  A block keeps the modes found, and a
+matrix may hold it times a scale: `merge` reads the modes at that scale,
+so a block is solved once for every matrix that holds it.
 
 `oracle` imports this module on its first solve, as it does LAPACK
 (dpttrf, dpttrs, dgtsv, imported inside the functions that call them), so
@@ -29,6 +30,9 @@ import numpy as np
 
 from .errors import AccuracyError, NumericalError
 
+# Inverse iterations before the Rayleigh quotient steps: eight reach mode 1
+# on Gaussian tail pieces (L, L + 6) up to L = 21, where two failed from 6.
+INVERSE_ITER = 8
 # Rayleigh quotient steps per eigenpair; from the inverse-iterated start a
 # step falls below tau after two or three of them.
 RQI_MAX_ITER = 12
@@ -114,17 +118,19 @@ def block(d: np.ndarray, e: np.ndarray) -> Block:
 
 
 def next_mode(block: Block) -> tuple[float, np.ndarray]:
-    """The block's next eigenpair (rho, x), uncertified: two inverse
-    iterations at shift 0, then Rayleigh quotient iteration until a step is
-    <= the block's tau.  The first mode starts from the vector of ones; a
-    later one from the last mode found times the row index, which adds a
-    sign change, deflated against every mode found (each inverse iteration
-    too).  A block that is not positive definite raises NumericalError."""
+    """The block's next eigenpair (rho, x), uncertified: INVERSE_ITER
+    inverse iterations on the factors of the block plus tau, then Rayleigh
+    quotient iteration until a step is <= the block's tau.  The first mode
+    starts from the vector of ones; a later one from the last mode found
+    times the row index, which adds a sign change, deflated against every
+    mode found (each inverse iteration too).  A block that is not positive
+    definite once tau is added raises NumericalError."""
     from scipy.linalg.lapack import dgtsv, dpttrs
 
     n = len(block.d)
     lower = block.vectors
-    chol = ldl(block.d, block.e, 0.0, block.floor)
+    # near-whole-line Gaussian pieces have lambda_1 ~ 1e-30, below rounding
+    chol = ldl(block.d, block.e, -block.tau, block.floor)
     if not np.all(chol[0] > 0.0):
         raise NumericalError(
             f"oracle: a block of {n} rows is not positive definite")
@@ -135,7 +141,7 @@ def next_mode(block: Block) -> tuple[float, np.ndarray]:
         return x / np.linalg.norm(x)
 
     x = deflated(lower[-1] * np.arange(n) if lower else np.ones(n))
-    for _ in range(2):
+    for _ in range(INVERSE_ITER):
         x = deflated(dpttrs(*chol, x[:, None])[0][:, 0])
     rho = float(x @ _matvec(block.d, block.e, x))
     for _ in range(RQI_MAX_ITER):

@@ -602,4 +602,4 @@ class TestImportGraph:
             "    oracle.pair_domain(cfg)).eigenvalues[0])))"))
         loaded, lam = self._fresh(code).splitlines()
         assert loaded == "[]"
-        assert float(lam) == 3.986864036241222
+        assert float(lam) == 3.9868640362409775

@@ -20,6 +20,14 @@ def _near_half_splits() -> list[float]:
     return [float(s) for s in np.linspace(0.45, 0.55, 21) if s != 0.5]
 
 
+def _spectrum(dom: oracle.Domain1D, h, count: int):
+    """The assembly and the smallest `count` eigenpairs (w, phi) of B, with
+    the pole guard tau of the piece that carries each, as both solves read
+    them from the piece records."""
+    asm = oracle._assemble(dom, h)
+    return (asm, *tridiag.merge(asm.parts, count))
+
+
 class TestDomain1D:
     def test_cartesian_disjointness_enforced(self):
         with pytest.raises(DomainError):
@@ -468,7 +476,9 @@ class TestComponentScale:
 
 
 class TestSharedSpectrum:
-    """dirichlet_eigs and twisted_eig read one cached eigensolve."""
+    """dirichlet_eigs and twisted_eig read one set of piece records: the
+    second solve on a domain reads every piece, with its modes, from the
+    record the first one left."""
 
     DOMAINS = [
         oracle.Domain1D(intervals=((0.0, 1.0), (1.4, 2.9)),
@@ -495,8 +505,9 @@ class TestSharedSpectrum:
         else:
             dd = oracle.dirichlet_eigs(dom, count=2)
             tw = oracle.twisted_eig(dom)
-        info = oracle._spectrum.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        info = oracle._record.cache_info()
+        pieces = len(dom.intervals)
+        assert info.misses + info.hits == 2 * pieces and info.hits >= pieces
         twistspec.clear_caches()
         fresh_tw = oracle.twisted_eig(dom)
         twistspec.clear_caches()
@@ -515,10 +526,9 @@ class TestSharedSpectrum:
         assert np.all(again.eigenvectors[0].node_weights > 0.0)
         tw = oracle.twisted_eig(dom)
         assert want[0] < tw.eigenvalues[0] <= want[1]
-        asm, *arrays = oracle._spectrum(dom, None, 2)
-        assert not any(a.flags.writeable for a in [
-            asm.d, asm.e, asm.weights, asm.mass, asm.nodes, *arrays])
-        # and so are the piece records that solves share
+        tw.eigenvectors[0].values[:] = 0.0
+        assert oracle.twisted_eig(dom).eigenvectors[0].values.any()
+        # the piece records that solves share are read-only
         for a, b in dom.intervals:
             rec = oracle._piece(dom, a, b, 1100)[0]
             assert not any(x.flags.writeable for x in (
@@ -534,7 +544,7 @@ class TestSharedSpectrum:
         want = scipy.linalg.eigh_tridiagonal(
             d, e, select="i", select_range=(0, count - 1))[0]
         got = oracle.dirichlet_eigs(dom, count=count).eigenvalues
-        tau = oracle._spectrum(dom, None, count)[3]
+        tau = _spectrum(dom, None, count)[3]
         assert np.all(np.abs(got - want) <= tau)
         floor = tridiag.pivmin(e)
         counts = [(tridiag.count_below(d, e, w - t, floor),
@@ -587,7 +597,7 @@ class TestPerPieceEigenpairs:
                              ids=[label for label, _ in UNIONS])
     def test_pairs_match_tridiagonal_eigensolve(self, label, dom, count):
         h = max(b - a for a, b in dom.intervals) / 400.0
-        asm, w, phi, tau = oracle._spectrum(dom, h, count)
+        asm, w, phi, tau = _spectrum(dom, h, count)
         d, e = asm.d, asm.e
         want = scipy.linalg.eigh_tridiagonal(
             d, e, select="i", select_range=(0, count - 1))[0]
@@ -611,8 +621,7 @@ class TestPerPieceEigenpairs:
         # next to R = 1e-4, whose lowest value is 1e8 pi^2, both values
         # come from the unit half-ball
         cfg = measures.PairConfig(MeasureSpec.power(3, 0.0), 1.0, 1e-4)
-        asm, w, phi, tau = oracle._spectrum(
-            oracle.power_pair_domain(cfg), None, 2)
+        asm, w, phi, tau = _spectrum(oracle.power_pair_domain(cfg), None, 2)
         (a, b), _ = asm.pieces
         assert np.all(phi[b:] == 0.0) and np.all(phi[a:b] != 0.0)
         assert np.all(np.abs(w / PI2 - [1.0, 4.0]) <= 1e-4)
@@ -621,6 +630,23 @@ class TestPerPieceEigenpairs:
         assert tau[0] == tau[1] == 64.0 * np.finfo(float).eps * (
             np.max(np.abs(d[a:b])) + 2.0 * np.max(np.abs(e[a:b - 1])))
         assert tau[0] < 1e-7 * w[0]
+
+    @pytest.mark.parametrize("L", [6.0, 8.0, 12.0, 16.0, 20.0])
+    def test_gaussian_tail_piece_gives_its_first_mode(self, L):
+        # on (L, L + 6) lambda_1 / lambda_2 rises from 0.82 at L = 6 to 0.95
+        # at L = 20: the inverse iterations must leave mode 1 to the Rayleigh
+        # quotient steps, and the root is then the first constrained value
+        dom = oracle.Domain1D(intervals=((L, L + 6.0),),
+                              coordinate="cartesian_gauss")
+        asm, _, _, tau = _spectrum(dom, None, 2)
+        want = scipy.linalg.eigh_tridiagonal(
+            asm.d, asm.e, select="i", select_range=(0, 1))[0]
+        got = oracle.dirichlet_eigs(dom, count=2).eigenvalues
+        assert np.all(np.abs(got - want) <= tau)
+        lam = oracle.twisted_eig(dom).eigenvalues[0]
+        counts = [oracle.constrained_count(dom, lam * (1.0 + delta))
+                  for delta in (-1e-8, 1e-8)]
+        assert counts[0] == 0 and counts[1] >= 1
 
 
 class TestConstrainedCount:
@@ -679,7 +705,7 @@ def _small_domains() -> list[tuple[str, oracle.Domain1D]]:
     return out
 
 
-def _dense_twisted(dom: oracle.Domain1D, h: float) -> float:
+def _dense_twisted(dom: oracle.Domain1D, h: float | None) -> float:
     """The twisted value from the dense projected operator P B P with
     P = I - v v^T: v is its null vector, and the rest of its spectrum is
     the spectrum of B on the mean-zero subspace."""
@@ -721,11 +747,11 @@ class TestSecularSolve:
 
         # twisted_eig imports dgtsv from scipy.linalg.lapack on each call;
         # the eigensolve's own Rayleigh quotient steps, which call it too,
-        # run before the count starts
+        # run before the count starts and leave their modes in the records
         for measure, total, s in _pair_cases():
             dom = oracle.pair_domain(
                 measures.config_from_split(measure, total, s))
-            oracle._spectrum(dom, None, 2)
+            _spectrum(dom, None, 2)
             counts.append(0)
             with monkeypatch.context() as patch:
                 patch.setattr(scipy.linalg.lapack, "dgtsv", counting)
@@ -753,8 +779,8 @@ class TestSecularSolve:
             return (*rest, x, info)
 
         # the eigensolve, whose Rayleigh quotient steps call dgtsv too, runs
-        # before the patch
-        oracle._spectrum(self.PAIR, None, 2)
+        # before the patch and leaves its modes in the records
+        _spectrum(self.PAIR, None, 2)
         monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", poisoned)
         with pytest.raises(NumericalError, match=r"secular function is nan"
                            r".*lambda_1 = .*lambda_2 = .*last bracket \["):
@@ -768,7 +794,7 @@ class TestSecularSolve:
         dom = oracle.Domain1D(
             intervals=((-11.494191493346614, 4.268969005615425),),
             coordinate="cartesian_gauss")
-        _, w, _, _ = oracle._spectrum(dom, None, 2)
+        _, w, _, _ = _spectrum(dom, None, 2)
         lam = oracle.twisted_eig(dom).eigenvalues[0]
         assert lam == float(w[1])
         assert abs(lam - 2.000001947156572) <= 1e-8 * lam
@@ -776,11 +802,64 @@ class TestSecularSolve:
                   for delta in (-1e-8, 1e-8)]
         assert counts[0] == 0 and counts[1] >= 1
 
+    @pytest.mark.parametrize("intervals", [
+        ((-5.6192429353243325, -5.209131171303734),
+         (0.38786850026265185, 0.6464928012013722)),
+        ((-10.151585600287842, -6.731866088695064),
+         (-5.087842251834107, -4.668213321263675)),
+        ((-11.580230181360687, -7.986792182181959),
+         (3.879855237488613, 4.206046939098464),
+         (6.23275242229958, 6.767905467657293))],
+        ids=["two_pieces", "two_tail_pieces", "three_pieces"])
+    def test_root_inside_the_lower_guard_band_answers_lambda_1(
+            self, intervals):
+        # lambda_1 lies on a tail piece of tiny mass, so its residue
+        # (v.phi_1)^2 is tiny and the root lies within tau_1 above lambda_1
+        # (f >= 0 at the bracket bottom); lambda_1 answers, within 2e-9 of
+        # the dense projected operator on the default grid
+        dom = oracle.Domain1D(intervals=intervals,
+                              coordinate="cartesian_gauss")
+        _, w, _, _ = _spectrum(dom, None, 2)
+        lam = oracle.twisted_eig(dom).eigenvalues[0]
+        assert lam == float(w[0])
+        assert abs(lam / _dense_twisted(dom, None) - 1.0) <= 2e-9
+        counts = [oracle.constrained_count(dom, lam * (1.0 + delta))
+                  for delta in (-1e-8, 1e-8)]
+        assert counts[0] == 0 and counts[1] >= 1
+
+    def test_near_whole_line_interval_solves(self):
+        # lambda_1 ~ 1e-30 lies below the rounding of B: the eigensolve
+        # factors B + tau, and the root is within 2e-12 of the dense
+        # projected operator on the default grid
+        dom = oracle.Domain1D(
+            intervals=((-9.050589547079776, 11.211557649536825),),
+            coordinate="cartesian_gauss")
+        lam = oracle.twisted_eig(dom).eigenvalues[0]
+        assert abs(lam / _dense_twisted(dom, None) - 1.0) <= 2e-12
+
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(numerics, "SECULAR_MAX_ITER", 2)
         with pytest.raises(NumericalError, match=r"no secular root after 2 "
                            r"evaluations.*lambda_1 = .*last bracket \["):
             oracle.twisted_eig(self.PAIR)
+
+
+@pytest.mark.parametrize("seed", [7, 9])
+def test_every_random_gaussian_union_solves(seed):
+    """ROADMAP item 22's probe: 400 unions of one to three intervals with
+    ends uniform in (-12, 12) each solve, and the inertia count places the
+    root first at delta = 1e-8 (seed 9 is held out from the change that
+    made all of seed 7 solve)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(400):
+        ends = np.sort(rng.uniform(-12.0, 12.0, 2 * rng.integers(1, 4)))
+        dom = oracle.Domain1D(
+            intervals=tuple(zip(ends[::2].tolist(), ends[1::2].tolist())),
+            coordinate="cartesian_gauss")
+        lam = oracle.twisted_eig(dom).eigenvalues[0]
+        counts = [oracle.constrained_count(dom, lam * (1.0 + delta))
+                  for delta in (-1e-8, 1e-8)]
+        assert counts[0] == 0 and counts[1] >= 1, dom.intervals
 
 
 def _pair_cases():
